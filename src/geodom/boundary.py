@@ -6,6 +6,13 @@ all w adjacent to v. A set S x-geodominates the graph when every vertex
 lies on a shortest path from x to some member of S. The two notions
 coincide minimally: the boundary of x is the unique minimum
 x-geodominating set, so gx equals the boundary's size.
+
+Both questions need only the distance row of x, so the single-source
+functions take ``dm=None`` and then run one BFS: the boundary is a scan
+of that row over the CSR neighbours, and coverage is one geodesic sweep
+(``geodesic_sweep``), each O(n + m). A ``DistanceMatrix`` supplies the
+rows instead, for callers that already hold one; ``min_gx_vertex`` and
+``geodetic_from_boundary`` visit every source and require it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from .graph import (
     VertexSet,
     _as_vertex_set,
     _check_matrix,
-    _check_vertex,
+    _distance_row,
+    _mask,
+    geodesic_sweep,
 )
 
 __all__ = [
@@ -57,44 +66,34 @@ class GeodominationCheck:
     witness_uncovered: int | None
 
 
-def _boundary_mask(g: Graph, dm: DistanceMatrix, x: int) -> np.ndarray:
-    """Boolean mask over vertices: no neighbor is farther from x.
+def _boundary_mask(g: Graph, row: np.ndarray) -> np.ndarray:
+    """Boolean mask over vertices: no neighbor is farther from the source
+    of ``row``.
 
     Isolated-vertex-free by construction (connected, n >= 2), so every
     vertex has at least one neighbor and reduceat segments are nonempty.
     """
-    row = dm.row(x)
     seg_max = np.maximum.reduceat(row[g.flat_neighbors], g.neighbor_offsets)
     return seg_max <= row
 
 
-def boundary(g: Graph, dm: DistanceMatrix, x: int) -> BoundaryResult:
+def boundary(g: Graph, dm: DistanceMatrix | None, x: int) -> BoundaryResult:
     """Boundary vertices of x, with gx = its size."""
-    _check_matrix(g, dm)
-    _check_vertex(g, x)
+    row = _distance_row(g, dm, x)
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    mask = _boundary_mask(g, dm, x)
+    mask = _boundary_mask(g, row)
     members = VertexSet.of(np.flatnonzero(mask), g.n)
     return BoundaryResult(source=x, boundary=members, gx=len(members))
 
 
 def is_x_geodominating(
-    g: Graph, dm: DistanceMatrix, x: int, s: "VertexSet | Iterable[int]"
+    g: Graph, dm: DistanceMatrix | None, x: int, s: "VertexSet | Iterable[int]"
 ) -> GeodominationCheck:
     """Does every vertex lie on a shortest path from x to some member of s?"""
-    _check_matrix(g, dm)
-    _check_vertex(g, x)
+    row = _distance_row(g, dm, x)
     vs = _as_vertex_set(s, g.n)
-    dx = dm.row(x)
-    if vs:
-        members = list(vs)
-        # v covered by y in s  <=>  d(x,v) + d(v,y) == d(x,y)
-        covered_mask = (dx[:, None] + dm.d[:, members] == dx[members][None, :]).any(
-            axis=1
-        )
-    else:
-        covered_mask = np.zeros(g.n, dtype=bool)
+    covered_mask = geodesic_sweep(g, row, _mask(g, vs))
     covered = VertexSet.of(np.flatnonzero(covered_mask), g.n)
     ok = len(covered) == g.n
     witness = None if ok else int(np.flatnonzero(~covered_mask)[0])
@@ -107,17 +106,17 @@ def is_x_geodominating(
     )
 
 
-def gx_set(g: Graph, dm: DistanceMatrix, x: int) -> VertexSet:
+def gx_set(g: Graph, dm: DistanceMatrix | None, x: int) -> VertexSet:
     """The unique minimum x-geodominating set (the boundary of x)."""
     return boundary(g, dm, x).boundary
 
 
-def gx(g: Graph, dm: DistanceMatrix, x: int) -> int:
+def gx(g: Graph, dm: DistanceMatrix | None, x: int) -> int:
     return boundary(g, dm, x).gx
 
 
 def theorem_check(
-    g: Graph, dm: DistanceMatrix, x: int, s: "VertexSet | Iterable[int]"
+    g: Graph, dm: DistanceMatrix | None, x: int, s: "VertexSet | Iterable[int]"
 ) -> bool:
     """Verify on one instance that s x-geodominates iff it contains the
     boundary of x. Returns True when both routes agree."""
@@ -133,9 +132,9 @@ def min_gx_vertex(g: Graph, dm: DistanceMatrix) -> tuple[int, int]:
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     best_x = 0
-    best = int(np.count_nonzero(_boundary_mask(g, dm, 0)))
+    best = int(np.count_nonzero(_boundary_mask(g, dm.row(0))))
     for x in range(1, g.n):
-        size = int(np.count_nonzero(_boundary_mask(g, dm, x)))
+        size = int(np.count_nonzero(_boundary_mask(g, dm.row(x))))
         if size < best:
             best_x, best = x, size
     return best_x, best
@@ -145,6 +144,10 @@ def geodetic_from_boundary(g: Graph, dm: DistanceMatrix) -> VertexSet:
     """Geodetic set of size (min over x of gx) + 1: the boundary of a
     minimizing vertex together with that vertex itself."""
     x, _ = min_gx_vertex(g, dm)
-    members = set(boundary(g, dm, x).boundary)
-    members.add(x)
-    return VertexSet.of(members, g.n)
+    return _boundary_with_source(g, dm, x)
+
+
+def _boundary_with_source(g: Graph, dm: DistanceMatrix | None, x: int) -> VertexSet:
+    """The boundary of x together with x itself: a geodetic set of size
+    gx + 1, since every vertex lies on a geodesic from x to the boundary."""
+    return VertexSet.of([*boundary(g, dm, x).boundary, x], g.n)

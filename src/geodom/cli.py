@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .boundary import (
+    _boundary_with_source,
     boundary,
-    geodetic_from_boundary,
     gx_set,
     is_x_geodominating,
     min_gx_vertex,
@@ -100,10 +100,9 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_boundary(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
     x = g.index_of(args.x)
-    res = boundary(g, dm, x)
-    covers = is_x_geodominating(g, dm, x, res.boundary).is_geodominating
+    res = boundary(g, None, x)
+    covers = is_x_geodominating(g, None, x, res.boundary).is_geodominating
     labels = _labels(g, res.boundary)
     return Outcome(
         code=0 if covers else 1,
@@ -116,8 +115,7 @@ def _cmd_boundary(args: argparse.Namespace) -> Outcome:
 
 def _cmd_gx(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
-    res = boundary(g, dm, g.index_of(args.x))
+    res = boundary(g, None, g.index_of(args.x))
     return Outcome(
         code=0,
         lines=[f"gx = {res.gx}"],
@@ -129,11 +127,10 @@ def _cmd_gx(args: argparse.Namespace) -> Outcome:
 
 def _cmd_check(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
     x = g.index_of(args.x)
     s = _parse_set(g, args.set)
-    chk = is_x_geodominating(g, dm, x, s)
-    agrees = chk.is_geodominating == gx_set(g, dm, x).issubset(s)
+    chk = is_x_geodominating(g, None, x, s)
+    agrees = chk.is_geodominating == gx_set(g, None, x).issubset(s)
     lines = [f"geodominating: {_yesno(chk.is_geodominating)}"]
     if chk.witness_uncovered is not None:
         lines.append(f"uncovered: {g.labels[chk.witness_uncovered]}")
@@ -153,9 +150,8 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
 
 def _cmd_closure(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
     s = _parse_set(g, args.set)
-    closure = geodetic_closure(g, dm, s)
+    closure = geodetic_closure(g, None, s)
     geodetic = len(closure) == g.n
     labels = _labels(g, closure)
     return Outcome(
@@ -275,7 +271,7 @@ def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     dm = all_pairs(g)
     x, min_gx = min_gx_vertex(g, dm)
-    s = geodetic_from_boundary(g, dm)
+    s = _boundary_with_source(g, dm, x)
     geodetic = is_geodetic(g, dm, s)
     size_ok = len(s) == min_gx + 1
     labels = _labels(g, s)
@@ -326,8 +322,8 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
     dm = all_pairs(g)
     number, witness = geodetic_number_bruteforce(g, dm, cap=args.cap)
     if g.n >= 2:
-        _, min_gx = min_gx_vertex(g, dm)
-        heuristic = geodetic_from_boundary(g, dm)
+        x, min_gx = min_gx_vertex(g, dm)
+        heuristic = _boundary_with_source(g, dm, x)
         relation = number <= min_gx + 1
         heuristic_ok = is_geodetic(g, dm, heuristic) and len(heuristic) == min_gx + 1
     else:

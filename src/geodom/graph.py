@@ -5,6 +5,14 @@ the labels' positions in sorted order, so every derived quantity is
 deterministic across runs. Graphs are simple, undirected, and immutable
 after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
+
+The metric core works on single distance rows. ``interval``,
+``geodetic_closure`` and ``is_geodetic`` take an optional
+:class:`DistanceMatrix`: given ``None``, each row they need costs one BFS,
+O(n + m), and ``geodesic_sweep`` turns a row into interval membership by
+one reverse sweep of the source's geodesic DAG. The full matrix from
+``all_pairs`` (n BFS runs, 4n^2 bytes) pays off only where every row is
+used: all-source sweeps, products and the oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "is_connected",
     "bfs_distances",
     "all_pairs",
+    "geodesic_sweep",
     "interval",
     "geodetic_closure",
     "is_geodetic",
@@ -334,38 +343,84 @@ def all_pairs(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
+def _distance_row(g: Graph, dm: DistanceMatrix | None, u: int) -> np.ndarray:
+    """Distance row from u: ``dm.row(u)`` when a matrix is given, else one
+    BFS (which also checks that g is connected)."""
+    if dm is None:
+        return bfs_distances(g, u)
+    _check_matrix(g, dm)
+    _check_vertex(g, u)
+    return dm.row(u)
+
+
+def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mask of the vertices on some geodesic from the source of ``row`` to
+    a vertex of the boolean mask ``targets``.
+
+    The geodesic DAG of the source u has the edges v -> w with
+    d(w) = d(v) + 1. v lies on a shortest u-y path exactly when y can be
+    reached from v in that DAG, so one sweep over the levels, from the far
+    end back to u, marks the union of the intervals I[u, y] over the
+    targets y. The forward edges are sorted by level once; each level is
+    one masked scatter, so the sweep costs O(n + m log m).
+    """
+    reach = targets.copy()
+    if not reach.any():
+        return reach
+    degrees = np.diff(g.neighbor_offsets, append=len(g.flat_neighbors))
+    tails = np.repeat(np.arange(g.n), degrees)
+    heads = g.flat_neighbors
+    levels = row[tails]
+    # edges leaving the farthest target's level or beyond reach no target
+    forward = (row[heads] == levels + 1) & (levels < row[targets].max())
+    levels = levels[forward]
+    order = np.argsort(levels, kind="stable")
+    tails, heads = tails[forward][order], heads[forward][order]
+    ends = np.cumsum(np.bincount(levels))
+    for level in reversed(range(len(ends))):
+        lo = ends[level - 1] if level else 0
+        level_tails, level_heads = tails[lo:ends[level]], heads[lo:ends[level]]
+        reach[level_tails[reach[level_heads]]] = True
+    return reach
+
+
+def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(vertices)] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # intervals and geodetic closure
 
 
-def interval(g: Graph, dm: DistanceMatrix, u: int, v: int) -> VertexSet:
+def interval(g: Graph, dm: DistanceMatrix | None, u: int, v: int) -> VertexSet:
     """Vertices on at least one shortest u-v path:
     { w : d(u,w) + d(w,v) = d(u,v) }."""
-    _check_matrix(g, dm)
-    _check_vertex(g, u)
     _check_vertex(g, v)
-    row_u = dm.row(u)
-    members = np.flatnonzero(row_u + dm.row(v) == row_u[v])
-    return VertexSet.of(members, g.n)
+    on_geodesic = geodesic_sweep(g, _distance_row(g, dm, u), _mask(g, [v]))
+    return VertexSet.of(np.flatnonzero(on_geodesic), g.n)
 
 
-def geodetic_closure(g: Graph, dm: DistanceMatrix, s: "VertexSet | Iterable[int]") -> VertexSet:
-    """Union of intervals over all pairs of vertices in s."""
-    _check_matrix(g, dm)
+def geodetic_closure(
+    g: Graph, dm: DistanceMatrix | None, s: "VertexSet | Iterable[int]"
+) -> VertexSet:
+    """Union of intervals over all pairs of vertices in s: one geodesic
+    sweep from each member toward s, stopping once every vertex is covered
+    (the union cannot grow after that)."""
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    members = list(vs)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[members] = True
-    for i, u in enumerate(members):
-        row_u = dm.row(u)
-        for v in members[i + 1:]:
-            mask |= row_u + dm.row(v) == row_u[v]
+    targets = _mask(g, vs)
+    mask = targets.copy()
+    for u in vs:
+        mask |= geodesic_sweep(g, _distance_row(g, dm, u), targets)
+        if mask.all():
+            break
     return VertexSet.of(np.flatnonzero(mask), g.n)
 
 
-def is_geodetic(g: Graph, dm: DistanceMatrix, s: "VertexSet | Iterable[int]") -> bool:
+def is_geodetic(g: Graph, dm: DistanceMatrix | None, s: "VertexSet | Iterable[int]") -> bool:
     """True iff the geodetic closure of s covers every vertex."""
     return len(geodetic_closure(g, dm, s)) == g.n
 

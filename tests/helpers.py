@@ -111,6 +111,16 @@ def direct_covered(dist: list[list[int]], x: int, members, n: int) -> set[int]:
     }
 
 
+def direct_closure(dist: list[list[int]], members, n: int) -> set[int]:
+    """Geodetic closure by definition: every w with d(u,w) + d(w,v) =
+    d(u,v) for some u, v in members (u = v gives the members themselves)."""
+    return {
+        w
+        for w in range(n)
+        if any(dist[u][w] + dist[w][v] == dist[u][v] for u in members for v in members)
+    }
+
+
 def connected_labeled_graph_counts(n_max: int) -> list[int]:
     """Counts of connected simple labeled graphs for n = 1..n_max, by the
     inclusion-exclusion recurrence over the component containing vertex 1."""

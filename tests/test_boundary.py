@@ -64,10 +64,10 @@ def test_complete_graph_boundary_is_everyone_else():
 # definitional properties
 
 
-@given(graphs_with_vertex())
-def test_boundary_matches_definition_scan(gv):
+@given(graphs_with_vertex(), st.booleans())
+def test_boundary_matches_definition_scan(gv, use_matrix):
     g, x = gv
-    dm = all_pairs(g)
+    dm = all_pairs(g) if use_matrix else None
     assert set(boundary(g, dm, x).boundary) == direct_boundary(g, floyd_warshall(g), x)
 
 
@@ -98,10 +98,10 @@ def test_tree_boundary_is_leaves_except_source(t):
 # x-geodomination checks
 
 
-@given(graphs_vertex_and_set())
-def test_covered_set_matches_direct_computation(gvs):
+@given(graphs_vertex_and_set(), st.booleans())
+def test_covered_set_matches_direct_computation(gvs, use_matrix):
     g, x, members = gvs
-    dm = all_pairs(g)
+    dm = all_pairs(g) if use_matrix else None
     chk = is_x_geodominating(g, dm, x, members)
     assert set(chk.covered) == direct_covered(floyd_warshall(g), x, members, g.n)
     assert chk.is_geodominating == (len(chk.covered) == g.n)

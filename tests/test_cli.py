@@ -93,6 +93,18 @@ def test_oracle_geodetic_plain(capsys, p4):
     assert lines[-1] == "relation holds: yes"
 
 
+def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
+    def no_matrix(g):
+        raise AssertionError("single-source commands must not build all-pairs distances")
+
+    monkeypatch.setattr("geodom.cli.all_pairs", no_matrix)
+    test_boundary_plain_golden(capsys, p4)
+    test_gx_plain(capsys, p4)
+    test_check_yes_and_no(capsys, p4)
+    test_closure_plain(capsys, p4)
+    test_json_output_is_deterministic(capsys, p4)
+
+
 # ---------------------------------------------------------------------------
 # products
 

@@ -11,6 +11,7 @@ from geodom import (
     VertexSet,
     all_pairs,
     bfs_distances,
+    boundary,
     complete_graph,
     cycle_graph,
     emit_graph,
@@ -18,12 +19,13 @@ from geodom import (
     interval,
     is_connected,
     is_geodetic,
+    is_x_geodominating,
     parse_graph,
     path_graph,
     simplicial_vertices,
     star_graph,
 )
-from helpers import floyd_warshall, geodesic_vertices_by_paths
+from helpers import direct_boundary, direct_closure, floyd_warshall, geodesic_vertices_by_paths
 from strategies import connected_graphs
 
 
@@ -202,6 +204,25 @@ def test_disconnected_raises():
         all_pairs(g)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: boundary(g, None, 0),
+        lambda g: is_x_geodominating(g, None, 0, [1]),
+        lambda g: interval(g, None, 0, 1),
+        lambda g: geodetic_closure(g, None, [0, 1, 2]),
+        lambda g: is_geodetic(g, None, [0, 1, 2]),
+    ],
+    ids=["boundary", "is_x_geodominating", "interval", "geodetic_closure", "is_geodetic"],
+)
+def test_row_source_none_checks_connectivity(call):
+    # the closure seeds are the whole vertex set, so no sweep is needed to
+    # cover it, yet the disconnection must still be reported
+    g = parse_graph("vertices: z\na b\n")
+    with pytest.raises(DisconnectedError):
+        call(g)
+
+
 def test_matrix_is_read_only():
     dm = all_pairs(path_graph(3))
     with pytest.raises(ValueError):
@@ -219,9 +240,9 @@ def test_cycle_distances():
 
 
 @settings(max_examples=60)
-@given(connected_graphs(max_n=6), st.data())
-def test_interval_matches_path_enumeration(g, data):
-    dm = all_pairs(g)
+@given(connected_graphs(max_n=6), st.booleans(), st.data())
+def test_interval_matches_path_enumeration(g, use_matrix, data):
+    dm = all_pairs(g) if use_matrix else None
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1))
     assert set(interval(g, dm, u, v)) == geodesic_vertices_by_paths(g, u, v)
@@ -263,6 +284,18 @@ def test_closure_contains_seed_and_is_monotone(g, data):
     c_big = set(geodetic_closure(g, dm, small | extra))
     assert small <= c_small
     assert c_small <= c_big
+
+
+@given(connected_graphs(), st.booleans(), st.data())
+def test_closure_matches_direct_computation(g, use_matrix, data):
+    dist = floyd_warshall(g)
+    members = set(data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1)))
+    if data.draw(st.booleans()):
+        # x with its boundary covers the graph from x, so the sweep stops early
+        x = data.draw(st.integers(0, g.n - 1))
+        members |= {x} | direct_boundary(g, dist, x)
+    dm = all_pairs(g) if use_matrix else None
+    assert set(geodetic_closure(g, dm, members)) == direct_closure(dist, members, g.n)
 
 
 def test_geodetic_families():
