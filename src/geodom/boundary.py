@@ -11,8 +11,11 @@ Both questions need only the distance row of x, so the single-source
 functions take ``dm=None`` and then run one BFS: the boundary is a scan
 of that row over the CSR neighbours, and coverage is one geodesic sweep
 (``geodesic_sweep``), each O(n + m). A ``DistanceMatrix`` supplies the
-rows instead, for callers that already hold one; ``min_gx_vertex`` and
-``geodetic_from_boundary`` visit every source and require it.
+rows instead, for callers that already hold one. ``min_gx_vertex`` and
+``geodetic_from_boundary`` visit every source without a matrix: the BFS
+levels of 64 sources share one uint64 word per vertex (``_level_words``),
+so gx for all n sources costs about ceil(n/64) x diameter x (n + m) word
+operations and O(diameter x n) words of memory.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from typing import Iterable
 import numpy as np
 
 from .graph import (
+    _WORD_BITS,
     DistanceMatrix,
     Graph,
     VertexSet,
     _as_vertex_set,
-    _check_matrix,
     _distance_row,
+    _level_words,
     _mask,
+    _neighbour_or,
     geodesic_sweep,
 )
 
@@ -66,24 +71,22 @@ class GeodominationCheck:
     witness_uncovered: int | None
 
 
-def _boundary_mask(g: Graph, row: np.ndarray) -> np.ndarray:
-    """Boolean mask over vertices: no neighbor is farther from the source
-    of ``row``.
-
-    Isolated-vertex-free by construction (connected, n >= 2), so every
-    vertex has at least one neighbor and reduceat segments are nonempty.
-    """
-    seg_max = np.maximum.reduceat(row[g.flat_neighbors], g.neighbor_offsets)
-    return seg_max <= row
-
-
 def boundary(g: Graph, dm: DistanceMatrix | None, x: int) -> BoundaryResult:
     """Boundary vertices of x, with gx = its size."""
-    row = _distance_row(g, dm, x)
+    return _row_boundary(g, _distance_row(g, dm, x), x)
+
+
+def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
+    """Boundary of x from its distance row: the vertices with no neighbour
+    farther from x.
+
+    A connected graph on n >= 2 vertices has no isolated vertex, so every
+    reduceat segment is nonempty.
+    """
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    mask = _boundary_mask(g, row)
-    members = VertexSet.of(np.flatnonzero(mask), g.n)
+    farthest = np.maximum.reduceat(row[g.flat_neighbors], g.neighbor_offsets)
+    members = VertexSet.of(np.flatnonzero(farthest <= row), g.n)
     return BoundaryResult(source=x, boundary=members, gx=len(members))
 
 
@@ -91,7 +94,13 @@ def is_x_geodominating(
     g: Graph, dm: DistanceMatrix | None, x: int, s: "VertexSet | Iterable[int]"
 ) -> GeodominationCheck:
     """Does every vertex lie on a shortest path from x to some member of s?"""
-    row = _distance_row(g, dm, x)
+    return _row_coverage(g, _distance_row(g, dm, x), x, s)
+
+
+def _row_coverage(
+    g: Graph, row: np.ndarray, x: int, s: "VertexSet | Iterable[int]"
+) -> GeodominationCheck:
+    """Geodomination check of s from x, given the distance row of x."""
     vs = _as_vertex_set(s, g.n)
     covered_mask = geodesic_sweep(g, row, _mask(g, vs))
     covered = VertexSet.of(np.flatnonzero(covered_mask), g.n)
@@ -126,28 +135,42 @@ def theorem_check(
     return direct == via_boundary
 
 
-def min_gx_vertex(g: Graph, dm: DistanceMatrix) -> tuple[int, int]:
+def _gx_of_sources(g: Graph, sources: range) -> np.ndarray:
+    """gx of each of at most 64 sources.
+
+    A vertex at level d of a source is in its boundary unless a neighbour
+    lies at level d + 1, so the boundary words are the OR over d of
+    ``levels[d] & ~(neighbour OR of levels[d + 1])``, plus the whole last
+    level. gx of source i is the number of vertices with bit i set.
+    """
+    levels = _level_words(g, sources)
+    words = levels[-1].copy()
+    for near, far in zip(levels, levels[1:]):
+        words |= near & ~_neighbour_or(g, far)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(sources)]
+
+
+def min_gx_vertex(g: Graph) -> tuple[int, int]:
     """Vertex minimizing gx, ties broken by index; returns (vertex, gx)."""
-    _check_matrix(g, dm)
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    best_x = 0
-    best = int(np.count_nonzero(_boundary_mask(g, dm.row(0))))
-    for x in range(1, g.n):
-        size = int(np.count_nonzero(_boundary_mask(g, dm.row(x))))
-        if size < best:
-            best_x, best = x, size
-    return best_x, best
+    sizes = np.concatenate(
+        [_gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
+         for lo in range(0, g.n, _WORD_BITS)]
+    )
+    x = int(np.argmin(sizes))
+    return x, int(sizes[x])
 
 
-def geodetic_from_boundary(g: Graph, dm: DistanceMatrix) -> VertexSet:
+def geodetic_from_boundary(g: Graph) -> VertexSet:
     """Geodetic set of size (min over x of gx) + 1: the boundary of a
     minimizing vertex together with that vertex itself."""
-    x, _ = min_gx_vertex(g, dm)
-    return _boundary_with_source(g, dm, x)
+    x, _ = min_gx_vertex(g)
+    return _boundary_with_source(g, x)
 
 
-def _boundary_with_source(g: Graph, dm: DistanceMatrix | None, x: int) -> VertexSet:
+def _boundary_with_source(g: Graph, x: int) -> VertexSet:
     """The boundary of x together with x itself: a geodetic set of size
     gx + 1, since every vertex lies on a geodesic from x to the boundary."""
-    return VertexSet.of([*boundary(g, dm, x).boundary, x], g.n)
+    return VertexSet.of([*boundary(g, None, x).boundary, x], g.n)

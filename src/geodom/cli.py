@@ -17,6 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .boundary import (
     _boundary_with_source,
+    _row_boundary,
+    _row_coverage,
     boundary,
     gx_set,
     is_x_geodominating,
@@ -27,6 +29,7 @@ from .graph import (
     GraphError,
     VertexSet,
     all_pairs,
+    bfs_distances,
     emit_graph,
     geodetic_closure,
     is_geodetic,
@@ -101,8 +104,9 @@ def _yesno(flag: bool) -> str:
 def _cmd_boundary(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     x = g.index_of(args.x)
-    res = boundary(g, None, x)
-    covers = is_x_geodominating(g, None, x, res.boundary).is_geodominating
+    row = bfs_distances(g, x)
+    res = _row_boundary(g, row, x)
+    covers = _row_coverage(g, row, x, res.boundary).is_geodominating
     labels = _labels(g, res.boundary)
     return Outcome(
         code=0 if covers else 1,
@@ -129,8 +133,9 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     x = g.index_of(args.x)
     s = _parse_set(g, args.set)
-    chk = is_x_geodominating(g, None, x, s)
-    agrees = chk.is_geodominating == gx_set(g, None, x).issubset(s)
+    row = bfs_distances(g, x)
+    chk = _row_coverage(g, row, x, s)
+    agrees = chk.is_geodominating == _row_boundary(g, row, x).boundary.issubset(s)
     lines = [f"geodominating: {_yesno(chk.is_geodominating)}"]
     if chk.witness_uncovered is not None:
         lines.append(f"uncovered: {g.labels[chk.witness_uncovered]}")
@@ -151,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
 def _cmd_closure(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     s = _parse_set(g, args.set)
-    closure = geodetic_closure(g, None, s)
+    closure = geodetic_closure(g, s)
     geodetic = len(closure) == g.n
     labels = _labels(g, closure)
     return Outcome(
@@ -269,10 +274,9 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
 
 def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
-    x, min_gx = min_gx_vertex(g, dm)
-    s = _boundary_with_source(g, dm, x)
-    geodetic = is_geodetic(g, dm, s)
+    x, min_gx = min_gx_vertex(g)
+    s = _boundary_with_source(g, x)
+    geodetic = is_geodetic(g, s)
     size_ok = len(s) == min_gx + 1
     labels = _labels(g, s)
     ok = geodetic and size_ok
@@ -322,10 +326,10 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
     dm = all_pairs(g)
     number, witness = geodetic_number_bruteforce(g, dm, cap=args.cap)
     if g.n >= 2:
-        x, min_gx = min_gx_vertex(g, dm)
-        heuristic = _boundary_with_source(g, dm, x)
+        x, min_gx = min_gx_vertex(g)
+        heuristic = _boundary_with_source(g, x)
         relation = number <= min_gx + 1
-        heuristic_ok = is_geodetic(g, dm, heuristic) and len(heuristic) == min_gx + 1
+        heuristic_ok = is_geodetic(g, heuristic) and len(heuristic) == min_gx + 1
     else:
         min_gx, relation, heuristic_ok = 0, True, True
     ok = relation and heuristic_ok

@@ -6,13 +6,15 @@ deterministic across runs. Graphs are simple, undirected, and immutable
 after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
 
-The metric core works on single distance rows. ``interval``,
-``geodetic_closure`` and ``is_geodetic`` take an optional
-:class:`DistanceMatrix`: given ``None``, each row they need costs one BFS,
-O(n + m), and ``geodesic_sweep`` turns a row into interval membership by
-one reverse sweep of the source's geodesic DAG. The full matrix from
-``all_pairs`` (n BFS runs, 4n^2 bytes) pays off only where every row is
-used: all-source sweeps, products and the oracles.
+The metric core works on single distance rows. ``interval`` takes an
+optional :class:`DistanceMatrix`: given ``None``, the row it needs costs
+one BFS, O(n + m), and ``geodesic_sweep`` turns a row into interval
+membership by one reverse sweep of the source's geodesic DAG.
+``geodetic_closure`` and ``is_geodetic`` take no matrix: they run the BFS
+of 64 members at a time in the bits of one uint64 word per vertex
+(``_level_words``), about ceil(|S|/64) x diameter x (n + m) word
+operations. The full matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes)
+pays off only where every row is read by index: products and the oracles.
 """
 
 from __future__ import annotations
@@ -353,6 +355,50 @@ def _distance_row(g: Graph, dm: DistanceMatrix | None, u: int) -> np.ndarray:
     return dm.row(u)
 
 
+def _degrees(g: Graph) -> np.ndarray:
+    return np.diff(g.neighbor_offsets, append=len(g.flat_neighbors))
+
+
+def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
+    """Per vertex, the OR of its neighbours' words. Needs every vertex to
+    have a neighbour: ``reduceat`` misreads an empty CSR segment."""
+    return np.bitwise_or.reduceat(words[g.flat_neighbors], g.neighbor_offsets)
+
+
+_WORD_BITS = 64
+
+
+def _level_words(g: Graph, sources: Sequence[int]) -> list[np.ndarray]:
+    """BFS levels of at most 64 distinct sources at once, one bit per
+    source: bit i of ``levels[d][v]`` is set iff d(sources[i], v) = d.
+
+    Each level is the OR of the previous level over the CSR neighbours,
+    masked by the visited words: the word-parallel BFS of Akiba, Iwata and
+    Yoshida (SIGMOD 2013). Raises :class:`DisconnectedError` when some
+    source does not reach every vertex.
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    k = len(sources)
+    if not 1 <= k <= _WORD_BITS:
+        raise ValueError(f"level words take 1 to {_WORD_BITS} sources, got {k}")
+    # an isolated vertex leaves an empty CSR segment, which reduceat
+    # misreads; a single vertex needs no reduceat at all
+    if g.n > 1 and not _degrees(g).all():
+        raise DisconnectedError("graph is disconnected")
+    frontier = np.zeros(g.n, dtype=np.uint64)
+    frontier[sources] = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    everyone = np.uint64((1 << k) - 1)
+    visited = frontier.copy()
+    levels = [frontier]
+    while not (visited == everyone).all():
+        frontier = _neighbour_or(g, frontier) & ~visited
+        if not frontier.any():
+            raise DisconnectedError("graph is disconnected")
+        visited |= frontier
+        levels.append(frontier)
+    return levels
+
+
 def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Mask of the vertices on some geodesic from the source of ``row`` to
     a vertex of the boolean mask ``targets``.
@@ -367,8 +413,7 @@ def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray
     reach = targets.copy()
     if not reach.any():
         return reach
-    degrees = np.diff(g.neighbor_offsets, append=len(g.flat_neighbors))
-    tails = np.repeat(np.arange(g.n), degrees)
+    tails = np.repeat(np.arange(g.n), _degrees(g))
     heads = g.flat_neighbors
     levels = row[tails]
     # edges leaving the farthest target's level or beyond reach no target
@@ -402,27 +447,35 @@ def interval(g: Graph, dm: DistanceMatrix | None, u: int, v: int) -> VertexSet:
     return VertexSet.of(np.flatnonzero(on_geodesic), g.n)
 
 
-def geodetic_closure(
-    g: Graph, dm: DistanceMatrix | None, s: "VertexSet | Iterable[int]"
-) -> VertexSet:
-    """Union of intervals over all pairs of vertices in s: one geodesic
-    sweep from each member toward s, stopping once every vertex is covered
-    (the union cannot grow after that)."""
+def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
+    """Union of intervals over all pairs of vertices in s.
+
+    For 64 members at a time, bit i of ``reach[v]`` marks v as lying on a
+    geodesic from member i to some member of s. One sweep over the level
+    words, from the far end back, sets it where v is a member or a
+    neighbour one level farther has it. Stops once every vertex is
+    covered (the union cannot grow after that); the first batch always
+    runs, so a disconnected graph is reported.
+    """
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    targets = _mask(g, vs)
-    mask = targets.copy()
-    for u in vs:
-        mask |= geodesic_sweep(g, _distance_row(g, dm, u), targets)
-        if mask.all():
+    covered = _mask(g, vs)
+    targets = np.where(covered, ~np.uint64(0), np.uint64(0))
+    for lo in range(0, len(vs), _WORD_BITS):
+        levels = _level_words(g, vs.members[lo:lo + _WORD_BITS])
+        reach = levels[-1] & targets
+        for level in reversed(levels[:-1]):
+            reach |= level & (targets | _neighbour_or(g, reach))
+        covered |= reach != 0
+        if covered.all():
             break
-    return VertexSet.of(np.flatnonzero(mask), g.n)
+    return VertexSet.of(np.flatnonzero(covered), g.n)
 
 
-def is_geodetic(g: Graph, dm: DistanceMatrix | None, s: "VertexSet | Iterable[int]") -> bool:
+def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:
     """True iff the geodetic closure of s covers every vertex."""
-    return len(geodetic_closure(g, dm, s)) == g.n
+    return len(geodetic_closure(g, s)) == g.n
 
 
 def simplicial_vertices(g: Graph) -> VertexSet:

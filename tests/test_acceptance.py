@@ -318,12 +318,12 @@ def test_criterion_08_geodetic_bound_and_heuristic(exhaustive_by_n, random_graph
     corpus.extend(random_graphs)
     for g in corpus:
         dm = all_pairs(g)
-        _, best = min_gx_vertex(g, dm)
+        _, best = min_gx_vertex(g)
         gnum, _ = geodetic_number_bruteforce(g, dm)
         assert gnum <= best + 1, (list(g.edges()), gnum, best)
-        hull_set = geodetic_from_boundary(g, dm)
+        hull_set = geodetic_from_boundary(g)
         assert len(hull_set) == best + 1
-        assert is_geodetic(g, dm, hull_set), list(g.edges())
+        assert is_geodetic(g, hull_set), list(g.edges())
     report(
         f"criterion 8: PASS - geodetic number <= min gx + 1 and the "
         f"boundary-derived geodetic set checks out on {len(corpus)} graphs"

@@ -176,32 +176,30 @@ def test_rule_exhaustive_over_all_subsets(g):
 
 
 def test_min_gx_vertex_values():
-    assert min_gx_vertex(P4, DM4) == (0, 1)
-    c6 = cycle_graph(6)
-    assert min_gx_vertex(c6, all_pairs(c6)) == (0, 1)
+    assert min_gx_vertex(P4) == (0, 1)
+    assert min_gx_vertex(cycle_graph(6)) == (0, 1)
 
 
 @given(connected_graphs())
 def test_min_gx_vertex_is_argmin_with_lowest_index(g):
     dm = all_pairs(g)
     sizes = [gx(g, dm, x) for x in range(g.n)]
-    x, value = min_gx_vertex(g, dm)
+    x, value = min_gx_vertex(g)
     assert value == min(sizes)
     assert sizes[x] == value and sizes.index(value) == x
 
 
 @given(connected_graphs())
 def test_heuristic_set_is_geodetic_with_pinned_size(g):
-    dm = all_pairs(g)
-    s = geodetic_from_boundary(g, dm)
-    assert is_geodetic(g, dm, s)
-    assert len(s) == min_gx_vertex(g, dm)[1] + 1
+    s = geodetic_from_boundary(g)
+    assert is_geodetic(g, s)
+    assert len(s) == min_gx_vertex(g)[1] + 1
 
 
 def test_heuristic_examples():
-    assert P4.labels_of(geodetic_from_boundary(P4, DM4)) == ["a", "d"]
+    assert P4.labels_of(geodetic_from_boundary(P4)) == ["a", "d"]
     c5 = cycle_graph(5)
-    assert c5.labels_of(geodetic_from_boundary(c5, all_pairs(c5))) == [
+    assert c5.labels_of(geodetic_from_boundary(c5)) == [
         "v0",
         "v2",
         "v3",
@@ -218,7 +216,7 @@ def test_single_vertex_rejected():
     with pytest.raises(ValueError, match="two vertices"):
         boundary(g, dm, 0)
     with pytest.raises(ValueError, match="two vertices"):
-        min_gx_vertex(g, dm)
+        min_gx_vertex(g)
 
 
 def test_boundary_validates_inputs():

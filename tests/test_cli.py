@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import geodom
 from geodom import parse_graph
 from geodom.cli import main
 
@@ -95,13 +98,14 @@ def test_oracle_geodetic_plain(capsys, p4):
 
 def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     def no_matrix(g):
-        raise AssertionError("single-source commands must not build all-pairs distances")
+        raise AssertionError("these commands must not build all-pairs distances")
 
     monkeypatch.setattr("geodom.cli.all_pairs", no_matrix)
     test_boundary_plain_golden(capsys, p4)
     test_gx_plain(capsys, p4)
     test_check_yes_and_no(capsys, p4)
     test_closure_plain(capsys, p4)
+    test_geodetic_heuristic_plain(capsys, p4)
     test_json_output_is_deterministic(capsys, p4)
 
 
@@ -313,10 +317,13 @@ def test_unknown_vertex_is_input_error(capsys, p4):
     assert code == 2 and "unknown vertex" in err
 
 
-def test_disconnected_graph_is_input_error(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "command", [["boundary", "--x", "a"], ["geodetic-heuristic"]], ids=lambda c: c[0]
+)
+def test_disconnected_graph_is_input_error(capsys, tmp_path, command):
     path = tmp_path / "disc.txt"
     path.write_text("vertices: a b\n")
-    code, _, err = run(capsys, "boundary", "--graph", str(path), "--x", "a")
+    code, _, err = run(capsys, command[0], "--graph", str(path), *command[1:])
     assert code == 2 and "disconnected" in err
 
 
@@ -337,10 +344,15 @@ def test_empty_closure_set_is_input_error(capsys, p4):
 def test_module_invocation(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(P4_TEXT)
+    # the child imports the same package as this test, installed or not
+    src = str(Path(geodom.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "geodom", "boundary", "--graph", str(path), "--x", "b"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "a d\ngx = 2\n"

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from geodom import (
     all_pairs,
     bfs_distances,
     boundary,
+    min_gx_vertex,
     complete_graph,
     cycle_graph,
     emit_graph,
@@ -25,6 +28,7 @@ from geodom import (
     simplicial_vertices,
     star_graph,
 )
+from geodom.oracles import GraphGenSpec, random_connected_graph
 from helpers import direct_boundary, direct_closure, floyd_warshall, geodesic_vertices_by_paths
 from strategies import connected_graphs
 
@@ -210,8 +214,8 @@ def test_disconnected_raises():
         lambda g: boundary(g, None, 0),
         lambda g: is_x_geodominating(g, None, 0, [1]),
         lambda g: interval(g, None, 0, 1),
-        lambda g: geodetic_closure(g, None, [0, 1, 2]),
-        lambda g: is_geodetic(g, None, [0, 1, 2]),
+        lambda g: geodetic_closure(g, [0, 1, 2]),
+        lambda g: is_geodetic(g, [0, 1, 2]),
     ],
     ids=["boundary", "is_x_geodominating", "interval", "geodetic_closure", "is_geodetic"],
 )
@@ -272,42 +276,117 @@ def test_interval_validates_inputs():
 def test_closure_rejects_empty():
     g = path_graph(3)
     with pytest.raises(ValueError, match="empty"):
-        geodetic_closure(g, all_pairs(g), [])
+        geodetic_closure(g, [])
 
 
 @given(connected_graphs(), st.data())
 def test_closure_contains_seed_and_is_monotone(g, data):
-    dm = all_pairs(g)
     small = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
     extra = data.draw(st.frozensets(st.integers(0, g.n - 1)))
-    c_small = set(geodetic_closure(g, dm, small))
-    c_big = set(geodetic_closure(g, dm, small | extra))
+    c_small = set(geodetic_closure(g, small))
+    c_big = set(geodetic_closure(g, small | extra))
     assert small <= c_small
     assert c_small <= c_big
 
 
-@given(connected_graphs(), st.booleans(), st.data())
-def test_closure_matches_direct_computation(g, use_matrix, data):
+@given(connected_graphs(), st.data())
+def test_closure_matches_direct_computation(g, data):
     dist = floyd_warshall(g)
     members = set(data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1)))
     if data.draw(st.booleans()):
         # x with its boundary covers the graph from x, so the sweep stops early
         x = data.draw(st.integers(0, g.n - 1))
         members |= {x} | direct_boundary(g, dist, x)
-    dm = all_pairs(g) if use_matrix else None
-    assert set(geodetic_closure(g, dm, members)) == direct_closure(dist, members, g.n)
+    assert set(geodetic_closure(g, members)) == direct_closure(dist, members, g.n)
+
+
+# ---------------------------------------------------------------------------
+# bit-parallel BFS across 64-bit word boundaries
+
+
+@pytest.fixture(scope="module", params=[63, 64, 65, 129])
+def word_graph(request):
+    n = request.param
+    g = random_connected_graph(GraphGenSpec(n, "random", 3 / n, seed=n))
+    return g, floyd_warshall(g)
+
+
+def _swapped(g, a, b):
+    """g with the edges of vertices a and b exchanged (labels unchanged)."""
+    swap = {a: b, b: a}
+    lab = g.labels
+    edges = [(lab[swap.get(u, u)], lab[swap.get(v, v)]) for u, v in g.edges()]
+    return Graph(edges, vertices=lab)
+
+
+def test_min_gx_vertex_across_words(word_graph):
+    g, dist = word_graph
+    sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
+    best = min(sizes)
+    assert min_gx_vertex(g) == (sizes.index(best), best)
+    # move a minimiser to each side of every word boundary
+    x = sizes.index(best)
+    for t in sorted({0, 62, 63, 64, 65, 127, 128} & set(range(g.n))):
+        moved = sizes.copy()
+        moved[x], moved[t] = moved[t], moved[x]
+        assert min_gx_vertex(_swapped(g, x, t)) == (moved.index(best), best), t
+
+
+def test_closure_across_words(word_graph):
+    g, dist = word_graph
+    for size in sorted({63, 64, 65, g.n} & set(range(g.n + 1))):
+        members = random.Random(size).sample(range(g.n), size)
+        got = set(geodetic_closure(g, members))
+        assert got == direct_closure(dist, members, g.n), size
+
+
+def test_closure_second_word_adds_coverage():
+    # a star on v000..v063 hangs off h = v064, which joins a = v065 and
+    # b = v066; w = v067 is a second a-b geodesic. Every geodesic from the
+    # first 64 members to a member stops before w, so only the second word
+    # (sources a and b) covers it.
+    star = [(0, i) for i in range(1, 64)]
+    edges = [*star, (0, 64), (64, 65), (64, 66), (65, 67), (66, 67)]
+    g = Graph((f"v{u:03d}", f"v{v:03d}") for u, v in edges)
+    members = [*range(64), 65, 66]
+    assert set(geodetic_closure(g, members)) == direct_closure(floyd_warshall(g), members, g.n)
+    assert len(geodetic_closure(g, members)) == g.n
+    assert 67 not in geodetic_closure(g, range(64))
+
+
+DISCONNECTED = {
+    "isolated-last": "vertices: z\na b\nb c\n",
+    "isolated-inner": "vertices: b\na c\nc d\n",
+    "two-components": "a b\nb c\nd e\n",
+    "components-past-a-word": "".join(
+        f"{side}{i:02d} {side}{i + 1:02d}\n" for side in "pq" for i in range(39)
+    ),
+}
+
+
+@pytest.mark.parametrize("text", DISCONNECTED.values(), ids=DISCONNECTED.keys())
+@pytest.mark.parametrize(
+    "call",
+    [
+        min_gx_vertex,
+        lambda g: geodetic_closure(g, [0]),
+        lambda g: geodetic_closure(g, range(g.n)),
+    ],
+    ids=["min_gx_vertex", "closure-of-one", "closure-of-all"],
+)
+def test_bit_parallel_paths_reject_disconnected(call, text):
+    with pytest.raises(DisconnectedError):
+        call(parse_graph(text))
 
 
 def test_geodetic_families():
     p5 = path_graph(5)
-    dm = all_pairs(p5)
-    assert is_geodetic(p5, dm, [0, 4])
-    assert not is_geodetic(p5, dm, [0])
+    assert is_geodetic(p5, [0, 4])
+    assert not is_geodetic(p5, [0])
     k4 = complete_graph(4)
-    dmk = all_pairs(k4)
     # complete graph: intervals are just the endpoint pairs
-    assert not is_geodetic(k4, dmk, [0, 1, 2])
-    assert is_geodetic(k4, dmk, range(4))
+    assert not is_geodetic(k4, [0, 1, 2])
+    assert is_geodetic(k4, range(4))
 
 
 # ---------------------------------------------------------------------------

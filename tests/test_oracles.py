@@ -92,7 +92,7 @@ def test_geodetic_numbers_of_families():
     assert n == 2 and list(witness) == [0, 4]
     c5 = cycle_graph(5)
     n5, w5 = geodetic_number_bruteforce(c5, all_pairs(c5))
-    assert n5 == 3 and is_geodetic(c5, all_pairs(c5), w5)
+    assert n5 == 3 and is_geodetic(c5, w5)
     c6 = cycle_graph(6)
     assert geodetic_number_bruteforce(c6, all_pairs(c6))[0] == 2
     k4 = complete_graph(4)
@@ -118,8 +118,8 @@ def test_geodetic_single_vertex():
 def test_geodetic_number_at_most_min_gx_plus_one(g):
     dm = all_pairs(g)
     number, witness = geodetic_number_bruteforce(g, dm)
-    assert is_geodetic(g, dm, witness)
-    assert number <= min_gx_vertex(g, dm)[1] + 1
+    assert is_geodetic(g, witness)
+    assert number <= min_gx_vertex(g)[1] + 1
 
 
 # ---------------------------------------------------------------------------
