@@ -14,8 +14,9 @@ of that row over the CSR neighbours, and coverage is one geodesic sweep
 rows instead, for callers that already hold one. ``min_gx_vertex`` and
 ``geodetic_from_boundary`` visit every source without a matrix: the BFS
 levels of 64 sources share one uint64 word per vertex (``_level_words``),
-so gx for all n sources costs about ceil(n/64) x diameter x (n + m) word
-operations and O(diameter x n) words of memory.
+so gx for all n sources costs about ceil(n/64) x depth x (n + m) word
+operations and O(n) words of memory. On graphs deeper than
+``_word_budget`` allows, the sources take one BFS row each instead.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .graph import (
     _distance_row,
     _level_words,
     _mask,
-    _neighbour_or,
+    _word_budget,
     geodesic_sweep,
 )
 
@@ -77,8 +78,14 @@ def boundary(g: Graph, dm: DistanceMatrix | None, x: int) -> BoundaryResult:
 
 
 def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
-    """Boundary of x from its distance row: the vertices with no neighbour
-    farther from x.
+    """Boundary of x from its distance row."""
+    members = VertexSet.of(np.flatnonzero(_boundary_mask(g, row)), g.n)
+    return BoundaryResult(source=x, boundary=members, gx=len(members))
+
+
+def _boundary_mask(g: Graph, row: np.ndarray) -> np.ndarray:
+    """Mask of the vertices with no neighbour farther from the source of
+    ``row``.
 
     A connected graph on n >= 2 vertices has no isolated vertex, so every
     reduceat segment is nonempty.
@@ -86,8 +93,7 @@ def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     farthest = np.maximum.reduceat(row[g.flat_neighbors], g.neighbor_offsets)
-    members = VertexSet.of(np.flatnonzero(farthest <= row), g.n)
-    return BoundaryResult(source=x, boundary=members, gx=len(members))
+    return farthest <= row
 
 
 def is_x_geodominating(
@@ -115,6 +121,16 @@ def _row_coverage(
     )
 
 
+def _boundary_and_coverage(
+    g: Graph, x: int, s: "VertexSet | Iterable[int] | None" = None
+) -> tuple[BoundaryResult, GeodominationCheck]:
+    """The boundary of x and the geodomination check of s from x (of the
+    boundary itself when s is None), both from one BFS row."""
+    row = _distance_row(g, None, x)
+    res = _row_boundary(g, row, x)
+    return res, _row_coverage(g, row, x, res.boundary if s is None else s)
+
+
 def gx_set(g: Graph, dm: DistanceMatrix | None, x: int) -> VertexSet:
     """The unique minimum x-geodominating set (the boundary of x)."""
     return boundary(g, dm, x).boundary
@@ -135,32 +151,48 @@ def theorem_check(
     return direct == via_boundary
 
 
-def _gx_of_sources(g: Graph, sources: range) -> np.ndarray:
-    """gx of each of at most 64 sources.
+def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:
+    """gx of each of at most 64 sources; None when their BFS needs more
+    levels than ``_word_budget`` allows.
 
-    A vertex at level d of a source is in its boundary unless a neighbour
-    lies at level d + 1, so the boundary words are the OR over d of
-    ``levels[d] & ~(neighbour OR of levels[d + 1])``, plus the whole last
-    level. gx of source i is the number of vertices with bit i set.
+    A vertex is in the boundary of a source unless a neighbour lies one
+    level farther. The spread of level d, masked by the levels before d,
+    marks exactly the vertices of level d - 1 with such a neighbour, so
+    the OR of those masks over all levels is the interior word; gx of
+    source i is n minus the number of vertices with interior bit i set.
     """
-    levels = _level_words(g, sources)
-    words = levels[-1].copy()
-    for near, far in zip(levels, levels[1:]):
-        words |= near & ~_neighbour_or(g, far)
-    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
-    return bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(sources)]
+    budget = _word_budget(g, len(sources))
+    interior = np.zeros(g.n, dtype=np.uint64)
+    before = np.zeros(g.n, dtype=np.uint64)
+    for depth, (level, spread) in enumerate(_level_words(g, sources)):
+        if depth == budget:
+            return None
+        interior |= spread & before
+        before |= level
+    bits = np.unpackbits(interior.astype("<u8").view(np.uint8), bitorder="little")
+    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(sources)]
 
 
 def min_gx_vertex(g: Graph) -> tuple[int, int]:
-    """Vertex minimizing gx, ties broken by index; returns (vertex, gx)."""
+    """Vertex minimizing gx, ties broken by index; returns (vertex, gx).
+
+    Sources go 64 at a time through ``_gx_of_sources``; once a batch is
+    too deep for it, the remaining sources take one BFS row each.
+    """
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    sizes = np.concatenate(
-        [_gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
-         for lo in range(0, g.n, _WORD_BITS)]
-    )
+    sizes: list[int] = []
+    for lo in range(0, g.n, _WORD_BITS):
+        batch = _gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
+        if batch is None:
+            sizes.extend(
+                int(np.count_nonzero(_boundary_mask(g, _distance_row(g, None, x))))
+                for x in range(lo, g.n)
+            )
+            break
+        sizes.extend(batch.tolist())
     x = int(np.argmin(sizes))
-    return x, int(sizes[x])
+    return x, sizes[x]
 
 
 def geodetic_from_boundary(g: Graph) -> VertexSet:

@@ -16,9 +16,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .boundary import (
+    _boundary_and_coverage,
     _boundary_with_source,
-    _row_boundary,
-    _row_coverage,
     boundary,
     gx_set,
     is_x_geodominating,
@@ -29,7 +28,6 @@ from .graph import (
     GraphError,
     VertexSet,
     all_pairs,
-    bfs_distances,
     emit_graph,
     geodetic_closure,
     is_geodetic,
@@ -104,9 +102,8 @@ def _yesno(flag: bool) -> str:
 def _cmd_boundary(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     x = g.index_of(args.x)
-    row = bfs_distances(g, x)
-    res = _row_boundary(g, row, x)
-    covers = _row_coverage(g, row, x, res.boundary).is_geodominating
+    res, chk = _boundary_and_coverage(g, x)
+    covers = chk.is_geodominating
     labels = _labels(g, res.boundary)
     return Outcome(
         code=0 if covers else 1,
@@ -133,9 +130,8 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     x = g.index_of(args.x)
     s = _parse_set(g, args.set)
-    row = bfs_distances(g, x)
-    chk = _row_coverage(g, row, x, s)
-    agrees = chk.is_geodominating == _row_boundary(g, row, x).boundary.issubset(s)
+    res, chk = _boundary_and_coverage(g, x, s)
+    agrees = chk.is_geodominating == res.boundary.issubset(s)
     lines = [f"geodominating: {_yesno(chk.is_geodominating)}"]
     if chk.witness_uncovered is not None:
         lines.append(f"uncovered: {g.labels[chk.witness_uncovered]}")

@@ -12,14 +12,18 @@ one BFS, O(n + m), and ``geodesic_sweep`` turns a row into interval
 membership by one reverse sweep of the source's geodesic DAG.
 ``geodetic_closure`` and ``is_geodetic`` take no matrix: they run the BFS
 of 64 members at a time in the bits of one uint64 word per vertex
-(``_level_words``), about ceil(|S|/64) x diameter x (n + m) word
-operations. The full matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes)
-pays off only where every row is read by index: products and the oracles.
+(``_level_words``), about depth x (n + m) word operations per batch.
+``_word_budget`` and ``_kept_levels`` cap the depth at
+min(|batch| x (n + m), 4(n + 2m)) / n levels; deeper graphs (paths, long
+cycles, grids) go back to one row and one sweep per member. The full
+matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes) pays off only where
+every row is read by index: products and the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -325,10 +329,9 @@ def is_connected(g: Graph) -> bool:
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Distance row from source as a read-only integer array."""
     _check_vertex(g, source)
-    row = _bfs_row(g.adj, source)
-    if -1 in row:
+    out = np.array(_bfs_row(g.adj, source), dtype=np.int32)
+    if out.min() < 0:
         raise DisconnectedError("graph is disconnected")
-    out = np.array(row, dtype=np.int32)
     out.setflags(write=False)
     return out
 
@@ -361,42 +364,70 @@ def _degrees(g: Graph) -> np.ndarray:
 
 def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
     """Per vertex, the OR of its neighbours' words. Needs every vertex to
-    have a neighbour: ``reduceat`` misreads an empty CSR segment."""
+    have a neighbour when g has edges: ``reduceat`` misreads an empty CSR
+    segment."""
+    if not len(g.flat_neighbors):
+        return np.zeros_like(words)
     return np.bitwise_or.reduceat(words[g.flat_neighbors], g.neighbor_offsets)
 
 
 _WORD_BITS = 64
 
 
-def _level_words(g: Graph, sources: Sequence[int]) -> list[np.ndarray]:
-    """BFS levels of at most 64 distinct sources at once, one bit per
-    source: bit i of ``levels[d][v]`` is set iff d(sources[i], v) = d.
+def _word_budget(g: Graph, k: int) -> int:
+    """Most BFS levels a word-parallel walk of k sources may take.
 
-    Each level is the OR of the previous level over the CSR neighbours,
-    masked by the visited words: the word-parallel BFS of Akiba, Iwata and
-    Yoshida (SIGMOD 2013). Raises :class:`DisconnectedError` when some
-    source does not reach every vertex.
+    The walk costs about levels x (n + m) word operations; k separate BFS
+    rows cost k x (n + m) Python steps, each 10 to 17 times dearer than a
+    word operation (measured on sparse random graphs, paths and grids).
+    Capping levels x n at k x (n + m), 2k to 4k levels on sparse graphs,
+    keeps the walk cheaper than the rows on graphs of any diameter;
+    deeper graphs (paths, long cycles, large grids) go back to one row
+    per source.
+    """
+    return k * (g.n + g.edge_count) // g.n
+
+
+def _kept_levels(g: Graph) -> int:
+    """Most BFS levels a walk may keep at once: 4(n + 2m) / n levels of n
+    words, four times the CSR arrays, about what one BFS row and one
+    ``geodesic_sweep`` allocate, so a closure that sweeps its levels back
+    holds no more than the row-per-member path."""
+    return 4 * (g.n + 2 * g.edge_count) // g.n
+
+
+def _level_words(
+    g: Graph, sources: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """BFS levels of at most 64 distinct sources at once, one bit per
+    source, as pairs ``(level, spread)``: bit i of ``level[v]`` is set iff
+    d(sources[i], v) = d for the d-th pair, and ``spread`` is the OR of
+    ``level`` over the neighbours of each vertex.
+
+    The next level is ``spread`` masked by the visited words: the
+    word-parallel BFS of Akiba, Iwata and Yoshida (SIGMOD 2013), one
+    ``reduceat`` per level. Raises :class:`DisconnectedError`, once the
+    levels run out, when some source has not reached every vertex; a
+    caller that stops early leaves that check to its fallback.
     """
     sources = np.asarray(sources, dtype=np.intp)
     k = len(sources)
     if not 1 <= k <= _WORD_BITS:
         raise ValueError(f"level words take 1 to {_WORD_BITS} sources, got {k}")
     # an isolated vertex leaves an empty CSR segment, which reduceat
-    # misreads; a single vertex needs no reduceat at all
+    # misreads; a single vertex has no neighbours to OR
     if g.n > 1 and not _degrees(g).all():
         raise DisconnectedError("graph is disconnected")
-    frontier = np.zeros(g.n, dtype=np.uint64)
-    frontier[sources] = np.uint64(1) << np.arange(k, dtype=np.uint64)
-    everyone = np.uint64((1 << k) - 1)
-    visited = frontier.copy()
-    levels = [frontier]
-    while not (visited == everyone).all():
-        frontier = _neighbour_or(g, frontier) & ~visited
-        if not frontier.any():
-            raise DisconnectedError("graph is disconnected")
-        visited |= frontier
-        levels.append(frontier)
-    return levels
+    level = np.zeros(g.n, dtype=np.uint64)
+    level[sources] = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    visited = level.copy()
+    while level.any():
+        spread = _neighbour_or(g, level)
+        yield level, spread
+        level = spread & ~visited
+        visited |= level
+    if not (visited == np.uint64((1 << k) - 1)).all():
+        raise DisconnectedError("graph is disconnected")
 
 
 def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -450,27 +481,54 @@ def interval(g: Graph, dm: DistanceMatrix | None, u: int, v: int) -> VertexSet:
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     """Union of intervals over all pairs of vertices in s.
 
-    For 64 members at a time, bit i of ``reach[v]`` marks v as lying on a
-    geodesic from member i to some member of s. One sweep over the level
-    words, from the far end back, sets it where v is a member or a
-    neighbour one level farther has it. Stops once every vertex is
-    covered (the union cannot grow after that); the first batch always
-    runs, so a disconnected graph is reported.
+    Members go 64 at a time through ``_batch_reach`` while their BFS stays
+    within ``_word_budget`` and ``_kept_levels`` levels; from the first
+    batch that does not, each member takes one BFS row and one
+    ``geodesic_sweep``. Stops once every vertex is covered (the union
+    cannot grow after that); the first batch always runs, so a
+    disconnected graph is reported.
     """
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    covered = _mask(g, vs)
-    targets = np.where(covered, ~np.uint64(0), np.uint64(0))
+    members = _mask(g, vs)
+    covered = members.copy()
+    targets = np.where(members, ~np.uint64(0), np.uint64(0))
     for lo in range(0, len(vs), _WORD_BITS):
-        levels = _level_words(g, vs.members[lo:lo + _WORD_BITS])
-        reach = levels[-1] & targets
-        for level in reversed(levels[:-1]):
-            reach |= level & (targets | _neighbour_or(g, reach))
-        covered |= reach != 0
+        batch = vs.members[lo:lo + _WORD_BITS]
+        budget = min(_word_budget(g, len(batch)), _kept_levels(g))
+        reach = _batch_reach(g, batch, targets, budget)
+        if reach is None:
+            # too deep for the words: one row per remaining member
+            for u in vs.members[lo:]:
+                covered |= geodesic_sweep(g, bfs_distances(g, u), members)
+                if covered.all():
+                    break
+            break
+        covered |= reach
         if covered.all():
             break
     return VertexSet.of(np.flatnonzero(covered), g.n)
+
+
+def _batch_reach(
+    g: Graph, batch: Sequence[int], targets: np.ndarray, budget: int
+) -> np.ndarray | None:
+    """Mask of the vertices on a geodesic from a member of ``batch`` to a
+    vertex whose ``targets`` word is all ones; None when the batch needs
+    more than ``budget`` levels.
+
+    Bit i of ``reach[v]`` marks v as lying on such a geodesic from
+    batch[i]. One sweep over the level words, from the far end back, sets
+    it where v is a target or a neighbour one level farther has it.
+    """
+    levels = [level for level, _ in islice(_level_words(g, batch), budget + 1)]
+    if len(levels) > budget:
+        return None
+    reach = levels[-1] & targets
+    for level in reversed(levels[:-1]):
+        reach |= level & (targets | _neighbour_or(g, reach))
+    return reach != 0
 
 
 def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:

@@ -354,6 +354,48 @@ def test_closure_second_word_adds_coverage():
     assert 67 not in geodetic_closure(g, range(64))
 
 
+def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
+    rows = []
+    real_bfs = bfs_distances
+    monkeypatch.setattr(
+        "geodom.graph.bfs_distances", lambda g, u: rows.append(u) or real_bfs(g, u)
+    )
+    # a shallow graph runs full words on words; a lone source in the last
+    # word may take no more than (n + m) / n levels, so it takes a row
+    g, dist = word_graph
+    sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
+    assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
+    assert rows == {63: [], 64: [], 65: [64], 129: [128]}[g.n]
+    rows.clear()
+    assert len(geodetic_closure(g, range(g.n))) == g.n
+    assert rows == []
+    # a path of 150 is deeper than 64 words may go (64 x 299 / 150 = 127
+    # levels, and the closure keeps 4 x 448 / 150 = 11), so every source
+    # and every member takes its own row
+    rows.clear()
+    p = path_graph(150)
+    assert min_gx_vertex(p) == (0, 1)
+    assert rows == list(range(150))
+    rows.clear()
+    members = list(range(5, 140, 2))
+    assert set(geodetic_closure(p, members)) == set(range(5, 140))
+    assert rows == members
+    # a 12 x 12 grid is shallow enough for 64 words (64 x 408 / 144 = 181
+    # levels), but the closure keeps at most 4 x 672 / 144 = 18 levels and
+    # the corner member 0 is 22 levels deep: it takes rows, and the first
+    # row, from corner to corner, covers the grid
+    rows.clear()
+    grid = Graph(
+        (f"g{i:02d}{j:02d}", f"g{i + di:02d}{j + dj:02d}")
+        for i in range(12)
+        for j in range(12)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < 12 and j + dj < 12
+    )
+    assert len(geodetic_closure(grid, [*range(0, 144, 2), 143])) == 144
+    assert rows == [0]
+
+
 DISCONNECTED = {
     "isolated-last": "vertices: z\na b\nb c\n",
     "isolated-inner": "vertices: b\na c\nc d\n",
@@ -387,6 +429,9 @@ def test_geodetic_families():
     # complete graph: intervals are just the endpoint pairs
     assert not is_geodetic(k4, [0, 1, 2])
     assert is_geodetic(k4, range(4))
+    k1 = Graph(vertices=["a"])
+    assert list(geodetic_closure(k1, [0])) == [0]
+    assert is_geodetic(k1, [0])
 
 
 # ---------------------------------------------------------------------------
