@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .boundary import (
     _boundary_and_coverage,
     _boundary_with_source,
@@ -42,10 +44,10 @@ from .oracles import (
     verify_unique_minimum,
 )
 from .products import (
-    ProductGraph,
+    _require_report_factors,
+    pair_label,
     product,
-    product_boundary_reports,
-    product_gx_reports,
+    product_reports,
 )
 
 __all__ = ["main"]
@@ -81,14 +83,6 @@ def _parse_base(base: str, g: Graph, h: Graph) -> tuple[int, int]:
         except ValueError:
             continue
     raise ValueError(f"base {base!r} does not name a vertex pair of the factors")
-
-
-def _pair_sorted(pg: ProductGraph, vs) -> list[str]:
-    def key(p: int) -> tuple[str, str]:
-        gi, hi = pg.factor_pairs[p]
-        return (pg.factor_g.labels[gi], pg.factor_h.labels[hi])
-
-    return [pg.graph.labels[p] for p in sorted(vs, key=key)]
 
 
 def _yesno(flag: bool) -> str:
@@ -195,35 +189,36 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    b_reports = product_boundary_reports(args.kind, g, h)
-    gx_reports = product_gx_reports(args.kind, g, h)
-    pg = b_reports[0].product
+    bases = None
     if args.base is not None:
-        base = _parse_base(args.base, g, h)
-        b_reports = tuple(r for r in b_reports if r.base == base)
-        gx_reports = tuple(r for r in gx_reports if r.base == base)
+        # a bad factor is reported before a bad base
+        _require_report_factors(g, h)
+        bases = [_parse_base(args.base, g, h)]
+    reports = product_reports(args.kind, g, h, bases)
+    # factor labels are sorted, so row-major mask order is label-pair order
+    grid = np.array([[pair_label(a, b) for b in h.labels] for a in g.labels], dtype=object)
 
     rows = []
     all_contain = True
     all_gx = True
-    for br, gr in zip(b_reports, gx_reports):
-        all_contain = all_contain and br.containments_hold
-        all_gx = all_gx and gr.holds
+    for rep in reports:
+        all_contain = all_contain and rep.containments_hold
+        all_gx = all_gx and rep.gx_holds
         rows.append(
             {
-                "base": pg.graph.labels[pg.index_of_pair(*br.base)],
-                "actual": _pair_sorted(pg, br.actual_boundary),
-                "lower": _pair_sorted(pg, br.lower_bound),
-                "upper": _pair_sorted(pg, br.upper_bound),
-                "containments_hold": br.containments_hold,
-                "upper_strict": br.upper_strict,
+                "base": grid[rep.base],
+                "actual": grid[rep.actual].tolist(),
+                "lower": grid[rep.lower].tolist(),
+                "upper": grid[rep.upper].tolist(),
+                "containments_hold": rep.containments_hold,
+                "upper_strict": rep.upper_strict,
                 "witnesses": None
-                if br.witnesses is None
-                else _pair_sorted(pg, br.witnesses),
-                "gx": gr.gx_product,
-                "gx_lower": gr.lower,
-                "gx_upper": gr.upper,
-                "gx_holds": gr.holds,
+                if rep.witnesses is None
+                else grid[rep.witnesses].tolist(),
+                "gx": rep.gx,
+                "gx_lower": rep.gx_lower,
+                "gx_upper": rep.gx_upper,
+                "gx_holds": rep.gx_holds,
             }
         )
 

@@ -17,7 +17,7 @@ of 64 members at a time in the bits of one uint64 word per vertex
 min(|batch| x (n + m), 4(n + 2m)) / n levels; deeper graphs (paths, long
 cycles, grids) go back to one row and one sweep per member. The full
 matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes) pays off only where
-every row is read by index: products and the oracles.
+every row is read by index: the oracles.
 """
 
 from __future__ import annotations

@@ -1,60 +1,68 @@
 """Cartesian, lexicographic, and strong graph products.
 
 Product vertices are labeled "(g,h)" with the factor order fixed as the
-argument order; nothing is commuted or canonicalized. Each kind has a
-closed-form distance, but boundary reports always recompute distances by
-BFS on the constructed product, so the closed forms are cross-checks and
-never the source of truth.
+argument order; nothing is commuted or canonicalized. ``product`` builds
+the product graph and ``product_distance`` gives each kind's closed-form
+distance between two (g, h) index pairs.
 
-The boundary reports compare the actual boundary of a base vertex
-(g, h) against candidate bounds built from the factor boundaries:
+``product_reports`` never builds the product. Since the boundary of a
+source is its unique minimum geodominating set, the boundary of a base
+(x, y) and its gx follow from the factors alone: one BFS row per distinct
+x in G and y in H, and the factor boundary masks bg, bh of those rows.
+With d_G, d_H the factor distances from x and y:
 
-- cartesian: lower and upper both equal the set product of the factor
-  boundaries, and the actual boundary matches them;
-- lexicographic: lower is the base layer's copy of the second factor's
-  boundary (always contained), upper adds whole layers over the first
-  factor's boundary;
-- strong: lower is the set product of the factor boundaries, upper is
-  the union of whole rows/columns over each factor's boundary, and both
-  containments hold.
+- cartesian (d = d_G + d_H): exactly bg x bh;
+- strong (d = max(d_G, d_H)): (a, b) with d_G(a) > d_H(b) and a in bg,
+  d_H(b) > d_G(a) and b in bh, or d_G(a) = d_H(b) and both;
+- lexicographic (d = d_G off the base layer, min(d_H, 2) on it): (x, b)
+  with d_H(b) >= 2, or d_H(b) = 1 and b in bh; and (a, b) for a != x with
+  a in bg, and d_G(a) >= 2 or ecc_H(y) <= 1.
+
+The tests check these closed forms against BFS on the built product.
+Each report compares the boundary with the paper's candidate bounds:
+
+- cartesian: lower and upper both equal bg x bh, and the actual
+  boundary matches them;
+- lexicographic: lower is the base layer's copy of bh (always
+  contained), upper adds whole layers over bg;
+- strong: lower is bg x bh, upper is the union of whole rows/columns
+  over bg and bh, and both containments hold.
 
 The lexicographic upper candidate is not an upper bound in general: the
 truncated layer metric min(d_H, 2) makes every layer vertex at distance
 two or more from the base a boundary vertex, whether or not its second
 coordinate lies in the factor boundary. Reports record such violations
 in containments_hold and witnesses instead of assuming the bound. The
-gx reports treat the corresponding numeric bounds the same way: the
-cartesian product equality and the strong interval always hold, the
-lexicographic interval's lower end always holds, and its upper end can
-fail, which ProductGxReport.holds records.
+gx bounds are treated the same way: the cartesian product equality and
+the strong interval always hold, the lexicographic interval's lower end
+always holds, and its upper end can fail, which ProductReport.gx_holds
+records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
-from .boundary import boundary
+import numpy as np
+
+from .boundary import _boundary_mask
 from .graph import (
     DisconnectedError,
     DistanceMatrix,
     Graph,
-    VertexSet,
-    all_pairs,
+    bfs_distances,
     is_connected,
 )
 
 __all__ = [
     "ProductKind",
     "ProductGraph",
-    "ProductBoundaryReport",
-    "ProductGxReport",
+    "ProductReport",
     "product",
     "product_distance",
-    "product_boundary_report",
-    "product_boundary_reports",
-    "product_gx_report",
-    "product_gx_reports",
+    "product_reports",
 ]
 
 
@@ -111,12 +119,7 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
       strong         cartesian rule, or gg' in E(G) and hh' in E(H)
     """
     kind = _as_kind(kind)
-    if not is_connected(g) or not is_connected(h):
-        raise DisconnectedError("disconnected factor")
-    # a comma inside a factor label would make distinct pair labels collide
-    for lab in (*g.labels, *h.labels):
-        if "," in lab:
-            raise ValueError(f"factor label {lab!r} contains a comma")
+    _require_product_factors(g, h)
 
     gl, hl = g.labels, h.labels
     vertices = [pair_label(a, b) for a in gl for b in hl]
@@ -179,182 +182,164 @@ def product_distance(
     return dh if dmg.n == 1 else min(dh, 2)
 
 
-@dataclass(frozen=True)
-class ProductBoundaryReport:
-    """Boundary of one base vertex in a product, against its factor bounds.
+@dataclass(frozen=True, eq=False)
+class ProductReport:
+    """Boundary and gx of one base vertex (x, y) of a product, against the
+    candidate bounds built from the factor boundaries.
 
-    witnesses lists the vertices violating a containment (None when all
-    containments hold); upper_strict records whether the actual boundary
-    is a proper subset of the upper bound.
+    ``actual``, ``lower``, ``upper`` and ``witnesses`` are read-only boolean
+    masks of shape (n_G, n_H): cell [a, b] stands for the product vertex
+    (a, b). ``witnesses`` marks the vertices violating a containment and is
+    None when both containments hold; ``upper_strict`` records whether the
+    actual boundary is a proper subset of the upper bound. ``gx`` is the
+    size of the actual boundary, checked against [gx_lower, gx_upper],
+    which come from the factor values ``gx_g`` and ``gx_h``.
     """
 
     kind: ProductKind
     base: tuple[int, int]
-    product: ProductGraph
-    actual_boundary: VertexSet
-    lower_bound: VertexSet
-    upper_bound: VertexSet
+    actual: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     containments_hold: bool
-    witnesses: VertexSet | None
+    witnesses: np.ndarray | None
     upper_strict: bool
-
-
-@dataclass(frozen=True)
-class ProductGxReport:
-    """Geodomination number of one base vertex in a product, against the
-    bounds induced by the factor values."""
-
-    kind: ProductKind
-    base: tuple[int, int]
-    gx_product: int
+    gx: int
     gx_g: int
     gx_h: int
-    lower: int
-    upper: int
-    holds: bool
+    gx_lower: int
+    gx_upper: int
+    gx_holds: bool
 
 
-def _require_metric_factors(g: Graph, h: Graph) -> None:
+def _require_product_factors(g: Graph, h: Graph) -> None:
+    if not is_connected(g) or not is_connected(h):
+        raise DisconnectedError("disconnected factor")
+    # a comma inside a factor label would make distinct pair labels collide
+    for lab in (*g.labels, *h.labels):
+        if "," in lab:
+            raise ValueError(f"factor label {lab!r} contains a comma")
+
+
+def _require_report_factors(g: Graph, h: Graph) -> None:
+    """The checks ``product_reports`` makes on its factors, in its order."""
     if g.n < 2 or h.n < 2:
         raise ValueError("boundary reports need factors with at least two vertices")
+    _require_product_factors(g, h)
 
 
-def _bound_pair_sets(
+def _row_and_boundary(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
+    row = bfs_distances(g, x)
+    return row, _boundary_mask(g, row)
+
+
+def _actual_boundary(
     kind: ProductKind,
-    pg: ProductGraph,
-    base: tuple[int, int],
-    bg: VertexSet,
-    bh: VertexSet,
-) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    base_g, base_h = base
-    ng, nh = pg.factor_g.n, pg.factor_h.n
+    x: int,
+    dg: np.ndarray,
+    dh: np.ndarray,
+    bg: np.ndarray,
+    bh: np.ndarray,
+) -> np.ndarray:
+    """Boundary of the base (x, y) from the factor rows dg, dh of x and y
+    and their boundary masks bg, bh (both factors with two or more
+    vertices)."""
     if kind is ProductKind.CARTESIAN:
-        lower = {(a, b) for a in bg for b in bh}
-        return lower, set(lower)
+        return np.outer(bg, bh)
+    if kind is ProductKind.STRONG:
+        # d = max(d_G, d_H): the larger coordinate must be a factor boundary
+        # vertex, and on a tie both must
+        cg, ch = dg[:, None], dh[None, :]
+        return ((cg > ch) & bg[:, None]) | ((ch > cg) & bh[None, :]) | (
+            (cg == ch) & np.outer(bg, bh)
+        )
+    # d = d_G off the base layer and min(d_H, 2) on it; a neighbour of x
+    # also sees the base layer, which reaches 2 unless y dominates H
+    layers = bg & ((dg >= 2) | (dh.max() <= 1))
+    actual = np.repeat(layers[:, None], dh.size, axis=1)
+    actual[x] = (dh >= 2) | ((dh == 1) & bh)
+    return actual
+
+
+def _candidate_bounds(
+    kind: ProductKind, x: int, bg: np.ndarray, bh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's lower and upper candidates as (n_G, n_H) masks."""
+    if kind is ProductKind.CARTESIAN:
+        lower = np.outer(bg, bh)
+        return lower, lower
     if kind is ProductKind.LEXICOGRAPHIC:
-        lower = {(base_g, b) for b in bh}
-        upper = {(a, b) for a in bg for b in range(nh)} | lower
-        return lower, upper
-    lower = {(a, b) for a in bg for b in bh}
-    upper = {(a, b) for a in bg for b in range(nh)} | {
-        (a, b) for a in range(ng) for b in bh
-    }
-    return lower, upper
+        lower = np.zeros((bg.size, bh.size), dtype=bool)
+        lower[x] = bh
+        return lower, bg[:, None] | lower
+    return np.outer(bg, bh), bg[:, None] | bh[None, :]
 
 
-def _boundary_report_at(
-    pg: ProductGraph,
-    dmp: DistanceMatrix,
-    base: tuple[int, int],
-    bg: VertexSet,
-    bh: VertexSet,
-) -> ProductBoundaryReport:
-    n = pg.graph.n
-    base_index = pg.index_of_pair(*base)
-    actual = boundary(pg.graph, dmp, base_index).boundary
-    lower_pairs, upper_pairs = _bound_pair_sets(pg.kind, pg, base, bg, bh)
-    lower = VertexSet.of((pg.index_of_pair(a, b) for a, b in lower_pairs), n)
-    upper = VertexSet.of((pg.index_of_pair(a, b) for a, b in upper_pairs), n)
-
-    actual_set = set(actual)
-    bad = sorted((set(lower) - actual_set) | (actual_set - set(upper)))
-    holds = not bad
-    return ProductBoundaryReport(
-        kind=pg.kind,
-        base=base,
-        product=pg,
-        actual_boundary=actual,
-        lower_bound=lower,
-        upper_bound=upper,
-        containments_hold=holds,
-        witnesses=None if holds else VertexSet.of(bad, n),
-        upper_strict=holds and len(actual) < len(upper),
-    )
+def _gx_bounds(
+    kind: ProductKind, gx_g: int, gx_h: int, ng: int, nh: int
+) -> tuple[int, int]:
+    if kind is ProductKind.CARTESIAN:
+        return gx_g * gx_h, gx_g * gx_h
+    if kind is ProductKind.LEXICOGRAPHIC:
+        return gx_h, gx_g * nh + gx_h
+    return gx_g * gx_h, gx_g * nh + ng * gx_h
 
 
-def product_boundary_report(
-    kind: "ProductKind | str", g: Graph, h: Graph, base_g: int, base_h: int
-) -> ProductBoundaryReport:
-    """Boundary of the base vertex in the product, with factor-derived
-    lower/upper bounds and exact containment checks."""
-    _require_metric_factors(g, h)
-    pg = product(kind, g, h)
-    dmp = all_pairs(pg.graph)
-    bg = boundary(g, all_pairs(g), base_g).boundary
-    bh = boundary(h, all_pairs(h), base_h).boundary
-    return _boundary_report_at(pg, dmp, (base_g, base_h), bg, bh)
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.setflags(write=False)
+    return mask
 
 
-def product_boundary_reports(
-    kind: "ProductKind | str", g: Graph, h: Graph
-) -> tuple[ProductBoundaryReport, ...]:
-    """Boundary reports for every base vertex, sharing one product build."""
-    _require_metric_factors(g, h)
-    pg = product(kind, g, h)
-    dmp = all_pairs(pg.graph)
-    dmg, dmh = all_pairs(g), all_pairs(h)
-    bgs = [boundary(g, dmg, x).boundary for x in range(g.n)]
-    bhs = [boundary(h, dmh, y).boundary for y in range(h.n)]
-    return tuple(
-        _boundary_report_at(pg, dmp, (x, y), bgs[x], bhs[y])
-        for x in range(g.n)
-        for y in range(h.n)
-    )
+def product_reports(
+    kind: "ProductKind | str",
+    g: Graph,
+    h: Graph,
+    bases: "Iterable[tuple[int, int]] | None" = None,
+) -> tuple[ProductReport, ...]:
+    """Reports for the given (x, y) factor index pairs, in their order, or
+    for every base in row-major order when ``bases`` is None.
 
-
-def _gx_report_at(
-    pg: ProductGraph,
-    dmp: DistanceMatrix,
-    base: tuple[int, int],
-    gx_g: int,
-    gx_h: int,
-) -> ProductGxReport:
-    base_index = pg.index_of_pair(*base)
-    gxp = boundary(pg.graph, dmp, base_index).gx
-    ng, nh = pg.factor_g.n, pg.factor_h.n
-    if pg.kind is ProductKind.CARTESIAN:
-        lower = upper = gx_g * gx_h
-    elif pg.kind is ProductKind.LEXICOGRAPHIC:
-        lower, upper = gx_h, gx_g * nh + gx_h
-    else:
-        lower, upper = gx_g * gx_h, gx_g * nh + ng * gx_h
-    return ProductGxReport(
-        kind=pg.kind,
-        base=base,
-        gx_product=gxp,
-        gx_g=gx_g,
-        gx_h=gx_h,
-        lower=lower,
-        upper=upper,
-        holds=lower <= gxp <= upper,
-    )
-
-
-def product_gx_report(
-    kind: "ProductKind | str", g: Graph, h: Graph, base_g: int, base_h: int
-) -> ProductGxReport:
-    """Geodomination number of the base vertex in the product, checked
-    against the bounds induced by the factor values."""
-    _require_metric_factors(g, h)
-    pg = product(kind, g, h)
-    dmp = all_pairs(pg.graph)
-    gx_g = boundary(g, all_pairs(g), base_g).gx
-    gx_h = boundary(h, all_pairs(h), base_h).gx
-    return _gx_report_at(pg, dmp, (base_g, base_h), gx_g, gx_h)
-
-
-def product_gx_reports(
-    kind: "ProductKind | str", g: Graph, h: Graph
-) -> tuple[ProductGxReport, ...]:
-    """Gx reports for every base vertex, sharing one product build."""
-    _require_metric_factors(g, h)
-    pg = product(kind, g, h)
-    dmp = all_pairs(pg.graph)
-    dmg, dmh = all_pairs(g), all_pairs(h)
-    gx_gs = [boundary(g, dmg, x).gx for x in range(g.n)]
-    gx_hs = [boundary(h, dmh, y).gx for y in range(h.n)]
-    return tuple(
-        _gx_report_at(pg, dmp, (x, y), gx_gs[x], gx_hs[y])
-        for x in range(g.n)
-        for y in range(h.n)
-    )
+    Computed from one BFS row of each distinct x in G and y in H; no
+    product graph and no all-pairs matrix is built.
+    """
+    kind = _as_kind(kind)
+    _require_report_factors(g, h)
+    if bases is None:
+        bases = [(x, y) for x in range(g.n) for y in range(h.n)]
+    bases = [(int(x), int(y)) for x, y in bases]
+    for x, y in bases:
+        if not 0 <= x < g.n:
+            raise ValueError(f"first-factor index {x} out of range")
+        if not 0 <= y < h.n:
+            raise ValueError(f"second-factor index {y} out of range")
+    rows_g = {x: _row_and_boundary(g, x) for x in {x for x, _ in bases}}
+    rows_h = {y: _row_and_boundary(h, y) for y in {y for _, y in bases}}
+    reports = []
+    for x, y in bases:
+        (dg, bg), (dh, bh) = rows_g[x], rows_h[y]
+        actual = _actual_boundary(kind, x, dg, dh, bg, bh)
+        lower, upper = _candidate_bounds(kind, x, bg, bh)
+        bad = (lower & ~actual) | (actual & ~upper)
+        holds = not bad.any()
+        gx = int(np.count_nonzero(actual))
+        gx_g, gx_h = int(np.count_nonzero(bg)), int(np.count_nonzero(bh))
+        gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, g.n, h.n)
+        reports.append(
+            ProductReport(
+                kind=kind,
+                base=(x, y),
+                actual=_frozen(actual),
+                lower=_frozen(lower),
+                upper=_frozen(upper),
+                containments_hold=holds,
+                witnesses=None if holds else _frozen(bad),
+                upper_strict=holds and gx < int(np.count_nonzero(upper)),
+                gx=gx,
+                gx_g=gx_g,
+                gx_h=gx_h,
+                gx_lower=gx_lower,
+                gx_upper=gx_upper,
+                gx_holds=gx_lower <= gx <= gx_upper,
+            )
+        )
+    return tuple(reports)

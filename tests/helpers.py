@@ -102,6 +102,16 @@ def direct_lexicographic_boundary(
     return base_layer | layers
 
 
+def cells(mask) -> set[tuple[int, int]]:
+    """The (a, b) factor index pairs set in a product report's mask."""
+    return {(int(a), int(b)) for a, b in zip(*mask.nonzero())}
+
+
+def pair_labels(g: Graph, h: Graph, mask) -> list[str]:
+    """Sorted product labels "(g,h)" of the pairs set in a report's mask."""
+    return sorted(f"({g.labels[a]},{h.labels[b]})" for a, b in cells(mask))
+
+
 def direct_covered(dist: list[list[int]], x: int, members, n: int) -> set[int]:
     """Vertices lying on some geodesic from x to a member."""
     return {

@@ -8,7 +8,9 @@ captured output either way. Corpora are built once at module scope:
 - 200 seeded random connected graphs on 6..9 vertices,
 - 100 seeded random factor pairs on 2..6 vertices for the products.
 
-Criterion 6 asserts the candidate product bounds that are true (both
+Criterion 6 checks every product report (computed from the factors by
+closed forms) against BFS on the built product, at every kind and base.
+It asserts the candidate product bounds that are true (both
 containments and the gx interval for cartesian and strong, the lower
 containment and gx floor for lexicographic) at every base. The paper's
 lexicographic upper bound and its gx cap are false in general, so the
@@ -41,17 +43,19 @@ from geodom import (
     path_graph,
     product,
     product_distance,
+    product_reports,
     random_connected_graph,
     random_graph_corpus,
     simplicial_vertices,
     verify_unique_minimum,
 )
-from geodom.products import (
-    product_boundary_report,
-    product_boundary_reports,
-    product_gx_reports,
+from helpers import (
+    cells,
+    direct_boundary,
+    direct_lexicographic_boundary,
+    floyd_warshall,
+    pair_labels,
 )
-from helpers import direct_boundary, direct_lexicographic_boundary, floyd_warshall
 
 P3A = path_graph(["a", "b", "c"])
 P3N = path_graph(["1", "2", "3"])
@@ -62,10 +66,6 @@ EXHAUSTIVE_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 def report(line: str) -> None:
     print(line)
-
-
-def pair_labels(pg, vs):
-    return sorted(pg.graph.labels[p] for p in vs)
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +86,10 @@ def factor_pairs():
 
 def test_criterion_01_lexicographic_boundary_example():
     t0 = time.perf_counter()
-    rep_a = product_boundary_report("lexicographic", P3A, P3N, 0, 0)
-    rep_b = product_boundary_report("lexicographic", P3A, P3N, 1, 0)
+    rep_a, rep_b = product_reports("lexicographic", P3A, P3N, [(0, 0), (1, 0)])
     elapsed = time.perf_counter() - t0
-    got_a = pair_labels(rep_a.product, rep_a.actual_boundary)
-    got_b = pair_labels(rep_b.product, rep_b.actual_boundary)
+    got_a = pair_labels(P3A, P3N, rep_a.actual)
+    got_b = pair_labels(P3A, P3N, rep_b.actual)
     ok = (
         got_a == ["(a,3)", "(c,1)", "(c,2)", "(c,3)"]
         and got_b == ["(b,3)"]
@@ -107,14 +106,12 @@ def test_criterion_01_lexicographic_boundary_example():
 
 def test_criterion_02_strong_boundary_examples():
     t0 = time.perf_counter()
-    rep3 = product_boundary_report("strong", P3A, P3N, 0, 0)
-    rep4 = product_boundary_report("strong", P3A, P4N, 0, 0)
+    [rep3] = product_reports("strong", P3A, P3N, [(0, 0)])
+    [rep4] = product_reports("strong", P3A, P4N, [(0, 0)])
     elapsed = time.perf_counter() - t0
-    got3 = pair_labels(rep3.product, rep3.actual_boundary)
-    got4 = pair_labels(rep4.product, rep4.actual_boundary)
-    missing = pair_labels(
-        rep4.product, set(rep4.upper_bound) - set(rep4.actual_boundary)
-    )
+    got3 = pair_labels(P3A, P3N, rep3.actual)
+    got4 = pair_labels(P3A, P4N, rep4.actual)
+    missing = pair_labels(P3A, P4N, rep4.upper & ~rep4.actual)
     ok = (
         got3 == ["(a,3)", "(b,3)", "(c,1)", "(c,2)", "(c,3)"]
         and got4 == ["(a,4)", "(b,4)", "(c,1)", "(c,2)", "(c,4)"]
@@ -194,15 +191,14 @@ def test_criterion_05_cartesian_equality_on_corpus(factor_pairs):
     t0 = time.perf_counter()
     bases = 0
     for g, h in factor_pairs:
-        for rep in product_boundary_reports("cartesian", g, h):
+        for rep in product_reports("cartesian", g, h):
             bases += 1
-            assert rep.lower_bound == rep.upper_bound == rep.actual_boundary, (
+            assert cells(rep.lower) == cells(rep.upper) == cells(rep.actual), (
                 rep.base,
                 list(g.edges()),
                 list(h.edges()),
             )
-        for gxr in product_gx_reports("cartesian", g, h):
-            assert gxr.gx_product == gxr.gx_g * gxr.gx_h, gxr
+            assert rep.gx == rep.gx_g * rep.gx_h, rep
     elapsed = time.perf_counter() - t0
     ok = elapsed < 300.0
     report(
@@ -229,15 +225,22 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
             for y in range(h.n)
         }
         for kind in ProductKind:
-            for rep in product_boundary_reports(kind, g, h):
+            pg = product(kind, g, h)
+            for rep in product_reports(kind, g, h):
+                # BFS on the built product is the oracle at every kind
+                bfs = boundary(pg.graph, None, pg.index_of_pair(*rep.base))
+                got = {pg.index_of_pair(a, b) for a, b in cells(rep.actual)}
+                if got != set(bfs.boundary) or rep.gx != bfs.gx:
+                    wrong.append((idx, rep.base, f"{kind.value} boundary against BFS"))
                 if not rep.containments_hold:
                     contain_bad[kind].append((idx, rep))
+                if not rep.gx_holds:
+                    gx_bad[kind].append((idx, rep))
                 if kind is not lex:
                     continue
                 bases += 1
                 x, y = rep.base
-                pairs = rep.product.pair_of
-                actual = {pairs(p) for p in rep.actual_boundary}
+                actual = cells(rep.actual)
                 # the paper's candidate misses exactly the base-layer vertices
                 # at layer distance two whose second coordinate is interior
                 predicted = {
@@ -245,25 +248,19 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
                     for b in range(h.n)
                     if dist_h[y][b] >= 2 and b not in bh[y]
                 }
-                witnesses = {pairs(p) for p in rep.witnesses or ()}
-                if not {pairs(p) for p in rep.lower_bound} <= actual:
+                witnesses = set() if rep.witnesses is None else cells(rep.witnesses)
+                if not cells(rep.lower) <= actual:
                     wrong.append((idx, rep.base, "lower containment"))
                 if actual != exact[rep.base]:
                     wrong.append((idx, rep.base, "exact boundary"))
                 if witnesses != predicted or rep.containments_hold == bool(predicted):
                     wrong.append((idx, rep.base, "predicted witnesses"))
-            for gxr in product_gx_reports(kind, g, h):
-                if not gxr.holds:
-                    gx_bad[kind].append((idx, gxr))
-                if kind is not lex:
-                    continue
-                x, y = gxr.base
-                size = len(exact[gxr.base])
-                if gxr.gx_product != size or gxr.gx_product < gxr.lower:
-                    wrong.append((idx, gxr.base, "gx value or lower bound"))
+                size = len(exact[rep.base])
+                if rep.gx != size or rep.gx < rep.gx_lower:
+                    wrong.append((idx, rep.base, "gx value or lower bound"))
                 # the cap g_x(G) * n_H + g_x(H) fails exactly when exceeded
-                if gxr.holds != (size <= gx_g[x] * h.n + len(bh[y])):
-                    wrong.append((idx, gxr.base, "predicted gx cap"))
+                if rep.gx_holds != (size <= gx_g[x] * h.n + len(bh[y])):
+                    wrong.append((idx, rep.base, "predicted gx cap"))
     for kind in (ProductKind.CARTESIAN, ProductKind.STRONG):
         for idx, r in contain_bad[kind] + gx_bad[kind]:
             wrong.append((idx, r.base, f"{kind.value} bounds"))
@@ -277,16 +274,18 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
     first = next((v for kind in ProductKind for v in contain_bad[kind]), None)
     if first is not None:
         idx, rep = first
+        outside = [] if rep.witnesses is None else pair_labels(*factor_pairs[idx], rep.witnesses)
         detail = (
             f"; first witness: pair {idx}, kind {rep.kind.value}, base "
             f"{rep.base}, boundary vertices outside the upper bound: "
-            f"{pair_labels(rep.product, rep.witnesses or ())}"
+            f"{outside}"
         )
     refuted = bool(contain_bad[lex]) and bool(gx_bad[lex])
     ok = not wrong and refuted
     report(
         f"criterion 6: {'PASS' if ok else 'FAIL'} - bounds on {bases} bases "
-        f"per kind, exact lexicographic boundary, witnesses and gx cap "
+        f"per kind, every report against BFS on the built product, exact "
+        f"lexicographic boundary, witnesses and gx cap "
         f"predicted with {len(wrong)} mismatches, paper's lexicographic "
         f"candidate refuted: {refuted}; " + "; ".join(parts) + detail
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import geodom
-from geodom import parse_graph
+from geodom import Graph, boundary, parse_graph, product
 from geodom.cli import main
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
@@ -198,6 +198,120 @@ def test_product_verify_bad_base(capsys, factors):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["cartesian", "lexicographic", "strong"])
+def test_product_verify_base_row_matches_all_bases(capsys, factors, kind):
+    g, h = factors
+    argv = ["product-verify", "--kind", kind, "--g", g, "--h", h, "--format", "json"]
+    _, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["result"]["bases"]
+    assert len(rows) == 9
+    for row in rows:
+        code, out, _ = run(capsys, *argv, "--base", row["base"])
+        doc = json.loads(out)
+        assert doc["result"]["bases"] == [row]
+        ok = row["containments_hold"] and row["gx_holds"]
+        assert code == (0 if ok else 1)
+
+
+def test_product_verify_builds_no_product(capsys, factors, monkeypatch):
+    # the two factors are the only graphs product-verify builds
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    g, h = factors
+    for kind in ("cartesian", "lexicographic", "strong"):
+        for extra in ([], ["--base", "(b,2)"]):
+            built.clear()
+            code, _, _ = run(capsys, "product-verify", "--kind", kind, "--g", g, "--h", h, *extra)
+            assert code == 0 and len(built) == 2
+
+
+def _expected_verify_document(kind, g_path, h_path, base=None):
+    """The product-verify JSON document by BFS on the built product: the
+    boundary of every base from the product graph, the candidate bounds from
+    the factor boundaries, and every vertex list sorted by its factor label
+    pair."""
+    g = parse_graph(Path(g_path).read_text())
+    h = parse_graph(Path(h_path).read_text())
+    pg = product(kind, g, h)
+    bg = [set(boundary(g, None, x).boundary) for x in range(g.n)]
+    bh = [set(boundary(h, None, y).boundary) for y in range(h.n)]
+
+    def labels(pairs):
+        ordered = sorted(pairs, key=lambda p: (g.labels[p[0]], h.labels[p[1]]))
+        return [f"({g.labels[a]},{h.labels[b]})" for a, b in ordered]
+
+    rows = []
+    for x in range(g.n):
+        for y in range(h.n):
+            label = f"({g.labels[x]},{h.labels[y]})"
+            if base is not None and label != base:
+                continue
+            p = pg.index_of_pair(x, y)
+            actual = {pg.pair_of(q) for q in boundary(pg.graph, None, p).boundary}
+            gx_g, gx_h = len(bg[x]), len(bh[y])
+            if kind == "cartesian":
+                lower = upper = {(a, b) for a in bg[x] for b in bh[y]}
+                gx_lower = gx_upper = gx_g * gx_h
+            elif kind == "lexicographic":
+                lower = {(x, b) for b in bh[y]}
+                upper = {(a, b) for a in bg[x] for b in range(h.n)} | lower
+                gx_lower, gx_upper = gx_h, gx_g * h.n + gx_h
+            else:
+                lower = {(a, b) for a in bg[x] for b in bh[y]}
+                upper = {(a, b) for a in bg[x] for b in range(h.n)}
+                upper |= {(a, b) for a in range(g.n) for b in bh[y]}
+                gx_lower, gx_upper = gx_g * gx_h, gx_g * h.n + g.n * gx_h
+            bad = (lower - actual) | (actual - upper)
+            rows.append(
+                {
+                    "base": label,
+                    "actual": labels(actual),
+                    "lower": labels(lower),
+                    "upper": labels(upper),
+                    "containments_hold": not bad,
+                    "upper_strict": not bad and len(actual) < len(upper),
+                    "witnesses": labels(bad) if bad else None,
+                    "gx": len(actual),
+                    "gx_lower": gx_lower,
+                    "gx_upper": gx_upper,
+                    "gx_holds": gx_lower <= len(actual) <= gx_upper,
+                }
+            )
+    contain = all(r["containments_hold"] for r in rows)
+    gx_ok = all(r["gx_holds"] for r in rows)
+    doc = {
+        "command": "product-verify",
+        "inputs": {"kind": kind, "g": g_path, "h": h_path, "base": base},
+        "result": {"bases": rows},
+        "checks": {"containments_hold": contain, "gx_bounds_hold": gx_ok},
+    }
+    return (0 if contain and gx_ok else 1), json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "lexicographic", "strong"])
+def test_product_verify_json_golden(capsys, tmp_path, kind):
+    # "(a+,x)" sorts before "(a,x)" as a string but after it by factor
+    # label, which is the order product-verify must keep
+    g = tmp_path / "g.txt"
+    g.write_text("a a+\na+ b\nb a\nb c\n")
+    h = tmp_path / "h.txt"
+    h.write_text("x y\ny z\nz w\n")
+    argv = ["product-verify", "--kind", kind, "--g", str(g), "--h", str(h)]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (*_expected_verify_document(kind, str(g), str(h)), "")
+    assert json.loads(out)["result"]["bases"][3]["base"] == "(a,z)"
+    assert json.loads(out)["result"]["bases"][4]["base"] == "(a+,w)"
+    code, out, err = run(capsys, *argv, "--format", "json", "--base", "(a+,y)")
+    expected = _expected_verify_document(kind, str(g), str(h), "(a+,y)")
+    assert (code, out, err) == (*expected, "")
+
+
 # ---------------------------------------------------------------------------
 # verification subcommands
 
@@ -318,13 +432,43 @@ def test_unknown_vertex_is_input_error(capsys, p4):
 
 
 @pytest.mark.parametrize(
-    "command", [["boundary", "--x", "a"], ["geodetic-heuristic"]], ids=lambda c: c[0]
+    "command",
+    [
+        ["boundary", "--graph", "DISC", "--x", "a"],
+        ["geodetic-heuristic", "--graph", "DISC"],
+        ["product-verify", "--kind", "strong", "--g", "DISC", "--h", "DISC"],
+    ],
+    ids=lambda c: c[0],
 )
 def test_disconnected_graph_is_input_error(capsys, tmp_path, command):
     path = tmp_path / "disc.txt"
     path.write_text("vertices: a b\n")
-    code, _, err = run(capsys, command[0], "--graph", str(path), *command[1:])
+    code, _, err = run(capsys, *(str(path) if a == "DISC" else a for a in command))
     assert code == 2 and "disconnected" in err
+
+
+@pytest.mark.parametrize("base", [None, "(q,9)"])
+def test_product_verify_rejects_bad_factors(capsys, factors, tmp_path, base):
+    # a bad factor is reported before a bad base
+    g, h = factors
+    comma = tmp_path / "comma.txt"
+    comma.write_text("x,y z\n")
+    solo = tmp_path / "solo.txt"
+    solo.write_text("vertices: s\n")
+    disc = tmp_path / "disc.txt"
+    disc.write_text("vertices: a b\n")
+    extra = [] if base is None else ["--base", base]
+    for g_path, h_path, message in [
+        (g, str(disc), "disconnected factor"),
+        (str(comma), h, "factor label 'x,y' contains a comma"),
+        (g, str(comma), "factor label 'x,y' contains a comma"),
+        (str(solo), h, "boundary reports need factors with at least two vertices"),
+        (g, str(solo), "boundary reports need factors with at least two vertices"),
+    ]:
+        code, out, err = run(
+            capsys, "product-verify", "--kind", "strong", "--g", g_path, "--h", h_path, *extra
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unknown_set_label_is_input_error(capsys, p4):

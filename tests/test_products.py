@@ -7,16 +7,15 @@ from geodom import (
     Graph,
     ProductKind,
     all_pairs,
+    boundary,
     complete_graph,
     parse_graph,
     path_graph,
     product,
-    product_boundary_report,
-    product_boundary_reports,
     product_distance,
-    product_gx_report,
-    product_gx_reports,
+    product_reports,
 )
+from helpers import cells, pair_labels
 from strategies import connected_graphs
 
 P3A = path_graph(["a", "b", "c"])
@@ -26,10 +25,6 @@ P4N = path_graph(["1", "2", "3", "4"])
 KINDS = list(ProductKind)
 
 factor_pairs = st.tuples(connected_graphs(max_n=5), connected_graphs(max_n=5))
-
-
-def pair_labels(report, vs):
-    return sorted(report.product.graph.labels[p] for p in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +161,25 @@ def test_closed_form_matches_bfs_on_product(factors):
 
 
 def test_lexicographic_report_pinned_values():
-    rep = product_boundary_report("lexicographic", P3A, P3N, 0, 0)
-    assert pair_labels(rep, rep.actual_boundary) == ["(a,3)", "(c,1)", "(c,2)", "(c,3)"]
+    [rep] = product_reports("lexicographic", P3A, P3N, [(0, 0)])
+    assert pair_labels(P3A, P3N, rep.actual) == ["(a,3)", "(c,1)", "(c,2)", "(c,3)"]
     assert rep.containments_hold and rep.witnesses is None
     assert not rep.upper_strict  # the bound is attained here
-    rep_b = product_boundary_report("lexicographic", P3A, P3N, 1, 0)
-    assert pair_labels(rep_b, rep_b.actual_boundary) == ["(b,3)"]
+    [rep_b] = product_reports("lexicographic", P3A, P3N, [(1, 0)])
+    assert pair_labels(P3A, P3N, rep_b.actual) == ["(b,3)"]
 
 
 def test_strong_report_pinned_values():
-    rep = product_boundary_report("strong", P3A, P3N, 0, 0)
-    assert pair_labels(rep, rep.actual_boundary) == [
+    [rep] = product_reports("strong", P3A, P3N, [(0, 0)])
+    assert pair_labels(P3A, P3N, rep.actual) == [
         "(a,3)",
         "(b,3)",
         "(c,1)",
         "(c,2)",
         "(c,3)",
     ]
-    rep4 = product_boundary_report("strong", P3A, P4N, 0, 0)
-    assert pair_labels(rep4, rep4.actual_boundary) == [
+    [rep4] = product_reports("strong", P3A, P4N, [(0, 0)])
+    assert pair_labels(P3A, P4N, rep4.actual) == [
         "(a,4)",
         "(b,4)",
         "(c,1)",
@@ -192,14 +187,14 @@ def test_strong_report_pinned_values():
         "(c,4)",
     ]
     assert rep4.upper_strict
-    missing = set(rep4.upper_bound) - set(rep4.actual_boundary)
-    assert pair_labels(rep4, missing) == ["(c,3)"]
+    missing = rep4.upper & ~rep4.actual
+    assert pair_labels(P3A, P4N, missing) == ["(c,3)"]
 
 
 def test_cartesian_report_is_an_equality():
-    rep = product_boundary_report("cartesian", P3A, P3N, 0, 0)
-    assert pair_labels(rep, rep.actual_boundary) == ["(c,3)"]
-    assert rep.lower_bound == rep.upper_bound == rep.actual_boundary
+    [rep] = product_reports("cartesian", P3A, P3N, [(0, 0)])
+    assert pair_labels(P3A, P3N, rep.actual) == ["(c,3)"]
+    assert cells(rep.lower) == cells(rep.upper) == cells(rep.actual)
     assert rep.containments_hold and not rep.upper_strict
 
 
@@ -207,23 +202,19 @@ def test_cartesian_report_is_an_equality():
 @given(factor_pairs)
 def test_cartesian_equality_everywhere(factors):
     g, h = factors
-    for rep in product_boundary_reports("cartesian", g, h):
+    for rep in product_reports("cartesian", g, h):
         assert rep.containments_hold
-        assert rep.lower_bound == rep.upper_bound == rep.actual_boundary
+        assert cells(rep.lower) == cells(rep.upper) == cells(rep.actual)
 
 
 @settings(max_examples=25)
 @given(factor_pairs)
 def test_strong_sandwich_everywhere(factors):
     g, h = factors
-    for rep in product_boundary_reports("strong", g, h):
+    for rep in product_reports("strong", g, h):
         assert rep.containments_hold, rep.base
         assert rep.witnesses is None
-        lower, actual, upper = (
-            set(rep.lower_bound),
-            set(rep.actual_boundary),
-            set(rep.upper_bound),
-        )
+        lower, actual, upper = cells(rep.lower), cells(rep.actual), cells(rep.upper)
         assert lower <= actual <= upper
         assert rep.upper_strict == (actual < upper)
 
@@ -236,19 +227,15 @@ def test_lexicographic_lower_containment_everywhere(factors):
     # distance two, so the reports must record the facts consistently
     # rather than assume the bound.
     g, h = factors
-    for rep in product_boundary_reports("lexicographic", g, h):
-        lower, actual, upper = (
-            set(rep.lower_bound),
-            set(rep.actual_boundary),
-            set(rep.upper_bound),
-        )
+    for rep in product_reports("lexicographic", g, h):
+        lower, actual, upper = cells(rep.lower), cells(rep.actual), cells(rep.upper)
         assert lower <= actual, rep.base
         assert rep.containments_hold == (actual <= upper)
         if rep.containments_hold:
             assert rep.witnesses is None
             assert rep.upper_strict == (actual < upper)
         else:
-            assert set(rep.witnesses) == actual - upper
+            assert cells(rep.witnesses) == actual - upper
             assert not rep.upper_strict
 
 
@@ -259,20 +246,60 @@ def test_lexicographic_upper_bound_fails_on_small_tree():
     p2 = path_graph(["A", "B"])
     tree = Graph([("a", "b"), ("a", "c"), ("b", "d")])
     base = (p2.index_of("A"), tree.index_of("c"))
-    rep = product_boundary_report("lexicographic", p2, tree, *base)
+    [rep] = product_reports("lexicographic", p2, tree, [base])
     assert not rep.containments_hold
-    assert pair_labels(rep, rep.actual_boundary) == ["(A,b)", "(A,d)"]
-    assert pair_labels(rep, rep.witnesses) == ["(A,b)"]
-    assert set(rep.lower_bound) <= set(rep.actual_boundary)
+    assert pair_labels(p2, tree, rep.actual) == ["(A,b)", "(A,d)"]
+    assert pair_labels(p2, tree, rep.witnesses) == ["(A,b)"]
+    assert cells(rep.lower) <= cells(rep.actual)
     assert not rep.upper_strict
 
 
 def test_report_requires_nontrivial_factors():
     solo = Graph(vertices=["s"])
     with pytest.raises(ValueError, match="two vertices"):
-        product_boundary_report("cartesian", solo, P3A, 0, 0)
+        product_reports("cartesian", solo, P3A, [(0, 0)])
     with pytest.raises(ValueError, match="two vertices"):
-        product_gx_report("strong", P3A, solo, 0, 0)
+        product_reports("strong", P3A, solo, [(0, 0)])
+
+
+def test_report_rejects_bad_factors_and_bases():
+    broken = parse_graph("vertices: z\na b\n")
+    with pytest.raises(DisconnectedError, match="disconnected factor"):
+        product_reports("cartesian", P3A, broken)
+    with pytest.raises(ValueError, match="comma"):
+        product_reports("strong", Graph([("x,y", "z")]), P3A)
+    with pytest.raises(ValueError, match="first-factor index 3 out of range"):
+        product_reports("strong", P3A, P3N, [(3, 0)])
+    with pytest.raises(ValueError, match="second-factor index -1 out of range"):
+        product_reports("strong", P3A, P3N, [(0, -1)])
+    with pytest.raises(ValueError, match="unknown product kind"):
+        product_reports("tensor", P3A, P3N)
+
+
+def test_reports_follow_the_given_bases():
+    every = product_reports("lexicographic", P3A, P4N)
+    assert [rep.base for rep in every] == [(x, y) for x in range(3) for y in range(4)]
+    picked = product_reports("lexicographic", P3A, P4N, [(2, 1), (0, 3), (2, 1)])
+    assert [rep.base for rep in picked] == [(2, 1), (0, 3), (2, 1)]
+    for rep in picked:
+        twin = every[rep.base[0] * 4 + rep.base[1]]
+        assert cells(rep.actual) == cells(twin.actual)
+        assert (rep.gx, rep.gx_lower, rep.gx_upper) == (twin.gx, twin.gx_lower, twin.gx_upper)
+
+
+@settings(max_examples=40)
+@given(factor_pairs)
+def test_reports_match_bfs_on_built_product(factors):
+    # the closed forms against the definition: BFS on the product itself
+    g, h = factors
+    for kind in KINDS:
+        pg = product(kind, g, h)
+        for rep in product_reports(kind, g, h):
+            expected = boundary(pg.graph, None, pg.index_of_pair(*rep.base))
+            assert {pg.index_of_pair(a, b) for a, b in cells(rep.actual)} == set(
+                expected.boundary
+            ), (kind, rep.base)
+            assert rep.gx == expected.gx
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +307,13 @@ def test_report_requires_nontrivial_factors():
 
 
 def test_gx_report_pinned_values():
-    cart = product_gx_report("cartesian", P3A, P3N, 0, 0)
-    assert (cart.gx_product, cart.lower, cart.upper) == (1, 1, 1)
-    lex = product_gx_report("lexicographic", P3A, P3N, 1, 0)
-    assert (lex.gx_product, lex.lower, lex.upper) == (1, 1, 7)
-    strong = product_gx_report("strong", P3A, P4N, 0, 0)
-    assert (strong.gx_product, strong.lower, strong.upper) == (5, 1, 7)
-    assert cart.holds and lex.holds and strong.holds
+    [cart] = product_reports("cartesian", P3A, P3N, [(0, 0)])
+    assert (cart.gx, cart.gx_lower, cart.gx_upper) == (1, 1, 1)
+    [lex] = product_reports("lexicographic", P3A, P3N, [(1, 0)])
+    assert (lex.gx, lex.gx_lower, lex.gx_upper) == (1, 1, 7)
+    [strong] = product_reports("strong", P3A, P4N, [(0, 0)])
+    assert (strong.gx, strong.gx_lower, strong.gx_upper) == (5, 1, 7)
+    assert cart.gx_holds and lex.gx_holds and strong.gx_holds
 
 
 @settings(max_examples=25)
@@ -294,22 +321,22 @@ def test_gx_report_pinned_values():
 def test_gx_bounds_everywhere(factors):
     g, h = factors
     for kind in KINDS:
-        for rep in product_gx_reports(kind, g, h):
-            assert rep.holds == (rep.lower <= rep.gx_product <= rep.upper)
+        for rep in product_reports(kind, g, h):
+            assert rep.gx_holds == (rep.gx_lower <= rep.gx <= rep.gx_upper)
             if kind is ProductKind.CARTESIAN:
-                assert rep.holds
-                assert rep.gx_product == rep.gx_g * rep.gx_h
+                assert rep.gx_holds
+                assert rep.gx == rep.gx_g * rep.gx_h
             elif kind is ProductKind.STRONG:
-                assert rep.holds, rep.base
+                assert rep.gx_holds, rep.base
             else:
                 # lower side is guaranteed, upper side is not
-                assert rep.gx_product >= rep.lower, rep.base
+                assert rep.gx >= rep.gx_lower, rep.base
 
 
 def test_lexicographic_gx_upper_bound_fails_on_paths():
     # From (a,1) in P3 lex P4 the boundary has six vertices: the far
     # column plus every layer vertex at truncated distance two.  The
     # candidate cap gx_g * n_h + gx_h evaluates to five.
-    rep = product_gx_report("lexicographic", P3A, P4N, 0, 0)
-    assert (rep.gx_product, rep.lower, rep.upper) == (6, 1, 5)
-    assert not rep.holds
+    [rep] = product_reports("lexicographic", P3A, P4N, [(0, 0)])
+    assert (rep.gx, rep.gx_lower, rep.gx_upper) == (6, 1, 5)
+    assert not rep.gx_holds
