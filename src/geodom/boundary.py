@@ -7,11 +7,10 @@ lies on a shortest path from x to some member of S. The two notions
 coincide minimally: the boundary of x is the unique minimum
 x-geodominating set, so gx equals the boundary's size.
 
-Both questions need only the distance row of x, so the single-source
-functions take ``dm=None`` and then run one BFS: the boundary is a scan
-of that row over the CSR neighbours, and coverage is one geodesic sweep
-(``geodesic_sweep``), each O(n + m). A ``DistanceMatrix`` supplies the
-rows instead, for callers that already hold one. ``min_gx_vertex`` and
+Both questions need only the distance row of x, so ``boundary`` and
+``is_x_geodominating`` run one BFS (``bfs_distances``): the boundary is a
+scan of that row over the CSR neighbours, and coverage is one geodesic
+sweep (``geodesic_sweep``), each O(n + m). ``min_gx_vertex`` and
 ``geodetic_from_boundary`` visit every source without a matrix: the BFS
 levels of 64 sources share one uint64 word per vertex (``_level_words``),
 so gx for all n sources costs about ceil(n/64) x depth x (n + m) word
@@ -28,14 +27,13 @@ import numpy as np
 
 from .graph import (
     _WORD_BITS,
-    DistanceMatrix,
     Graph,
     VertexSet,
     _as_vertex_set,
-    _distance_row,
     _level_words,
     _mask,
     _word_budget,
+    bfs_distances,
     geodesic_sweep,
 )
 
@@ -44,9 +42,6 @@ __all__ = [
     "GeodominationCheck",
     "boundary",
     "is_x_geodominating",
-    "gx_set",
-    "gx",
-    "theorem_check",
     "min_gx_vertex",
     "geodetic_from_boundary",
 ]
@@ -72,9 +67,9 @@ class GeodominationCheck:
     witness_uncovered: int | None
 
 
-def boundary(g: Graph, dm: DistanceMatrix | None, x: int) -> BoundaryResult:
+def boundary(g: Graph, x: int) -> BoundaryResult:
     """Boundary vertices of x, with gx = its size."""
-    return _row_boundary(g, _distance_row(g, dm, x), x)
+    return _row_boundary(g, bfs_distances(g, x), x)
 
 
 def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
@@ -96,11 +91,9 @@ def _boundary_mask(g: Graph, row: np.ndarray) -> np.ndarray:
     return farthest <= row
 
 
-def is_x_geodominating(
-    g: Graph, dm: DistanceMatrix | None, x: int, s: "VertexSet | Iterable[int]"
-) -> GeodominationCheck:
+def is_x_geodominating(g: Graph, x: int, s: "VertexSet | Iterable[int]") -> GeodominationCheck:
     """Does every vertex lie on a shortest path from x to some member of s?"""
-    return _row_coverage(g, _distance_row(g, dm, x), x, s)
+    return _row_coverage(g, bfs_distances(g, x), x, s)
 
 
 def _row_coverage(
@@ -126,29 +119,9 @@ def _boundary_and_coverage(
 ) -> tuple[BoundaryResult, GeodominationCheck]:
     """The boundary of x and the geodomination check of s from x (of the
     boundary itself when s is None), both from one BFS row."""
-    row = _distance_row(g, None, x)
+    row = bfs_distances(g, x)
     res = _row_boundary(g, row, x)
     return res, _row_coverage(g, row, x, res.boundary if s is None else s)
-
-
-def gx_set(g: Graph, dm: DistanceMatrix | None, x: int) -> VertexSet:
-    """The unique minimum x-geodominating set (the boundary of x)."""
-    return boundary(g, dm, x).boundary
-
-
-def gx(g: Graph, dm: DistanceMatrix | None, x: int) -> int:
-    return boundary(g, dm, x).gx
-
-
-def theorem_check(
-    g: Graph, dm: DistanceMatrix | None, x: int, s: "VertexSet | Iterable[int]"
-) -> bool:
-    """Verify on one instance that s x-geodominates iff it contains the
-    boundary of x. Returns True when both routes agree."""
-    vs = _as_vertex_set(s, g.n)
-    direct = is_x_geodominating(g, dm, x, vs).is_geodominating
-    via_boundary = boundary(g, dm, x).boundary.issubset(vs)
-    return direct == via_boundary
 
 
 def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:
@@ -186,7 +159,7 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
         batch = _gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
         if batch is None:
             sizes.extend(
-                int(np.count_nonzero(_boundary_mask(g, _distance_row(g, None, x))))
+                int(np.count_nonzero(_boundary_mask(g, bfs_distances(g, x))))
                 for x in range(lo, g.n)
             )
             break
@@ -205,4 +178,4 @@ def geodetic_from_boundary(g: Graph) -> VertexSet:
 def _boundary_with_source(g: Graph, x: int) -> VertexSet:
     """The boundary of x together with x itself: a geodetic set of size
     gx + 1, since every vertex lies on a geodesic from x to the boundary."""
-    return VertexSet.of([*boundary(g, None, x).boundary, x], g.n)
+    return VertexSet.of([*boundary(g, x).boundary, x], g.n)

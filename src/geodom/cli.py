@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -21,7 +22,6 @@ from .boundary import (
     _boundary_and_coverage,
     _boundary_with_source,
     boundary,
-    gx_set,
     is_x_geodominating,
     min_gx_vertex,
 )
@@ -110,7 +110,7 @@ def _cmd_boundary(args: argparse.Namespace) -> Outcome:
 
 def _cmd_gx(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    res = boundary(g, None, g.index_of(args.x))
+    res = boundary(g, g.index_of(args.x))
     return Outcome(
         code=0,
         lines=[f"gx = {res.gx}"],
@@ -290,7 +290,7 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
     dm = all_pairs(g)
     x = g.index_of(args.x)
     res = min_x_geodominating_bruteforce(g, dm, x, cap=args.cap)
-    expected = gx_set(g, dm, x)
+    expected = boundary(g, x).boundary
     unique = len(res.minimum_sets) == 1
     matches = unique and res.minimum_sets[0] == expected
     sets_labels = [_labels(g, s) for s in res.minimum_sets]
@@ -345,12 +345,12 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
 def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
     if not 0 <= args.exhaustive_n <= 7:
         raise ValueError("--exhaustive-n must lie in [0, 7]")
-    graphs: list[Graph] = []
-    for n in range(2, args.exhaustive_n + 1):
-        graphs.extend(enumerate_connected_graphs(n))
+    # the corpus is built first, so a bad --n or --p fails before the sweep
+    corpus = []
     if args.random > 0:
-        graphs.extend(random_graph_corpus(args.random, args.n, args.n, args.p, args.seed))
-    report = verify_unique_minimum(graphs)
+        corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)
+    exhaustive = (enumerate_connected_graphs(n) for n in range(2, args.exhaustive_n + 1))
+    report = verify_unique_minimum(chain(*exhaustive, corpus))
     lines = [
         f"graphs checked: {report.graphs_checked}",
         f"sources checked: {report.sources_checked}",
@@ -390,10 +390,7 @@ def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
             checks={},
         )
     g, simp = hit
-    dm = all_pairs(g)
-    verified = all(
-        not is_x_geodominating(g, dm, z, simp).is_geodominating for z in range(g.n)
-    )
+    verified = all(not is_x_geodominating(g, z, simp).is_geodominating for z in range(g.n))
     document = emit_graph(g)
     lines = [
         f"found: n={g.n} m={g.edge_count}",

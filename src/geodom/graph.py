@@ -6,18 +6,19 @@ deterministic across runs. Graphs are simple, undirected, and immutable
 after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
 
-The metric core works on single distance rows. ``interval`` takes an
-optional :class:`DistanceMatrix`: given ``None``, the row it needs costs
-one BFS, O(n + m), and ``geodesic_sweep`` turns a row into interval
-membership by one reverse sweep of the source's geodesic DAG.
+The metric core works on single distance rows. ``interval`` takes its
+row from one BFS (``bfs_distances``), O(n + m), and ``geodesic_sweep``
+turns a row into interval membership by one reverse sweep of the
+source's geodesic DAG.
 ``geodetic_closure`` and ``is_geodetic`` take no matrix: they run the BFS
 of 64 members at a time in the bits of one uint64 word per vertex
 (``_level_words``), about depth x (n + m) word operations per batch.
 ``_word_budget`` and ``_kept_levels`` cap the depth at
 min(|batch| x (n + m), 4(n + 2m)) / n levels; deeper graphs (paths, long
 cycles, grids) go back to one row and one sweep per member. The full
-matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes) pays off only where
-every row is read by index: the oracles.
+matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes) serves only the
+callers that read rows by index: the brute-force oracles and
+``product_distance``.
 """
 
 from __future__ import annotations
@@ -252,13 +253,6 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex index {v} out of range [0, {g.n})")
 
 
-def _check_matrix(g: Graph, dm: DistanceMatrix) -> None:
-    if dm.n != g.n:
-        raise ValueError(
-            f"distance matrix has size {dm.n}, graph has {g.n} vertices"
-        )
-
-
 # ---------------------------------------------------------------------------
 # parsing / emission
 
@@ -346,16 +340,6 @@ def all_pairs(g: Graph) -> DistanceMatrix:
         d[src] = _bfs_row(g.adj, src)
     d.setflags(write=False)
     return DistanceMatrix(d)
-
-
-def _distance_row(g: Graph, dm: DistanceMatrix | None, u: int) -> np.ndarray:
-    """Distance row from u: ``dm.row(u)`` when a matrix is given, else one
-    BFS (which also checks that g is connected)."""
-    if dm is None:
-        return bfs_distances(g, u)
-    _check_matrix(g, dm)
-    _check_vertex(g, u)
-    return dm.row(u)
 
 
 def _degrees(g: Graph) -> np.ndarray:
@@ -470,11 +454,11 @@ def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
 # intervals and geodetic closure
 
 
-def interval(g: Graph, dm: DistanceMatrix | None, u: int, v: int) -> VertexSet:
+def interval(g: Graph, u: int, v: int) -> VertexSet:
     """Vertices on at least one shortest u-v path:
     { w : d(u,w) + d(w,v) = d(u,v) }."""
     _check_vertex(g, v)
-    on_geodesic = geodesic_sweep(g, _distance_row(g, dm, u), _mask(g, [v]))
+    on_geodesic = geodesic_sweep(g, bfs_distances(g, u), _mask(g, [v]))
     return VertexSet.of(np.flatnonzero(on_geodesic), g.n)
 
 

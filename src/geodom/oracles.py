@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .boundary import gx_set
+from .boundary import _row_boundary
 from .graph import DistanceMatrix, Graph, VertexSet, all_pairs
 
 __all__ = [
@@ -407,7 +407,8 @@ def verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> Verifica
         for x in range(g.n):
             sources_checked += 1
             res = min_x_geodominating_bruteforce(g, dm, x, cap=cap)
-            expected = gx_set(g, dm, x)
+            # the oracle's matrix holds the row, so no BFS per source
+            expected = _row_boundary(g, dm.row(x), x).boundary
             if (
                 not res.exhausted
                 or len(res.minimum_sets) != 1

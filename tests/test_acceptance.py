@@ -160,8 +160,7 @@ def test_criterion_04_biconditional_on_random_candidates(
     violations = []
     checked = 0
     for g in corpus:
-        dm = all_pairs(g)
-        bounds = [set(boundary(g, dm, x).boundary) for x in range(g.n)]
+        bounds = [set(boundary(g, x).boundary) for x in range(g.n)]
         for i in range(20):
             x = rng.randrange(g.n)
             bnd = bounds[x]
@@ -174,7 +173,7 @@ def test_criterion_04_biconditional_on_random_candidates(
                 drop = rng.choice(sorted(bnd))
                 pool = [v for v in others if v != drop]
                 cand = sorted(rng.sample(pool, rng.randint(0, len(pool))))
-            chk = is_x_geodominating(g, dm, x, cand)
+            chk = is_x_geodominating(g, x, cand)
             checked += 1
             if chk.is_geodominating != (bnd <= set(cand)):
                 violations.append((g, x, cand))
@@ -228,7 +227,7 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
             pg = product(kind, g, h)
             for rep in product_reports(kind, g, h):
                 # BFS on the built product is the oracle at every kind
-                bfs = boundary(pg.graph, None, pg.index_of_pair(*rep.base))
+                bfs = boundary(pg.graph, pg.index_of_pair(*rep.base))
                 got = {pg.index_of_pair(a, b) for a, b in cells(rep.actual)}
                 if got != set(bfs.boundary) or rep.gx != bfs.gx:
                     wrong.append((idx, rep.base, f"{kind.value} boundary against BFS"))
@@ -337,12 +336,7 @@ def test_criterion_09_simplicial_counterexample():
     g, simp = found
     assert len(simp) >= 1
     assert simplicial_vertices(g) == simp
-    dm = all_pairs(g)
-    failing = [
-        x
-        for x in range(g.n)
-        if not is_x_geodominating(g, dm, x, simp).is_geodominating
-    ]
+    failing = [x for x in range(g.n) if not is_x_geodominating(g, x, simp).is_geodominating]
     ok = len(failing) == g.n and elapsed < 300.0
     report(
         f"criterion 9: {'PASS' if ok else 'FAIL'} - n={g.n} graph with "
@@ -361,9 +355,8 @@ def test_criterion_10_boundary_scaling():
             GraphGenSpec(n=n, mode="random", edge_probability=3.0 / n, seed=42)
         )
         t0 = time.perf_counter()
-        dm = all_pairs(g)
         for x in range(g.n):
-            boundary(g, dm, x)
+            boundary(g, x)
         times.append(time.perf_counter() - t0)
     exponent = float(
         np.polyfit(np.log(np.array(sizes)), np.log(np.array(times)), 1)[0]

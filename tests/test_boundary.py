@@ -1,34 +1,29 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geodom import (
     Graph,
     VertexSet,
-    all_pairs,
+    bfs_distances,
     boundary,
     complete_graph,
     cycle_graph,
     geodetic_from_boundary,
-    gx,
-    gx_set,
     is_geodetic,
     is_x_geodominating,
     min_gx_vertex,
     path_graph,
     star_graph,
-    theorem_check,
 )
 from helpers import direct_boundary, direct_covered, floyd_warshall
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
 
 P4 = path_graph(["a", "b", "c", "d"])
-DM4 = all_pairs(P4)
 
 
-def labels_of_boundary(g, dm, x_label):
-    return g.labels_of(boundary(g, dm, g.index_of(x_label)).boundary)
+def labels_of_boundary(g, x_label):
+    return g.labels_of(boundary(g, g.index_of(x_label)).boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -36,79 +31,73 @@ def labels_of_boundary(g, dm, x_label):
 
 
 def test_path_boundaries():
-    assert labels_of_boundary(P4, DM4, "b") == ["a", "d"]
-    assert labels_of_boundary(P4, DM4, "a") == ["d"]
-    assert gx(P4, DM4, P4.index_of("b")) == 2
+    assert labels_of_boundary(P4, "b") == ["a", "d"]
+    assert labels_of_boundary(P4, "a") == ["d"]
+    assert boundary(P4, P4.index_of("b")).gx == 2
     p3 = path_graph(["a", "b", "c"])
-    dm3 = all_pairs(p3)
-    assert labels_of_boundary(p3, dm3, "a") == ["c"]
-    assert labels_of_boundary(p3, dm3, "b") == ["a", "c"]
+    assert labels_of_boundary(p3, "a") == ["c"]
+    assert labels_of_boundary(p3, "b") == ["a", "c"]
 
 
 def test_cycle_boundaries():
     c5 = cycle_graph(5)
-    assert c5.labels_of(boundary(c5, all_pairs(c5), 0).boundary) == ["v2", "v3"]
+    assert c5.labels_of(boundary(c5, 0).boundary) == ["v2", "v3"]
     c6 = cycle_graph(6)
-    assert c6.labels_of(boundary(c6, all_pairs(c6), 0).boundary) == ["v3"]
+    assert c6.labels_of(boundary(c6, 0).boundary) == ["v3"]
 
 
 def test_complete_graph_boundary_is_everyone_else():
     k5 = complete_graph(5)
-    dm = all_pairs(k5)
     for x in range(5):
-        assert set(boundary(k5, dm, x).boundary) == set(range(5)) - {x}
-        assert gx(k5, dm, x) == 4
+        assert set(boundary(k5, x).boundary) == set(range(5)) - {x}
+        assert boundary(k5, x).gx == 4
 
 
 # ---------------------------------------------------------------------------
 # definitional properties
 
 
-@given(graphs_with_vertex(), st.booleans())
-def test_boundary_matches_definition_scan(gv, use_matrix):
+@given(graphs_with_vertex())
+def test_boundary_matches_definition_scan(gv):
     g, x = gv
-    dm = all_pairs(g) if use_matrix else None
-    assert set(boundary(g, dm, x).boundary) == direct_boundary(g, floyd_warshall(g), x)
+    assert set(boundary(g, x).boundary) == direct_boundary(g, floyd_warshall(g), x)
 
 
 @given(graphs_with_vertex())
 def test_source_never_in_own_boundary(gv):
     g, x = gv
-    assert x not in boundary(g, all_pairs(g), x).boundary
+    assert x not in boundary(g, x).boundary
 
 
 @given(graphs_with_vertex())
 def test_eccentric_vertices_are_boundary(gv):
     g, x = gv
-    dm = all_pairs(g)
-    row = dm.row(x)
-    b = set(boundary(g, dm, x).boundary)
+    row = bfs_distances(g, x)
+    b = set(boundary(g, x).boundary)
     assert set(np.flatnonzero(row == row.max())) <= b
 
 
 @given(trees())
 def test_tree_boundary_is_leaves_except_source(t):
-    dm = all_pairs(t)
     leaves = {v for v in range(t.n) if t.degree(v) == 1}
     for x in range(t.n):
-        assert set(boundary(t, dm, x).boundary) == leaves - {x}
+        assert set(boundary(t, x).boundary) == leaves - {x}
 
 
 # ---------------------------------------------------------------------------
 # x-geodomination checks
 
 
-@given(graphs_vertex_and_set(), st.booleans())
-def test_covered_set_matches_direct_computation(gvs, use_matrix):
+@given(graphs_vertex_and_set())
+def test_covered_set_matches_direct_computation(gvs):
     g, x, members = gvs
-    dm = all_pairs(g) if use_matrix else None
-    chk = is_x_geodominating(g, dm, x, members)
+    chk = is_x_geodominating(g, x, members)
     assert set(chk.covered) == direct_covered(floyd_warshall(g), x, members, g.n)
     assert chk.is_geodominating == (len(chk.covered) == g.n)
 
 
 def test_empty_set_never_geodominates():
-    chk = is_x_geodominating(P4, DM4, 0, [])
+    chk = is_x_geodominating(P4, 0, [])
     assert not chk.is_geodominating
     assert len(chk.covered) == 0
     assert chk.witness_uncovered == 0
@@ -117,15 +106,13 @@ def test_empty_set_never_geodominates():
 @given(graphs_with_vertex())
 def test_everyone_else_geodominates(gv):
     g, x = gv
-    dm = all_pairs(g)
     rest = set(range(g.n)) - {x}
-    assert is_x_geodominating(g, dm, x, rest).is_geodominating
+    assert is_x_geodominating(g, x, rest).is_geodominating
 
 
 def test_witness_is_smallest_uncovered():
     c5 = cycle_graph(5)
-    dm = all_pairs(c5)
-    chk = is_x_geodominating(c5, dm, 0, [2])
+    chk = is_x_geodominating(c5, 0, [2])
     # v3 is not on any geodesic from v0 to v2
     assert not chk.is_geodominating
     assert chk.witness_uncovered == 3
@@ -134,7 +121,7 @@ def test_witness_is_smallest_uncovered():
 
 def test_vertex_set_size_mismatch_rejected():
     with pytest.raises(ValueError, match="size"):
-        is_x_geodominating(P4, DM4, 0, VertexSet.of([0], 3))
+        is_x_geodominating(P4, 0, VertexSet.of([0], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +131,8 @@ def test_vertex_set_size_mismatch_rejected():
 @given(graphs_vertex_and_set())
 def test_geodominating_iff_contains_boundary(gvs):
     g, x, members = gvs
-    dm = all_pairs(g)
-    direct = is_x_geodominating(g, dm, x, members).is_geodominating
-    assert direct == gx_set(g, dm, x).issubset(members)
-    assert theorem_check(g, dm, x, members)
+    direct = is_x_geodominating(g, x, members).is_geodominating
+    assert direct == boundary(g, x).boundary.issubset(members)
 
 
 FIXED_SMALL = [
@@ -162,12 +147,11 @@ FIXED_SMALL = [
 
 @pytest.mark.parametrize("g", FIXED_SMALL, ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_rule_exhaustive_over_all_subsets(g):
-    dm = all_pairs(g)
     for x in range(g.n):
-        b = set(gx_set(g, dm, x))
+        b = set(boundary(g, x).boundary)
         for mask in range(1 << g.n):
             s = [v for v in range(g.n) if mask >> v & 1]
-            direct = is_x_geodominating(g, dm, x, s).is_geodominating
+            direct = is_x_geodominating(g, x, s).is_geodominating
             assert direct == (b <= set(s)), (x, s)
 
 
@@ -182,8 +166,7 @@ def test_min_gx_vertex_values():
 
 @given(connected_graphs())
 def test_min_gx_vertex_is_argmin_with_lowest_index(g):
-    dm = all_pairs(g)
-    sizes = [gx(g, dm, x) for x in range(g.n)]
+    sizes = [boundary(g, x).gx for x in range(g.n)]
     x, value = min_gx_vertex(g)
     assert value == min(sizes)
     assert sizes[x] == value and sizes.index(value) == x
@@ -212,15 +195,12 @@ def test_heuristic_examples():
 
 def test_single_vertex_rejected():
     g = Graph(vertices=["a"])
-    dm = all_pairs(g)
     with pytest.raises(ValueError, match="two vertices"):
-        boundary(g, dm, 0)
+        boundary(g, 0)
     with pytest.raises(ValueError, match="two vertices"):
         min_gx_vertex(g)
 
 
 def test_boundary_validates_inputs():
     with pytest.raises(ValueError):
-        boundary(P4, DM4, 9)
-    with pytest.raises(ValueError, match="matrix"):
-        boundary(P4, all_pairs(path_graph(3)), 0)
+        boundary(P4, 9)

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import geodom
-from geodom import Graph, boundary, parse_graph, product
+from geodom import (
+    Graph,
+    VerificationReport,
+    boundary,
+    enumerate_connected_graphs,
+    parse_graph,
+    product,
+)
 from geodom.cli import main
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
@@ -107,6 +114,7 @@ def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     test_closure_plain(capsys, p4)
     test_geodetic_heuristic_plain(capsys, p4)
     test_json_output_is_deterministic(capsys, p4)
+    test_find_counterexample(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +247,8 @@ def _expected_verify_document(kind, g_path, h_path, base=None):
     g = parse_graph(Path(g_path).read_text())
     h = parse_graph(Path(h_path).read_text())
     pg = product(kind, g, h)
-    bg = [set(boundary(g, None, x).boundary) for x in range(g.n)]
-    bh = [set(boundary(h, None, y).boundary) for y in range(h.n)]
+    bg = [set(boundary(g, x).boundary) for x in range(g.n)]
+    bh = [set(boundary(h, y).boundary) for y in range(h.n)]
 
     def labels(pairs):
         ordered = sorted(pairs, key=lambda p: (g.labels[p[0]], h.labels[p[1]]))
@@ -253,7 +261,7 @@ def _expected_verify_document(kind, g_path, h_path, base=None):
             if base is not None and label != base:
                 continue
             p = pg.index_of_pair(x, y)
-            actual = {pg.pair_of(q) for q in boundary(pg.graph, None, p).boundary}
+            actual = {pg.pair_of(q) for q in boundary(pg.graph, p).boundary}
             gx_g, gx_h = len(bg[x]), len(bh[y])
             if kind == "cartesian":
                 lower = upper = {(a, b) for a in bg[x] for b in bh[y]}
@@ -339,6 +347,37 @@ def test_verify_theorems_report(capsys):
 def test_verify_theorems_validates_range(capsys):
     code, _, err = run(capsys, "verify-theorems", "--exhaustive-n", "9")
     assert code == 2 and "exhaustive-n" in err
+
+
+def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("the random corpus must be checked first")
+
+    monkeypatch.setattr("geodom.cli.enumerate_connected_graphs", no_enumeration)
+    code, _, err = run(capsys, "verify-theorems", "--random", "2", "--n", "1")
+    assert code == 2 and "n_low" in err
+
+
+def test_verify_theorems_streams_the_enumeration(capsys, monkeypatch):
+    yielded = []
+
+    def counting_enumeration(n):
+        for g in enumerate_connected_graphs(n):
+            yielded.append(g)
+            yield g
+
+    yielded_before_first = []
+
+    def first_graph_only(graphs):
+        first = next(iter(graphs))
+        yielded_before_first.append(len(yielded))
+        return VerificationReport(graphs_checked=1, sources_checked=first.n, failures=())
+
+    monkeypatch.setattr("geodom.cli.enumerate_connected_graphs", counting_enumeration)
+    monkeypatch.setattr("geodom.cli.verify_unique_minimum", first_graph_only)
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "5")
+    assert code == 0 and "graphs checked: 1" in out
+    assert yielded_before_first == [1]
 
 
 def test_find_counterexample(capsys):

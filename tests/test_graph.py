@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -211,9 +212,9 @@ def test_disconnected_raises():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g: boundary(g, None, 0),
-        lambda g: is_x_geodominating(g, None, 0, [1]),
-        lambda g: interval(g, None, 0, 1),
+        lambda g: boundary(g, 0),
+        lambda g: is_x_geodominating(g, 0, [1]),
+        lambda g: interval(g, 0, 1),
         lambda g: geodetic_closure(g, [0, 1, 2]),
         lambda g: is_geodetic(g, [0, 1, 2]),
     ],
@@ -244,33 +245,29 @@ def test_cycle_distances():
 
 
 @settings(max_examples=60)
-@given(connected_graphs(max_n=6), st.booleans(), st.data())
-def test_interval_matches_path_enumeration(g, use_matrix, data):
-    dm = all_pairs(g) if use_matrix else None
+@given(connected_graphs(max_n=6), st.data())
+def test_interval_matches_path_enumeration(g, data):
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1))
-    assert set(interval(g, dm, u, v)) == geodesic_vertices_by_paths(g, u, v)
+    assert set(interval(g, u, v)) == geodesic_vertices_by_paths(g, u, v)
 
 
 def test_interval_examples():
     p4 = path_graph(["a", "b", "c", "d"])
-    dm = all_pairs(p4)
-    assert list(interval(p4, dm, 0, 3)) == [0, 1, 2, 3]
+    assert list(interval(p4, 0, 3)) == [0, 1, 2, 3]
     c5 = cycle_graph(5)
-    dm5 = all_pairs(c5)
-    assert list(interval(c5, dm5, 0, 2)) == [0, 1, 2]
+    assert list(interval(c5, 0, 2)) == [0, 1, 2]
     c6 = cycle_graph(6)
     # antipodal pair: both arcs are geodesics
-    assert len(interval(c6, all_pairs(c6), 0, 3)) == 6
+    assert len(interval(c6, 0, 3)) == 6
 
 
 def test_interval_validates_inputs():
     g = path_graph(4)
-    dm = all_pairs(g)
     with pytest.raises(ValueError):
-        interval(g, dm, 0, 9)
-    with pytest.raises(ValueError):
-        interval(g, all_pairs(path_graph(3)), 0, 1)
+        interval(g, 0, 9)
+    with pytest.raises(ValueError, match="out of range"):
+        interval(g, 9, 0)
 
 
 def test_closure_rejects_empty():
@@ -357,9 +354,11 @@ def test_closure_second_word_adds_coverage():
 def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     rows = []
     real_bfs = bfs_distances
-    monkeypatch.setattr(
-        "geodom.graph.bfs_distances", lambda g, u: rows.append(u) or real_bfs(g, u)
-    )
+    # `geodom.boundary` names the function, so the module comes from sys.modules
+    for module in ("geodom.graph", "geodom.boundary"):
+        monkeypatch.setattr(
+            sys.modules[module], "bfs_distances", lambda g, u: rows.append(u) or real_bfs(g, u)
+        )
     # a shallow graph runs full words on words; a lone source in the last
     # word may take no more than (n + m) / n levels, so it takes a row
     g, dist = word_graph

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +8,12 @@ from geodom import (
     Graph,
     GraphGenSpec,
     all_pairs,
+    boundary,
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
     find_simplicial_counterexample,
     geodetic_number_bruteforce,
-    gx_set,
     is_connected,
     is_geodetic,
     is_x_geodominating,
@@ -51,7 +53,7 @@ def test_every_minimum_set_geodominates():
     dm = all_pairs(g)
     res = min_x_geodominating_bruteforce(g, dm, 0)
     for s in res.minimum_sets:
-        assert is_x_geodominating(g, dm, 0, s).is_geodominating
+        assert is_x_geodominating(g, 0, s).is_geodominating
 
 
 def test_cap_is_enforced_and_overridable():
@@ -76,9 +78,9 @@ def test_excluding_x_loses_nothing(gv):
     res = min_x_geodominating_bruteforce(g, dm, x)
     for s in res.minimum_sets:
         with_x = set(s) | {x}
-        assert is_x_geodominating(g, dm, x, with_x).is_geodominating
-        assert set(is_x_geodominating(g, dm, x, s).covered) == set(
-            is_x_geodominating(g, dm, x, with_x).covered
+        assert is_x_geodominating(g, x, with_x).is_geodominating
+        assert set(is_x_geodominating(g, x, s).covered) == set(
+            is_x_geodominating(g, x, with_x).covered
         )
 
 
@@ -226,9 +228,8 @@ def test_first_counterexample_is_deterministic():
     assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]
     assert g.labels_of(simp) == ["c"]
     assert set(simp) == set(simplicial_vertices(g))
-    dm = all_pairs(g)
     for z in range(g.n):
-        assert not is_x_geodominating(g, dm, z, simp).is_geodominating
+        assert not is_x_geodominating(g, z, simp).is_geodominating
 
 
 def test_no_counterexample_on_four_vertices():
@@ -240,9 +241,8 @@ def test_counterexample_with_many_simplicial_vertices():
     assert hit is not None
     g, simp = hit
     assert g.n <= 8 and len(simp) >= 4
-    dm = all_pairs(g)
     for z in range(g.n):
-        assert not is_x_geodominating(g, dm, z, simp).is_geodominating
+        assert not is_x_geodominating(g, z, simp).is_geodominating
 
 
 def test_counterexample_argument_validation():
@@ -257,20 +257,18 @@ def test_counterexample_argument_validation():
 @given(trees(max_n=8))
 def test_trees_are_never_counterexamples(t):
     # the leaf set contains every boundary, so it geodominates from anywhere
-    dm = all_pairs(t)
     leaves = simplicial_vertices(t)
     for z in range(t.n):
-        assert is_x_geodominating(t, dm, z, leaves).is_geodominating
+        assert is_x_geodominating(t, z, leaves).is_geodominating
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_complete_graphs_are_never_counterexamples(n):
     g = complete_graph(n)
-    dm = all_pairs(g)
     everyone = simplicial_vertices(g)
     assert len(everyone) == n
     for z in range(n):
-        assert is_x_geodominating(g, dm, z, everyone).is_geodominating
+        assert is_x_geodominating(g, z, everyone).is_geodominating
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +284,18 @@ def test_verify_unique_minimum_on_small_corpus():
     assert report.failures == ()
 
 
+def test_verify_unique_minimum_runs_no_bfs(monkeypatch):
+    # the sweep holds a matrix for its oracle and reads the boundary from it
+    def no_bfs(g, source):
+        raise AssertionError("verify_unique_minimum must read its matrix rows")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geodom" and hasattr(module, "bfs_distances"):
+            monkeypatch.setattr(module, "bfs_distances", no_bfs)
+    report = verify_unique_minimum(enumerate_connected_graphs(4))
+    assert report.ok and report.graphs_checked == 38
+
+
 def test_verify_skips_single_vertex_graphs():
     graphs = list(enumerate_connected_graphs(1)) + list(enumerate_connected_graphs(2))
     report = verify_unique_minimum(graphs)
@@ -299,4 +309,4 @@ def test_oracle_agrees_with_boundary(g):
         res = min_x_geodominating_bruteforce(g, dm, x)
         assert res.exhausted
         assert len(res.minimum_sets) == 1
-        assert res.minimum_sets[0] == gx_set(g, dm, x)
+        assert res.minimum_sets[0] == boundary(g, x).boundary

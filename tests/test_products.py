@@ -295,7 +295,7 @@ def test_reports_match_bfs_on_built_product(factors):
     for kind in KINDS:
         pg = product(kind, g, h)
         for rep in product_reports(kind, g, h):
-            expected = boundary(pg.graph, None, pg.index_of_pair(*rep.base))
+            expected = boundary(pg.graph, pg.index_of_pair(*rep.base))
             assert {pg.index_of_pair(a, b) for a, b in cells(rep.actual)} == set(
                 expected.boundary
             ), (kind, rep.base)
