@@ -6,6 +6,14 @@ against boundary() without sharing logic. Small-graph enumeration and
 seeded random generation supply the verification substrate, and the
 simplicial counterexample search certifies that simplicial vertices can
 fail to geodominate from every source.
+
+Exhaustive enumeration and the counterexample search share one stage:
+every edge set on n <= 7 vertices is an integer mask, produced in chunks
+in (edge count, combinations rank) order together with per-vertex uint8
+neighbour bitmasks. Connectivity, the simplicial test and the geodesic
+test are numpy passes over those bitmasks, with their own bit-frontier
+BFS: nothing here calls the BFS, geodesic or simplicial code of graph.py
+that the search certifies.
 """
 
 from __future__ import annotations
@@ -14,7 +22,10 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .boundary import _row_boundary
 from .graph import DistanceMatrix, Graph, VertexSet, all_pairs
@@ -33,6 +44,12 @@ __all__ = [
 ]
 
 _ENUM_LABELS = "abcdefgh"
+# edge masks per array pass; larger chunks gain little speed and raise
+# the peak memory of the search
+_CHUNK = 1 << 12
+# set bits of every byte (np.bitwise_count needs numpy 2)
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+_BITS = np.array([1 << v for v in range(8)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -159,43 +176,91 @@ def _all_pairs_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _edge_subsets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every edge subset, by edge count ascending then lexicographic order.
+def _neighbour_bits(
+    n: int, pairs: Sequence[tuple[int, int]], masks: np.ndarray
+) -> np.ndarray:
+    """nbrs[k, v]: the neighbour bitmask of vertex v in edge mask k, where
+    pair p of pairs is bit len(pairs) - 1 - p."""
+    top = len(pairs) - 1
+    nbrs = np.zeros((len(masks), n), dtype=np.uint8)
+    for p, (i, j) in enumerate(pairs):
+        edge = ((masks >> (top - p)) & 1).astype(np.uint8)
+        nbrs[:, i] |= edge << np.uint8(j)
+        nbrs[:, j] |= edge << np.uint8(i)
+    return nbrs
 
-    Starts at n-1 edges: nothing smaller can span n vertices.
+
+def _mask_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(masks, nbrs) for every edge set on n vertices, by edge count
+    ascending then combinations rank, at most _CHUNK masks at a time.
+
+    Pair p of _all_pairs_list(n) is bit P - 1 - p of a mask, so the
+    combinations order of each edge count is descending mask order. A mask
+    is a high and a low half: descending order runs the high halves
+    downwards and, under each, the low halves of the remaining popcount
+    downwards. nbrs comes from per-half tables. Starts at n - 1 edges:
+    nothing smaller can span n vertices.
     """
     pairs = _all_pairs_list(n)
+    low = len(pairs) // 2
+    high_vals = np.arange((1 << (len(pairs) - low)) - 1, -1, -1)
+    high_pc = np.array([v.bit_count() for v in high_vals.tolist()])
+    # low halves grouped by popcount, descending within a group;
+    # group c is low_sorted[first[c]:first[c + 1]]
+    low_sorted = np.array(sorted(range(1 << low), key=lambda v: (v.bit_count(), -v)))
+    first = np.cumsum([0] + [comb(low, c) for c in range(low + 1)])
+    nb_high = _neighbour_bits(n, pairs, np.arange(1 << (len(pairs) - low)) << low)
+    nb_low = _neighbour_bits(n, pairs, np.arange(1 << low))
     for count in range(max(0, n - 1), len(pairs) + 1):
-        yield from combinations(pairs, count)
+        need = count - high_pc
+        fits = (need >= 0) & (need <= low)
+        highs, need = high_vals[fits], need[fits]
+        # ranks starts[h]:starts[h + 1] pair highs[h] with group need[h]
+        starts = np.concatenate(([0], np.cumsum(first[need + 1] - first[need])))
+        for lead in range(0, starts[-1], _CHUNK):
+            rank = np.arange(lead, min(lead + _CHUNK, starts[-1]))
+            h = np.searchsorted(starts, rank, side="right") - 1
+            hi = highs[h]
+            lo = low_sorted[first[need[h]] + rank - starts[h]]
+            yield (hi << low) | lo, nb_high[hi] | nb_low[lo]
 
 
-def _raw_connected(n: int, adjsets: Sequence[set[int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adjsets[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Union of nbrs[k, v] over the bits v of sets[k, j], per (k, j)."""
+    out = np.zeros_like(sets)
+    for v in range(nbrs.shape[1]):
+        out |= ((sets >> np.uint8(v)) & np.uint8(1)) * nbrs[:, v, None]
+    return out
+
+
+def _connected(nbrs: np.ndarray) -> np.ndarray:
+    """Whether vertex 0 reaches every vertex, per row of nbrs."""
+    n = nbrs.shape[1]
+    reach = np.ones((len(nbrs), 1), dtype=np.uint8)
+    for _ in range(n - 1):
+        reach |= _neighbourhood(nbrs, reach)
+    return reach[:, 0] == (1 << n) - 1
+
+
+def _mask_graph(n: int, mask: int) -> Graph:
+    """The graph on labels a, b, ... whose edges are the set bits of mask."""
+    pairs = _all_pairs_list(n)
+    labels = _ENUM_LABELS[:n]
+    return Graph(
+        ((labels[i], labels[j]) for p, (i, j) in enumerate(pairs)
+         if mask >> (len(pairs) - 1 - p) & 1),
+        vertices=labels,
+    )
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Every connected simple labeled graph on n vertices, exactly once."""
+    """Every connected simple labeled graph on n vertices, exactly once,
+    by edge count ascending then combinations order of the edge list."""
     if not 1 <= n <= 7:
         raise ValueError("exhaustive enumeration supports 1 <= n <= 7")
-    labels = list(_ENUM_LABELS[:n])
-    if n == 1:
-        yield Graph(vertices=labels)
-        return
-    for subset in _edge_subsets(n):
-        adjsets: list[set[int]] = [set() for _ in range(n)]
-        for i, j in subset:
-            adjsets[i].add(j)
-            adjsets[j].add(i)
-        if _raw_connected(n, adjsets):
-            yield Graph(((labels[i], labels[j]) for i, j in subset), vertices=labels)
+    for masks, nbrs in _mask_chunks(n):
+        for mask in masks[_connected(nbrs)].tolist():
+            yield _mask_graph(n, mask)
 
 
 def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -267,71 +332,84 @@ def random_graph_corpus(
 # simplicial counterexample search
 
 
-def _raw_simplicial(adj: Sequence[Sequence[int]], adjsets: Sequence[set[int]]) -> list[int]:
-    out = []
-    for v in range(len(adj)):
-        nbrs = adj[v]
-        if all(
-            nbrs[j] in adjsets[nbrs[i]]
-            for i in range(len(nbrs))
-            for j in range(i + 1, len(nbrs))
-        ):
-            out.append(v)
-    return out
+def _simplicial_bits(nbrs: np.ndarray) -> np.ndarray:
+    """Bitmask of the vertices whose neighbourhood is a clique, per row:
+    v qualifies when its closed neighbourhood N[v] lies inside N[u] for
+    every neighbour u."""
+    n = nbrs.shape[1]
+    closed = nbrs | _BITS[:n]
+    inside = np.full_like(nbrs, 0xFF)  # [k, v]: N[u] over the neighbours u of v
+    for u in range(n):
+        # (bit - 1) is 0xFF where u is no neighbour of v, else 0
+        inside &= closed[:, u, None] | (((nbrs >> np.uint8(u)) & np.uint8(1)) - np.uint8(1))
+    return np.packbits((closed & ~inside) == 0, axis=1, bitorder="little")[:, 0]
 
 
-def _raw_bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(adj)
-    rows = []
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        rows.append(dist)
-    return rows
+def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray) -> np.ndarray:
+    """Whether the simplicial bits cover no source, per row of connected
+    graphs: for every z some v lies on no geodesic from z to simp.
+
+    A bit-frontier BFS from every source z gives the level bitmasks
+    L_0..L_e. Going back up, U_j = L_j & (simp | N(U_{j+1})) holds the
+    level-j vertices with a distance-increasing path into simp, which are
+    the vertices on a geodesic from z to simp.
+    """
+    rows, n = nbrs.shape
+    seen = np.tile(_BITS[:n], (rows, 1))  # [k, z]
+    levels = [seen.copy()]
+    while True:
+        frontier = _neighbourhood(nbrs, levels[-1]) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        levels.append(frontier)
+    targets = simp[:, None]
+    up = levels.pop() & targets
+    covered = up.copy()
+    while levels:
+        up = levels.pop() & (targets | _neighbourhood(nbrs, up))
+        covered |= up
+    return (covered != (1 << n) - 1).all(axis=1)
 
 
-def _fails_from_every_source(rows: list[list[int]], simp: list[int]) -> bool:
-    """True when the simplicial set covers no source: for every z some
-    vertex lies on no geodesic from z to a simplicial vertex."""
-    n = len(rows)
-    for z in range(n):
-        dz = rows[z]
-        for v in range(n):
-            if not any(dz[v] + rows[v][y] == dz[y] for y in simp):
-                break
-        else:
-            return False
-    return True
+def _first_counterexample(nbrs: np.ndarray, min_simplicial: int) -> tuple[int, int] | None:
+    """(row, simplicial bits) of the first row that is connected, has at
+    least min_simplicial simplicial vertices and fails from every source."""
+    simp = _simplicial_bits(nbrs)
+    (keep,) = np.nonzero(_POPCOUNT[simp] >= min_simplicial)
+    keep = keep[_connected(nbrs[keep])]
+    (hits,) = np.nonzero(_fails_everywhere(nbrs[keep], simp[keep]))
+    if len(hits) == 0:
+        return None
+    row = int(keep[hits[0]])
+    return row, int(simp[row])
 
 
-def _counterexample_from_raw(
-    n: int, subset: Iterable[tuple[int, int]], simp: list[int]
-) -> tuple[Graph, VertexSet]:
-    labels = list(_ENUM_LABELS[:n])
-    g = Graph(((labels[i], labels[j]) for i, j in subset), vertices=labels)
-    return g, VertexSet.of(simp, n)
+def _stacked_bits(graphs: Iterable[Graph], n: int) -> np.ndarray:
+    """Neighbour bitmasks of n-vertex graphs, one row per graph; each
+    graph can be dropped once its row is read."""
+    return np.array(
+        [[sum(1 << w for w in g.adj[v]) for v in range(n)] for g in graphs],
+        dtype=np.uint8,
+    ).reshape(-1, n)
+
+
+def _vertex_set(bits: int, n: int) -> VertexSet:
+    return VertexSet.of((v for v in range(n) if bits >> v & 1), n)
 
 
 def find_simplicial_counterexample(
     max_n: int, *, min_simplicial: int = 1
 ) -> tuple[Graph, VertexSet] | None:
-    """First connected graph (n ascending, then edge count) whose nonempty
-    simplicial set fails to x-geodominate from every source vertex.
+    """First connected graph (n ascending, then edge count, then
+    combinations order of the edge list) whose nonempty simplicial set
+    fails to x-geodominate from every source vertex.
 
     min_simplicial additionally requires that many simplicial vertices.
-    Exhaustive through n = 7; at max_n = 8 a bounded seeded random sweep
-    follows, since full enumeration is out of reach there.
+    Exhaustive through n = 7, one array pass per chunk of edge masks. At
+    max_n = 8 the same predicate runs once over a fixed seeded sample of
+    2000 random graphs, stacked, since full enumeration is out of reach
+    there; the first of them that passes is the hit.
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
@@ -339,36 +417,22 @@ def find_simplicial_counterexample(
         raise ValueError("min_simplicial must be at least 1")
 
     for n in range(4, min(max_n, 7) + 1):
-        for subset in _edge_subsets(n):
-            adj: list[list[int]] = [[] for _ in range(n)]
-            adjsets: list[set[int]] = [set() for _ in range(n)]
-            for i, j in subset:
-                adj[i].append(j)
-                adj[j].append(i)
-                adjsets[i].add(j)
-                adjsets[j].add(i)
-            simp = _raw_simplicial(adj, adjsets)
-            if len(simp) < min_simplicial:
-                continue
-            if not _raw_connected(n, adjsets):
-                continue
-            rows = _raw_bfs_rows(adj)
-            if _fails_from_every_source(rows, simp):
-                return _counterexample_from_raw(n, subset, simp)
+        for masks, nbrs in _mask_chunks(n):
+            hit = _first_counterexample(nbrs, min_simplicial)
+            if hit is not None:
+                row, simp = hit
+                return _mask_graph(n, int(masks[row])), _vertex_set(simp, n)
 
     if max_n == 8:
-        for i in range(2000):
-            g = random_connected_graph(
-                GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
-            )
-            adj = [list(g.adj[v]) for v in range(8)]
-            adjsets = [set(a) for a in adj]
-            simp = _raw_simplicial(adj, adjsets)
-            if len(simp) < min_simplicial:
-                continue
-            rows = _raw_bfs_rows(adj)
-            if _fails_from_every_source(rows, simp):
-                return g, VertexSet.of(simp, 8)
+        specs = [
+            GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
+            for i in range(2000)
+        ]
+        nbrs = _stacked_bits((random_connected_graph(spec) for spec in specs), 8)
+        hit = _first_counterexample(nbrs, min_simplicial)
+        if hit is not None:
+            row, simp = hit
+            return random_connected_graph(specs[row]), _vertex_set(simp, 8)
     return None
 
 

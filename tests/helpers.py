@@ -2,12 +2,18 @@
 
 Nothing here shares code with the package: distances come from
 Floyd-Warshall instead of BFS, intervals from explicit simple-path
-enumeration, boundaries and coverage from direct definition scans.
+enumeration, boundaries and coverage from direct definition scans. The
+graph enumeration and the simplicial counterexample search are the
+pure-Python loops over `combinations` tuples that the package's array
+passes replaced.
 """
 
 from __future__ import annotations
 
-from geodom import Graph
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
+
+from geodom import Graph, GraphGenSpec, VertexSet, random_connected_graph
 
 INF = 10**9
 
@@ -144,3 +150,153 @@ def connected_labeled_graph_counts(n_max: int) -> list[int]:
             comb(n - 1, k - 1) * c[k] * total[n - k] for k in range(1, n)
         )
     return c[1:]
+
+
+# ---------------------------------------------------------------------------
+# loop enumeration and simplicial counterexample search
+
+_ENUM_LABELS = "abcdefgh"
+
+
+def _all_pairs_list(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def edge_subsets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every edge subset, by edge count ascending then lexicographic order.
+
+    Starts at n-1 edges: nothing smaller can span n vertices.
+    """
+    pairs = _all_pairs_list(n)
+    for count in range(max(0, n - 1), len(pairs) + 1):
+        yield from combinations(pairs, count)
+
+
+def raw_connected(n: int, adjsets: Sequence[set[int]]) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adjsets[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def loop_connected_graphs(n: int) -> Iterator[Graph]:
+    """Every connected simple labeled graph on n vertices, exactly once."""
+    labels = list(_ENUM_LABELS[:n])
+    if n == 1:
+        yield Graph(vertices=labels)
+        return
+    for subset in edge_subsets(n):
+        adjsets: list[set[int]] = [set() for _ in range(n)]
+        for i, j in subset:
+            adjsets[i].add(j)
+            adjsets[j].add(i)
+        if raw_connected(n, adjsets):
+            yield Graph(((labels[i], labels[j]) for i, j in subset), vertices=labels)
+
+
+def raw_simplicial(adj: Sequence[Sequence[int]], adjsets: Sequence[set[int]]) -> list[int]:
+    out = []
+    for v in range(len(adj)):
+        nbrs = adj[v]
+        if all(
+            nbrs[j] in adjsets[nbrs[i]]
+            for i in range(len(nbrs))
+            for j in range(i + 1, len(nbrs))
+        ):
+            out.append(v)
+    return out
+
+
+def raw_bfs_rows(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(adj)
+    rows = []
+    for src in range(n):
+        dist = [-1] * n
+        dist[src] = 0
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(dist)
+    return rows
+
+
+def fails_from_every_source(rows: list[list[int]], simp: list[int]) -> bool:
+    """True when the simplicial set covers no source: for every z some
+    vertex lies on no geodesic from z to a simplicial vertex."""
+    n = len(rows)
+    for z in range(n):
+        dz = rows[z]
+        for v in range(n):
+            if not any(dz[v] + rows[v][y] == dz[y] for y in simp):
+                break
+        else:
+            return False
+    return True
+
+
+def _counterexample_from_raw(
+    n: int, subset: Iterable[tuple[int, int]], simp: list[int]
+) -> tuple[Graph, VertexSet]:
+    labels = list(_ENUM_LABELS[:n])
+    g = Graph(((labels[i], labels[j]) for i, j in subset), vertices=labels)
+    return g, VertexSet.of(simp, n)
+
+
+def loop_simplicial_counterexample(
+    max_n: int, min_simplicial: int = 1
+) -> tuple[Graph, VertexSet] | None:
+    """The search loop over every edge subset of n = 4..min(max_n, 7),
+    then the seeded 2000-graph sample at max_n = 8."""
+    for n in range(4, min(max_n, 7) + 1):
+        for subset in edge_subsets(n):
+            adj: list[list[int]] = [[] for _ in range(n)]
+            adjsets: list[set[int]] = [set() for _ in range(n)]
+            for i, j in subset:
+                adj[i].append(j)
+                adj[j].append(i)
+                adjsets[i].add(j)
+                adjsets[j].add(i)
+            simp = raw_simplicial(adj, adjsets)
+            if len(simp) < min_simplicial:
+                continue
+            if not raw_connected(n, adjsets):
+                continue
+            rows = raw_bfs_rows(adj)
+            if fails_from_every_source(rows, simp):
+                return _counterexample_from_raw(n, subset, simp)
+
+    if max_n == 8:
+        for i in range(2000):
+            g = random_connected_graph(
+                GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
+            )
+            adj = [list(g.adj[v]) for v in range(8)]
+            adjsets = [set(a) for a in adj]
+            simp = raw_simplicial(adj, adjsets)
+            if len(simp) < min_simplicial:
+                continue
+            rows = raw_bfs_rows(adj)
+            if fails_from_every_source(rows, simp):
+                return g, VertexSet.of(simp, 8)
+    return None
+
+
+def loop_simplicial_verdict(g: Graph) -> tuple[list[int], bool]:
+    """The loop's simplicial vertices of g and whether they fail from
+    every source."""
+    adj = [list(a) for a in g.adj]
+    simp = raw_simplicial(adj, [set(a) for a in adj])
+    return simp, fails_from_every_source(raw_bfs_rows(adj), simp)

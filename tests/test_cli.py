@@ -397,6 +397,50 @@ def test_find_counterexample_not_found(capsys):
     assert out == "no counterexample found up to n = 4\n"
 
 
+FOUR_SIMPLICIAL_JSON = """\
+{
+  "command": "find-counterexample",
+  "inputs": {
+    "max_n": 8,
+    "min_simplicial": 4
+  },
+  "result": {
+    "found": true,
+    "n": 7,
+    "simplicial": [
+      "c",
+      "d",
+      "f",
+      "g"
+    ],
+    "document": "vertices: a b c d e f g\\na b\\na c\\na d\\na e\\na f\\na g\\nb c\\nb d\\ne f\\ne g\\n"
+  },
+  "checks": {
+    "fails_from_every_source": true
+  }
+}
+"""
+
+
+def test_find_counterexample_four_simplicial_json_golden(capsys):
+    code, out, _ = run(
+        capsys, "find-counterexample", "--max-n", "8", "--min-simplicial", "4", "--format", "json"
+    )
+    assert code == 0
+    assert out == FOUR_SIMPLICIAL_JSON
+
+
+def test_find_counterexample_not_found_at_eight(capsys):
+    argv = ("find-counterexample", "--max-n", "8", "--min-simplicial", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == "no counterexample found up to n = 8\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["result"] == {"found": False} and doc["checks"] == {}
+
+
 # ---------------------------------------------------------------------------
 # json mode
 

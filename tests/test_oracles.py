@@ -26,7 +26,14 @@ from geodom import (
     star_graph,
     verify_unique_minimum,
 )
-from helpers import connected_labeled_graph_counts
+from geodom import oracles
+from helpers import (
+    connected_labeled_graph_counts,
+    edge_subsets,
+    loop_connected_graphs,
+    loop_simplicial_counterexample,
+    loop_simplicial_verdict,
+)
 from strategies import connected_graphs, graphs_with_vertex, trees
 
 
@@ -160,6 +167,32 @@ def test_enumeration_n1_and_n2():
     assert edge.edge_count == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_the_loop(n):
+    assert list(enumerate_connected_graphs(n)) == list(loop_connected_graphs(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mask_chunks_follow_combinations_order(n):
+    # pair p is bit P-1-p, so every edge subset appears once, in the
+    # loop's (edge count, combinations rank) order
+    pairs = oracles._all_pairs_list(n)
+    top = len(pairs) - 1
+    expected = [
+        sum(1 << (top - pairs.index(pair)) for pair in subset) for subset in edge_subsets(n)
+    ]
+    chunks = list(oracles._mask_chunks(n))
+    assert [int(m) for masks, _ in chunks for m in masks] == expected
+    for masks, nbrs in chunks:
+        for mask, row in zip(masks.tolist(), nbrs.tolist()):
+            want = [0] * n
+            for p, (i, j) in enumerate(pairs):
+                if mask >> (top - p) & 1:
+                    want[i] |= 1 << j
+                    want[j] |= 1 << i
+            assert row == want
+
+
 # ---------------------------------------------------------------------------
 # random generation
 
@@ -240,9 +273,74 @@ def test_counterexample_with_many_simplicial_vertices():
     hit = find_simplicial_counterexample(8, min_simplicial=4)
     assert hit is not None
     g, simp = hit
-    assert g.n <= 8 and len(simp) >= 4
+    assert g.n == 7
+    assert list(g.edges()) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (4, 5), (4, 6)
+    ]
+    assert g.labels_of(simp) == ["c", "d", "f", "g"]
+    assert set(simp) == set(simplicial_vertices(g))
     for z in range(g.n):
         assert not is_x_geodominating(g, z, simp).is_geodominating
+
+
+def _hit_key(hit):
+    if hit is None:
+        return None
+    g, simp = hit
+    return g.n, list(g.edges()), list(simp)
+
+
+@pytest.mark.parametrize("min_simplicial", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_n", [4, 5, 6])
+def test_search_matches_the_loop(max_n, min_simplicial):
+    assert _hit_key(find_simplicial_counterexample(max_n, min_simplicial=min_simplicial)) == (
+        _hit_key(loop_simplicial_counterexample(max_n, min_simplicial))
+    )
+
+
+def _assert_predicate_matches_loop(graphs, n):
+    nbrs = oracles._stacked_bits(graphs, n)
+    simp = oracles._simplicial_bits(nbrs)
+    fails = oracles._fails_everywhere(nbrs, simp)
+    for g, bits, verdict in zip(graphs, simp.tolist(), fails.tolist()):
+        want_simp, want_fails = loop_simplicial_verdict(g)
+        assert [v for v in range(n) if bits >> v & 1] == want_simp, g.edges()
+        assert verdict == want_fails, list(g.edges())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_array_predicate_matches_the_loop_on_small_graphs(n):
+    _assert_predicate_matches_loop(list(loop_connected_graphs(n)), n)
+
+
+def test_array_predicate_matches_the_loop_on_the_seeded_sample():
+    graphs = [
+        random_connected_graph(
+            GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
+        )
+        for i in range(2000)
+    ]
+    _assert_predicate_matches_loop(graphs, 8)
+    # the simplicial counts span the min_simplicial thresholds the search uses
+    counts = {len(loop_simplicial_verdict(g)[0]) for g in graphs}
+    assert {1, 4, 5} <= counts
+
+
+def test_counterexample_search_is_independent(monkeypatch):
+    # the search certifies the package's BFS and simplicial code, so it
+    # must not run them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counterexample search must not call graph.py")
+
+    names = ("bfs_distances", "_level_words", "geodesic_sweep", "simplicial_vertices")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geodom":
+            for attr in names:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert find_simplicial_counterexample(6, min_simplicial=2) is not None
+    assert find_simplicial_counterexample(8, min_simplicial=5) is None
+    assert sum(1 for _ in enumerate_connected_graphs(5)) == 728
 
 
 def test_counterexample_argument_validation():
