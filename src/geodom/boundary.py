@@ -74,20 +74,24 @@ def boundary(g: Graph, x: int) -> BoundaryResult:
 
 def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
     """Boundary of x from its distance row."""
-    members = VertexSet.of(np.flatnonzero(_boundary_mask(g, row)), g.n)
+    if g.n < 2:
+        raise ValueError("boundary needs at least two vertices")
+    mask = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
+    members = VertexSet.of(np.flatnonzero(mask), g.n)
     return BoundaryResult(source=x, boundary=members, gx=len(members))
 
 
-def _boundary_mask(g: Graph, row: np.ndarray) -> np.ndarray:
+def _boundary_mask(
+    flat_neighbors: np.ndarray, neighbor_offsets: np.ndarray, row: np.ndarray
+) -> np.ndarray:
     """Mask of the vertices with no neighbour farther from the source of
-    ``row``.
+    ``row``, in the graph with these CSR arrays.
 
-    A connected graph on n >= 2 vertices has no isolated vertex, so every
-    reduceat segment is nonempty.
+    Every vertex needs a neighbour, so that every reduceat segment is
+    nonempty: a connected graph on n >= 2 vertices, or a disjoint union of
+    such graphs, has no isolated vertex.
     """
-    if g.n < 2:
-        raise ValueError("boundary needs at least two vertices")
-    farthest = np.maximum.reduceat(row[g.flat_neighbors], g.neighbor_offsets)
+    farthest = np.maximum.reduceat(row[flat_neighbors], neighbor_offsets)
     return farthest <= row
 
 
@@ -158,8 +162,9 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
     for lo in range(0, g.n, _WORD_BITS):
         batch = _gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
         if batch is None:
+            csr = g.flat_neighbors, g.neighbor_offsets
             sizes.extend(
-                int(np.count_nonzero(_boundary_mask(g, bfs_distances(g, x))))
+                int(np.count_nonzero(_boundary_mask(*csr, bfs_distances(g, x))))
                 for x in range(lo, g.n)
             )
             break

@@ -1,19 +1,19 @@
 """Brute-force ground truth, independent of the closed-form boundary route.
 
-The geodomination oracle enumerates candidate sets by increasing size and
-tests coverage by raw distance arithmetic, so its minima can be compared
-against boundary() without sharing logic. Small-graph enumeration and
-seeded random generation supply the verification substrate, and the
-simplicial counterexample search certifies that simplicial vertices can
-fail to geodominate from every source.
+The geodomination oracle unions, by subset doubling, the geodesic covers
+of every candidate set and keeps the full unions of least size, so its
+minima come from raw distance arithmetic and share no logic with
+boundary(). Small-graph enumeration and seeded random generation supply
+the verification substrate, and the simplicial counterexample search
+certifies that simplicial vertices can fail to geodominate from every
+source.
 
-Exhaustive enumeration and the counterexample search share one stage:
-every edge set on n <= 7 vertices is an integer mask, produced in chunks
-in (edge count, combinations rank) order together with per-vertex uint8
-neighbour bitmasks. Connectivity, the simplicial test and the geodesic
-test are numpy passes over those bitmasks, with their own bit-frontier
-BFS: nothing here calls the BFS, geodesic or simplicial code of graph.py
-that the search certifies.
+Exhaustive enumeration, the counterexample search and the theorem sweep
+share one stage (bitmasks.py): edge masks in chunks, neighbour bitmasks
+and their own bit-frontier BFS, so nothing here calls the BFS, geodesic
+or simplicial code of graph.py that the searches certify. The theorem
+sweep reads only the boundary itself from boundary.py, once per source
+index on the disjoint union of a chunk.
 """
 
 from __future__ import annotations
@@ -21,14 +21,25 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boundary import _row_boundary
-from .graph import DistanceMatrix, Graph, VertexSet, all_pairs
+from .bitmasks import (
+    _all_pairs_list,
+    _connected,
+    _distances,
+    _levels,
+    _mask_chunks,
+    _neighbourhood,
+    _pack,
+    _stacked_bits,
+    _union_csr,
+    _vertex_bits,
+)
+from .boundary import _boundary_mask, _row_boundary
+from .graph import DistanceMatrix, Graph, VertexSet
 
 __all__ = [
     "OracleResult",
@@ -44,12 +55,11 @@ __all__ = [
 ]
 
 _ENUM_LABELS = "abcdefgh"
-# edge masks per array pass; larger chunks gain little speed and raise
-# the peak memory of the search
-_CHUNK = 1 << 12
+# the theorem sweep holds n x n distances and a CSR per graph, so it takes
+# smaller chunks; these keep its peak memory at about the interpreter's
+_SWEEP_CHUNK = 1 << 9
 # set bits of every byte (np.bitwise_count needs numpy 2)
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
-_BITS = np.array([1 << v for v in range(8)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -88,51 +98,66 @@ class GraphGenSpec:
 def min_x_geodominating_bruteforce(
     g: Graph, dm: DistanceMatrix, x: int, *, cap: int = 12
 ) -> OracleResult:
-    """All minimum x-geodominating sets, by exhaustive size-ordered search.
+    """All minimum x-geodominating sets, in combinations order, by
+    exhaustive search over every candidate set (``_minimum_covers``).
 
     Candidates exclude x itself: x is covered by any nonempty set (it is
     an endpoint of every geodesic from x) and contributes only I[x,x] =
-    {x}, so adding it never shrinks a cover.
+    {x}, so adding it never shrinks a cover. Time and memory grow as
+    2^(n-1) per source, which the cap bounds.
     """
     n = g.n
     if n < 2:
         raise ValueError("x-geodomination needs at least two vertices")
-    if n > cap:
-        raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+    _require_cap(n, cap)
     if not 0 <= x < n:
         raise ValueError(f"vertex index {x} out of range [0, {n})")
+    size, hits = _minimum_covers(dm.d[None], x)
+    return OracleResult(
+        minimum_size=int(size[0]),
+        minimum_sets=_minimum_sets(hits[0], x, n),
+        exhausted=True,
+    )
 
-    d = dm.d
-    full = (1 << n) - 1
+
+def _require_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+
+
+def _minimum_covers(d: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, hits) for source x in each graph of d[K, n, n]: hits[k, t]
+    marks the candidate sets t of least size size[k] whose geodesics from
+    x cover every vertex, where bit i of t is the i-th vertex other than x.
+
+    cover[k, i] is the interval I[x, y] of candidate y as a bitmask. Subset
+    doubling unions them over every t: the unions of the sets without
+    candidate i, ORed with cover i, are those of the sets with it.
+    """
+    rows, n, _ = d.shape
+    dx = d[:, x, :]
+    on = dx[:, None, :] + d == dx[:, :, None]  # [k, y, v]: v on a geodesic x..y
+    cover = _pack(np.delete(on, x, axis=1))
+    union = np.zeros((rows, 1), dtype=cover.dtype)
+    sizes = np.zeros(1, dtype=np.uint8)
+    for i in range(n - 1):
+        union = np.concatenate((union, union | cover[:, i, None]), axis=1)
+        sizes = np.concatenate((sizes, sizes + np.uint8(1)))
+    full = union == (1 << n) - 1
+    # the set of every candidate is always full, so each row has a hit
+    size = np.where(full, sizes, n).min(axis=1)
+    return size, full & (sizes == size[:, None])
+
+
+def _minimum_sets(hits: np.ndarray, x: int, n: int) -> tuple[VertexSet, ...]:
+    """The sets marked in one row of ``_minimum_covers``'s hits, which all
+    have one size, in combinations order: their sorted members ascending."""
     candidates = [v for v in range(n) if v != x]
-    cover = {}
-    for y in candidates:
-        mask = 0
-        for v in range(n):
-            if d[x, v] + d[v, y] == d[x, y]:
-                mask |= 1 << v
-        cover[y] = mask
-
-    for size in range(1, len(candidates) + 1):
-        winners = [
-            combo
-            for combo in combinations(candidates, size)
-            if _union(cover, combo) == full
-        ]
-        if winners:
-            return OracleResult(
-                minimum_size=size,
-                minimum_sets=tuple(VertexSet.of(c, n) for c in winners),
-                exhausted=True,
-            )
-    raise AssertionError("unreachable: V minus x always geodominates")
-
-
-def _union(cover: dict[int, int], combo: Sequence[int]) -> int:
-    mask = 0
-    for y in combo:
-        mask |= cover[y]
-    return mask
+    members = sorted(
+        tuple(v for i, v in enumerate(candidates) if t >> i & 1)
+        for t in np.flatnonzero(hits).tolist()
+    )
+    return tuple(VertexSet(m, n) for m in members)
 
 
 def geodetic_number_bruteforce(
@@ -140,8 +165,7 @@ def geodetic_number_bruteforce(
 ) -> tuple[int, VertexSet]:
     """Smallest k with a geodetic set of size k, plus the first witness."""
     n = g.n
-    if n > cap:
-        raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+    _require_cap(n, cap)
     if n == 1:
         return 1, VertexSet.of([0], 1)
 
@@ -170,76 +194,6 @@ def geodetic_number_bruteforce(
 
 # ---------------------------------------------------------------------------
 # graph generation
-
-
-def _all_pairs_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _neighbour_bits(
-    n: int, pairs: Sequence[tuple[int, int]], masks: np.ndarray
-) -> np.ndarray:
-    """nbrs[k, v]: the neighbour bitmask of vertex v in edge mask k, where
-    pair p of pairs is bit len(pairs) - 1 - p."""
-    top = len(pairs) - 1
-    nbrs = np.zeros((len(masks), n), dtype=np.uint8)
-    for p, (i, j) in enumerate(pairs):
-        edge = ((masks >> (top - p)) & 1).astype(np.uint8)
-        nbrs[:, i] |= edge << np.uint8(j)
-        nbrs[:, j] |= edge << np.uint8(i)
-    return nbrs
-
-
-def _mask_chunks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, nbrs) for every edge set on n vertices, by edge count
-    ascending then combinations rank, at most _CHUNK masks at a time.
-
-    Pair p of _all_pairs_list(n) is bit P - 1 - p of a mask, so the
-    combinations order of each edge count is descending mask order. A mask
-    is a high and a low half: descending order runs the high halves
-    downwards and, under each, the low halves of the remaining popcount
-    downwards. nbrs comes from per-half tables. Starts at n - 1 edges:
-    nothing smaller can span n vertices.
-    """
-    pairs = _all_pairs_list(n)
-    low = len(pairs) // 2
-    high_vals = np.arange((1 << (len(pairs) - low)) - 1, -1, -1)
-    high_pc = np.array([v.bit_count() for v in high_vals.tolist()])
-    # low halves grouped by popcount, descending within a group;
-    # group c is low_sorted[first[c]:first[c + 1]]
-    low_sorted = np.array(sorted(range(1 << low), key=lambda v: (v.bit_count(), -v)))
-    first = np.cumsum([0] + [comb(low, c) for c in range(low + 1)])
-    nb_high = _neighbour_bits(n, pairs, np.arange(1 << (len(pairs) - low)) << low)
-    nb_low = _neighbour_bits(n, pairs, np.arange(1 << low))
-    for count in range(max(0, n - 1), len(pairs) + 1):
-        need = count - high_pc
-        fits = (need >= 0) & (need <= low)
-        highs, need = high_vals[fits], need[fits]
-        # ranks starts[h]:starts[h + 1] pair highs[h] with group need[h]
-        starts = np.concatenate(([0], np.cumsum(first[need + 1] - first[need])))
-        for lead in range(0, starts[-1], _CHUNK):
-            rank = np.arange(lead, min(lead + _CHUNK, starts[-1]))
-            h = np.searchsorted(starts, rank, side="right") - 1
-            hi = highs[h]
-            lo = low_sorted[first[need[h]] + rank - starts[h]]
-            yield (hi << low) | lo, nb_high[hi] | nb_low[lo]
-
-
-def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Union of nbrs[k, v] over the bits v of sets[k, j], per (k, j)."""
-    out = np.zeros_like(sets)
-    for v in range(nbrs.shape[1]):
-        out |= ((sets >> np.uint8(v)) & np.uint8(1)) * nbrs[:, v, None]
-    return out
-
-
-def _connected(nbrs: np.ndarray) -> np.ndarray:
-    """Whether vertex 0 reaches every vertex, per row of nbrs."""
-    n = nbrs.shape[1]
-    reach = np.ones((len(nbrs), 1), dtype=np.uint8)
-    for _ in range(n - 1):
-        reach |= _neighbourhood(nbrs, reach)
-    return reach[:, 0] == (1 << n) - 1
 
 
 def _mask_graph(n: int, mask: int) -> Graph:
@@ -337,7 +291,7 @@ def _simplicial_bits(nbrs: np.ndarray) -> np.ndarray:
     v qualifies when its closed neighbourhood N[v] lies inside N[u] for
     every neighbour u."""
     n = nbrs.shape[1]
-    closed = nbrs | _BITS[:n]
+    closed = nbrs | _vertex_bits(n, nbrs.dtype)
     inside = np.full_like(nbrs, 0xFF)  # [k, v]: N[u] over the neighbours u of v
     for u in range(n):
         # (bit - 1) is 0xFF where u is no neighbour of v, else 0
@@ -349,20 +303,13 @@ def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray) -> np.ndarray:
     """Whether the simplicial bits cover no source, per row of connected
     graphs: for every z some v lies on no geodesic from z to simp.
 
-    A bit-frontier BFS from every source z gives the level bitmasks
-    L_0..L_e. Going back up, U_j = L_j & (simp | N(U_{j+1})) holds the
-    level-j vertices with a distance-increasing path into simp, which are
-    the vertices on a geodesic from z to simp.
+    From the BFS level bitmasks L_0..L_e of every source z (``_levels``),
+    going back up, U_j = L_j & (simp | N(U_{j+1})) holds the level-j
+    vertices with a distance-increasing path into simp, which are the
+    vertices on a geodesic from z to simp.
     """
-    rows, n = nbrs.shape
-    seen = np.tile(_BITS[:n], (rows, 1))  # [k, z]
-    levels = [seen.copy()]
-    while True:
-        frontier = _neighbourhood(nbrs, levels[-1]) & ~seen
-        if not frontier.any():
-            break
-        seen |= frontier
-        levels.append(frontier)
+    n = nbrs.shape[1]
+    levels = _levels(nbrs)
     targets = simp[:, None]
     up = levels.pop() & targets
     covered = up.copy()
@@ -383,15 +330,6 @@ def _first_counterexample(nbrs: np.ndarray, min_simplicial: int) -> tuple[int, i
         return None
     row = int(keep[hits[0]])
     return row, int(simp[row])
-
-
-def _stacked_bits(graphs: Iterable[Graph], n: int) -> np.ndarray:
-    """Neighbour bitmasks of n-vertex graphs, one row per graph; each
-    graph can be dropped once its row is read."""
-    return np.array(
-        [[sum(1 << w for w in g.adj[v]) for v in range(n)] for g in graphs],
-        dtype=np.uint8,
-    ).reshape(-1, n)
 
 
 def _vertex_set(bits: int, n: int) -> VertexSet:
@@ -453,40 +391,107 @@ class VerificationReport:
         return not self.failures
 
 
-def verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> VerificationReport:
+def verify_unique_minimum(
+    graphs: Iterable[Graph], *, cap: int = 12, exhaustive_n: int = 0
+) -> VerificationReport:
     """For every graph and source, check that the brute-force search finds
     exactly one minimum x-geodominating set and that it is the boundary.
 
-    Single-vertex graphs are skipped: geodomination needs a non-source
-    vertex to exist.
+    exhaustive_n puts every connected graph on 2..exhaustive_n vertices
+    ahead of graphs, swept chunk by chunk from ``_mask_chunks`` without
+    building a Graph. graphs take the same chunk check, stacked by vertex
+    count; they are swept first, so that one over the cap fails before
+    the enumeration. A Graph is built only to report an enumerated
+    failure. Single-vertex graphs are skipped: geodomination needs a
+    non-source vertex to exist.
     """
-    graphs_checked = 0
-    sources_checked = 0
-    failures: list[str] = []
-    for g in graphs:
-        if g.n < 2:
-            continue
-        graphs_checked += 1
-        dm = all_pairs(g)
-        for x in range(g.n):
-            sources_checked += 1
-            res = min_x_geodominating_bruteforce(g, dm, x, cap=cap)
-            # the oracle's matrix holds the row, so no BFS per source
-            expected = _row_boundary(g, dm.row(x), x).boundary
-            if (
-                not res.exhausted
-                or len(res.minimum_sets) != 1
-                or res.minimum_sets[0] != expected
-                or res.minimum_size != len(expected)
-            ):
-                oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
-                failures.append(
-                    f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "
-                    f"oracle size {res.minimum_size} sets {oracle_sets} vs "
-                    f"boundary {g.labels_of(expected)}"
-                )
+    if not 0 <= exhaustive_n <= 7:
+        raise ValueError("exhaustive enumeration supports n <= 7")
+    if exhaustive_n >= 2:
+        _require_cap(exhaustive_n, cap)
+    listed = _verify_graphs(graphs, cap)
+    enumerated = _verify_enumeration(exhaustive_n, cap)
     return VerificationReport(
-        graphs_checked=graphs_checked,
-        sources_checked=sources_checked,
-        failures=tuple(failures),
+        graphs_checked=enumerated.graphs_checked + listed.graphs_checked,
+        sources_checked=enumerated.sources_checked + listed.sources_checked,
+        failures=enumerated.failures + listed.failures,
+    )
+
+
+def _verify_enumeration(max_n: int, cap: int) -> VerificationReport:
+    """The sweep over every connected graph on 2..max_n vertices."""
+    graphs_checked = sources_checked = 0
+    failures: list[str] = []
+    for n in range(2, max_n + 1):
+        for masks, nbrs in _mask_chunks(n, _SWEEP_CHUNK):
+            keep = _connected(nbrs)
+            masks, nbrs = masks[keep], nbrs[keep]
+            d = _distances(nbrs)
+            failures.extend(
+                _failure(_mask_graph(n, int(masks[row])), d[row], x, cap)
+                for row, x in _failing_sources(nbrs, d)
+            )
+            graphs_checked += len(nbrs)
+            sources_checked += n * len(nbrs)
+    return VerificationReport(graphs_checked, sources_checked, tuple(failures))
+
+
+def _verify_graphs(graphs: Iterable[Graph], cap: int) -> VerificationReport:
+    """The sweep over graphs, _SWEEP_CHUNK at a time, each chunk stacked by
+    vertex count; failures keep the order of graphs, then of sources."""
+    graphs_checked = sources_checked = 0
+    failures: list[str] = []
+    todo = iter(graphs)
+    while chunk := list(islice(todo, _SWEEP_CHUNK)):
+        chunk = [g for g in chunk if g.n >= 2]
+        for g in chunk:
+            _require_cap(g.n, cap)
+        failing = []
+        for n in sorted({g.n for g in chunk}):
+            where = [i for i, g in enumerate(chunk) if g.n == n]
+            nbrs = _stacked_bits((chunk[i] for i in where), n)
+            d = _distances(nbrs)
+            failing.extend((where[row], x, d[row]) for row, x in _failing_sources(nbrs, d))
+        failing.sort(key=lambda f: f[:2])
+        failures.extend(_failure(chunk[i], dist, x, cap) for i, x, dist in failing)
+        graphs_checked += len(chunk)
+        sources_checked += sum(g.n for g in chunk)
+    return VerificationReport(graphs_checked, sources_checked, tuple(failures))
+
+
+def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
+    """(row, x) of every source x of the connected graphs in nbrs whose
+    minimum x-geodominating set is not unique or is not the boundary, by
+    row then x; d holds their distances (``_distances``).
+
+    The oracle is ``_minimum_covers``; the boundary is the library's
+    ``_boundary_mask``, run once per source index on the union of rows.
+    """
+    rows, n = nbrs.shape
+    flat, offsets = _union_csr(nbrs)
+    bad = np.zeros((rows, n), dtype=bool)
+    for x in range(n):
+        size, hits = _minimum_covers(d, x)
+        # the vertex mask of a row's first hit: a zero bit goes in at x
+        first = hits.argmax(axis=1)
+        low = (1 << x) - 1
+        found = (first & low) | ((first & ~low) << 1)
+        inside = _boundary_mask(flat, offsets, d[:, x, :].ravel()).reshape(rows, n)
+        bad[:, x] = ~(
+            (hits.sum(axis=1) == 1)
+            & (found == _pack(inside))
+            & (size == inside.sum(axis=1))
+        )
+    return [(row, x) for row, x in np.argwhere(bad).tolist()]
+
+
+def _failure(g: Graph, d: np.ndarray, x: int, cap: int) -> str:
+    """The report line of a failing source x of g, whose distances are d."""
+    res = min_x_geodominating_bruteforce(g, DistanceMatrix(d), x, cap=cap)
+    expected = _row_boundary(g, d[x], x).boundary
+    oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
+    return (
+        f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "
+        f"oracle size {res.minimum_size} sets {oracle_sets} vs "
+        f"boundary {g.labels_of(expected)}"
     )

@@ -230,7 +230,7 @@ def _require_report_factors(g: Graph, h: Graph) -> None:
 
 def _row_and_boundary(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
     row = bfs_distances(g, x)
-    return row, _boundary_mask(g, row)
+    return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
 
 
 def _actual_boundary(

@@ -3,17 +3,31 @@
 Nothing here shares code with the package: distances come from
 Floyd-Warshall instead of BFS, intervals from explicit simple-path
 enumeration, boundaries and coverage from direct definition scans. The
-graph enumeration and the simplicial counterexample search are the
-pure-Python loops over `combinations` tuples that the package's array
-passes replaced.
+graph enumeration, the simplicial counterexample search, the minimum
+x-geodominating search and the theorem sweep are the pure-Python loops
+over `combinations` tuples that the package's array passes replaced; the
+sweep loop still reads the boundary through the package, as the array
+sweep does, since the boundary is what it checks.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from geodom import Graph, GraphGenSpec, VertexSet, random_connected_graph
+import numpy as np
+from geodom import (
+    DistanceMatrix,
+    Graph,
+    GraphGenSpec,
+    OracleResult,
+    VerificationReport,
+    VertexSet,
+    all_pairs,
+    random_connected_graph,
+)
+from geodom.boundary import _row_boundary
 
 INF = 10**9
 
@@ -300,3 +314,121 @@ def loop_simplicial_verdict(g: Graph) -> tuple[list[int], bool]:
     adj = [list(a) for a in g.adj]
     simp = raw_simplicial(adj, [set(a) for a in adj])
     return simp, fails_from_every_source(raw_bfs_rows(adj), simp)
+
+
+# ---------------------------------------------------------------------------
+# loop minimum x-geodominating search and theorem sweep
+
+
+def loop_min_x_geodominating(
+    g: Graph, dm: DistanceMatrix, x: int, *, cap: int = 12
+) -> OracleResult:
+    """All minimum x-geodominating sets, by exhaustive size-ordered search.
+
+    Candidates exclude x itself: x is covered by any nonempty set (it is
+    an endpoint of every geodesic from x) and contributes only I[x,x] =
+    {x}, so adding it never shrinks a cover.
+    """
+    n = g.n
+    if n < 2:
+        raise ValueError("x-geodomination needs at least two vertices")
+    if n > cap:
+        raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+    if not 0 <= x < n:
+        raise ValueError(f"vertex index {x} out of range [0, {n})")
+
+    d = dm.d
+    full = (1 << n) - 1
+    candidates = [v for v in range(n) if v != x]
+    cover = {}
+    for y in candidates:
+        mask = 0
+        for v in range(n):
+            if d[x, v] + d[v, y] == d[x, y]:
+                mask |= 1 << v
+        cover[y] = mask
+
+    for size in range(1, len(candidates) + 1):
+        winners = [
+            combo
+            for combo in combinations(candidates, size)
+            if _union(cover, combo) == full
+        ]
+        if winners:
+            return OracleResult(
+                minimum_size=size,
+                minimum_sets=tuple(VertexSet.of(c, n) for c in winners),
+                exhausted=True,
+            )
+    raise AssertionError("unreachable: V minus x always geodominates")
+
+
+def _union(cover: dict[int, int], combo: Sequence[int]) -> int:
+    mask = 0
+    for y in combo:
+        mask |= cover[y]
+    return mask
+
+
+def loop_verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> VerificationReport:
+    """For every graph and source, check that the brute-force search finds
+    exactly one minimum x-geodominating set and that it is the boundary.
+
+    Single-vertex graphs are skipped: geodomination needs a non-source
+    vertex to exist.
+    """
+    graphs_checked = 0
+    sources_checked = 0
+    failures: list[str] = []
+    for g in graphs:
+        if g.n < 2:
+            continue
+        graphs_checked += 1
+        dm = all_pairs(g)
+        for x in range(g.n):
+            sources_checked += 1
+            res = loop_min_x_geodominating(g, dm, x, cap=cap)
+            # the oracle's matrix holds the row, so no BFS per source
+            expected = _row_boundary(g, dm.row(x), x).boundary
+            if (
+                not res.exhausted
+                or len(res.minimum_sets) != 1
+                or res.minimum_sets[0] != expected
+                or res.minimum_size != len(expected)
+            ):
+                oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
+                failures.append(
+                    f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "
+                    f"oracle size {res.minimum_size} sets {oracle_sets} vs "
+                    f"boundary {g.labels_of(expected)}"
+                )
+    return VerificationReport(
+        graphs_checked=graphs_checked,
+        sources_checked=sources_checked,
+        failures=tuple(failures),
+    )
+
+
+def drop_one_boundary_vertex(monkeypatch) -> None:
+    """Make the package's boundary lose its highest vertex in every
+    connected component of the graph it scans, so one vertex per graph
+    both when it scans one graph and when it scans a disjoint union."""
+    # the package exports a function named boundary over the module's name
+    mask = sys.modules["geodom.boundary"]._boundary_mask
+
+    def mutant(flat_neighbors, neighbor_offsets, row):
+        keep = mask(flat_neighbors, neighbor_offsets, row).copy()
+        # least vertex of each component, by min-label propagation
+        comp = np.arange(len(row))
+        while True:
+            least = np.minimum(comp, np.minimum.reduceat(comp[flat_neighbors], neighbor_offsets))
+            if (least == comp).all():
+                break
+            comp = least
+        last = {c: v for v, c in enumerate(comp.tolist()) if keep[v]}
+        keep[list(last.values())] = False
+        return keep
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geodom" and hasattr(module, "_boundary_mask"):
+            monkeypatch.setattr(module, "_boundary_mask", mutant)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,13 +10,14 @@ import pytest
 import geodom
 from geodom import (
     Graph,
-    VerificationReport,
     boundary,
     enumerate_connected_graphs,
+    oracles,
     parse_graph,
     product,
 )
 from geodom.cli import main
+from helpers import drop_one_boundary_vertex, loop_verify_unique_minimum
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
 P3_TEXT = "vertices: a b c\na b\nb c\n"
@@ -350,34 +352,108 @@ def test_verify_theorems_validates_range(capsys):
 
 
 def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypatch):
-    def no_enumeration(n):
+    def no_enumeration(*args):
         raise AssertionError("the random corpus must be checked first")
 
-    monkeypatch.setattr("geodom.cli.enumerate_connected_graphs", no_enumeration)
+    monkeypatch.setattr("geodom.oracles._mask_chunks", no_enumeration)
     code, _, err = run(capsys, "verify-theorems", "--random", "2", "--n", "1")
     assert code == 2 and "n_low" in err
 
 
-def test_verify_theorems_streams_the_enumeration(capsys, monkeypatch):
-    yielded = []
+def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the corpus must be checked against the cap first")
 
-    def counting_enumeration(n):
-        for g in enumerate_connected_graphs(n):
-            yielded.append(g)
-            yield g
+    monkeypatch.setattr("geodom.oracles._mask_chunks", no_enumeration)
+    argv = ("verify-theorems", "--exhaustive-n", "6", "--random", "2", "--n", "13")
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: too large: 13 vertices exceeds the cap of 12\n")
 
-    yielded_before_first = []
 
-    def first_graph_only(graphs):
-        first = next(iter(graphs))
-        yielded_before_first.append(len(yielded))
-        return VerificationReport(graphs_checked=1, sources_checked=first.n, failures=())
+def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):
+    # each chunk of edge masks is checked before the next one is made
+    events = []
+    chunks, check = oracles._mask_chunks, oracles._failing_sources
 
-    monkeypatch.setattr("geodom.cli.enumerate_connected_graphs", counting_enumeration)
-    monkeypatch.setattr("geodom.cli.verify_unique_minimum", first_graph_only)
+    def logged_chunks(*args):
+        for chunk in chunks(*args):
+            events.append("chunk")
+            yield chunk
+
+    def logged_check(*args):
+        events.append("check")
+        return check(*args)
+
+    monkeypatch.setattr(oracles, "_mask_chunks", logged_chunks)
+    monkeypatch.setattr(oracles, "_failing_sources", logged_check)
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "6")
+    assert code == 0 and "graphs checked: 27475" in out
+    assert len(events) > 20
+    assert events == ["chunk", "check"] * (len(events) // 2)
+
+
+def test_verify_theorems_builds_no_graph(capsys, monkeypatch):
+    def no_graph(self, *args, **kwargs):
+        raise AssertionError("a passing sweep builds no Graph")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
     code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "5")
-    assert code == 0 and "graphs checked: 1" in out
-    assert yielded_before_first == [1]
+    assert code == 0 and "graphs checked: 771" in out
+
+
+def test_verify_theorems_prints_the_first_five_failures(capsys, monkeypatch):
+    drop_one_boundary_vertex(monkeypatch)
+    graphs = [g for n in range(2, 5) for g in enumerate_connected_graphs(n)]
+    expected = loop_verify_unique_minimum(graphs)
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "graphs checked: 43",
+        "sources checked: 166",
+        *(f"FAIL: {f}" for f in expected.failures[:5]),
+    ]
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "4", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["checks"] == {"holds": False}
+    assert doc["result"]["failures"] == list(expected.failures)
+
+
+# sha256 of the stdout of verify-theorems --exhaustive-n 6 --format json
+EXHAUSTIVE_6_JSON_SHA256 = "9db982bfb2a34cb76dd0a0dc5a4ccd675557d8a0673df8ce1f4732b9549a81a1"
+
+RANDOM_30_JSON = """\
+{
+  "command": "verify-theorems",
+  "inputs": {
+    "exhaustive_n": 0,
+    "random": 30,
+    "n": 9,
+    "p": 0.35,
+    "seed": 5
+  },
+  "result": {
+    "graphs_checked": 30,
+    "sources_checked": 270,
+    "failures": []
+  },
+  "checks": {
+    "holds": true
+  }
+}
+"""
+
+
+def test_verify_theorems_goldens(capsys):
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "6", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_6_JSON_SHA256
+    code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "6")
+    assert code == 0
+    assert out == "graphs checked: 27475\nsources checked: 164030\ntheorem holds on all instances\n"
+    argv = ("verify-theorems", "--exhaustive-n", "0", "--random", "30", "--n", "9", "--seed", "5")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == RANDOM_30_JSON
 
 
 def test_find_counterexample(capsys):

@@ -1,11 +1,14 @@
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodom import (
+    DistanceMatrix,
     Graph,
+    GraphError,
     GraphGenSpec,
     all_pairs,
     boundary,
@@ -27,12 +30,16 @@ from geodom import (
     verify_unique_minimum,
 )
 from geodom import oracles
+from geodom.boundary import _row_boundary
 from helpers import (
     connected_labeled_graph_counts,
+    drop_one_boundary_vertex,
     edge_subsets,
     loop_connected_graphs,
+    loop_min_x_geodominating,
     loop_simplicial_counterexample,
     loop_simplicial_verdict,
+    loop_verify_unique_minimum,
 )
 from strategies import connected_graphs, graphs_with_vertex, trees
 
@@ -89,6 +96,39 @@ def test_excluding_x_loses_nothing(gv):
         assert set(is_x_geodominating(g, x, s).covered) == set(
             is_x_geodominating(g, x, with_x).covered
         )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_search_matches_the_loop_on_every_small_graph(n):
+    for g in enumerate_connected_graphs(n):
+        dm = all_pairs(g)
+        for x in range(n):
+            assert min_x_geodominating_bruteforce(g, dm, x) == loop_min_x_geodominating(g, dm, x)
+
+
+def test_search_matches_the_loop_on_a_random_corpus():
+    for g in random_graph_corpus(12, 9, 12, 0.25, seed=3):
+        dm = all_pairs(g)
+        for x in range(g.n):
+            assert min_x_geodominating_bruteforce(g, dm, x) == loop_min_x_geodominating(g, dm, x)
+
+
+def test_search_lists_tied_sets_in_combinations_order():
+    # a graph has one minimum set per source; arbitrary symmetric matrices
+    # with a zero diagonal tie many, which pins the order of minimum_sets
+    rng = np.random.default_rng(7)
+    tied = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        d = rng.integers(0, 3, size=(n, n))
+        d = np.triu(d, 1) + np.triu(d, 1).T
+        g = complete_graph(n)
+        for x in range(n):
+            res = min_x_geodominating_bruteforce(g, DistanceMatrix(d), x)
+            assert res == loop_min_x_geodominating(g, DistanceMatrix(d), x)
+            # ties of sets with two or more members, which index order does not sort
+            tied += res.minimum_size > 1 and len(res.minimum_sets) > 1
+    assert tied > 50
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +438,72 @@ def test_verify_skips_single_vertex_graphs():
     graphs = list(enumerate_connected_graphs(1)) + list(enumerate_connected_graphs(2))
     report = verify_unique_minimum(graphs)
     assert report.graphs_checked == 1 and report.sources_checked == 2
+
+
+def test_sweep_report_matches_the_loop():
+    enumerated = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    corpus = random_graph_corpus(12, 7, 12, 0.3, seed=2)
+    expected = loop_verify_unique_minimum(enumerated + corpus)
+    assert expected.ok and expected.graphs_checked == 771 + 12
+    assert verify_unique_minimum(enumerated + corpus) == expected
+    # the enumeration goes ahead of the graphs, as in the loop's input
+    assert verify_unique_minimum(corpus, exhaustive_n=5) == expected
+
+
+def test_sweep_failures_match_the_loop(monkeypatch):
+    drop_one_boundary_vertex(monkeypatch)
+    graphs = [g for n in range(2, 5) for g in enumerate_connected_graphs(n)]
+    expected = loop_verify_unique_minimum(graphs)
+    # a boundary is never empty, so the mutant fails every source
+    assert len(expected.failures) == expected.sources_checked == 2 + 4 * 3 + 38 * 4
+    assert verify_unique_minimum(graphs) == expected
+    assert verify_unique_minimum([], exhaustive_n=4) == expected
+    up_to_three = graphs[:5]
+    corpus = random_graph_corpus(9, 7, 9, 0.3, seed=4)
+    expected = loop_verify_unique_minimum(up_to_three + corpus)
+    assert len(expected.failures) == expected.sources_checked
+    assert verify_unique_minimum(corpus, exhaustive_n=3) == expected
+
+
+def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
+    # a changed distance can tie minimum sets or move the boundary, so
+    # every clause of the verdict decides some source
+    rng = np.random.default_rng(11)
+    graphs = random_graph_corpus(60, 6, 6, 0.4, seed=8)
+    nbrs = oracles._stacked_bits(graphs, 6)
+    d = np.array([all_pairs(g).d for g in graphs], dtype=np.uint8)
+    for row in range(0, 60, 2):
+        u, v = rng.choice(6, size=2, replace=False)
+        d[row, u, v] = d[row, v, u] = rng.integers(0, 4)
+    expected, tied = [], 0
+    for row, g in enumerate(graphs):
+        for x in range(6):
+            res = loop_min_x_geodominating(g, DistanceMatrix(d[row]), x)
+            inside = _row_boundary(g, d[row, x], x).boundary
+            tied += len(res.minimum_sets) > 1
+            if res.minimum_sets != (inside,) or res.minimum_size != len(inside):
+                expected.append((row, x))
+    assert tied > 5 and 20 < len(expected) < 150
+    assert oracles._failing_sources(nbrs, d) == expected
+
+
+def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("an over-cap graph must fail before the enumeration")
+
+    monkeypatch.setattr(oracles, "_mask_chunks", no_chunks)
+    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+        verify_unique_minimum([path_graph(13)], exhaustive_n=6)
+    with pytest.raises(ValueError, match="cap of 3"):
+        verify_unique_minimum([], cap=3, exhaustive_n=4)
+    with pytest.raises(ValueError, match="n <= 7"):
+        verify_unique_minimum([], exhaustive_n=8)
+
+
+def test_sweep_rejects_disconnected_graphs():
+    g = Graph([("a", "b"), ("c", "d")])
+    with pytest.raises(GraphError, match="disconnected"):
+        verify_unique_minimum([g])
 
 
 @given(connected_graphs(max_n=6))
