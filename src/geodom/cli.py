@@ -10,7 +10,7 @@ byte-identical across runs for identical inputs and seeds. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -34,6 +34,7 @@ from .graph import (
     is_geodetic,
     parse_graph,
 )
+from .jsonout import _write_json
 from .oracles import (
     find_simplicial_counterexample,
     geodetic_number_bruteforce,
@@ -505,17 +506,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        doc = {
-            "command": args.command,
-            "inputs": out.inputs,
-            "result": out.result,
-            "checks": out.checks,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        for line in out.lines:
-            print(line)
+    try:
+        if args.format == "json":
+            doc = {
+                "command": args.command,
+                "inputs": out.inputs,
+                "result": out.result,
+                "checks": out.checks,
+            }
+            _write_json(doc, sys.stdout.write)
+        else:
+            for line in out.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`geodom ... | head`). Point stdout
+        # at devnull, so that the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return out.code
 
 

@@ -1,7 +1,8 @@
-"""Hypothesis generators for small connected graphs."""
+"""Hypothesis generators for small connected graphs and JSON documents."""
 
 from __future__ import annotations
 
+import math
 import string
 
 from hypothesis import strategies as st
@@ -56,3 +57,30 @@ def graphs_vertex_and_set(
     g, x = draw(graphs_with_vertex(min_n, max_n))
     members = draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n))
     return g, x, members
+
+
+# strings json must escape: quotes, backslashes, control characters,
+# non-ASCII, astral and lone surrogate code points
+_AWKWARD_TEXT = ['"q', "back\\slash", "\x00\x1f\n\t\x7f", "é", "日本", "\U0001f600", "\ud800"]
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(_AWKWARD_TEXT),
+)
+
+json_documents = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        # keys of every type json.dumps takes; the CLI's keys are all str
+        st.dictionaries(_json_scalars, children, max_size=6),
+    ),
+    max_leaves=40,
+)

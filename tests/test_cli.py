@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import geodom
 from geodom import (
@@ -16,8 +18,11 @@ from geodom import (
     parse_graph,
     product,
 )
+from geodom import cli
 from geodom.cli import main
+from geodom.jsonout import _write_json
 from helpers import drop_one_boundary_vertex, loop_verify_unique_minimum
+from strategies import json_documents
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
 P3_TEXT = "vertices: a b c\na b\nb c\n"
@@ -44,6 +49,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _child_env():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(geodom.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.fixture
+def big_factors(tmp_path):
+    """A 14-cycle and a 14-leaf star: their strong product-verify JSON
+    document is about 1.3 MB."""
+    g = tmp_path / "cycle.txt"
+    h = tmp_path / "star.txt"
+    g.write_text("".join(f"c{i} c{(i + 1) % 14}\n" for i in range(14)))
+    h.write_text("".join(f"hub s{i}\n" for i in range(14)))
+    return str(g), str(h)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +585,102 @@ def test_product_verify_json(capsys, factors):
     assert row["witnesses"] is None
 
 
+@given(json_documents)
+def test_write_json_equals_indented_dumps(doc):
+    pieces = []
+    _write_json(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+
+
+ESCAPE_TEXT = 'é "q\n"q back\\slash\nback\\slash 日本\n日本 é\n日本 z\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "--graph", "G", "--x", "é"],
+        ["gx", "--graph", "G", "--x", '"q'],
+        ["check", "--graph", "G", "--x", "é", "--set", '"q 日本'],
+        ["closure", "--graph", "G", "--set", "é back\\slash"],
+        ["product", "--kind", "strong", "--g", "G", "--h", "G", "--emit"],
+        ["product-verify", "--kind", "lexicographic", "--g", "G", "--h", "G"],
+        ["geodetic-heuristic", "--graph", "G"],
+        ["oracle-gx", "--graph", "G", "--x", "é"],
+        ["oracle-geodetic", "--graph", "G"],
+        ["verify-theorems", "--exhaustive-n", "3", "--random", "2", "--n", "5"],
+        ["find-counterexample", "--max-n", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_writes_indented_json(capsys, tmp_path, argv):
+    path = tmp_path / "escape.txt"
+    path.write_text(ESCAPE_TEXT, encoding="utf-8")
+    _, out, err = run(capsys, *(str(path) if a == "G" else a for a in argv), "--format", "json")
+    assert err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_product_verify_json_is_streamed(monkeypatch, big_factors):
+    # Beyond the document the handler returns, writing it may hold no
+    # more than a tenth of its length at once; json.dumps(doc, indent=2)
+    # would hold about 4.5 times its length in item strings.
+    class Sink:
+        total = largest = 0
+
+        def write(self, text):
+            self.total += len(text)
+            self.largest = max(self.largest, len(text))
+
+        def flush(self):
+            pass
+
+    handler = cli._HANDLERS["product-verify"]
+    held = []
+
+    def measured(args):
+        out = handler(args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    g, h = big_factors
+    sink = Sink()
+    monkeypatch.setitem(cli._HANDLERS, "product-verify", measured)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.total >= 1_000_000
+    assert peak - held[0] < sink.total / 10
+    assert sink.largest < sink.total / 10
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_closed_stdout_is_not_an_error(tmp_path, big_factors, fmt):
+    # `geodom ... | head -c 10`: the reader leaves before the output ends
+    g, h = big_factors
+    if fmt == "json":
+        argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h]
+    else:
+        # about 0.5 MB of edge lines
+        path = tmp_path / "p30.txt"
+        path.write_text("".join(f"p{i} p{i + 1}\n" for i in range(29)))
+        argv = ["product", "--kind", "lexicographic", "--g", str(path), "--h", str(path), "--emit"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geodom", *argv, "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (len(head), proc.returncode, err) == (10, 0, b"")
+
+
 def test_find_counterexample_json_round_trips(capsys):
     code, out, _ = run(capsys, "find-counterexample", "--max-n", "5", "--format", "json")
     assert code == 0
@@ -647,15 +767,11 @@ def test_empty_closure_set_is_input_error(capsys, p4):
 def test_module_invocation(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(P4_TEXT)
-    # the child imports the same package as this test, installed or not
-    src = str(Path(geodom.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "geodom", "boundary", "--graph", str(path), "--x", "b"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "a d\ngx = 2\n"
