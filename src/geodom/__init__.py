@@ -1,6 +1,8 @@
 """Boundary vertices, x-geodomination, and geodetic sets on connected
 graphs, with product constructions and brute-force verification oracles."""
 
+import importlib
+
 from .boundary import (
     BoundaryResult,
     GeodominationCheck,
@@ -31,26 +33,50 @@ from .graph import (
     simplicial_vertices,
     star_graph,
 )
-from .oracles import (
-    GraphGenSpec,
-    OracleResult,
-    VerificationReport,
-    enumerate_connected_graphs,
-    find_simplicial_counterexample,
-    geodetic_number_bruteforce,
-    min_x_geodominating_bruteforce,
-    random_connected_graph,
-    random_graph_corpus,
-    verify_unique_minimum,
-)
-from .products import (
-    ProductGraph,
-    ProductKind,
-    ProductReport,
-    product,
-    product_distance,
-    product_reports,
-)
+
+# Every command needs graph and boundary, so they load eagerly; boundary
+# must anyway, since the function `boundary` shares its submodule's name:
+# importing a submodule binds it as a package attribute, and __getattr__
+# runs only for missing names. The oracle and product layers load on
+# first use.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "GraphGenSpec",
+            "OracleResult",
+            "VerificationReport",
+            "enumerate_connected_graphs",
+            "find_simplicial_counterexample",
+            "geodetic_number_bruteforce",
+            "min_x_geodominating_bruteforce",
+            "random_connected_graph",
+            "random_graph_corpus",
+            "verify_unique_minimum",
+        ),
+        "oracles",
+    ),
+    **dict.fromkeys(
+        (
+            "ProductGraph",
+            "ProductKind",
+            "ProductReport",
+            "product",
+            "product_distance",
+            "product_reports",
+        ),
+        "products",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -5,6 +5,9 @@ computing, and writes either plain text or a single JSON document
 {command, inputs, result, checks} with fixed field order. Output is
 byte-identical across runs for identical inputs and seeds. Exit codes:
 0 success, 1 property-check failure, 2 input error.
+
+The product and oracle handlers import their modules in their own body,
+so a command loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -34,20 +38,7 @@ from .graph import (
     is_geodetic,
     parse_graph,
 )
-from .jsonout import _write_json
-from .oracles import (
-    find_simplicial_counterexample,
-    geodetic_number_bruteforce,
-    min_x_geodominating_bruteforce,
-    random_graph_corpus,
-    verify_unique_minimum,
-)
-from .products import (
-    _require_report_factors,
-    pair_label,
-    product,
-    product_reports,
-)
+from .jsonout import Encoded, _write_json
 
 __all__ = ["main"]
 
@@ -158,6 +149,8 @@ def _cmd_closure(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_product(args: argparse.Namespace) -> Outcome:
+    from .products import product
+
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     pg = product(args.kind, g, h)
@@ -185,7 +178,29 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
     )
 
 
+def _cell_labels(g: Graph, h: Graph, mask: np.ndarray) -> list[str]:
+    """Pair labels of the cells set in an (n_G, n_H) report mask, in
+    row-major order, which is label-pair order since factor labels are
+    sorted."""
+    from .products import pair_label
+
+    gl, hl = g.labels, h.labels
+    rows, cols = np.nonzero(mask)
+    return [pair_label(gl[a], hl[b]) for a, b in zip(rows.tolist(), cols.tolist())]
+
+
+def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarray:
+    """Object array shaped like the pair grid, holding the label of each
+    cell set in mask (JSON-escaped when asked) and None elsewhere."""
+    labels = _cell_labels(g, h, mask)
+    grid = np.empty(mask.shape, dtype=object)
+    grid[mask] = list(map(encode_basestring_ascii, labels)) if escape else labels
+    return grid
+
+
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
+    from .products import _require_report_factors, pair_label, product_reports
+
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     bases = None
@@ -194,63 +209,72 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
         _require_report_factors(g, h)
         bases = [_parse_base(args.base, g, h)]
     reports = product_reports(args.kind, g, h, bases)
-    # factor labels are sorted, so row-major mask order is label-pair order
-    grid = np.array([[pair_label(a, b) for b in h.labels] for a in g.labels], dtype=object)
+    all_contain = all(rep.containments_hold for rep in reports)
+    all_gx = all(rep.gx_holds for rep in reports)
+    gl, hl = g.labels, h.labels
 
+    def base_label(rep) -> str:
+        return pair_label(gl[rep.base[0]], hl[rep.base[1]])
+
+    # labels are formatted only for the cells the output names
+    if args.base is not None:
+        (rep,) = reports
+        shown = rep.actual | rep.lower | rep.upper
+    else:
+        shown = np.ones((g.n, h.n), dtype=bool)
+    # only the output format asked for is built
     rows = []
-    all_contain = True
-    all_gx = True
-    for rep in reports:
-        all_contain = all_contain and rep.containments_hold
-        all_gx = all_gx and rep.gx_holds
-        rows.append(
-            {
-                "base": grid[rep.base],
-                "actual": grid[rep.actual].tolist(),
-                "lower": grid[rep.lower].tolist(),
-                "upper": grid[rep.upper].tolist(),
-                "containments_hold": rep.containments_hold,
-                "upper_strict": rep.upper_strict,
-                "witnesses": None
-                if rep.witnesses is None
-                else grid[rep.witnesses].tolist(),
-                "gx": rep.gx,
-                "gx_lower": rep.gx_lower,
-                "gx_upper": rep.gx_upper,
-                "gx_holds": rep.gx_holds,
-            }
-        )
-
-    if args.base is not None and rows:
-        row = rows[0]
+    lines = []
+    if args.format == "json":
+        escaped = _label_grid(g, h, shown, escape=True)
+        for rep in reports:
+            rows.append(
+                {
+                    "base": base_label(rep),
+                    "actual": Encoded(escaped[rep.actual].tolist()),
+                    "lower": Encoded(escaped[rep.lower].tolist()),
+                    "upper": Encoded(escaped[rep.upper].tolist()),
+                    "containments_hold": rep.containments_hold,
+                    "upper_strict": rep.upper_strict,
+                    "witnesses": None
+                    if rep.witnesses is None
+                    else Encoded(escaped[rep.witnesses].tolist()),
+                    "gx": rep.gx,
+                    "gx_lower": rep.gx_lower,
+                    "gx_upper": rep.gx_upper,
+                    "gx_holds": rep.gx_holds,
+                }
+            )
+    elif args.base is not None:
+        grid = _label_grid(g, h, shown, escape=False)
         lines = [
-            f"base: {row['base']}",
-            "actual boundary: " + " ".join(row["actual"]),
-            "lower bound: " + " ".join(row["lower"]),
-            "upper bound: " + " ".join(row["upper"]),
-            f"containments hold: {_yesno(row['containments_hold'])}",
-            f"upper bound strict: {_yesno(row['upper_strict'])}",
-            f"gx: {row['gx']} {'within' if row['gx_holds'] else 'outside'} "
-            f"[{row['gx_lower']}, {row['gx_upper']}]",
+            f"base: {base_label(rep)}",
+            "actual boundary: " + " ".join(grid[rep.actual].tolist()),
+            "lower bound: " + " ".join(grid[rep.lower].tolist()),
+            "upper bound: " + " ".join(grid[rep.upper].tolist()),
+            f"containments hold: {_yesno(rep.containments_hold)}",
+            f"upper bound strict: {_yesno(rep.upper_strict)}",
+            f"gx: {rep.gx} {'within' if rep.gx_holds else 'outside'} "
+            f"[{rep.gx_lower}, {rep.gx_upper}]",
         ]
-        if row["witnesses"] is not None:
-            lines.insert(5, "witnesses: " + " ".join(row["witnesses"]))
+        if rep.witnesses is not None:
+            lines.insert(5, "witnesses: " + " ".join(grid[rep.witnesses].tolist()))
     else:
         lines = [
-            f"bases checked: {len(rows)}",
+            f"bases checked: {len(reports)}",
             f"containments hold: {_yesno(all_contain)}",
             f"gx bounds hold: {_yesno(all_gx)}",
         ]
-        for row in rows:
-            if not row["containments_hold"]:
+        for rep in reports:
+            if rep.containments_hold and rep.gx_holds:
+                continue
+            base = base_label(rep)
+            if not rep.containments_hold:
+                witnesses = " ".join(_cell_labels(g, h, rep.witnesses))
+                lines.append(f"FAIL base {base}: witnesses {witnesses}")
+            if not rep.gx_holds:
                 lines.append(
-                    f"FAIL base {row['base']}: witnesses "
-                    + " ".join(row["witnesses"])
-                )
-            if not row["gx_holds"]:
-                lines.append(
-                    f"FAIL base {row['base']}: gx {row['gx']} outside "
-                    f"[{row['gx_lower']}, {row['gx_upper']}]"
+                    f"FAIL base {base}: gx {rep.gx} outside [{rep.gx_lower}, {rep.gx_upper}]"
                 )
     ok = all_contain and all_gx
     return Outcome(
@@ -285,6 +309,8 @@ def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
+    from .oracles import min_x_geodominating_bruteforce
+
     g = _load_graph(args.graph)
     dm = all_pairs(g)
     x = g.index_of(args.x)
@@ -312,6 +338,8 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
+    from .oracles import geodetic_number_bruteforce
+
     g = _load_graph(args.graph)
     dm = all_pairs(g)
     number, witness = geodetic_number_bruteforce(g, dm, cap=args.cap)
@@ -342,6 +370,8 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
+    from .oracles import random_graph_corpus, verify_unique_minimum
+
     if not 0 <= args.exhaustive_n <= 7:
         raise ValueError("--exhaustive-n must lie in [0, 7]")
     # the corpus is built, and swept, ahead of the enumeration, so a bad
@@ -378,6 +408,8 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
+    from .oracles import find_simplicial_counterexample
+
     hit = find_simplicial_counterexample(args.max_n, min_simplicial=args.min_simplicial)
     inputs = {"max_n": args.max_n, "min_simplicial": args.min_simplicial}
     if hit is None:
@@ -493,7 +525,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = cmd("find-counterexample", "simplicial set failing from every source")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument(
+        "--max-n",
+        type=int,
+        default=8,
+        dest="max_n",
+        help="largest vertex count, 4 to 8; the search is exhaustive through "
+        "n = 7, and 8 searches the same graphs as 7",
+    )
     p.add_argument("--min-simplicial", type=int, default=1, dest="min_simplicial")
 
     return parser

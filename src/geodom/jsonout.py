@@ -9,9 +9,23 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 _SCALARS = {str, int, float, bool, type(None)}
+# pieces are joined into writes of about this many characters: unbuffered
+# stdout makes every write a system call
+_CHUNK = 1 << 14
+# a walked container hands its items over in batches of at most this many
+_ITEMS = 64
+
+
+class Encoded(list):
+    """A list whose items are already JSON text, such as labels escaped
+    once with `encode_basestring_ascii` (the escaper `json.dumps` uses by
+    default) and reused across many lists."""
+
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -22,46 +36,100 @@ def _encoder(depth: int) -> Callable[[object], str]:
 
 
 def _write_json(obj: object, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(obj, indent=2) + "\\n"` through `write`, piece by piece.
+    """Write `json.dumps(obj, indent=2) + "\\n"` through `write`, in pieces
+    of about 16 KiB.
 
     With `indent` set, `json.dumps` takes the pure-Python encoder, which
-    holds one string per item until it joins them all. Here a container
-    whose items are all scalars is one call of the C encoder, and only the
-    containers above those are walked in Python, so no piece is larger
-    than one such container.
+    holds one string per item until it joins them all. Here a scalar is
+    escaped or formatted directly, a container whose items are all scalars
+    is one call of the C encoder, an `Encoded` list is one `join`, and only
+    the containers above those are walked in Python, their items handed
+    over in batches. So nothing larger than a batch of such items is held
+    at once.
     """
-    _write_value(obj, write, 0)
-    write("\n")
+    pieces: list[str] = []
+    size = 0
+
+    def emit(text: str) -> None:
+        nonlocal size
+        pieces.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            write("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    text = _leaf(obj, 0)
+    if text is None:
+        _write_container(obj, emit, 0, {})
+    else:
+        emit(text)
+    pieces.append("\n")
+    write("".join(pieces))
 
 
-def _write_value(obj: object, write: Callable[[str], object], depth: int) -> None:
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        write(_encoder(depth)(obj))
-        return
-    if not obj:
-        write("{}" if is_dict else "[]")
-        return
+def _leaf(value: object, depth: int) -> str | None:
+    """The JSON text of a value at the given depth when it needs no walk
+    in Python, else None."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return _encoder(depth)(value)
+    if not value:
+        return "{}" if is_dict else "[]"
     opening, closing = "{}" if is_dict else "[]"
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
-    encode = _encoder(depth + 1)
-    values = obj.values() if is_dict else obj
-    if set(map(type, values)) <= _SCALARS:
+    if kind is Encoded:
+        return "[" + inner + ("," + inner).join(value) + outer + "]"
+    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
         # the encoder's separators already carry the line breaks
-        write(opening + inner + encode(obj)[1:-1] + outer + closing)
-        return
-    write(opening)
-    head = inner
+        return opening + inner + _encoder(depth + 1)(value)[1:-1] + outer + closing
+    return None
+
+
+def _write_container(
+    obj: "dict | list | tuple", emit: Callable[[str], None], depth: int, keys: dict
+) -> None:
+    """Walk a container some of whose items are containers to walk too."""
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    parts = [opening]
+    sep = ""
     for key, value in obj.items() if is_dict else enumerate(obj):
         if is_dict:
-            # '{"key": 0}' less its braces and value: the key as json.dumps
-            # writes it (int, float, bool and None keys too) and ': '
-            head += encode({key: 0})[1:-2]
-        if type(value) in _SCALARS:
-            write(head + encode(value))
+            # keyed by type too, since False == 0 == 0.0; float keys are not
+            # cached, since -0.0 == 0.0 but they print differently
+            slot = (depth, type(key), key)
+            head = keys.get(slot)
+            if head is None:
+                # '{"key": 0}' less its braces and value: the key as
+                # json.dumps writes it (int, float, bool and None keys too)
+                head = inner + _encoder(0)({key: 0})[1:-2]
+                if type(key) is not float:
+                    keys[slot] = head
         else:
-            write(head)
-            _write_value(value, write, depth + 1)
-        head = "," + inner
-    write(outer + closing)
+            head = inner
+        text = _leaf(value, depth + 1)
+        if text is None:
+            parts.append(sep + head)
+            emit("".join(parts))
+            parts = []
+            _write_container(value, emit, depth + 1, keys)
+        else:
+            parts.append(sep + head + text)
+            if len(parts) > _ITEMS:
+                emit("".join(parts))
+                parts = []
+        sep = ","
+    parts.append("\n" + "  " * depth + closing)
+    emit("".join(parts))

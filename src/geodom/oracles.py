@@ -344,10 +344,12 @@ def find_simplicial_counterexample(
     fails to x-geodominate from every source vertex.
 
     min_simplicial additionally requires that many simplicial vertices.
-    Exhaustive through n = 7, one array pass per chunk of edge masks. At
-    max_n = 8 the same predicate runs once over a fixed seeded sample of
-    2000 random graphs, stacked, since full enumeration is out of reach
-    there; the first of them that passes is the hit.
+    The search is exhaustive through n = 7, one array pass per chunk of
+    edge masks. max_n = 8 is accepted and searches the same graphs as 7:
+    n = 8 was only ever a seeded sample of 2000 random graphs, and it
+    never changed a result (every min_simplicial from 1 to 4 hits by
+    n = 7, and the sample had no hit at 5 or above), while full
+    enumeration of n = 8 is out of reach.
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
@@ -361,16 +363,6 @@ def find_simplicial_counterexample(
                 row, simp = hit
                 return _mask_graph(n, int(masks[row])), _vertex_set(simp, n)
 
-    if max_n == 8:
-        specs = [
-            GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
-            for i in range(2000)
-        ]
-        nbrs = _stacked_bits((random_connected_graph(spec) for spec in specs), 8)
-        hit = _first_counterexample(nbrs, min_simplicial)
-        if hit is not None:
-            row, simp = hit
-            return random_connected_graph(specs[row]), _vertex_set(simp, 8)
     return None
 
 

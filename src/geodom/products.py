@@ -233,61 +233,48 @@ def _row_and_boundary(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
     return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
 
 
-def _actual_boundary(
+def _boundary_stacks(
     kind: ProductKind,
     x: int,
     dg: np.ndarray,
-    dh: np.ndarray,
     bg: np.ndarray,
+    dh: np.ndarray,
     bh: np.ndarray,
-) -> np.ndarray:
-    """Boundary of the base (x, y) from the factor rows dg, dh of x and y
-    and their boundary masks bg, bh (both factors with two or more
-    vertices)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Actual boundary, lower and upper candidate of the bases (x, y_k),
+    each of shape (k, n_G, n_H), from the factor row dg of x, its boundary
+    mask bg, and the stacked rows dh and boundary masks bh of the y_k
+    (both factors with two or more vertices)."""
+    g_in = bg[None, :, None]
+    h_in = bh[:, None, :]
     if kind is ProductKind.CARTESIAN:
-        return np.outer(bg, bh)
+        actual = g_in & h_in
+        return actual, actual, actual
     if kind is ProductKind.STRONG:
         # d = max(d_G, d_H): the larger coordinate must be a factor boundary
         # vertex, and on a tie both must
-        cg, ch = dg[:, None], dh[None, :]
-        return ((cg > ch) & bg[:, None]) | ((ch > cg) & bh[None, :]) | (
-            (cg == ch) & np.outer(bg, bh)
-        )
+        cg, ch = dg[None, :, None], dh[:, None, :]
+        actual = ((cg > ch) & g_in) | ((ch > cg) & h_in) | ((cg == ch) & g_in & h_in)
+        return actual, g_in & h_in, g_in | h_in
     # d = d_G off the base layer and min(d_H, 2) on it; a neighbour of x
     # also sees the base layer, which reaches 2 unless y dominates H
-    layers = bg & ((dg >= 2) | (dh.max() <= 1))
-    actual = np.repeat(layers[:, None], dh.size, axis=1)
-    actual[x] = (dh >= 2) | ((dh == 1) & bh)
-    return actual
-
-
-def _candidate_bounds(
-    kind: ProductKind, x: int, bg: np.ndarray, bh: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The paper's lower and upper candidates as (n_G, n_H) masks."""
-    if kind is ProductKind.CARTESIAN:
-        lower = np.outer(bg, bh)
-        return lower, lower
-    if kind is ProductKind.LEXICOGRAPHIC:
-        lower = np.zeros((bg.size, bh.size), dtype=bool)
-        lower[x] = bh
-        return lower, bg[:, None] | lower
-    return np.outer(bg, bh), bg[:, None] | bh[None, :]
+    layers = bg & ((dg >= 2) | (dh.max(axis=1) <= 1)[:, None])
+    actual = np.repeat(layers[:, :, None], dh.shape[1], axis=2)
+    actual[:, x] = (dh >= 2) | ((dh == 1) & bh)
+    lower = np.zeros_like(actual)
+    lower[:, x] = bh
+    return actual, lower, g_in | lower
 
 
 def _gx_bounds(
-    kind: ProductKind, gx_g: int, gx_h: int, ng: int, nh: int
-) -> tuple[int, int]:
+    kind: ProductKind, gx_g: int, gx_h: "int | np.ndarray", ng: int, nh: int
+) -> tuple["int | np.ndarray", "int | np.ndarray"]:
+    """The candidate gx interval, elementwise when gx_h is an array."""
     if kind is ProductKind.CARTESIAN:
         return gx_g * gx_h, gx_g * gx_h
     if kind is ProductKind.LEXICOGRAPHIC:
         return gx_h, gx_g * nh + gx_h
     return gx_g * gx_h, gx_g * nh + ng * gx_h
-
-
-def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask.setflags(write=False)
-    return mask
 
 
 def product_reports(
@@ -300,46 +287,67 @@ def product_reports(
     for every base in row-major order when ``bases`` is None.
 
     Computed from one BFS row of each distinct x in G and y in H; no
-    product graph and no all-pairs matrix is built.
+    product graph and no all-pairs matrix is built. The masks of all
+    requested bases with the same x come from one array pass, and each
+    report holds read-only views into its stacks.
     """
     kind = _as_kind(kind)
     _require_report_factors(g, h)
+    ng, nh = g.n, h.n
     if bases is None:
-        bases = [(x, y) for x in range(g.n) for y in range(h.n)]
+        bases = [(x, y) for x in range(ng) for y in range(nh)]
     bases = [(int(x), int(y)) for x, y in bases]
+    # the distinct y of each distinct x, in order of first request
+    ys_of: dict[int, dict[int, None]] = {}
     for x, y in bases:
-        if not 0 <= x < g.n:
+        if not 0 <= x < ng:
             raise ValueError(f"first-factor index {x} out of range")
-        if not 0 <= y < h.n:
+        if not 0 <= y < nh:
             raise ValueError(f"second-factor index {y} out of range")
-    rows_g = {x: _row_and_boundary(g, x) for x in {x for x, _ in bases}}
+        ys_of.setdefault(x, {})[y] = None
     rows_h = {y: _row_and_boundary(h, y) for y in {y for _, y in bases}}
-    reports = []
-    for x, y in bases:
-        (dg, bg), (dh, bh) = rows_g[x], rows_h[y]
-        actual = _actual_boundary(kind, x, dg, dh, bg, bh)
-        lower, upper = _candidate_bounds(kind, x, bg, bh)
+
+    made: dict[tuple[int, int], ProductReport] = {}
+    for x, ys in ys_of.items():
+        dg, bg = _row_and_boundary(g, x)
+        gx_g = int(np.count_nonzero(bg))
+        ys = list(ys)
+        dh = np.array([rows_h[y][0] for y in ys])
+        bh = np.array([rows_h[y][1] for y in ys])
+        actual, lower, upper = _boundary_stacks(kind, x, dg, bg, dh, bh)
         bad = (lower & ~actual) | (actual & ~upper)
-        holds = not bad.any()
-        gx = int(np.count_nonzero(actual))
-        gx_g, gx_h = int(np.count_nonzero(bg)), int(np.count_nonzero(bh))
-        gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, g.n, h.n)
-        reports.append(
-            ProductReport(
+        for stack in (actual, lower, upper, bad):
+            stack.setflags(write=False)
+        gx_h = np.count_nonzero(bh, axis=1)
+        gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, ng, nh)
+        per_y = zip(
+            ys,
+            list(actual),
+            list(lower),
+            list(upper),
+            list(bad),
+            bad.any(axis=(1, 2)).tolist(),
+            np.count_nonzero(actual, axis=(1, 2)).tolist(),
+            np.count_nonzero(upper, axis=(1, 2)).tolist(),
+            gx_h.tolist(),
+            gx_lower.tolist(),
+            gx_upper.tolist(),
+        )
+        for y, act, low, up, wit, fails, gx, tops, gxh, gxl, gxu in per_y:
+            made[x, y] = ProductReport(
                 kind=kind,
                 base=(x, y),
-                actual=_frozen(actual),
-                lower=_frozen(lower),
-                upper=_frozen(upper),
-                containments_hold=holds,
-                witnesses=None if holds else _frozen(bad),
-                upper_strict=holds and gx < int(np.count_nonzero(upper)),
+                actual=act,
+                lower=low,
+                upper=up,
+                containments_hold=not fails,
+                witnesses=wit if fails else None,
+                upper_strict=not fails and gx < tops,
                 gx=gx,
                 gx_g=gx_g,
-                gx_h=gx_h,
-                gx_lower=gx_lower,
-                gx_upper=gx_upper,
-                gx_holds=gx_lower <= gx <= gx_upper,
+                gx_h=gxh,
+                gx_lower=gxl,
+                gx_upper=gxu,
+                gx_holds=gxl <= gx <= gxu,
             )
-        )
-    return tuple(reports)
+    return tuple(made[base] for base in bases)

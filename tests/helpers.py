@@ -7,7 +7,10 @@ graph enumeration, the simplicial counterexample search, the minimum
 x-geodominating search and the theorem sweep are the pure-Python loops
 over `combinations` tuples that the package's array passes replaced; the
 sweep loop still reads the boundary through the package, as the array
-sweep does, since the boundary is what it checks.
+sweep does, since the boundary is what it checks. The product report
+loop is the per-base loop that the per-x array pass replaced; it takes
+the factor rows and gx bounds from the package, since the stacking is
+what it checks (BFS on the built product checks the closed forms).
 """
 
 from __future__ import annotations
@@ -20,14 +23,20 @@ import numpy as np
 from geodom import (
     DistanceMatrix,
     Graph,
-    GraphGenSpec,
     OracleResult,
+    ProductKind,
+    ProductReport,
     VerificationReport,
     VertexSet,
     all_pairs,
-    random_connected_graph,
 )
 from geodom.boundary import _row_boundary
+from geodom.products import (
+    _as_kind,
+    _gx_bounds,
+    _require_report_factors,
+    _row_and_boundary,
+)
 
 INF = 10**9
 
@@ -130,6 +139,104 @@ def cells(mask) -> set[tuple[int, int]]:
 def pair_labels(g: Graph, h: Graph, mask) -> list[str]:
     """Sorted product labels "(g,h)" of the pairs set in a report's mask."""
     return sorted(f"({g.labels[a]},{h.labels[b]})" for a, b in cells(mask))
+
+
+def _loop_actual_boundary(
+    kind: ProductKind,
+    x: int,
+    dg: np.ndarray,
+    dh: np.ndarray,
+    bg: np.ndarray,
+    bh: np.ndarray,
+) -> np.ndarray:
+    """Boundary of the base (x, y) from the factor rows dg, dh of x and y
+    and their boundary masks bg, bh (both factors with two or more
+    vertices)."""
+    if kind is ProductKind.CARTESIAN:
+        return np.outer(bg, bh)
+    if kind is ProductKind.STRONG:
+        # d = max(d_G, d_H): the larger coordinate must be a factor boundary
+        # vertex, and on a tie both must
+        cg, ch = dg[:, None], dh[None, :]
+        return ((cg > ch) & bg[:, None]) | ((ch > cg) & bh[None, :]) | (
+            (cg == ch) & np.outer(bg, bh)
+        )
+    # d = d_G off the base layer and min(d_H, 2) on it; a neighbour of x
+    # also sees the base layer, which reaches 2 unless y dominates H
+    layers = bg & ((dg >= 2) | (dh.max() <= 1))
+    actual = np.repeat(layers[:, None], dh.size, axis=1)
+    actual[x] = (dh >= 2) | ((dh == 1) & bh)
+    return actual
+
+
+def _loop_candidate_bounds(
+    kind: ProductKind, x: int, bg: np.ndarray, bh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's lower and upper candidates as (n_G, n_H) masks."""
+    if kind is ProductKind.CARTESIAN:
+        lower = np.outer(bg, bh)
+        return lower, lower
+    if kind is ProductKind.LEXICOGRAPHIC:
+        lower = np.zeros((bg.size, bh.size), dtype=bool)
+        lower[x] = bh
+        return lower, bg[:, None] | lower
+    return np.outer(bg, bh), bg[:, None] | bh[None, :]
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.setflags(write=False)
+    return mask
+
+
+def loop_product_reports(
+    kind: "ProductKind | str",
+    g: Graph,
+    h: Graph,
+    bases: "Iterable[tuple[int, int]] | None" = None,
+) -> tuple[ProductReport, ...]:
+    """The per-base loop that `product_reports` replaced with one array
+    pass per distinct x: the same closed forms, one base at a time."""
+    kind = _as_kind(kind)
+    _require_report_factors(g, h)
+    if bases is None:
+        bases = [(x, y) for x in range(g.n) for y in range(h.n)]
+    bases = [(int(x), int(y)) for x, y in bases]
+    for x, y in bases:
+        if not 0 <= x < g.n:
+            raise ValueError(f"first-factor index {x} out of range")
+        if not 0 <= y < h.n:
+            raise ValueError(f"second-factor index {y} out of range")
+    rows_g = {x: _row_and_boundary(g, x) for x in {x for x, _ in bases}}
+    rows_h = {y: _row_and_boundary(h, y) for y in {y for _, y in bases}}
+    reports = []
+    for x, y in bases:
+        (dg, bg), (dh, bh) = rows_g[x], rows_h[y]
+        actual = _loop_actual_boundary(kind, x, dg, dh, bg, bh)
+        lower, upper = _loop_candidate_bounds(kind, x, bg, bh)
+        bad = (lower & ~actual) | (actual & ~upper)
+        holds = not bad.any()
+        gx = int(np.count_nonzero(actual))
+        gx_g, gx_h = int(np.count_nonzero(bg)), int(np.count_nonzero(bh))
+        gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, g.n, h.n)
+        reports.append(
+            ProductReport(
+                kind=kind,
+                base=(x, y),
+                actual=_frozen(actual),
+                lower=_frozen(lower),
+                upper=_frozen(upper),
+                containments_hold=holds,
+                witnesses=None if holds else _frozen(bad),
+                upper_strict=holds and gx < int(np.count_nonzero(upper)),
+                gx=gx,
+                gx_g=gx_g,
+                gx_h=gx_h,
+                gx_lower=gx_lower,
+                gx_upper=gx_upper,
+                gx_holds=gx_lower <= gx <= gx_upper,
+            )
+        )
+    return tuple(reports)
 
 
 def direct_covered(dist: list[list[int]], x: int, members, n: int) -> set[int]:
@@ -272,8 +379,7 @@ def _counterexample_from_raw(
 def loop_simplicial_counterexample(
     max_n: int, min_simplicial: int = 1
 ) -> tuple[Graph, VertexSet] | None:
-    """The search loop over every edge subset of n = 4..min(max_n, 7),
-    then the seeded 2000-graph sample at max_n = 8."""
+    """The search loop over every edge subset of n = 4..min(max_n, 7)."""
     for n in range(4, min(max_n, 7) + 1):
         for subset in edge_subsets(n):
             adj: list[list[int]] = [[] for _ in range(n)]
@@ -292,19 +398,6 @@ def loop_simplicial_counterexample(
             if fails_from_every_source(rows, simp):
                 return _counterexample_from_raw(n, subset, simp)
 
-    if max_n == 8:
-        for i in range(2000):
-            g = random_connected_graph(
-                GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
-            )
-            adj = [list(g.adj[v]) for v in range(8)]
-            adjsets = [set(a) for a in adj]
-            simp = raw_simplicial(adj, adjsets)
-            if len(simp) < min_simplicial:
-                continue
-            rows = raw_bfs_rows(adj)
-            if fails_from_every_source(rows, simp):
-                return g, VertexSet.of(simp, 8)
     return None
 
 

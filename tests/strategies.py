@@ -84,3 +84,17 @@ json_documents = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+# sibling dicts may repeat a key that compares equal but prints otherwise
+_colliding_keys = st.sampled_from([0, False, 0.0, -0.0, 1, True, 1.0, None, "0"])
+
+# documents with lists of labels, which the CLI may hand over pre-escaped
+labelled_documents = st.recursive(
+    st.one_of(_json_scalars, st.lists(st.one_of(st.text(), st.sampled_from(_AWKWARD_TEXT)))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.dictionaries(st.one_of(_json_scalars, _colliding_keys), children, max_size=6),
+    ),
+    max_leaves=40,
+)

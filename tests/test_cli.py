@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,9 @@ from geodom import (
 )
 from geodom import cli
 from geodom.cli import main
-from geodom.jsonout import _write_json
-from helpers import drop_one_boundary_vertex, loop_verify_unique_minimum
-from strategies import json_documents
+from geodom.jsonout import Encoded, _write_json
+from helpers import cells, drop_one_boundary_vertex, loop_verify_unique_minimum
+from strategies import json_documents, labelled_documents
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
 P3_TEXT = "vertices: a b c\na b\nb c\n"
@@ -263,6 +264,46 @@ def test_product_verify_builds_no_product(capsys, factors, monkeypatch):
             built.clear()
             code, _, _ = run(capsys, "product-verify", "--kind", kind, "--g", g, "--h", h, *extra)
             assert code == 0 and len(built) == 2
+
+
+def test_product_verify_formats_only_printed_labels(capsys, factors, tmp_path, monkeypatch):
+    from geodom import products
+
+    formatted = []
+    real = products.pair_label
+    monkeypatch.setattr(
+        products, "pair_label", lambda a, b: formatted.append((a, b)) or real(a, b)
+    )
+    # P3 x P3 fails nowhere; P2 lex the tree a-b, a-c, b-d fails at (A,c)
+    p2 = tmp_path / "p2.txt"
+    p2.write_text("A B\n")
+    tree = tmp_path / "tree.txt"
+    tree.write_text("a b\na c\nb d\n")
+    fails = 0
+    for g_path, h_path in (factors, (str(p2), str(tree))):
+        g, h = (parse_graph(Path(p).read_text()) for p in (g_path, h_path))
+        argv = ["product-verify", "--g", g_path, "--h", h_path]
+        for kind in ("cartesian", "lexicographic", "strong"):
+            # plain, every base: the base and witnesses of each FAIL line only
+            formatted.clear()
+            run(capsys, *argv, "--kind", kind)
+            failing = [
+                rep
+                for rep in products.product_reports(kind, g, h)
+                if not (rep.containments_hold and rep.gx_holds)
+            ]
+            assert len(formatted) == sum(
+                1 + (0 if rep.witnesses is None else len(cells(rep.witnesses)))
+                for rep in failing
+            )
+            fails += len(failing)
+            # plain, one base: the base and the cells of its printed sets
+            formatted.clear()
+            run(capsys, *argv, "--kind", kind, "--base", f"({g.labels[0]},{h.labels[-1]})")
+            [rep] = products.product_reports(kind, g, h, [(0, h.n - 1)])
+            assert len(formatted) == 1 + len(cells(rep.actual | rep.lower | rep.upper))
+            assert len(formatted) < g.n * h.n
+    assert fails
 
 
 def _expected_verify_document(kind, g_path, h_path, base=None):
@@ -592,6 +633,44 @@ def test_write_json_equals_indented_dumps(doc):
     assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
 
 
+def _pre_encoded(doc):
+    """doc with every list of strings escaped up front, as product-verify
+    hands its label lists to the writer."""
+    if isinstance(doc, dict):
+        return {key: _pre_encoded(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        if all(type(item) is str for item in doc):
+            return Encoded(map(encode_basestring_ascii, doc))
+        return [_pre_encoded(item) for item in doc]
+    return doc
+
+
+@given(labelled_documents)
+def test_write_json_fast_paths_equal_indented_dumps(doc):
+    expected = json.dumps(doc, indent=2) + "\n"
+    for given_doc in (doc, _pre_encoded(doc)):
+        pieces = []
+        _write_json(given_doc, pieces.append)
+        assert "".join(pieces) == expected
+
+
+def test_write_json_keys_that_compare_equal():
+    # 0 == False == 0.0 == -0.0, but json.dumps prints each differently
+    doc = [{0: [1]}, {False: [1]}, {0.0: [1]}, {-0.0: [1]}, {None: [Encoded([])]}]
+    pieces = []
+    _write_json(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_write_json_coalesces_small_pieces():
+    doc = {"rows": [{"label": f"v{i}", "n": i, "ok": True} for i in range(3000)]}
+    pieces = []
+    _write_json(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+    # every write but the last holds at least 16 KiB, and none much more
+    assert all(16384 <= len(p) < 20000 for p in pieces[:-1]) and len(pieces) > 5
+
+
 ESCAPE_TEXT = 'é "q\n"q back\\slash\nback\\slash 日本\n日本 é\n日本 z\n'
 
 
@@ -679,6 +758,52 @@ def test_closed_stdout_is_not_an_error(tmp_path, big_factors, fmt):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (len(head), proc.returncode, err) == (10, 0, b"")
+
+
+_LOADS = """
+import sys
+from geodom.cli import main
+main(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("geodom."))))
+"""
+
+
+_ORACLE_COMMANDS = {"oracle-gx", "oracle-geodetic", "verify-theorems", "find-counterexample"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "--graph", "G", "--x", "a"],
+        ["closure", "--graph", "G", "--set", "a"],
+        ["geodetic-heuristic", "--graph", "G"],
+        ["oracle-gx", "--graph", "G", "--x", "a"],
+        ["oracle-geodetic", "--graph", "G"],
+        ["verify-theorems", "--exhaustive-n", "3"],
+        ["find-counterexample", "--max-n", "4"],
+        ["product", "--kind", "strong", "--g", "G", "--h", "G"],
+        ["product-verify", "--kind", "strong", "--g", "G", "--h", "G", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_load_only_the_layers_they_run(tmp_path, argv):
+    if argv[0].startswith("product"):
+        unloaded = {"oracles", "bitmasks"}
+    elif argv[0] in _ORACLE_COMMANDS:
+        unloaded = {"products"}
+    else:
+        unloaded = {"oracles", "bitmasks", "products"}
+    path = tmp_path / "p4.txt"
+    path.write_text(P4_TEXT)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS, *(str(path) if a == "G" else a for a in argv)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    loaded = {name.split(".", 1)[1] for name in proc.stderr.split()}
+    assert {"graph", "boundary", "cli"} <= loaded, proc.stderr
+    assert not loaded & unloaded
 
 
 def test_find_counterexample_json_round_trips(capsys):

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from helpers import cells, pair_labels
+from helpers import cells, loop_product_reports, pair_labels
 from strategies import connected_graphs
 
 P3A = path_graph(["a", "b", "c"])
@@ -300,6 +303,33 @@ def test_reports_match_bfs_on_built_product(factors):
                 expected.boundary
             ), (kind, rep.base)
             assert rep.gx == expected.gx
+
+
+def _assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for rep, twin in zip(got, want):
+        for field in fields(rep):
+            value, expected = getattr(rep, field.name), getattr(twin, field.name)
+            if isinstance(expected, np.ndarray):
+                assert value.shape == expected.shape and value.dtype == expected.dtype
+                assert np.array_equal(value, expected), (rep.base, field.name)
+                assert not value.flags.writeable
+            else:
+                assert value == expected, (rep.base, field.name)
+
+
+@settings(max_examples=40)
+@given(factor_pairs, st.data())
+def test_reports_match_the_per_base_loop(factors, data):
+    # one array pass per distinct x against one closed form per base
+    g, h = factors
+    pick = st.tuples(st.integers(0, g.n - 1), st.integers(0, h.n - 1))
+    picked = data.draw(st.lists(pick, max_size=8))
+    repeated = [(g.n - 1, h.n - 1), (0, h.n - 1), (0, 0), (g.n - 1, h.n - 1)]
+    for kind in KINDS:
+        for bases in (None, picked, repeated):
+            got = product_reports(kind, g, h, bases)
+            _assert_same_reports(got, loop_product_reports(kind, g, h, bases))
 
 
 # ---------------------------------------------------------------------------
