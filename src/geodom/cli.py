@@ -180,8 +180,8 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
 
 def _cell_labels(g: Graph, h: Graph, mask: np.ndarray) -> list[str]:
     """Pair labels of the cells set in an (n_G, n_H) report mask, in
-    row-major order, which is label-pair order since factor labels are
-    sorted."""
+    row-major order: factor label order, which is not always the string
+    order of the pair labels ("(a+,x)" < "(a,x)")."""
     from .products import pair_label
 
     gl, hl = g.labels, h.labels

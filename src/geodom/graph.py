@@ -5,6 +5,8 @@ the labels' positions in sorted order, so every derived quantity is
 deterministic across runs. Graphs are simple, undirected, and immutable
 after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
+The adjacency is stored once, as CSR arrays, which ``Graph(...)``,
+``parse_graph`` and ``products.product`` all build through ``Graph._build``.
 
 The metric core works on single distance rows. ``interval`` takes its
 row from one BFS (``bfs_distances``), O(n + m), and ``geodesic_sweep``
@@ -79,67 +81,65 @@ class Graph:
     """Immutable simple undirected graph over string-labeled vertices.
 
     ``labels`` is the sorted tuple of vertex labels; vertex ``i`` is
-    ``labels[i]``. ``adj[i]`` is the sorted tuple of neighbor indices.
-    ``flat_neighbors`` / ``neighbor_offsets`` hold the same adjacency in
-    CSR form for vectorized scans.
+    ``labels[i]``. Only the CSR is stored: ``flat_neighbors`` from
+    ``neighbor_offsets[i]`` to the next offset are i's neighbours, ascending.
+    ``adj[i]``, the same as a tuple for Python loops, is built on first use.
     """
 
-    __slots__ = (
-        "labels",
-        "adj",
-        "edge_count",
-        "flat_neighbors",
-        "neighbor_offsets",
-        "_index",
-        "_adj_sets",
-    )
+    __slots__ = ("labels", "_index", "flat_neighbors", "neighbor_offsets", "edge_count", "_adj")
 
-    def __init__(
-        self,
-        edges: Iterable[tuple[str, str]] = (),
-        vertices: Iterable[str] = (),
-    ):
-        label_set: set[str] = set()
+    def __init__(self, edges: Iterable[tuple[str, str]] = (), vertices: Iterable[str] = ()):
+        index: dict[str, int] = {}
         for label in vertices:
             if not _valid_label(label):
                 raise GraphError(f"invalid vertex label {label!r}")
-            label_set.add(label)
-        pairs: list[tuple[str, str]] = []
+            index.setdefault(label, len(index))
+        tails, heads = [], []
         for u, v in edges:
             if not _valid_label(u) or not _valid_label(v):
                 raise GraphError(f"invalid vertex label in edge ({u!r}, {v!r})")
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
-            label_set.add(u)
-            label_set.add(v)
-            pairs.append((u, v))
-        if not label_set:
+            tails.append(index.setdefault(u, len(index)))
+            heads.append(index.setdefault(v, len(index)))
+        if not index:
             raise GraphError("empty vertex set")
+        self._build(list(index), tails, heads)
 
-        self.labels: tuple[str, ...] = tuple(sorted(label_set))
-        self._index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
-        neighbor_sets: list[set[int]] = [set() for _ in self.labels]
-        for u, v in pairs:
-            iu, iv = self._index[u], self._index[v]
-            neighbor_sets[iu].add(iv)
-            neighbor_sets[iv].add(iu)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in neighbor_sets
-        )
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(s) for s in neighbor_sets
-        )
-        self.edge_count: int = sum(len(a) for a in self.adj) // 2
-
-        degrees = [len(a) for a in self.adj]
-        self.flat_neighbors: np.ndarray = np.fromiter(
-            (w for a in self.adj for w in a), dtype=np.intp, count=2 * self.edge_count
-        )
-        offsets = np.zeros(len(self.labels), dtype=np.intp)
-        np.cumsum(degrees[:-1], out=offsets[1:])
-        offsets.setflags(write=False)
+    def _build(self, labels: Sequence[str], tails: Sequence, heads: Sequence) -> list[int]:
+        """Fill the graph from distinct valid labels in any order and its
+        edges as index arrays into them; returns ``order``, where vertex i
+        is labels[order[i]]. Callers with labels valid by construction call
+        it on ``Graph.__new__(Graph)``, skipping the checks of __init__.
+        One sort of the keys tail * n + head of both directions of each edge
+        puts repeats side by side (numpy 2's hash-based ``np.unique`` is
+        many times slower); the heads are the CSR."""
+        n = len(labels)
+        order = sorted(range(n), key=labels.__getitem__)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        tails = rank[np.asarray(tails, dtype=np.intp)]
+        heads = rank[np.asarray(heads, dtype=np.intp)]
+        keys = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.labels: tuple[str, ...] = tuple(map(labels.__getitem__, order))
+        self._index: dict[str, int] = dict(zip(self.labels, range(n)))
+        self.flat_neighbors: np.ndarray = keys % n
+        self.neighbor_offsets: np.ndarray = np.searchsorted(keys, np.arange(0, n * n, n))
         self.flat_neighbors.setflags(write=False)
-        self.neighbor_offsets: np.ndarray = offsets
+        self.neighbor_offsets.setflags(write=False)
+        self.edge_count: int = len(keys) // 2
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+        return order
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour tuples, from one ``tolist()`` of the CSR on first use."""
+        if self._adj is None:
+            flat = self.flat_neighbors.tolist()
+            bounds = [*self.neighbor_offsets.tolist(), len(flat)]
+            self._adj = tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return self._adj
 
     @property
     def n(self) -> int:
@@ -158,29 +158,37 @@ class Graph:
         """Labels of the given indices; ascending indices give sorted labels."""
         return [self.labels[v] for v in vertices]
 
+    def _csr_row(self, v: int) -> np.ndarray:
+        _check_vertex(self, v)
+        end = self.neighbor_offsets[v + 1] if v + 1 < self.n else len(self.flat_neighbors)
+        return self.flat_neighbors[self.neighbor_offsets[v]:end]
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(self, v)
         return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self._csr_row(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        _check_vertex(self, v)
+        return bool(v in self._csr_row(u))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as an index pair (u, v) with u < v, sorted."""
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                if v > u:
-                    yield (u, v)
+        tails, heads = _edge_arrays(self)
+        return zip(tails.tolist(), heads.tolist())
+
+    def _key(self) -> tuple:
+        return self.labels, self.neighbor_offsets.tobytes(), self.flat_neighbors.tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self.adj == other.adj
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.adj))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -264,14 +272,15 @@ def parse_graph(text: str) -> Graph:
     declaration, or ``u v`` edge lines. Duplicate edges collapse; self-loops
     and malformed lines raise :class:`ParseError` with the line number.
     """
-    declared: list[str] = []
-    edges: list[tuple[str, str]] = []
+    index: dict[str, int] = {}
+    tails, heads = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("vertices:"):
-            declared.extend(line[len("vertices:"):].split())
+            for label in line[len("vertices:"):].split():
+                index.setdefault(label, len(index))
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -279,10 +288,13 @@ def parse_graph(text: str) -> Graph:
         u, v = parts
         if u == v:
             raise ParseError(f"self-loop at {u!r}", line_no)
-        edges.append((u, v))
-    if not declared and not edges:
+        tails.append(index.setdefault(u, len(index)))
+        heads.append(index.setdefault(v, len(index)))
+    if not index:
         raise ParseError("empty vertex set: no edges or vertex declarations")
-    return Graph(edges, vertices=declared)
+    g = Graph.__new__(Graph)
+    g._build(list(index), tails, heads)
+    return g
 
 
 def emit_graph(g: Graph) -> str:
@@ -344,6 +356,13 @@ def all_pairs(g: Graph) -> DistanceMatrix:
 
 def _degrees(g: Graph) -> np.ndarray:
     return np.diff(g.neighbor_offsets, append=len(g.flat_neighbors))
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge once, as sorted index arrays (tails, heads), tail < head."""
+    tails = np.repeat(np.arange(g.n), _degrees(g))
+    forward = tails < g.flat_neighbors
+    return tails[forward], g.flat_neighbors[forward]
 
 
 def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
@@ -522,15 +541,9 @@ def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:
 
 def simplicial_vertices(g: Graph) -> VertexSet:
     """Vertices whose neighborhood induces a clique."""
-    out = []
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        if all(
-            nbrs[j] in g._adj_sets[nbrs[i]]
-            for i in range(len(nbrs))
-            for j in range(i + 1, len(nbrs))
-        ):
-            out.append(v)
+    adj = g.adj
+    out = [v for v, nbrs in enumerate(adj)
+           if all(set(nbrs[i + 1:]).issubset(adj[a]) for i, a in enumerate(nbrs))]
     return VertexSet.of(out, g.n)
 
 

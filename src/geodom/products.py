@@ -52,6 +52,8 @@ from .graph import (
     DisconnectedError,
     DistanceMatrix,
     Graph,
+    _check_vertex,
+    _edge_arrays,
     bfs_distances,
     is_connected,
 )
@@ -103,6 +105,7 @@ class ProductGraph:
         return self.graph.index_of(pair_label(self.factor_g.labels[gi], self.factor_h.labels[hi]))
 
     def pair_of(self, p: int) -> tuple[int, int]:
+        _check_vertex(self.graph, p)
         return self.factor_pairs[p]
 
 
@@ -120,40 +123,23 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     """
     kind = _as_kind(kind)
     _require_product_factors(g, h)
-
-    gl, hl = g.labels, h.labels
-    vertices = [pair_label(a, b) for a in gl for b in hl]
-    edges: list[tuple[str, str]] = []
-
-    # copies of H inside each layer: all kinds share these edges
-    for a in gl:
-        for hu, hv in h.edges():
-            edges.append((pair_label(a, hl[hu]), pair_label(a, hl[hv])))
-
-    for gu, gv in g.edges():
-        a, b = gl[gu], gl[gv]
-        if kind is ProductKind.LEXICOGRAPHIC:
-            for hu in hl:
-                for hv in hl:
-                    edges.append((pair_label(a, hu), pair_label(b, hv)))
-        else:
-            for c in hl:
-                edges.append((pair_label(a, c), pair_label(b, c)))
-            if kind is ProductKind.STRONG:
-                for hu, hv in h.edges():
-                    edges.append((pair_label(a, hl[hu]), pair_label(b, hl[hv])))
-                    edges.append((pair_label(a, hl[hv]), pair_label(b, hl[hu])))
-
-    pg = Graph(edges, vertices=vertices)
-    if pg.n != g.n * h.n:
+    nh, layers, same = h.n, np.arange(g.n), np.arange(h.n)
+    (g_tails, g_heads), (h_tails, h_heads) = _edge_arrays(g), _edge_arrays(h)
+    if kind is ProductKind.CARTESIAN:
+        rel_c, rel_d = same, same
+    elif kind is ProductKind.STRONG:
+        rel_c, rel_d = np.r_[same, h_tails, h_heads], np.r_[same, h_heads, h_tails]
+    else:
+        rel_c, rel_d = np.repeat(same, nh), np.tile(same, nh)
+    # (a, c) is a * nh + c until the builder sorts the pair labels. All kinds copy H
+    # into each layer; each edge ab of G joins (a, c) to (b, d) for (c, d) in rel
+    tails = np.r_[(layers[:, None] * nh + h_tails).ravel(), (g_tails[:, None] * nh + rel_c).ravel()]
+    heads = np.r_[(layers[:, None] * nh + h_heads).ravel(), (g_heads[:, None] * nh + rel_d).ravel()]
+    pg = Graph.__new__(Graph)
+    order = pg._build([pair_label(a, b) for a in g.labels for b in h.labels], tails, heads)
+    if len(pg._index) != pg.n:
         raise AssertionError("pair labels collided; factor labels are unusable")
-    pairs = [(0, 0)] * pg.n
-    for gi in range(g.n):
-        for hi in range(h.n):
-            pairs[pg.index_of(pair_label(gl[gi], hl[hi]))] = (gi, hi)
-    return ProductGraph(
-        kind=kind, factor_g=g, factor_h=h, graph=pg, factor_pairs=tuple(pairs)
-    )
+    return ProductGraph(kind, g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 
 def product_distance(

@@ -11,6 +11,9 @@ sweep does, since the boundary is what it checks. The product report
 loop is the per-base loop that the per-x array pass replaced; it takes
 the factor rows and gx bounds from the package, since the stacking is
 what it checks (BFS on the built product checks the closed forms).
+The graph constructor, the parser and the product builder are the
+set-based and label-string versions that the index-edge builder replaced:
+neighbour sets, then sorted neighbour tuples, then the CSR.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from geodom import (
     DistanceMatrix,
     Graph,
     OracleResult,
+    ProductGraph,
     ProductKind,
     ProductReport,
     VerificationReport,
@@ -34,11 +38,113 @@ from geodom.boundary import _row_boundary
 from geodom.products import (
     _as_kind,
     _gx_bounds,
+    _require_product_factors,
     _require_report_factors,
     _row_and_boundary,
+    pair_label,
 )
 
 INF = 10**9
+
+
+def reference_graph(
+    edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()
+) -> tuple[Graph, list[frozenset[int]]]:
+    """The set-based constructor: per-vertex neighbour sets, sorted into
+    neighbour tuples, flattened into the CSR, and written into a bare
+    Graph. Also returns the neighbour sets. Takes valid labels only."""
+    pairs = list(edges)
+    label_set = set(vertices)
+    for u, v in pairs:
+        label_set.update((u, v))
+    labels = tuple(sorted(label_set))
+    index = {lab: i for i, lab in enumerate(labels)}
+    neighbor_sets: list[set[int]] = [set() for _ in labels]
+    for u, v in pairs:
+        neighbor_sets[index[u]].add(index[v])
+        neighbor_sets[index[v]].add(index[u])
+    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbor_sets)
+    g = Graph.__new__(Graph)
+    g.labels = labels
+    g._index = index
+    g._adj = adj
+    g.edge_count = sum(len(a) for a in adj) // 2
+    g.flat_neighbors = np.fromiter(
+        (w for a in adj for w in a), dtype=np.intp, count=2 * g.edge_count
+    )
+    g.neighbor_offsets = np.zeros(len(labels), dtype=np.intp)
+    np.cumsum([len(a) for a in adj][:-1], out=g.neighbor_offsets[1:])
+    return g, [frozenset(nbrs) for nbrs in neighbor_sets]
+
+
+def reference_parse(text: str) -> tuple[Graph, list[frozenset[int]]]:
+    """The parser's line loop collecting label pairs, then the set-based
+    constructor. Takes well-formed documents only."""
+    declared: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("vertices:"):
+            declared.extend(line[len("vertices:"):].split())
+        else:
+            u, v = line.split()
+            edges.append((u, v))
+    return reference_graph(edges, declared)
+
+
+def loop_product(
+    kind: "ProductKind | str", g: Graph, h: Graph
+) -> tuple[ProductGraph, list[frozenset[int]]]:
+    """The product built from label strings: every edge endpoint formatted
+    as a pair label, the set-based constructor, then one label lookup
+    per (a, b) for the factor pairs. Also returns the neighbour sets."""
+    kind = _as_kind(kind)
+    _require_product_factors(g, h)
+    gl, hl = g.labels, h.labels
+    edges: list[tuple[str, str]] = []
+    for a in gl:
+        for hu, hv in h.edges():
+            edges.append((pair_label(a, hl[hu]), pair_label(a, hl[hv])))
+    for gu, gv in g.edges():
+        a, b = gl[gu], gl[gv]
+        if kind is ProductKind.LEXICOGRAPHIC:
+            for hu in hl:
+                for hv in hl:
+                    edges.append((pair_label(a, hu), pair_label(b, hv)))
+        else:
+            for c in hl:
+                edges.append((pair_label(a, c), pair_label(b, c)))
+            if kind is ProductKind.STRONG:
+                for hu, hv in h.edges():
+                    edges.append((pair_label(a, hl[hu]), pair_label(b, hl[hv])))
+                    edges.append((pair_label(a, hl[hv]), pair_label(b, hl[hu])))
+    pg, sets = reference_graph(edges, [pair_label(a, b) for a in gl for b in hl])
+    pairs = [(0, 0)] * pg.n
+    for gi in range(g.n):
+        for hi in range(h.n):
+            pairs[pg.index_of(pair_label(gl[gi], hl[hi]))] = (gi, hi)
+    return ProductGraph(kind, g, h, pg, tuple(pairs)), sets
+
+
+def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
+    """got against a reference graph and its neighbour sets: labels, CSR,
+    adj, edges, has_edge, equality and hash."""
+    assert got.labels == want.labels
+    assert got.edge_count == want.edge_count
+    for name in ("flat_neighbors", "neighbor_offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.adj == want.adj
+    assert list(got.edges()) == [
+        (u, v) for u in range(want.n) for v in sorted(want_sets[u]) if u < v
+    ]
+    for u in range(want.n):
+        for v in range(want.n):
+            assert got.has_edge(u, v) == (v in want_sets[u])
+    assert got == want and want == got
+    assert hash(got) == hash(want)
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

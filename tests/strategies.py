@@ -59,6 +59,44 @@ def graphs_vertex_and_set(
     return g, x, members
 
 
+# labels whose string order differs from their order as pair labels:
+# "+" and "!" sort before "," and ")"
+_AWKWARD_LABELS = st.text(alphabet="ab+!-", min_size=1, max_size=3)
+
+
+@st.composite
+def relabelled(draw, graphs) -> Graph:
+    """A graph from graphs with its vertices renamed to awkward labels."""
+    g = draw(graphs)
+    names = draw(st.lists(_AWKWARD_LABELS, min_size=g.n, max_size=g.n, unique=True))
+    return Graph(((names[u], names[v]) for u, v in g.edges()), vertices=names)
+
+
+@st.composite
+def edge_lists(draw) -> tuple[list[tuple[str, str]], list[str]]:
+    """Constructor input: label pairs, repeated and reversed at will, and
+    declared vertices, some of them on no edge; never empty."""
+    labels = draw(st.lists(_AWKWARD_LABELS, min_size=1, max_size=8, unique=True))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=20))
+    vertices = draw(st.lists(st.sampled_from(labels), max_size=8))
+    if not edges and not vertices:
+        vertices = labels[:1]
+    return edges, vertices
+
+
+@st.composite
+def edge_documents(draw) -> str:
+    """Edge-list documents with repeated and reversed edges, comments,
+    blank and padded lines, and vertices only on ``vertices:`` lines."""
+    edges, vertices = draw(edge_lists())
+    lines = ["vertices: " + " ".join(vertices[i:i + 2]) for i in range(0, len(vertices), 2)]
+    for u, v in edges:
+        lines.append(f"{u} {v}" if draw(st.booleans()) else f"  {v}\t{u} ")
+    lines.extend(draw(st.lists(st.sampled_from(["", "# note", "#a b c", "   "]), max_size=4)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
 # strings json must escape: quotes, backslashes, control characters,
 # non-ASCII, astral and lone surrogate code points
 _AWKWARD_TEXT = ['"q', "back\\slash", "\x00\x1f\n\t\x7f", "é", "日本", "\U0001f600", "\ud800"]

@@ -249,15 +249,16 @@ def test_product_verify_base_row_matches_all_bases(capsys, factors, kind):
 
 
 def test_product_verify_builds_no_product(capsys, factors, monkeypatch):
-    # the two factors are the only graphs product-verify builds
+    # the two factors are the only graphs product-verify builds; every
+    # graph, parsed, constructed or a product, goes through Graph._build
     built = []
-    init = Graph.__init__
+    build = Graph._build
 
-    def counting_init(self, *args, **kwargs):
+    def counting_build(self, *args, **kwargs):
         built.append(self)
-        init(self, *args, **kwargs)
+        return build(self, *args, **kwargs)
 
-    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "_build", counting_build)
     g, h = factors
     for kind in ("cartesian", "lexicographic", "strong"):
         for extra in ([], ["--base", "(b,2)"]):
@@ -385,6 +386,39 @@ def test_product_verify_json_golden(capsys, tmp_path, kind):
     code, out, err = run(capsys, *argv, "--format", "json", "--base", "(a+,y)")
     expected = _expected_verify_document(kind, str(g), str(h), "(a+,y)")
     assert (code, out, err) == (*expected, "")
+
+
+# sha256 of the stdout of product --kind K --g G --h H --emit --format json,
+# run in the directory of the two factor files
+PRODUCT_EMIT_SHA256 = {
+    ("pairs", "cartesian"): "04df3935902fd9692463cd10e1cf9d72b328fd3d84d0126b4e9d21dd23883f08",
+    ("pairs", "lexicographic"): "428270a7554b0d2f3ea8026e7c17b17d4d46de3f1d96c837817b864ba739083f",
+    ("pairs", "strong"): "6ba1ede50688147b4ec8b7484c48ad219374f3a4761e56be0d2177bfafde9379",
+    ("cycle_star", "cartesian"): "383841004e5d23d8e655429e0a9248318f8bf93fd2aa12dce551fa4588db330b",
+    ("cycle_star", "lexicographic"): "5743581f19fe06ac27b69ffeeac8810d1cec7602a378c1e43c8bf41c10835a5f",
+    ("cycle_star", "strong"): "aa5530a88dbe086ffc6d70d9973ffe7436a49397b2f2e7ef0c208b91acd160c2",
+}
+
+PRODUCT_FACTORS = {
+    # pair labels whose string order differs from (a, b) index order
+    "pairs": ("a a+\na+ b\nb a\nb c\n", "x x!\nx! y\ny z\n"),
+    "cycle_star": (
+        "".join(f"c{i} c{(i + 1) % 14}\n" for i in range(14)),
+        "".join(f"hub s{i}\n" for i in range(14)),
+    ),
+}
+
+
+@pytest.mark.parametrize("factors, kind", sorted(PRODUCT_EMIT_SHA256))
+def test_product_emit_json_golden(capsys, tmp_path, monkeypatch, factors, kind):
+    monkeypatch.chdir(tmp_path)
+    g_text, h_text = PRODUCT_FACTORS[factors]
+    Path("g.txt").write_text(g_text)
+    Path("h.txt").write_text(h_text)
+    argv = ["product", "--kind", kind, "--g", "g.txt", "--h", "h.txt", "--emit", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_EMIT_SHA256[factors, kind]
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,21 @@ from geodom import (
     is_x_geodominating,
     parse_graph,
     path_graph,
+    product,
     simplicial_vertices,
     star_graph,
 )
 from geodom.oracles import GraphGenSpec, random_connected_graph
-from helpers import direct_boundary, direct_closure, floyd_warshall, geodesic_vertices_by_paths
-from strategies import connected_graphs
+from helpers import (
+    assert_same_graph,
+    direct_boundary,
+    direct_closure,
+    floyd_warshall,
+    geodesic_vertices_by_paths,
+    reference_graph,
+    reference_parse,
+)
+from strategies import connected_graphs, edge_documents, edge_lists
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +147,8 @@ def test_equality_ignores_input_order():
     g2 = Graph([("c", "b"), ("b", "a")])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != Graph([("a", "b"), ("a", "c")])
+    # same labels and degrees, so the same CSR offsets; other neighbours
+    assert cycle_graph("abcd") != cycle_graph("abdc")
 
 
 def test_index_of_unknown_label():
@@ -148,6 +159,67 @@ def test_index_of_unknown_label():
 
 def test_repr_mentions_size():
     assert repr(Graph([("a", "b")])) == "Graph(n=2, m=1)"
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("has_edge", (-1, 2)),
+        ("has_edge", (7, 0)),
+        ("has_edge", (0, 4)),
+        ("has_edge", (0, -4)),
+        ("neighbors", (-1,)),
+        ("neighbors", (4,)),
+        ("degree", (-1,)),
+        ("degree", (4,)),
+        ("pair_of", (-1,)),
+        ("pair_of", (16,)),
+    ],
+)
+def test_vertex_methods_reject_out_of_range_indices(method, args):
+    # a negative index must not wrap around to the last vertex
+    g = path_graph(4)
+    target = product("cartesian", g, g) if method == "pair_of" else g
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(target, method)(*args)
+
+
+# ---------------------------------------------------------------------------
+# construction against the set-based reference
+
+
+@given(edge_lists())
+def test_constructor_matches_reference(case):
+    edges, vertices = case
+    assert_same_graph(Graph(edges, vertices=vertices), *reference_graph(edges, vertices))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
+def test_families_match_reference(n):
+    labels = [f"v{i:02d}" for i in range(n)]
+    path = list(zip(labels, labels[1:]))
+    assert_same_graph(path_graph(labels), *reference_graph(path, labels))
+    if n >= 3:
+        cycle = path + [(labels[-1], labels[0])]
+        assert_same_graph(cycle_graph(labels), *reference_graph(cycle))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    assert_same_graph(complete_graph(labels), *reference_graph(pairs, labels))
+    if n >= 2:
+        spokes = [(labels[0], leaf) for leaf in labels[1:]]
+        assert_same_graph(star_graph(labels), *reference_graph(spokes))
+
+
+@given(edge_documents())
+def test_parse_matches_reference(text):
+    g = parse_graph(text)
+    assert_same_graph(g, *reference_parse(text))
+    assert_same_graph(parse_graph(emit_graph(g)), *reference_parse(text))
+
+
+def test_adj_is_built_once_from_the_csr():
+    g = parse_graph("a b\nb c\nvertices: z\n")
+    assert g.adj is g.adj
+    assert g.adj == ((1,), (0, 2), (1,), ())
 
 
 # ---------------------------------------------------------------------------

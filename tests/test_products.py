@@ -18,8 +18,9 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from helpers import cells, loop_product_reports, pair_labels
-from strategies import connected_graphs
+from geodom import products
+from helpers import assert_same_graph, cells, loop_product, loop_product_reports, pair_labels
+from strategies import connected_graphs, relabelled
 
 P3A = path_graph(["a", "b", "c"])
 P3N = path_graph(["1", "2", "3"])
@@ -66,6 +67,40 @@ def test_pair_bookkeeping_is_a_bijection():
         assert pg.graph.labels[p] == f"({P3A.labels[gi]},{P4N.labels[hi]})"
     with pytest.raises(ValueError):
         pg.index_of_pair(3, 0)
+
+
+def _assert_matches_loop(kind, g, h):
+    pg = product(kind, g, h)
+    ref, sets = loop_product(kind, g, h)
+    assert_same_graph(pg.graph, ref.graph, sets)
+    assert pg.factor_pairs == ref.factor_pairs
+    for p in range(pg.graph.n):
+        assert pg.index_of_pair(*pg.pair_of(p)) == p
+    return pg
+
+
+@settings(max_examples=40)
+@given(st.tuples(relabelled(connected_graphs(max_n=4)), relabelled(connected_graphs(max_n=4))))
+def test_product_matches_label_loop(pair):
+    for kind in KINDS:
+        _assert_matches_loop(kind, *pair)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pair_label_order_differs_from_index_order(kind):
+    # "(a+,x)" < "(a,x)" and "(a,x!)" < "(a,x)": '+' and '!' sort before ','
+    # and ')', so the product's vertex order is not (a, b) index order
+    g = Graph([("a", "a+"), ("a+", "b")])
+    h = Graph([("x", "x!")])
+    pg = _assert_matches_loop(kind, g, h)
+    assert pg.graph.labels[:3] == ("(a+,x!)", "(a+,x)", "(a,x!)")
+    assert pg.factor_pairs[:3] == ((1, 1), (1, 0), (0, 1))
+
+
+def test_colliding_pair_labels_rejected(monkeypatch):
+    monkeypatch.setattr(products, "pair_label", lambda a, b: f"({a})")
+    with pytest.raises(AssertionError, match="collided"):
+        product("cartesian", P3A, P3N)
 
 
 def test_kind_normalization():
