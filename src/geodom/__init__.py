@@ -3,68 +3,43 @@ graphs, with product constructions and brute-force verification oracles."""
 
 import importlib
 
-from .boundary import (
-    BoundaryResult,
-    GeodominationCheck,
-    boundary,
-    geodetic_from_boundary,
-    is_x_geodominating,
-    min_gx_vertex,
-)
-from .graph import (
-    DisconnectedError,
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    ParseError,
-    VertexSet,
-    all_pairs,
-    bfs_distances,
-    complete_graph,
-    cycle_graph,
-    emit_graph,
-    geodesic_sweep,
-    geodetic_closure,
-    interval,
-    is_connected,
-    is_geodetic,
-    parse_graph,
-    path_graph,
-    simplicial_vertices,
-    star_graph,
-)
+from .boundary import *
+from .boundary import __all__ as _boundary_all
+from .graph import *
+from .graph import __all__ as _graph_all
 
 # Every command needs graph and boundary, so they load eagerly; boundary
-# must anyway, since the function `boundary` shares its submodule's name:
+# must anyway, since one of its functions shares the submodule's name:
 # importing a submodule binds it as a package attribute, and __getattr__
-# runs only for missing names. The oracle and product layers load on
-# first use.
+# runs only for missing names. The product and oracle layers load on
+# first use; reading their __all__ would load them, so their public names
+# are listed here, in their modules' order.
 _LAZY = {
     **dict.fromkeys(
         (
-            "GraphGenSpec",
-            "OracleResult",
-            "VerificationReport",
-            "enumerate_connected_graphs",
-            "find_simplicial_counterexample",
-            "geodetic_number_bruteforce",
-            "min_x_geodominating_bruteforce",
-            "random_connected_graph",
-            "random_graph_corpus",
-            "verify_unique_minimum",
-        ),
-        "oracles",
-    ),
-    **dict.fromkeys(
-        (
-            "ProductGraph",
             "ProductKind",
+            "ProductGraph",
             "ProductReport",
             "product",
             "product_distance",
             "product_reports",
         ),
         "products",
+    ),
+    **dict.fromkeys(
+        (
+            "OracleResult",
+            "GraphGenSpec",
+            "VerificationReport",
+            "min_x_geodominating_bruteforce",
+            "geodetic_number_bruteforce",
+            "enumerate_connected_graphs",
+            "random_connected_graph",
+            "random_graph_corpus",
+            "find_simplicial_counterexample",
+            "verify_unique_minimum",
+        ),
+        "oracles",
     ),
 }
 
@@ -80,48 +55,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "DistanceMatrix",
-    "VertexSet",
-    "GraphError",
-    "ParseError",
-    "DisconnectedError",
-    "parse_graph",
-    "emit_graph",
-    "is_connected",
-    "bfs_distances",
-    "all_pairs",
-    "geodesic_sweep",
-    "interval",
-    "geodetic_closure",
-    "is_geodetic",
-    "simplicial_vertices",
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "star_graph",
-    "BoundaryResult",
-    "GeodominationCheck",
-    "boundary",
-    "is_x_geodominating",
-    "min_gx_vertex",
-    "geodetic_from_boundary",
-    "ProductKind",
-    "ProductGraph",
-    "ProductReport",
-    "product",
-    "product_distance",
-    "product_reports",
-    "OracleResult",
-    "GraphGenSpec",
-    "VerificationReport",
-    "min_x_geodominating_bruteforce",
-    "geodetic_number_bruteforce",
-    "enumerate_connected_graphs",
-    "random_connected_graph",
-    "random_graph_corpus",
-    "find_simplicial_counterexample",
-    "verify_unique_minimum",
-    "__version__",
-]
+__all__ = [*_graph_all, *_boundary_all, *_LAZY, "__version__"]

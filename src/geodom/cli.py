@@ -2,9 +2,10 @@
 
 Every subcommand reads edge-list files, validates inputs before
 computing, and writes either plain text or a single JSON document
-{command, inputs, result, checks} with fixed field order. Output is
-byte-identical across runs for identical inputs and seeds. Exit codes:
-0 success, 1 property-check failure, 2 input error.
+{command, inputs, result, checks} with fixed field order; inputs holds
+the command's flags as parsed, in flag order. Output is byte-identical
+across runs for identical inputs and seeds. Exit codes: 0 success,
+1 property-check failure, 2 input error.
 
 The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs.
@@ -29,10 +30,10 @@ from .boundary import (
     min_gx_vertex,
 )
 from .graph import (
+    DistanceMatrix,
     Graph,
     GraphError,
     VertexSet,
-    all_pairs,
     emit_graph,
     geodetic_closure,
     is_geodetic,
@@ -46,17 +47,12 @@ __all__ = ["main"]
 class Outcome(NamedTuple):
     code: int
     lines: list[str]
-    inputs: dict
     result: dict
     checks: dict
 
 
 def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
-
-
-def _labels(g: Graph, vs) -> list[str]:
-    return g.labels_of(vs)
 
 
 def _parse_set(g: Graph, spec: str) -> VertexSet:
@@ -88,11 +84,10 @@ def _cmd_boundary(args: argparse.Namespace) -> Outcome:
     x = g.index_of(args.x)
     res, chk = _boundary_and_coverage(g, x)
     covers = chk.is_geodominating
-    labels = _labels(g, res.boundary)
+    labels = g.labels_of(res.boundary)
     return Outcome(
         code=0 if covers else 1,
         lines=[" ".join(labels), f"gx = {res.gx}"],
-        inputs={"graph": args.graph, "x": args.x},
         result={"boundary": labels, "gx": res.gx},
         checks={"geodominates": covers},
     )
@@ -104,7 +99,6 @@ def _cmd_gx(args: argparse.Namespace) -> Outcome:
     return Outcome(
         code=0,
         lines=[f"gx = {res.gx}"],
-        inputs={"graph": args.graph, "x": args.x},
         result={"gx": res.gx},
         checks={},
     )
@@ -122,7 +116,6 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
     return Outcome(
         code=0 if agrees else 1,
         lines=lines,
-        inputs={"graph": args.graph, "x": args.x, "set": args.set},
         result={
             "is_geodominating": chk.is_geodominating,
             "uncovered": None
@@ -138,11 +131,10 @@ def _cmd_closure(args: argparse.Namespace) -> Outcome:
     s = _parse_set(g, args.set)
     closure = geodetic_closure(g, s)
     geodetic = len(closure) == g.n
-    labels = _labels(g, closure)
+    labels = g.labels_of(closure)
     return Outcome(
         code=0,
         lines=[" ".join(labels), f"geodetic: {_yesno(geodetic)}"],
-        inputs={"graph": args.graph, "set": args.set},
         result={"closure": labels, "geodetic": geodetic},
         checks={},
     )
@@ -172,7 +164,6 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
     return Outcome(
         code=0,
         lines=lines,
-        inputs={"kind": args.kind, "g": args.g, "h": args.h, "emit": args.emit},
         result=result,
         checks={},
     )
@@ -280,24 +271,38 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
     return Outcome(
         code=0 if ok else 1,
         lines=lines,
-        inputs={"kind": args.kind, "g": args.g, "h": args.h, "base": args.base},
         result={"bases": rows},
         checks={"containments_hold": all_contain, "gx_bounds_hold": all_gx},
     )
 
 
-def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
-    g = _load_graph(args.graph)
+def _heuristic(g: Graph) -> tuple[int, int, VertexSet, bool, bool]:
+    """The least-gx source x, its gx, the set boundary(x) + x, whether
+    that set is geodetic and whether its size is gx + 1."""
     x, min_gx = min_gx_vertex(g)
     s = _boundary_with_source(g, x)
-    geodetic = is_geodetic(g, s)
-    size_ok = len(s) == min_gx + 1
-    labels = _labels(g, s)
+    return x, min_gx, s, is_geodetic(g, s), len(s) == min_gx + 1
+
+
+def _oracle_distances(g: Graph, cap: int) -> DistanceMatrix:
+    """The distance matrix the brute-force oracles read, once g is within
+    their cap: from the oracle stage's own bit-frontier BFS, not from the
+    BFS rows of graph.py that boundary() reads."""
+    from .bitmasks import _distances, _stacked_bits
+    from .oracles import _require_cap
+
+    _require_cap(g.n, cap)
+    return DistanceMatrix(_distances(_stacked_bits([g], g.n))[0])
+
+
+def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
+    g = _load_graph(args.graph)
+    x, min_gx, s, geodetic, size_ok = _heuristic(g)
+    labels = g.labels_of(s)
     ok = geodetic and size_ok
     return Outcome(
         code=0 if ok else 1,
         lines=[" ".join(labels), f"size = {len(s)}", f"geodetic: {_yesno(geodetic)}"],
-        inputs={"graph": args.graph},
         result={
             "set": labels,
             "size": len(s),
@@ -312,13 +317,12 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
     from .oracles import min_x_geodominating_bruteforce
 
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
     x = g.index_of(args.x)
-    res = min_x_geodominating_bruteforce(g, dm, x, cap=args.cap)
+    res = min_x_geodominating_bruteforce(g, _oracle_distances(g, args.cap), x, cap=args.cap)
     expected = boundary(g, x).boundary
     unique = len(res.minimum_sets) == 1
     matches = unique and res.minimum_sets[0] == expected
-    sets_labels = [_labels(g, s) for s in res.minimum_sets]
+    sets_labels = [g.labels_of(s) for s in res.minimum_sets]
     ok = res.exhausted and unique and matches
     return Outcome(
         code=0 if ok else 1,
@@ -327,7 +331,6 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
             "minimum sets: " + ", ".join("{" + " ".join(s) + "}" for s in sets_labels),
             f"matches boundary: {_yesno(matches)}",
         ],
-        inputs={"graph": args.graph, "x": args.x, "cap": args.cap},
         result={
             "minimum_size": res.minimum_size,
             "minimum_sets": sets_labels,
@@ -341,13 +344,11 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
     from .oracles import geodetic_number_bruteforce
 
     g = _load_graph(args.graph)
-    dm = all_pairs(g)
-    number, witness = geodetic_number_bruteforce(g, dm, cap=args.cap)
+    number, witness = geodetic_number_bruteforce(g, _oracle_distances(g, args.cap), cap=args.cap)
     if g.n >= 2:
-        x, min_gx = min_gx_vertex(g)
-        heuristic = _boundary_with_source(g, x)
+        _, min_gx, _, geodetic, size_ok = _heuristic(g)
         relation = number <= min_gx + 1
-        heuristic_ok = is_geodetic(g, heuristic) and len(heuristic) == min_gx + 1
+        heuristic_ok = geodetic and size_ok
     else:
         min_gx, relation, heuristic_ok = 0, True, True
     ok = relation and heuristic_ok
@@ -355,14 +356,13 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
         code=0 if ok else 1,
         lines=[
             f"geodetic number = {number}",
-            "witness: " + " ".join(_labels(g, witness)),
+            "witness: " + " ".join(g.labels_of(witness)),
             f"min gx + 1 = {min_gx + 1}",
             f"relation holds: {_yesno(relation)}",
         ],
-        inputs={"graph": args.graph, "cap": args.cap},
         result={
             "geodetic_number": number,
-            "witness": _labels(g, witness),
+            "witness": g.labels_of(witness),
             "min_gx": min_gx,
         },
         checks={"relation_holds": relation, "heuristic_is_geodetic": heuristic_ok},
@@ -391,13 +391,6 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
     return Outcome(
         code=0 if report.ok else 1,
         lines=lines,
-        inputs={
-            "exhaustive_n": args.exhaustive_n,
-            "random": args.random,
-            "n": args.n,
-            "p": args.p,
-            "seed": args.seed,
-        },
         result={
             "graphs_checked": report.graphs_checked,
             "sources_checked": report.sources_checked,
@@ -411,12 +404,10 @@ def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
     from .oracles import find_simplicial_counterexample
 
     hit = find_simplicial_counterexample(args.max_n, min_simplicial=args.min_simplicial)
-    inputs = {"max_n": args.max_n, "min_simplicial": args.min_simplicial}
     if hit is None:
         return Outcome(
             code=1,
             lines=[f"no counterexample found up to n = {args.max_n}"],
-            inputs=inputs,
             result={"found": False},
             checks={},
         )
@@ -425,37 +416,21 @@ def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
     document = emit_graph(g)
     lines = [
         f"found: n={g.n} m={g.edge_count}",
-        "simplicial: " + " ".join(_labels(g, simp)),
+        "simplicial: " + " ".join(g.labels_of(simp)),
         f"fails from every source: {_yesno(verified)}",
     ]
     lines.extend(document.splitlines())
     return Outcome(
         code=0 if verified else 1,
         lines=lines,
-        inputs=inputs,
         result={
             "found": True,
             "n": g.n,
-            "simplicial": _labels(g, simp),
+            "simplicial": g.labels_of(simp),
             "document": document,
         },
         checks={"fails_from_every_source": verified},
     )
-
-
-_HANDLERS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
-    "boundary": _cmd_boundary,
-    "gx": _cmd_gx,
-    "check": _cmd_check,
-    "closure": _cmd_closure,
-    "product": _cmd_product,
-    "product-verify": _cmd_product_verify,
-    "geodetic-heuristic": _cmd_geodetic_heuristic,
-    "oracle-gx": _cmd_oracle_gx,
-    "oracle-geodetic": _cmd_oracle_geodetic,
-    "verify-theorems": _cmd_verify_theorems,
-    "find-counterexample": _cmd_find_counterexample,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -467,9 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    def cmd(
+        name: str, help_text: str, run: Callable[[argparse.Namespace], Outcome]
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("plain", "json"), default="plain")
+        p.set_defaults(run=run)
         return p
 
     def graph_flag(p: argparse.ArgumentParser) -> None:
@@ -480,51 +458,59 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g", required=True, help="first factor edge-list file")
         p.add_argument("--h", required=True, help="second factor edge-list file")
 
-    p = cmd("boundary", "boundary vertices of a source vertex")
+    p = cmd("boundary", "boundary vertices of a source vertex", _cmd_boundary)
     graph_flag(p)
     p.add_argument("--x", required=True, help="source vertex label")
 
-    p = cmd("gx", "geodomination number of a source vertex")
+    p = cmd("gx", "geodomination number of a source vertex", _cmd_gx)
     graph_flag(p)
     p.add_argument("--x", required=True)
 
-    p = cmd("check", "test whether a set x-geodominates")
+    p = cmd("check", "test whether a set x-geodominates", _cmd_check)
     graph_flag(p)
     p.add_argument("--x", required=True)
     p.add_argument("--set", required=True, help='vertex labels, e.g. "a b c"')
 
-    p = cmd("closure", "geodetic closure of a set")
+    p = cmd("closure", "geodetic closure of a set", _cmd_closure)
     graph_flag(p)
     p.add_argument("--set", required=True)
 
-    p = cmd("product", "construct a graph product")
+    p = cmd("product", "construct a graph product", _cmd_product)
     factor_flags(p)
     p.add_argument("--emit", action="store_true", help="print the edge-list document")
 
-    p = cmd("product-verify", "check product boundary and gx bounds")
+    p = cmd("product-verify", "check product boundary and gx bounds", _cmd_product_verify)
     factor_flags(p)
     p.add_argument("--base", help='base vertex pair, e.g. "(a,1)"')
 
-    p = cmd("geodetic-heuristic", "geodetic set from a minimum boundary")
+    p = cmd(
+        "geodetic-heuristic", "geodetic set from a minimum boundary", _cmd_geodetic_heuristic
+    )
     graph_flag(p)
 
-    p = cmd("oracle-gx", "brute-force minimum x-geodominating sets")
+    p = cmd("oracle-gx", "brute-force minimum x-geodominating sets", _cmd_oracle_gx)
     graph_flag(p)
     p.add_argument("--x", required=True)
     p.add_argument("--cap", type=int, default=12)
 
-    p = cmd("oracle-geodetic", "brute-force geodetic number")
+    p = cmd("oracle-geodetic", "brute-force geodetic number", _cmd_oracle_geodetic)
     graph_flag(p)
     p.add_argument("--cap", type=int, default=10)
 
-    p = cmd("verify-theorems", "oracle-agreement sweep over graph corpora")
+    p = cmd(
+        "verify-theorems", "oracle-agreement sweep over graph corpora", _cmd_verify_theorems
+    )
     p.add_argument("--exhaustive-n", type=int, default=5, dest="exhaustive_n")
     p.add_argument("--random", type=int, default=0, help="number of random graphs")
     p.add_argument("--n", type=int, default=9, help="random graph size")
     p.add_argument("--p", type=float, default=0.35, help="extra-edge probability")
     p.add_argument("--seed", type=int, default=0)
 
-    p = cmd("find-counterexample", "simplicial set failing from every source")
+    p = cmd(
+        "find-counterexample",
+        "simplicial set failing from every source",
+        _cmd_find_counterexample,
+    )
     p.add_argument(
         "--max-n",
         type=int,
@@ -541,15 +527,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        out = _HANDLERS[args.command](args)
+        out = args.run(args)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.format == "json":
+            # the command's flags as parsed, in the order they were added
+            skip = ("command", "format", "run")
+            inputs = {key: value for key, value in vars(args).items() if key not in skip}
             doc = {
                 "command": args.command,
-                "inputs": out.inputs,
+                "inputs": inputs,
                 "result": out.result,
                 "checks": out.checks,
             }

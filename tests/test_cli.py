@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
+import cli_goldens
 import geodom
 from geodom import (
     Graph,
@@ -130,11 +131,51 @@ def test_oracle_geodetic_plain(capsys, p4):
     assert lines[-1] == "relation holds: yes"
 
 
+def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
+    capsys, tmp_path, monkeypatch
+):
+    def no_distances(*args):
+        raise AssertionError("an over-cap graph needs no distances")
+
+    for target in ("graph._bfs_row", "graph.all_pairs", "bitmasks._distances"):
+        monkeypatch.setattr(f"geodom.{target}", no_distances)
+    path = tmp_path / "p2000.txt"
+    path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1999)))
+    for argv, cap in ((["oracle-gx", "--x", "v0"], 12), (["oracle-geodetic"], 10)):
+        for fmt in ("plain", "json"):
+            code, out, err = run(capsys, *argv, "--graph", str(path), "--format", fmt)
+            message = f"error: too large: 2000 vertices exceeds the cap of {cap}\n"
+            assert (code, out, err) == (2, "", message)
+
+
+def test_oracle_commands_take_their_distances_from_the_oracle_stage(capsys, p4, monkeypatch):
+    # graph.py's BFS now searches the path a-b-c-d closed into a cycle;
+    # the oracles, with a BFS of their own, still see the path
+    from geodom import graph
+
+    bfs_row = graph._bfs_row
+
+    def closed_row(adj, source):
+        adj = [list(nbrs) for nbrs in adj]
+        adj[0].append(len(adj) - 1)
+        adj[-1].append(0)
+        return bfs_row(adj, source)
+
+    monkeypatch.setattr(graph, "_bfs_row", closed_row)
+    code, out, _ = run(capsys, "oracle-gx", "--graph", p4, "--x", "a", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["checks"]["equals_boundary"] is False
+    assert doc["result"]["minimum_sets"] == [["d"]]
+    _, out, _ = run(capsys, "oracle-geodetic", "--graph", p4)
+    assert out.splitlines()[:2] == ["geodetic number = 2", "witness: a d"]
+
+
 def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     def no_matrix(g):
         raise AssertionError("these commands must not build all-pairs distances")
 
-    monkeypatch.setattr("geodom.cli.all_pairs", no_matrix)
+    monkeypatch.setattr("geodom.graph.all_pairs", no_matrix)
+    monkeypatch.setattr("geodom.bitmasks._distances", no_matrix)
     test_boundary_plain_golden(capsys, p4)
     test_gx_plain(capsys, p4)
     test_check_yes_and_no(capsys, p4)
@@ -747,7 +788,7 @@ def test_product_verify_json_is_streamed(monkeypatch, big_factors):
         def flush(self):
             pass
 
-    handler = cli._HANDLERS["product-verify"]
+    handler = cli._cmd_product_verify
     held = []
 
     def measured(args):
@@ -758,7 +799,7 @@ def test_product_verify_json_is_streamed(monkeypatch, big_factors):
 
     g, h = big_factors
     sink = Sink()
-    monkeypatch.setitem(cli._HANDLERS, "product-verify", measured)
+    monkeypatch.setattr(cli, "_cmd_product_verify", measured)
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
@@ -917,6 +958,41 @@ def test_unknown_set_label_is_input_error(capsys, p4):
 def test_empty_closure_set_is_input_error(capsys, p4):
     code, _, err = run(capsys, "closure", "--graph", p4, "--set", "")
     assert code == 2 and "empty" in err
+
+
+# ---------------------------------------------------------------------------
+# command-line surface
+
+
+@pytest.mark.parametrize("command", sorted(cli_goldens.INPUTS))
+def test_json_inputs_are_the_parsed_flags(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(P4_TEXT)
+    Path("h.txt").write_text(P3N_TEXT)
+    code, out, err = run(capsys, *cli_goldens.INPUT_ARGV[command], "--format", "json")
+    assert (code, err) == (0, "")
+    assert out[out.index('  "inputs"') : out.index('  "result"')] == cli_goldens.INPUTS[command]
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="from 3.13 argparse prints the metavar of a multi-flag option once",
+)
+@pytest.mark.parametrize("command", sorted(cli_goldens.HELP))
+def test_help_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.out, out.err) == (0, cli_goldens.HELP[command], "")
+
+
+def test_usage_error_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(cli_goldens.USAGE_ERROR_ARGV)
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.out, out.err) == cli_goldens.USAGE_ERROR
 
 
 # ---------------------------------------------------------------------------
