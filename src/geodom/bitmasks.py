@@ -6,8 +6,9 @@ neighbour bitmasks (``_mask_chunks``); graphs of any size stack into the
 same bitmask rows (``_stacked_bits``). Connectivity, BFS levels and
 distances are numpy passes over those rows with their own bit-frontier
 BFS, so the oracles built on them call none of the BFS code of graph.py
-that they check. Exhaustive enumeration, the simplicial counterexample
-search and the theorem sweep in oracles.py share this stage.
+that they check. The brute-force searches, exhaustive enumeration, the
+simplicial counterexample search and the theorem sweep in oracles.py
+share this stage.
 """
 
 from __future__ import annotations

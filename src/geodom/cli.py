@@ -8,7 +8,9 @@ across runs for identical inputs and seeds. Exit codes: 0 success,
 1 property-check failure, 2 input error.
 
 The product and oracle handlers import their modules in their own body,
-so a command loads only the layers it runs.
+so a command loads only the layers it runs. The oracle handlers hand the
+graph and --cap to the brute-force searches, which refuse an over-cap
+graph before any distance work and compute distances with their own BFS.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .boundary import (
     min_gx_vertex,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     GraphError,
     VertexSet,
@@ -284,17 +285,6 @@ def _heuristic(g: Graph) -> tuple[int, int, VertexSet, bool, bool]:
     return x, min_gx, s, is_geodetic(g, s), len(s) == min_gx + 1
 
 
-def _oracle_distances(g: Graph, cap: int) -> DistanceMatrix:
-    """The distance matrix the brute-force oracles read, once g is within
-    their cap: from the oracle stage's own bit-frontier BFS, not from the
-    BFS rows of graph.py that boundary() reads."""
-    from .bitmasks import _distances, _stacked_bits
-    from .oracles import _require_cap
-
-    _require_cap(g.n, cap)
-    return DistanceMatrix(_distances(_stacked_bits([g], g.n))[0])
-
-
 def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     x, min_gx, s, geodetic, size_ok = _heuristic(g)
@@ -318,7 +308,7 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
 
     g = _load_graph(args.graph)
     x = g.index_of(args.x)
-    res = min_x_geodominating_bruteforce(g, _oracle_distances(g, args.cap), x, cap=args.cap)
+    res = min_x_geodominating_bruteforce(g, x, cap=args.cap)
     expected = boundary(g, x).boundary
     unique = len(res.minimum_sets) == 1
     matches = unique and res.minimum_sets[0] == expected
@@ -344,7 +334,7 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
     from .oracles import geodetic_number_bruteforce
 
     g = _load_graph(args.graph)
-    number, witness = geodetic_number_bruteforce(g, _oracle_distances(g, args.cap), cap=args.cap)
+    number, witness = geodetic_number_bruteforce(g, cap=args.cap)
     if g.n >= 2:
         _, min_gx, _, geodetic, size_ok = _heuristic(g)
         relation = number <= min_gx + 1

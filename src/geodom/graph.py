@@ -17,10 +17,10 @@ of 64 members at a time in the bits of one uint64 word per vertex
 (``_level_words``), about depth x (n + m) word operations per batch.
 ``_word_budget`` and ``_kept_levels`` cap the depth at
 min(|batch| x (n + m), 4(n + 2m)) / n levels; deeper graphs (paths, long
-cycles, grids) go back to one row and one sweep per member. The full
-matrix from ``all_pairs`` (n BFS runs, 4n^2 bytes) serves only the
-callers that read rows by index: the brute-force oracles and
-``product_distance``.
+cycles, grids) go back to one row and one sweep per member. Nothing here
+builds an all-pairs matrix: the brute-force oracles compute theirs with
+their own BFS (bitmasks.py), and ``products.product_distance`` takes
+factor rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "DistanceMatrix",
     "VertexSet",
     "GraphError",
     "ParseError",
@@ -42,7 +41,6 @@ __all__ = [
     "emit_graph",
     "is_connected",
     "bfs_distances",
-    "all_pairs",
     "geodesic_sweep",
     "interval",
     "geodetic_closure",
@@ -73,8 +71,12 @@ class DisconnectedError(GraphError):
     """A metric operation received a disconnected graph."""
 
 
+# a line starting with one of these is a comment or a declaration, not an edge
+_RESERVED = ("#", "vertices:")
+
+
 def _valid_label(label: str) -> bool:
-    return isinstance(label, str) and bool(label) and label.split() == [label]
+    return isinstance(label, str) and label.split() == [label] and not label.startswith(_RESERVED)
 
 
 class Graph:
@@ -194,23 +196,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs hop distances as a read-only (n, n) integer matrix."""
-
-    d: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.d.shape[0])
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.d[u, v])
-
-    def row(self, u: int) -> np.ndarray:
-        return self.d[u]
-
-
 @dataclass(frozen=True)
 class VertexSet:
     """Sorted, deduplicated vertex indices within a host graph of size n."""
@@ -269,8 +254,10 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
     Lines are comments (``#`` prefix), an optional ``vertices: a b c ...``
-    declaration, or ``u v`` edge lines. Duplicate edges collapse; self-loops
-    and malformed lines raise :class:`ParseError` with the line number.
+    declaration, or ``u v`` edge lines. Duplicate edges collapse; self-loops,
+    malformed lines and labels starting with ``#`` or ``vertices:``, which
+    ``emit_graph`` could not write back, raise :class:`ParseError` with the
+    line number.
     """
     index: dict[str, int] = {}
     tails, heads = [], []
@@ -292,9 +279,24 @@ def parse_graph(text: str) -> Graph:
         heads.append(index.setdefault(v, len(index)))
     if not index:
         raise ParseError("empty vertex set: no edges or vertex declarations")
+    reserved = next((lab for lab in index if lab.startswith(_RESERVED)), None)
+    if reserved is not None:
+        raise ParseError(
+            f"label {reserved!r} starts with '#' or 'vertices:'", _line_of(text, reserved)
+        )
     g = Graph.__new__(Graph)
     g._build(list(index), tails, heads)
     return g
+
+
+def _line_of(text: str, label: str) -> int | None:
+    """Number of the first line of text that names label, read as
+    ``parse_graph`` reads it."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line.startswith("#") and label in line.removeprefix("vertices:").split():
+            return line_no
+    return None
 
 
 def emit_graph(g: Graph) -> str:
@@ -340,18 +342,6 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
         raise DisconnectedError("graph is disconnected")
     out.setflags(write=False)
     return out
-
-
-def all_pairs(g: Graph) -> DistanceMatrix:
-    """All-pairs distances via one BFS per vertex."""
-    if not is_connected(g):
-        raise DisconnectedError("graph is disconnected")
-    n = g.n
-    d = np.empty((n, n), dtype=np.int32)
-    for src in range(n):
-        d[src] = _bfs_row(g.adj, src)
-    d.setflags(write=False)
-    return DistanceMatrix(d)
 
 
 def _degrees(g: Graph) -> np.ndarray:

@@ -3,17 +3,18 @@
 The geodomination oracle unions, by subset doubling, the geodesic covers
 of every candidate set and keeps the full unions of least size, so its
 minima come from raw distance arithmetic and share no logic with
-boundary(). Small-graph enumeration and seeded random generation supply
-the verification substrate, and the simplicial counterexample search
-certifies that simplicial vertices can fail to geodominate from every
-source.
+boundary(). Both brute-force searches take a graph and compute its
+distances themselves, once it is within their cap. Small-graph
+enumeration and seeded random generation supply the verification
+substrate, and the simplicial counterexample search certifies that
+simplicial vertices can fail to geodominate from every source.
 
-Exhaustive enumeration, the counterexample search and the theorem sweep
-share one stage (bitmasks.py): edge masks in chunks, neighbour bitmasks
-and their own bit-frontier BFS, so nothing here calls the BFS, geodesic
-or simplicial code of graph.py that the searches certify. The theorem
-sweep reads only the boundary itself from boundary.py, once per source
-index on the disjoint union of a chunk.
+The brute-force searches, exhaustive enumeration, the counterexample
+search and the theorem sweep share one stage (bitmasks.py): edge masks
+in chunks, neighbour bitmasks and their own bit-frontier BFS, so nothing
+here calls the BFS, geodesic or simplicial code of graph.py that the
+searches certify. The theorem sweep reads only the boundary itself from
+boundary.py, once per source index on the disjoint union of a chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .bitmasks import (
     _vertex_bits,
 )
 from .boundary import _boundary_mask, _row_boundary
-from .graph import DistanceMatrix, Graph, VertexSet
+from .graph import Graph, VertexSet
 
 __all__ = [
     "OracleResult",
@@ -82,24 +83,23 @@ class GraphGenSpec:
     each remaining edge independently with edge_probability."""
 
     n: int
-    mode: str = "random"
     edge_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown generation mode {self.mode!r}")
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError("edge probability must lie in [0, 1]")
 
 
-def min_x_geodominating_bruteforce(
-    g: Graph, dm: DistanceMatrix, x: int, *, cap: int = 12
-) -> OracleResult:
+def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = 12) -> OracleResult:
     """All minimum x-geodominating sets, in combinations order, by
     exhaustive search over every candidate set (``_minimum_covers``).
+
+    The cap is checked before anything else. The distances come from the
+    oracle stage's own bit-frontier BFS (bitmasks.py), not from the BFS
+    rows of graph.py that boundary() reads.
 
     Candidates exclude x itself: x is covered by any nonempty set (it is
     an endpoint of every geodesic from x) and contributes only I[x,x] =
@@ -107,22 +107,28 @@ def min_x_geodominating_bruteforce(
     2^(n-1) per source, which the cap bounds.
     """
     n = g.n
+    _require_cap(n, cap)
     if n < 2:
         raise ValueError("x-geodomination needs at least two vertices")
-    _require_cap(n, cap)
     if not 0 <= x < n:
         raise ValueError(f"vertex index {x} out of range [0, {n})")
-    size, hits = _minimum_covers(dm.d[None], x)
-    return OracleResult(
-        minimum_size=int(size[0]),
-        minimum_sets=_minimum_sets(hits[0], x, n),
-        exhausted=True,
-    )
+    return _min_x_search(_distances(_stacked_bits([g], n))[0], x)
 
 
 def _require_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+
+
+def _min_x_search(d: np.ndarray, x: int) -> OracleResult:
+    """The search of ``min_x_geodominating_bruteforce`` for source x on
+    any symmetric (n, n) matrix d with a zero diagonal."""
+    size, hits = _minimum_covers(d[None], x)
+    return OracleResult(
+        minimum_size=int(size[0]),
+        minimum_sets=_minimum_sets(hits[0], x, len(d)),
+        exhausted=True,
+    )
 
 
 def _minimum_covers(d: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,16 +166,17 @@ def _minimum_sets(hits: np.ndarray, x: int, n: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(m, n) for m in members)
 
 
-def geodetic_number_bruteforce(
-    g: Graph, dm: DistanceMatrix, *, cap: int = 10
-) -> tuple[int, VertexSet]:
-    """Smallest k with a geodetic set of size k, plus the first witness."""
+def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> tuple[int, VertexSet]:
+    """Smallest k with a geodetic set of size k, plus the first witness.
+
+    As in ``min_x_geodominating_bruteforce``, the cap comes first and the
+    distances come from the oracle stage's own BFS."""
     n = g.n
     _require_cap(n, cap)
     if n == 1:
         return 1, VertexSet.of([0], 1)
 
-    d = dm.d
+    d = _distances(_stacked_bits([g], n))[0]
     full = (1 << n) - 1
     pair_mask = [[0] * n for _ in range(n)]
     for u in range(n):
@@ -243,8 +250,6 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
 def random_connected_graph(spec: GraphGenSpec) -> Graph:
     """Connected graph from a uniform spanning tree plus independent
     extra edges; identical for identical specs."""
-    if spec.mode != "random":
-        raise ValueError("random_connected_graph needs a random-mode spec")
     n = spec.n
     if n < 2:
         raise ValueError("random generation needs at least two vertices")
@@ -402,7 +407,7 @@ def verify_unique_minimum(
     if exhaustive_n >= 2:
         _require_cap(exhaustive_n, cap)
     listed = _verify_graphs(graphs, cap)
-    enumerated = _verify_enumeration(exhaustive_n, cap)
+    enumerated = _verify_enumeration(exhaustive_n)
     return VerificationReport(
         graphs_checked=enumerated.graphs_checked + listed.graphs_checked,
         sources_checked=enumerated.sources_checked + listed.sources_checked,
@@ -410,7 +415,7 @@ def verify_unique_minimum(
     )
 
 
-def _verify_enumeration(max_n: int, cap: int) -> VerificationReport:
+def _verify_enumeration(max_n: int) -> VerificationReport:
     """The sweep over every connected graph on 2..max_n vertices."""
     graphs_checked = sources_checked = 0
     failures: list[str] = []
@@ -420,7 +425,7 @@ def _verify_enumeration(max_n: int, cap: int) -> VerificationReport:
             masks, nbrs = masks[keep], nbrs[keep]
             d = _distances(nbrs)
             failures.extend(
-                _failure(_mask_graph(n, int(masks[row])), d[row], x, cap)
+                _failure(_mask_graph(n, int(masks[row])), d[row], x)
                 for row, x in _failing_sources(nbrs, d)
             )
             graphs_checked += len(nbrs)
@@ -445,7 +450,7 @@ def _verify_graphs(graphs: Iterable[Graph], cap: int) -> VerificationReport:
             d = _distances(nbrs)
             failing.extend((where[row], x, d[row]) for row, x in _failing_sources(nbrs, d))
         failing.sort(key=lambda f: f[:2])
-        failures.extend(_failure(chunk[i], dist, x, cap) for i, x, dist in failing)
+        failures.extend(_failure(chunk[i], dist, x) for i, x, dist in failing)
         graphs_checked += len(chunk)
         sources_checked += sum(g.n for g in chunk)
     return VerificationReport(graphs_checked, sources_checked, tuple(failures))
@@ -477,9 +482,9 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     return [(row, x) for row, x in np.argwhere(bad).tolist()]
 
 
-def _failure(g: Graph, d: np.ndarray, x: int, cap: int) -> str:
+def _failure(g: Graph, d: np.ndarray, x: int) -> str:
     """The report line of a failing source x of g, whose distances are d."""
-    res = min_x_geodominating_bruteforce(g, DistanceMatrix(d), x, cap=cap)
+    res = _min_x_search(d, x)
     expected = _row_boundary(g, d[x], x).boundary
     oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
     return (

@@ -3,7 +3,7 @@
 Product vertices are labeled "(g,h)" with the factor order fixed as the
 argument order; nothing is commuted or canonicalized. ``product`` builds
 the product graph and ``product_distance`` gives each kind's closed-form
-distance between two (g, h) index pairs.
+distances from one base (x, y), from the factor rows of x and y.
 
 ``product_reports`` never builds the product. Since the boundary of a
 source is its unique minimum geodominating set, the boundary of a base
@@ -50,7 +50,6 @@ import numpy as np
 from .boundary import _boundary_mask
 from .graph import (
     DisconnectedError,
-    DistanceMatrix,
     Graph,
     _check_vertex,
     _edge_arrays,
@@ -142,30 +141,24 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(kind, g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 
-def product_distance(
-    kind: "ProductKind | str",
-    dmg: DistanceMatrix,
-    dmh: DistanceMatrix,
-    pair_a: tuple[int, int],
-    pair_b: tuple[int, int],
-) -> int:
-    """Closed-form product distance between two (g, h) index pairs."""
+def product_distance(kind: "ProductKind | str", dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Closed-form distances from the base (x, y) whose factor rows are dg,
+    the distances from x in G, and dh, the distances from y in H, as an
+    (n_G, n_H) array: cell [a, b] is the distance to (a, b)."""
     kind = _as_kind(kind)
-    gi, hi = pair_a
-    gj, hj = pair_b
-    for idx, bound in ((gi, dmg.n), (gj, dmg.n), (hi, dmh.n), (hj, dmh.n)):
-        if not 0 <= idx < bound:
-            raise ValueError(f"vertex index {idx} out of range")
-    dg = dmg.dist(gi, gj)
-    dh = dmh.dist(hi, hj)
+    dg, dh = np.asarray(dg), np.asarray(dh)
+    for row in (dg, dh):
+        if row.ndim != 1 or np.count_nonzero(row == 0) != 1:
+            raise ValueError("a factor row must be 1-D with exactly one zero, at its source")
+    cg, ch = dg[:, None], dh[None, :]
     if kind is ProductKind.CARTESIAN:
-        return dg + dh
+        return cg + ch
     if kind is ProductKind.STRONG:
-        return max(dg, dh)
-    if gi != gj:
-        return dg
-    # same layer: hop out to a neighbor layer and back, unless G is trivial
-    return dh if dmg.n == 1 else min(dh, 2)
+        return np.maximum(cg, ch)
+    out = np.repeat(cg, len(dh), axis=1)
+    # the base layer: hop out to a neighbour layer and back, unless G is trivial
+    out[np.argmin(dg)] = dh if len(dg) == 1 else np.minimum(dh, 2)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from geodom import (
-    DistanceMatrix,
     Graph,
     OracleResult,
     ProductGraph,
@@ -32,7 +31,6 @@ from geodom import (
     ProductReport,
     VerificationReport,
     VertexSet,
-    all_pairs,
 )
 from geodom.boundary import _row_boundary
 from geodom.products import (
@@ -520,9 +518,10 @@ def loop_simplicial_verdict(g: Graph) -> tuple[list[int], bool]:
 
 
 def loop_min_x_geodominating(
-    g: Graph, dm: DistanceMatrix, x: int, *, cap: int = 12
+    g: Graph, d: Sequence[Sequence[int]], x: int, *, cap: int = 12
 ) -> OracleResult:
-    """All minimum x-geodominating sets, by exhaustive size-ordered search.
+    """All minimum x-geodominating sets, by exhaustive size-ordered search
+    on the distance matrix d, ``floyd_warshall(g)`` for a graph.
 
     Candidates exclude x itself: x is covered by any nonempty set (it is
     an endpoint of every geodesic from x) and contributes only I[x,x] =
@@ -536,14 +535,13 @@ def loop_min_x_geodominating(
     if not 0 <= x < n:
         raise ValueError(f"vertex index {x} out of range [0, {n})")
 
-    d = dm.d
     full = (1 << n) - 1
     candidates = [v for v in range(n) if v != x]
     cover = {}
     for y in candidates:
         mask = 0
         for v in range(n):
-            if d[x, v] + d[v, y] == d[x, y]:
+            if d[x][v] + d[v][y] == d[x][y]:
                 mask |= 1 << v
         cover[y] = mask
 
@@ -583,12 +581,12 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> Ver
         if g.n < 2:
             continue
         graphs_checked += 1
-        dm = all_pairs(g)
+        dist = floyd_warshall(g)
         for x in range(g.n):
             sources_checked += 1
-            res = loop_min_x_geodominating(g, dm, x, cap=cap)
+            res = loop_min_x_geodominating(g, dist, x, cap=cap)
             # the oracle's matrix holds the row, so no BFS per source
-            expected = _row_boundary(g, dm.row(x), x).boundary
+            expected = _row_boundary(g, np.array(dist[x]), x).boundary
             if (
                 not res.exhausted
                 or len(res.minimum_sets) != 1
@@ -606,6 +604,21 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> Ver
         sources_checked=sources_checked,
         failures=tuple(failures),
     )
+
+
+def close_the_path_in_graph_bfs(monkeypatch) -> None:
+    """Make graph.py's BFS search the path a-b-c-d closed into a cycle,
+    by joining the first and last vertex of every graph it searches."""
+    graph = sys.modules["geodom.graph"]
+    bfs_row = graph._bfs_row
+
+    def closed_row(adj, source):
+        adj = [list(nbrs) for nbrs in adj]
+        adj[0].append(len(adj) - 1)
+        adj[-1].append(0)
+        return bfs_row(adj, source)
+
+    monkeypatch.setattr(graph, "_bfs_row", closed_row)
 
 
 def drop_one_boundary_vertex(monkeypatch) -> None:

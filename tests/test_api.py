@@ -1,12 +1,14 @@
 import importlib
-import inspect
+import re
+from pathlib import Path
 
 import geodom
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = {
     # graph
     "Graph",
-    "DistanceMatrix",
     "VertexSet",
     "GraphError",
     "ParseError",
@@ -15,7 +17,6 @@ PUBLIC_NAMES = {
     "emit_graph",
     "is_connected",
     "bfs_distances",
-    "all_pairs",
     "geodesic_sweep",
     "interval",
     "geodetic_closure",
@@ -53,27 +54,6 @@ PUBLIC_NAMES = {
     "__version__",
 }
 
-# the only public functions that read whole distance matrices
-MATRIX_READERS = {
-    "product_distance",
-    "min_x_geodominating_bruteforce",
-    "geodetic_number_bruteforce",
-}
-
-
-def test_only_matrix_readers_take_a_distance_matrix():
-    takers = set()
-    for name in geodom.__all__:
-        obj = getattr(geodom, name)
-        if not inspect.isfunction(obj):
-            continue
-        params = inspect.signature(obj).parameters.values()
-        # annotations are strings under `from __future__ import annotations`
-        if any("DistanceMatrix" in str(p.annotation) for p in params):
-            takers.add(name)
-    assert takers == MATRIX_READERS
-
-
 def test_package_names():
     assert set(geodom.__all__) == PUBLIC_NAMES
     assert len(geodom.__all__) == len(PUBLIC_NAMES)
@@ -82,3 +62,16 @@ def test_package_names():
     # the lazily loaded names are their modules' own
     for name, module in geodom._LAZY.items():
         assert name in importlib.import_module(f"geodom.{module}").__all__
+
+
+def test_readme_python_blocks_print_what_they_show(capsys):
+    # each ```python block runs as printed; a `print(...)  # text` line
+    # must print text
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    shown = 0
+    for block in blocks:
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected, block
+        shown += len(expected)
+    assert len(blocks) == 3 and shown == 8

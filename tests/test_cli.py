@@ -23,7 +23,12 @@ from geodom import (
 from geodom import cli
 from geodom.cli import main
 from geodom.jsonout import Encoded, _write_json
-from helpers import cells, drop_one_boundary_vertex, loop_verify_unique_minimum
+from helpers import (
+    cells,
+    close_the_path_in_graph_bfs,
+    drop_one_boundary_vertex,
+    loop_verify_unique_minimum,
+)
 from strategies import json_documents, labelled_documents
 
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
@@ -137,7 +142,7 @@ def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
     def no_distances(*args):
         raise AssertionError("an over-cap graph needs no distances")
 
-    for target in ("graph._bfs_row", "graph.all_pairs", "bitmasks._distances"):
+    for target in ("graph._bfs_row", "oracles._stacked_bits", "oracles._distances"):
         monkeypatch.setattr(f"geodom.{target}", no_distances)
     path = tmp_path / "p2000.txt"
     path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1999)))
@@ -149,19 +154,8 @@ def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
 
 
 def test_oracle_commands_take_their_distances_from_the_oracle_stage(capsys, p4, monkeypatch):
-    # graph.py's BFS now searches the path a-b-c-d closed into a cycle;
     # the oracles, with a BFS of their own, still see the path
-    from geodom import graph
-
-    bfs_row = graph._bfs_row
-
-    def closed_row(adj, source):
-        adj = [list(nbrs) for nbrs in adj]
-        adj[0].append(len(adj) - 1)
-        adj[-1].append(0)
-        return bfs_row(adj, source)
-
-    monkeypatch.setattr(graph, "_bfs_row", closed_row)
+    close_the_path_in_graph_bfs(monkeypatch)
     code, out, _ = run(capsys, "oracle-gx", "--graph", p4, "--x", "a", "--format", "json")
     doc = json.loads(out)
     assert code == 1 and doc["checks"]["equals_boundary"] is False
@@ -174,8 +168,8 @@ def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     def no_matrix(g):
         raise AssertionError("these commands must not build all-pairs distances")
 
-    monkeypatch.setattr("geodom.graph.all_pairs", no_matrix)
     monkeypatch.setattr("geodom.bitmasks._distances", no_matrix)
+    monkeypatch.setattr("geodom.oracles._distances", no_matrix)
     test_boundary_plain_golden(capsys, p4)
     test_gx_plain(capsys, p4)
     test_check_yes_and_no(capsys, p4)

@@ -1,7 +1,6 @@
 import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from geodom import (
     GraphError,
     ParseError,
     VertexSet,
-    all_pairs,
     bfs_distances,
     boundary,
     min_gx_vertex,
@@ -83,6 +81,8 @@ def test_parse_duplicate_edges_collapse():
         ("a a\n", "self-loop"),
         ("", "empty vertex set"),
         ("# nothing but comments\n", "empty vertex set"),
+        ("a b\nb #c\n", "line 2: label '#c'"),
+        ("a b\nvertices: c vertices:d\nc a\n", "line 2: label 'vertices:d'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -125,7 +125,7 @@ def test_adjacency_sorted_and_symmetric():
 
 @pytest.mark.parametrize(
     "edges",
-    [[("a", "a")], [("a b", "c")], [("", "c")]],
+    [[("a", "a")], [("a b", "c")], [("", "c")], [("#a", "b")], [("vertices:a", "zz")]],
 )
 def test_construction_rejects_bad_edges(edges):
     with pytest.raises(GraphError):
@@ -140,6 +140,9 @@ def test_construction_rejects_empty():
 def test_construction_rejects_bad_declared_label():
     with pytest.raises(GraphError):
         Graph([("a", "b")], vertices=["ok", "not ok"])
+    for label in ("#a", "vertices:", "vertices:a"):
+        with pytest.raises(GraphError):
+            Graph([("a", "b")], vertices=[label])
 
 
 def test_equality_ignores_input_order():
@@ -252,17 +255,8 @@ def test_vertex_set_issubset():
 
 
 @given(connected_graphs())
-def test_all_pairs_matches_floyd_warshall(g):
-    dm = all_pairs(g)
-    assert dm.d.tolist() == floyd_warshall(g)
-
-
-@given(connected_graphs())
-def test_distance_matrix_shape_properties(g):
-    dm = all_pairs(g)
-    assert dm.n == g.n
-    assert np.array_equal(dm.d, dm.d.T)
-    assert np.all(np.diag(dm.d) == 0)
+def test_bfs_rows_match_floyd_warshall(g):
+    assert [bfs_distances(g, x).tolist() for x in range(g.n)] == floyd_warshall(g)
 
 
 def test_bfs_distances_row():
@@ -277,8 +271,6 @@ def test_disconnected_raises():
     assert not is_connected(g)
     with pytest.raises(DisconnectedError):
         bfs_distances(g, 0)
-    with pytest.raises(DisconnectedError):
-        all_pairs(g)
 
 
 @pytest.mark.parametrize(
@@ -300,16 +292,9 @@ def test_row_source_none_checks_connectivity(call):
         call(g)
 
 
-def test_matrix_is_read_only():
-    dm = all_pairs(path_graph(3))
-    with pytest.raises(ValueError):
-        dm.d[0, 0] = 7
-
-
 def test_cycle_distances():
     g = cycle_graph(6)
-    dm = all_pairs(g)
-    assert [dm.dist(0, k) for k in range(6)] == [0, 1, 2, 3, 2, 1]
+    assert bfs_distances(g, 0).tolist() == [0, 1, 2, 3, 2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +361,7 @@ def test_closure_matches_direct_computation(g, data):
 @pytest.fixture(scope="module", params=[63, 64, 65, 129])
 def word_graph(request):
     n = request.param
-    g = random_connected_graph(GraphGenSpec(n, "random", 3 / n, seed=n))
+    g = random_connected_graph(GraphGenSpec(n=n, edge_probability=3 / n, seed=n))
     return g, floyd_warshall(g)
 
 
@@ -535,7 +520,7 @@ def test_family_sizes():
 def test_generated_labels_sort_naturally():
     g = path_graph(12)
     assert g.labels[0] == "v00" and g.labels[11] == "v11"
-    assert all_pairs(g).dist(0, 11) == 11
+    assert bfs_distances(g, 0)[11] == 11
 
 
 def test_star_center_is_first_label():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodom import (
-    DistanceMatrix,
     Graph,
     GraphError,
     GraphGenSpec,
-    all_pairs,
     boundary,
     complete_graph,
     cycle_graph,
@@ -32,9 +30,11 @@ from geodom import (
 from geodom import oracles
 from geodom.boundary import _row_boundary
 from helpers import (
+    close_the_path_in_graph_bfs,
     connected_labeled_graph_counts,
     drop_one_boundary_vertex,
     edge_subsets,
+    floyd_warshall,
     loop_connected_graphs,
     loop_min_x_geodominating,
     loop_simplicial_counterexample,
@@ -50,46 +50,81 @@ from strategies import connected_graphs, graphs_with_vertex, trees
 
 def test_path_minimum_is_far_endpoint():
     g = path_graph(["a", "b", "c", "d"])
-    res = min_x_geodominating_bruteforce(g, all_pairs(g), 0)
+    res = min_x_geodominating_bruteforce(g, 0)
     assert res.minimum_size == 1 and res.exhausted
     assert [g.labels_of(s) for s in res.minimum_sets] == [["d"]]
 
 
 def test_complete_graph_minimum_is_everyone_else():
     g = complete_graph(4)
-    res = min_x_geodominating_bruteforce(g, all_pairs(g), 2)
+    res = min_x_geodominating_bruteforce(g, 2)
     assert res.minimum_size == 3
     assert [set(s) for s in res.minimum_sets] == [{0, 1, 3}]
 
 
 def test_every_minimum_set_geodominates():
     g = cycle_graph(6)
-    dm = all_pairs(g)
-    res = min_x_geodominating_bruteforce(g, dm, 0)
+    res = min_x_geodominating_bruteforce(g, 0)
     for s in res.minimum_sets:
         assert is_x_geodominating(g, 0, s).is_geodominating
 
 
 def test_cap_is_enforced_and_overridable():
     g = path_graph(13)
-    dm = all_pairs(g)
     with pytest.raises(ValueError, match="too large"):
-        min_x_geodominating_bruteforce(g, dm, 0)
-    assert min_x_geodominating_bruteforce(g, dm, 0, cap=13).minimum_size == 1
+        min_x_geodominating_bruteforce(g, 0)
+    assert min_x_geodominating_bruteforce(g, 0, cap=13).minimum_size == 1
 
 
 def test_single_vertex_rejected():
     g = Graph(vertices=["a"])
     with pytest.raises(ValueError, match="two vertices"):
-        min_x_geodominating_bruteforce(g, all_pairs(g), 0)
+        min_x_geodominating_bruteforce(g, 0)
+
+
+def test_searches_check_the_cap_first(monkeypatch):
+    def no_distances(*args):
+        raise AssertionError("an over-cap graph needs no distances")
+
+    monkeypatch.setattr(oracles, "_stacked_bits", no_distances)
+    monkeypatch.setattr(oracles, "_distances", no_distances)
+    g = path_graph(2000)
+    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 12"):
+        min_x_geodominating_bruteforce(g, 0)
+    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 10"):
+        geodetic_number_bruteforce(g)
+    # ahead of the single-vertex and index checks too
+    single = Graph(vertices=["a"])
+    with pytest.raises(ValueError, match="cap of 0"):
+        min_x_geodominating_bruteforce(single, 5, cap=0)
+    with pytest.raises(ValueError, match="cap of 0"):
+        geodetic_number_bruteforce(single, cap=0)
+
+
+def test_searches_compute_their_own_distances(monkeypatch):
+    # the searches, with a BFS of their own, still see the path
+    close_the_path_in_graph_bfs(monkeypatch)
+    p4 = path_graph("abcd")
+    assert p4.labels_of(boundary(p4, 0).boundary) == ["c"]
+    res = min_x_geodominating_bruteforce(p4, 0)
+    assert [p4.labels_of(s) for s in res.minimum_sets] == [["d"]]
+    number, witness = geodetic_number_bruteforce(p4)
+    assert (number, p4.labels_of(witness)) == (2, ["a", "d"])
+
+
+def test_searches_reject_disconnected_graphs():
+    g = Graph([("a", "b"), ("c", "d")])
+    with pytest.raises(GraphError, match="disconnected"):
+        min_x_geodominating_bruteforce(g, 0)
+    with pytest.raises(GraphError, match="disconnected"):
+        geodetic_number_bruteforce(g)
 
 
 @given(graphs_with_vertex(max_n=6))
 def test_excluding_x_loses_nothing(gv):
     # the search skips x as a candidate; adding it back never helps
     g, x = gv
-    dm = all_pairs(g)
-    res = min_x_geodominating_bruteforce(g, dm, x)
+    res = min_x_geodominating_bruteforce(g, x)
     for s in res.minimum_sets:
         with_x = set(s) | {x}
         assert is_x_geodominating(g, x, with_x).is_geodominating
@@ -101,16 +136,16 @@ def test_excluding_x_loses_nothing(gv):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_search_matches_the_loop_on_every_small_graph(n):
     for g in enumerate_connected_graphs(n):
-        dm = all_pairs(g)
+        dist = floyd_warshall(g)
         for x in range(n):
-            assert min_x_geodominating_bruteforce(g, dm, x) == loop_min_x_geodominating(g, dm, x)
+            assert min_x_geodominating_bruteforce(g, x) == loop_min_x_geodominating(g, dist, x)
 
 
 def test_search_matches_the_loop_on_a_random_corpus():
     for g in random_graph_corpus(12, 9, 12, 0.25, seed=3):
-        dm = all_pairs(g)
+        dist = floyd_warshall(g)
         for x in range(g.n):
-            assert min_x_geodominating_bruteforce(g, dm, x) == loop_min_x_geodominating(g, dm, x)
+            assert min_x_geodominating_bruteforce(g, x) == loop_min_x_geodominating(g, dist, x)
 
 
 def test_search_lists_tied_sets_in_combinations_order():
@@ -124,8 +159,8 @@ def test_search_lists_tied_sets_in_combinations_order():
         d = np.triu(d, 1) + np.triu(d, 1).T
         g = complete_graph(n)
         for x in range(n):
-            res = min_x_geodominating_bruteforce(g, DistanceMatrix(d), x)
-            assert res == loop_min_x_geodominating(g, DistanceMatrix(d), x)
+            res = oracles._min_x_search(d, x)
+            assert res == loop_min_x_geodominating(g, d, x)
             # ties of sets with two or more members, which index order does not sort
             tied += res.minimum_size > 1 and len(res.minimum_sets) > 1
     assert tied > 50
@@ -137,36 +172,35 @@ def test_search_lists_tied_sets_in_combinations_order():
 
 def test_geodetic_numbers_of_families():
     p5 = path_graph(5)
-    n, witness = geodetic_number_bruteforce(p5, all_pairs(p5))
+    n, witness = geodetic_number_bruteforce(p5)
     assert n == 2 and list(witness) == [0, 4]
     c5 = cycle_graph(5)
-    n5, w5 = geodetic_number_bruteforce(c5, all_pairs(c5))
+    n5, w5 = geodetic_number_bruteforce(c5)
     assert n5 == 3 and is_geodetic(c5, w5)
     c6 = cycle_graph(6)
-    assert geodetic_number_bruteforce(c6, all_pairs(c6))[0] == 2
+    assert geodetic_number_bruteforce(c6)[0] == 2
     k4 = complete_graph(4)
-    assert geodetic_number_bruteforce(k4, all_pairs(k4))[0] == 4
+    assert geodetic_number_bruteforce(k4)[0] == 4
     star = star_graph(6)
-    assert geodetic_number_bruteforce(star, all_pairs(star))[0] == 5
+    assert geodetic_number_bruteforce(star)[0] == 5
 
 
 def test_geodetic_cap():
     g = path_graph(11)
     with pytest.raises(ValueError, match="too large"):
-        geodetic_number_bruteforce(g, all_pairs(g))
-    assert geodetic_number_bruteforce(g, all_pairs(g), cap=11)[0] == 2
+        geodetic_number_bruteforce(g)
+    assert geodetic_number_bruteforce(g, cap=11)[0] == 2
 
 
 def test_geodetic_single_vertex():
     g = Graph(vertices=["a"])
-    n, w = geodetic_number_bruteforce(g, all_pairs(g))
+    n, w = geodetic_number_bruteforce(g)
     assert n == 1 and list(w) == [0]
 
 
 @given(connected_graphs(max_n=7))
 def test_geodetic_number_at_most_min_gx_plus_one(g):
-    dm = all_pairs(g)
-    number, witness = geodetic_number_bruteforce(g, dm)
+    number, witness = geodetic_number_bruteforce(g)
     assert is_geodetic(g, witness)
     assert number <= min_gx_vertex(g)[1] + 1
 
@@ -238,14 +272,10 @@ def test_mask_chunks_follow_combinations_order(n):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="mode"):
-        GraphGenSpec(n=5, mode="weird")
     with pytest.raises(ValueError, match="probability"):
         GraphGenSpec(n=5, edge_probability=1.5)
     with pytest.raises(ValueError, match="at least 1"):
         GraphGenSpec(n=0)
-    with pytest.raises(ValueError, match="random-mode"):
-        random_connected_graph(GraphGenSpec(n=5, mode="exhaustive"))
     with pytest.raises(ValueError, match="two vertices"):
         random_connected_graph(GraphGenSpec(n=1))
 
@@ -471,14 +501,14 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     rng = np.random.default_rng(11)
     graphs = random_graph_corpus(60, 6, 6, 0.4, seed=8)
     nbrs = oracles._stacked_bits(graphs, 6)
-    d = np.array([all_pairs(g).d for g in graphs], dtype=np.uint8)
+    d = np.array([floyd_warshall(g) for g in graphs], dtype=np.uint8)
     for row in range(0, 60, 2):
         u, v = rng.choice(6, size=2, replace=False)
         d[row, u, v] = d[row, v, u] = rng.integers(0, 4)
     expected, tied = [], 0
     for row, g in enumerate(graphs):
         for x in range(6):
-            res = loop_min_x_geodominating(g, DistanceMatrix(d[row]), x)
+            res = loop_min_x_geodominating(g, d[row], x)
             inside = _row_boundary(g, d[row, x], x).boundary
             tied += len(res.minimum_sets) > 1
             if res.minimum_sets != (inside,) or res.minimum_size != len(inside):
@@ -508,9 +538,8 @@ def test_sweep_rejects_disconnected_graphs():
 
 @given(connected_graphs(max_n=6))
 def test_oracle_agrees_with_boundary(g):
-    dm = all_pairs(g)
     for x in range(g.n):
-        res = min_x_geodominating_bruteforce(g, dm, x)
+        res = min_x_geodominating_bruteforce(g, x)
         assert res.exhausted
         assert len(res.minimum_sets) == 1
         assert res.minimum_sets[0] == boundary(g, x).boundary

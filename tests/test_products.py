@@ -9,7 +9,7 @@ from geodom import (
     DisconnectedError,
     Graph,
     ProductKind,
-    all_pairs,
+    bfs_distances,
     boundary,
     complete_graph,
     parse_graph,
@@ -166,32 +166,38 @@ def test_edge_sets_nest_across_kinds(factors):
 
 
 def test_distance_examples():
-    dm3a, dm3n, dm4n = all_pairs(P3A), all_pairs(P3N), all_pairs(P4N)
-    assert product_distance("cartesian", dm3a, dm3n, (0, 0), (2, 2)) == 4
-    assert product_distance("strong", dm3a, dm4n, (0, 0), (2, 2)) == 2
+    # distances from the base (first vertex, first vertex)
+    a3, n3, n4 = bfs_distances(P3A, 0), bfs_distances(P3N, 0), bfs_distances(P4N, 0)
+    assert product_distance("cartesian", a3, n3)[2, 2] == 4
+    assert product_distance("strong", a3, n4)[2, 2] == 2
     p2 = path_graph(["a", "b"])
-    assert product_distance("lexicographic", all_pairs(p2), dm4n, (0, 0), (0, 3)) == 2
+    assert product_distance("lexicographic", bfs_distances(p2, 0), n4)[0, 3] == 2
+    # with one layer, the layer metric is H's own
+    assert product_distance("lexicographic", [0], n4).tolist() == [[0, 1, 2, 3]]
 
 
 def test_distance_validates_range():
-    dm = all_pairs(P3A)
-    with pytest.raises(ValueError, match="out of range"):
-        product_distance("cartesian", dm, dm, (0, 0), (3, 0))
+    # a factor row is 1-D, with one zero at its source
+    row = bfs_distances(P3A, 0)
+    for bad in ([[0, 1]], [1, 2], [0, 0, 1], 0):
+        with pytest.raises(ValueError, match="exactly one zero"):
+            product_distance("cartesian", bad, row)
+        with pytest.raises(ValueError, match="exactly one zero"):
+            product_distance("cartesian", row, bad)
 
 
 @settings(max_examples=30)
 @given(factor_pairs)
 def test_closed_form_matches_bfs_on_product(factors):
     g, h = factors
-    dmg, dmh = all_pairs(g), all_pairs(h)
     for kind in KINDS:
         pg = product(kind, g, h)
-        dmp = all_pairs(pg.graph)
+        a, b = np.array(pg.factor_pairs).T
         for p in range(pg.graph.n):
-            for q in range(pg.graph.n):
-                expected = dmp.dist(p, q)
-                got = product_distance(kind, dmg, dmh, pg.pair_of(p), pg.pair_of(q))
-                assert got == expected, (kind, pg.pair_of(p), pg.pair_of(q))
+            x, y = pg.pair_of(p)
+            got = product_distance(kind, bfs_distances(g, x), bfs_distances(h, y))
+            # cell [a[q], b[q]] is the distance to product vertex q
+            assert got[a, b].tolist() == bfs_distances(pg.graph, p).tolist(), (kind, (x, y))
 
 
 # ---------------------------------------------------------------------------
