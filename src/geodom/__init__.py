@@ -29,7 +29,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "OracleResult",
-            "GraphGenSpec",
             "VerificationReport",
             "min_x_geodominating_bruteforce",
             "geodetic_number_bruteforce",

@@ -51,17 +51,15 @@ __all__ = [
 class BoundaryResult:
     """Boundary of a source vertex and the geodomination number it induces."""
 
-    source: int
     boundary: VertexSet
     gx: int
 
 
 @dataclass(frozen=True)
 class GeodominationCheck:
-    """Outcome of testing one candidate set against one source."""
+    """Outcome of testing one candidate set against one source: the
+    vertices its geodesics cover, and the first one they miss."""
 
-    source: int
-    candidate: VertexSet
     covered: VertexSet
     is_geodominating: bool
     witness_uncovered: int | None
@@ -69,16 +67,16 @@ class GeodominationCheck:
 
 def boundary(g: Graph, x: int) -> BoundaryResult:
     """Boundary vertices of x, with gx = its size."""
-    return _row_boundary(g, bfs_distances(g, x), x)
+    return _row_boundary(g, bfs_distances(g, x))
 
 
-def _row_boundary(g: Graph, row: np.ndarray, x: int) -> BoundaryResult:
-    """Boundary of x from its distance row."""
+def _row_boundary(g: Graph, row: np.ndarray) -> BoundaryResult:
+    """Boundary of the source of a distance row."""
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     mask = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
     members = VertexSet.of(np.flatnonzero(mask), g.n)
-    return BoundaryResult(source=x, boundary=members, gx=len(members))
+    return BoundaryResult(boundary=members, gx=len(members))
 
 
 def _boundary_mask(
@@ -97,24 +95,17 @@ def _boundary_mask(
 
 def is_x_geodominating(g: Graph, x: int, s: "VertexSet | Iterable[int]") -> GeodominationCheck:
     """Does every vertex lie on a shortest path from x to some member of s?"""
-    return _row_coverage(g, bfs_distances(g, x), x, s)
+    return _row_coverage(g, bfs_distances(g, x), s)
 
 
-def _row_coverage(
-    g: Graph, row: np.ndarray, x: int, s: "VertexSet | Iterable[int]"
-) -> GeodominationCheck:
-    """Geodomination check of s from x, given the distance row of x."""
-    vs = _as_vertex_set(s, g.n)
-    covered_mask = geodesic_sweep(g, row, _mask(g, vs))
+def _row_coverage(g: Graph, row: np.ndarray, s: "VertexSet | Iterable[int]") -> GeodominationCheck:
+    """Geodomination check of s from the source of a distance row."""
+    covered_mask = geodesic_sweep(g, row, _mask(g, _as_vertex_set(s, g.n)))
     covered = VertexSet.of(np.flatnonzero(covered_mask), g.n)
     ok = len(covered) == g.n
     witness = None if ok else int(np.flatnonzero(~covered_mask)[0])
     return GeodominationCheck(
-        source=x,
-        candidate=vs,
-        covered=covered,
-        is_geodominating=ok,
-        witness_uncovered=witness,
+        covered=covered, is_geodominating=ok, witness_uncovered=witness
     )
 
 
@@ -124,8 +115,8 @@ def _boundary_and_coverage(
     """The boundary of x and the geodomination check of s from x (of the
     boundary itself when s is None), both from one BFS row."""
     row = bfs_distances(g, x)
-    res = _row_boundary(g, row, x)
-    return res, _row_coverage(g, row, x, res.boundary if s is None else s)
+    res = _row_boundary(g, row)
+    return res, _row_coverage(g, row, res.boundary if s is None else s)
 
 
 def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:

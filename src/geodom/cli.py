@@ -11,6 +11,8 @@ The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse an over-cap
 graph before any distance work and compute distances with their own BFS.
+verify-theorems hands its corpus flags to random_graph_corpus as given,
+--random 0 included, so the library's checks of them are the only ones.
 """
 
 from __future__ import annotations
@@ -147,13 +149,13 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     pg = product(args.kind, g, h)
-    document = emit_graph(pg.graph)
     result = {
         "kind": pg.kind.value,
         "vertex_count": pg.graph.n,
         "edge_count": pg.graph.edge_count,
     }
     if args.emit:
+        document = emit_graph(pg.graph)
         lines = document.splitlines()
         result["document"] = document
     else:
@@ -365,10 +367,8 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
     if not 0 <= args.exhaustive_n <= 7:
         raise ValueError("--exhaustive-n must lie in [0, 7]")
     # the corpus is built, and swept, ahead of the enumeration, so a bad
-    # --n or --p, or an --n over the cap, fails before the long part
-    corpus = []
-    if args.random > 0:
-        corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)
+    # --random, --n or --p, or an --n over the cap, fails before the long part
+    corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)
     report = verify_unique_minimum(corpus, exhaustive_n=args.exhaustive_n)
     lines = [
         f"graphs checked: {report.graphs_checked}",

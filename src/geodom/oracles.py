@@ -7,7 +7,10 @@ boundary(). Both brute-force searches take a graph and compute its
 distances themselves, once it is within their cap. Small-graph
 enumeration and seeded random generation supply the verification
 substrate, and the simplicial counterexample search certifies that
-simplicial vertices can fail to geodominate from every source.
+simplicial vertices can fail to geodominate from every source. Each
+input is checked once, by the function that uses it: the generator
+checks its size and edge probability, the corpus its count and size
+range.
 
 The brute-force searches, exhaustive enumeration, the counterexample
 search and the theorem sweep share one stage (bitmasks.py): edge masks
@@ -44,7 +47,6 @@ from .graph import Graph, VertexSet
 
 __all__ = [
     "OracleResult",
-    "GraphGenSpec",
     "VerificationReport",
     "min_x_geodominating_bruteforce",
     "geodetic_number_bruteforce",
@@ -56,6 +58,9 @@ __all__ = [
 ]
 
 _ENUM_LABELS = "abcdefgh"
+# the largest graph min_x_geodominating_bruteforce searches by default,
+# and the theorem sweep's cap: it searches 2^(n-1) sets per source
+_GX_CAP = 12
 # the theorem sweep holds n x n distances and a CSR per graph, so it takes
 # smaller chunks; these keep its peak memory at about the interpreter's
 _SWEEP_CHUNK = 1 << 9
@@ -77,23 +82,7 @@ class OracleResult:
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class GraphGenSpec:
-    """Reproducible random-graph parameters: a uniform spanning tree plus
-    each remaining edge independently with edge_probability."""
-
-    n: int
-    edge_probability: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("vertex count must be at least 1")
-        if not 0.0 <= self.edge_probability <= 1.0:
-            raise ValueError("edge probability must lie in [0, 1]")
-
-
-def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = 12) -> OracleResult:
+def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = _GX_CAP) -> OracleResult:
     """All minimum x-geodominating sets, in combinations order, by
     exhaustive search over every candidate set (``_minimum_covers``).
 
@@ -247,18 +236,20 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def random_connected_graph(spec: GraphGenSpec) -> Graph:
-    """Connected graph from a uniform spanning tree plus independent
-    extra edges; identical for identical specs."""
-    n = spec.n
+def random_connected_graph(n: int, edge_probability: float = 0.0, seed: int = 0) -> Graph:
+    """Connected graph on n >= 2 vertices from a uniform spanning tree
+    plus each remaining edge independently with edge_probability;
+    identical for identical arguments."""
     if n < 2:
         raise ValueError("random generation needs at least two vertices")
-    rng = random.Random(spec.seed)
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
+    rng = random.Random(seed)
     tree = {(min(u, v), max(u, v)) for u, v in _prufer_tree(n, rng)}
     edges = set(tree)
-    if spec.edge_probability > 0.0:
+    if edge_probability > 0.0:
         for pair in _all_pairs_list(n):
-            if pair not in tree and rng.random() < spec.edge_probability:
+            if pair not in tree and rng.random() < edge_probability:
                 edges.add(pair)
     width = len(str(n - 1))
     labels = [f"v{i:0{width}d}" for i in range(n)]
@@ -270,21 +261,19 @@ def random_connected_graph(spec: GraphGenSpec) -> Graph:
 def random_graph_corpus(
     count: int, n_low: int, n_high: int, edge_probability: float, seed: int
 ) -> list[Graph]:
-    """count seeded graphs with sizes cycling through [n_low, n_high]."""
+    """count seeded graphs with sizes cycling through [n_low, n_high].
+
+    count and the sizes are checked even when count is 0; the edge
+    probability is checked by ``random_connected_graph``, per graph."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= n_low <= n_high:
         raise ValueError("need 2 <= n_low <= n_high")
     sizes = range(n_low, n_high + 1)
-    out = []
-    for i in range(count):
-        spec = GraphGenSpec(
-            n=sizes[i % len(sizes)],
-            edge_probability=edge_probability,
-            seed=seed * 100003 + i,
-        )
-        out.append(random_connected_graph(spec))
-    return out
+    return [
+        random_connected_graph(sizes[i % len(sizes)], edge_probability, seed * 100003 + i)
+        for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +378,7 @@ class VerificationReport:
 
 
 def verify_unique_minimum(
-    graphs: Iterable[Graph], *, cap: int = 12, exhaustive_n: int = 0
+    graphs: Iterable[Graph], *, exhaustive_n: int = 0
 ) -> VerificationReport:
     """For every graph and source, check that the brute-force search finds
     exactly one minimum x-geodominating set and that it is the boundary.
@@ -397,16 +386,14 @@ def verify_unique_minimum(
     exhaustive_n puts every connected graph on 2..exhaustive_n vertices
     ahead of graphs, swept chunk by chunk from ``_mask_chunks`` without
     building a Graph. graphs take the same chunk check, stacked by vertex
-    count; they are swept first, so that one over the cap fails before
-    the enumeration. A Graph is built only to report an enumerated
-    failure. Single-vertex graphs are skipped: geodomination needs a
-    non-source vertex to exist.
+    count; they are swept first, so that one over the cap of 12 vertices
+    fails before the enumeration. A Graph is built only to report an
+    enumerated failure. Single-vertex graphs are skipped: geodomination
+    needs a non-source vertex to exist.
     """
     if not 0 <= exhaustive_n <= 7:
         raise ValueError("exhaustive enumeration supports n <= 7")
-    if exhaustive_n >= 2:
-        _require_cap(exhaustive_n, cap)
-    listed = _verify_graphs(graphs, cap)
+    listed = _verify_graphs(graphs)
     enumerated = _verify_enumeration(exhaustive_n)
     return VerificationReport(
         graphs_checked=enumerated.graphs_checked + listed.graphs_checked,
@@ -433,7 +420,7 @@ def _verify_enumeration(max_n: int) -> VerificationReport:
     return VerificationReport(graphs_checked, sources_checked, tuple(failures))
 
 
-def _verify_graphs(graphs: Iterable[Graph], cap: int) -> VerificationReport:
+def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
     """The sweep over graphs, _SWEEP_CHUNK at a time, each chunk stacked by
     vertex count; failures keep the order of graphs, then of sources."""
     graphs_checked = sources_checked = 0
@@ -442,7 +429,7 @@ def _verify_graphs(graphs: Iterable[Graph], cap: int) -> VerificationReport:
     while chunk := list(islice(todo, _SWEEP_CHUNK)):
         chunk = [g for g in chunk if g.n >= 2]
         for g in chunk:
-            _require_cap(g.n, cap)
+            _require_cap(g.n, _GX_CAP)
         failing = []
         for n in sorted({g.n for g in chunk}):
             where = [i for i, g in enumerate(chunk) if g.n == n]
@@ -485,7 +472,7 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
 def _failure(g: Graph, d: np.ndarray, x: int) -> str:
     """The report line of a failing source x of g, whose distances are d."""
     res = _min_x_search(d, x)
-    expected = _row_boundary(g, d[x], x).boundary
+    expected = _row_boundary(g, d[x]).boundary
     oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
     return (
         f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "

@@ -567,7 +567,7 @@ def _union(cover: dict[int, int], combo: Sequence[int]) -> int:
     return mask
 
 
-def loop_verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> VerificationReport:
+def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
     """For every graph and source, check that the brute-force search finds
     exactly one minimum x-geodominating set and that it is the boundary.
 
@@ -584,9 +584,9 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph], *, cap: int = 12) -> Ver
         dist = floyd_warshall(g)
         for x in range(g.n):
             sources_checked += 1
-            res = loop_min_x_geodominating(g, dist, x, cap=cap)
+            res = loop_min_x_geodominating(g, dist, x)
             # the oracle's matrix holds the row, so no BFS per source
-            expected = _row_boundary(g, np.array(dist[x]), x).boundary
+            expected = _row_boundary(g, np.array(dist[x])).boundary
             if (
                 not res.exhausted
                 or len(res.minimum_sets) != 1

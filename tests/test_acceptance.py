@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from geodom import (
-    GraphGenSpec,
     ProductKind,
     bfs_distances,
     boundary,
@@ -351,9 +350,7 @@ def test_criterion_10_boundary_scaling():
     sizes = (500, 1000, 2000)
     times = []
     for n in sizes:
-        g = random_connected_graph(
-            GraphGenSpec(n=n, edge_probability=3.0 / n, seed=42)
-        )
+        g = random_connected_graph(n, edge_probability=3.0 / n, seed=42)
         t0 = time.perf_counter()
         for x in range(g.n):
             boundary(g, x)

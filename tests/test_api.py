@@ -1,5 +1,6 @@
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import geodom
@@ -42,7 +43,6 @@ PUBLIC_NAMES = {
     "product_reports",
     # oracles
     "OracleResult",
-    "GraphGenSpec",
     "VerificationReport",
     "min_x_geodominating_bruteforce",
     "geodetic_number_bruteforce",
@@ -75,3 +75,29 @@ def test_readme_python_blocks_print_what_they_show(capsys):
         assert capsys.readouterr().out.splitlines() == expected, block
         shown += len(expected)
     assert len(blocks) == 3 and shown == 8
+
+
+def test_readme_product_shell_block_runs_as_printed(capsys, tmp_path, monkeypatch):
+    # the ```sh block under "Product reports on small paths": printf writes
+    # a factor file, and each geodom line runs through the CLI's main
+    from geodom.cli import main
+
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Product reports on small paths"):]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    codes, outputs = [], []
+    for line in block.splitlines():
+        words = shlex.split(line)
+        if words[0] == "printf":
+            _, body, redirect, name = words
+            assert redirect == ">"
+            Path(name).write_text(body.replace("\\n", "\n"))
+        else:
+            assert words[:2] == ["geodom", "product-verify"] and "--base" in words
+            codes.append(main(words[1:]))
+            outputs.append(capsys.readouterr().out.splitlines())
+    assert codes == [0, 0, 1]
+    # what the paragraph after the block says of the lexicographic run
+    assert "witnesses: (a,3)" in outputs[2]
+    assert "gx: 6 outside [1, 5]" in outputs[2]

@@ -197,6 +197,21 @@ def test_product_summary_and_emit_round_trip(capsys, factors):
     assert emitted.labels[0] == "(a,1)"
 
 
+def test_product_formats_the_edge_list_only_under_emit(capsys, factors, monkeypatch):
+    def no_emit(*args):
+        raise AssertionError("the summary needs no edge-list document")
+
+    monkeypatch.setattr(cli, "emit_graph", no_emit)
+    g, h = factors
+    code, out, _ = run(capsys, "product", "--kind", "strong", "--g", g, "--h", h)
+    assert (code, out) == (0, "kind: strong\nvertices: 9\nedges: 20\n")
+    code, out, _ = run(
+        capsys, "product", "--kind", "strong", "--g", g, "--h", h, "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {"kind": "strong", "vertex_count": 9, "edge_count": 20}
+
+
 def test_product_verify_all_bases(capsys, factors):
     g, h = factors
     for kind in ("cartesian", "lexicographic", "strong"):
@@ -492,6 +507,20 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
     monkeypatch.setattr("geodom.oracles._mask_chunks", no_enumeration)
     code, _, err = run(capsys, "verify-theorems", "--random", "2", "--n", "1")
     assert code == 2 and "n_low" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--random", "-3"), "count must be non-negative"),
+        (("--exhaustive-n", "3", "--n", "1"), "need 2 <= n_low <= n_high"),
+    ],
+)
+def test_verify_theorems_checks_the_corpus_flags_at_any_count(capsys, argv, message):
+    # the library checks the count and the size even when no graph is drawn
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, "verify-theorems", *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, monkeypatch):

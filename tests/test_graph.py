@@ -28,7 +28,7 @@ from geodom import (
     simplicial_vertices,
     star_graph,
 )
-from geodom.oracles import GraphGenSpec, random_connected_graph
+from geodom.oracles import random_connected_graph
 from helpers import (
     assert_same_graph,
     direct_boundary,
@@ -361,7 +361,7 @@ def test_closure_matches_direct_computation(g, data):
 @pytest.fixture(scope="module", params=[63, 64, 65, 129])
 def word_graph(request):
     n = request.param
-    g = random_connected_graph(GraphGenSpec(n=n, edge_probability=3 / n, seed=n))
+    g = random_connected_graph(n, edge_probability=3 / n, seed=n)
     return g, floyd_warshall(g)
 
 

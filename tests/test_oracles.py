@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from geodom import (
     Graph,
     GraphError,
-    GraphGenSpec,
     boundary,
     complete_graph,
     cycle_graph,
+    emit_graph,
     enumerate_connected_graphs,
     find_simplicial_counterexample,
     geodetic_number_bruteforce,
@@ -273,32 +274,33 @@ def test_mask_chunks_follow_combinations_order(n):
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="probability"):
-        GraphGenSpec(n=5, edge_probability=1.5)
-    with pytest.raises(ValueError, match="at least 1"):
-        GraphGenSpec(n=0)
-    with pytest.raises(ValueError, match="two vertices"):
-        random_connected_graph(GraphGenSpec(n=1))
+        random_connected_graph(5, edge_probability=1.5)
+    with pytest.raises(ValueError, match="probability"):
+        random_connected_graph(5, edge_probability=-0.1)
+    # one check covers every n below two
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="two vertices"):
+            random_connected_graph(n)
 
 
 def test_zero_probability_gives_a_spanning_tree():
     for seed in range(10):
-        g = random_connected_graph(GraphGenSpec(n=9, edge_probability=0.0, seed=seed))
+        g = random_connected_graph(9, edge_probability=0.0, seed=seed)
         assert g.n == 9 and g.edge_count == 8 and is_connected(g)
 
 
 def test_unit_probability_gives_complete():
-    g = random_connected_graph(GraphGenSpec(n=6, edge_probability=1.0, seed=3))
+    g = random_connected_graph(6, edge_probability=1.0, seed=3)
     assert g.edge_count == 15
 
 
 def test_same_seed_same_graph():
-    spec = GraphGenSpec(n=8, edge_probability=0.4, seed=123)
-    assert random_connected_graph(spec) == random_connected_graph(spec)
+    assert random_connected_graph(8, 0.4, 123) == random_connected_graph(8, 0.4, 123)
 
 
 def test_seeds_vary_the_graph():
     graphs = {
-        frozenset(random_connected_graph(GraphGenSpec(n=8, edge_probability=0.4, seed=s)).edges())
+        frozenset(random_connected_graph(8, edge_probability=0.4, seed=s).edges())
         for s in range(8)
     }
     assert len(graphs) > 1
@@ -306,8 +308,19 @@ def test_seeds_vary_the_graph():
 
 def test_random_samples_are_valid():
     for i in range(100):
-        g = random_connected_graph(GraphGenSpec(n=9, edge_probability=0.3, seed=i))
+        g = random_connected_graph(9, edge_probability=0.3, seed=i)
         assert g.n == 9 and is_connected(g)
+
+
+def test_random_graphs_are_pinned():
+    # sha256 of the edge-list documents: a seed always draws the same graphs,
+    # so the generator must consume its RNG in this order
+    corpus = random_graph_corpus(12, 4, 12, 0.3, seed=5)
+    digest = hashlib.sha256("".join(map(emit_graph, corpus)).encode()).hexdigest()
+    assert digest == "d30809357db88298e7fb3078be15136faeacf7863a0914bd197f112141eb7dec"
+    graphs = [random_connected_graph(9, p, 7) for p in (0.0, 0.4, 1.0)]
+    digest = hashlib.sha256("".join(map(emit_graph, graphs)).encode()).hexdigest()
+    assert digest == "f2e916a718b4ff589d76209bbd4edc5ef880673482ef91da1898fde1f16b3a8f"
 
 
 def test_corpus_cycles_sizes_and_is_deterministic():
@@ -385,9 +398,7 @@ def test_array_predicate_matches_the_loop_on_small_graphs(n):
 
 def test_array_predicate_matches_the_loop_on_the_seeded_sample():
     graphs = [
-        random_connected_graph(
-            GraphGenSpec(n=8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
-        )
+        random_connected_graph(8, edge_probability=0.25 + 0.05 * (i % 6), seed=i)
         for i in range(2000)
     ]
     _assert_predicate_matches_loop(graphs, 8)
@@ -509,7 +520,7 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     for row, g in enumerate(graphs):
         for x in range(6):
             res = loop_min_x_geodominating(g, d[row], x)
-            inside = _row_boundary(g, d[row, x], x).boundary
+            inside = _row_boundary(g, d[row, x]).boundary
             tied += len(res.minimum_sets) > 1
             if res.minimum_sets != (inside,) or res.minimum_size != len(inside):
                 expected.append((row, x))
@@ -524,8 +535,6 @@ def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
     monkeypatch.setattr(oracles, "_mask_chunks", no_chunks)
     with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
         verify_unique_minimum([path_graph(13)], exhaustive_n=6)
-    with pytest.raises(ValueError, match="cap of 3"):
-        verify_unique_minimum([], cap=3, exhaustive_n=4)
     with pytest.raises(ValueError, match="n <= 7"):
         verify_unique_minimum([], exhaustive_n=8)
 
