@@ -3,22 +3,22 @@
 Every edge set on n <= 7 vertices is an integer mask, produced in chunks
 in (edge count, combinations rank) order together with per-vertex
 neighbour bitmasks (``_mask_chunks``); graphs of any size stack into the
-same bitmask rows (``_stacked_bits``). Connectivity, BFS levels and
-distances are numpy passes over those rows with their own bit-frontier
-BFS, so the oracles built on them call none of the BFS code of graph.py
-that they check. The brute-force searches, exhaustive enumeration, the
-simplicial counterexample search and the theorem sweep in oracles.py
-share this stage.
+same bitmask rows (``_stacked_bits``, from each graph's CSR). One
+bit-frontier BFS per chunk (``_levels``) gives connectivity, distances
+and geodesic sweeps, so the oracles built on it call none of the BFS
+code of graph.py that they check. The brute-force searches, exhaustive
+enumeration, the simplicial counterexample search and the theorem sweep
+in oracles.py share this stage.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import DisconnectedError, Graph
+from .graph import Graph, _degrees
 
 # edge masks per array pass; larger chunks gain little speed and raise
 # the peak memory of the search
@@ -106,13 +106,12 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return raw.view(dtype.newbyteorder("<"))[..., 0]
 
 
-def _stacked_bits(graphs: Iterable[Graph], n: int) -> np.ndarray:
-    """Neighbour bitmasks of n-vertex graphs, one row per graph; each
-    graph can be dropped once its row is read."""
-    return np.array(
-        [[sum(1 << w for w in g.adj[v]) for v in range(n)] for g in graphs],
-        dtype=_bits_dtype(n),
-    ).reshape(-1, n)
+def _stacked_bits(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Neighbour bitmasks of n-vertex graphs, one row per graph, from their CSR."""
+    adj = np.zeros((len(graphs), n, n), dtype=bool)
+    for k, g in enumerate(graphs):
+        adj[k, np.repeat(np.arange(n), _degrees(g)), g.flat_neighbors] = True
+    return _pack(adj)
 
 
 def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -123,37 +122,23 @@ def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _connected(nbrs: np.ndarray) -> np.ndarray:
-    """Whether vertex 0 reaches every vertex, per row of nbrs."""
-    n = nbrs.shape[1]
-    reach = np.ones((len(nbrs), 1), dtype=np.uint8)
-    for _ in range(n - 1):
-        reach |= _neighbourhood(nbrs, reach)
-    return reach[:, 0] == (1 << n) - 1
-
-
-def _levels(nbrs: np.ndarray) -> list[np.ndarray]:
-    """Bit-frontier BFS from every source: levels[j][k, z] is the bitmask
-    of the vertices at distance j from z in row k, up to the deepest
-    nonempty level of the chunk."""
+def _levels(nbrs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Bit-frontier BFS from every source: (keep, levels), where keep indexes
+    the connected rows of nbrs and levels[j][k, z] is the bitmask of the
+    vertices at distance j from z in row keep[k], to the chunk's last level."""
     rows, n = nbrs.shape
     seen = np.tile(_vertex_bits(n, nbrs.dtype), (rows, 1))  # [k, z]
     levels = [seen.copy()]
-    while True:
-        frontier = _neighbourhood(nbrs, levels[-1]) & ~seen
-        if not frontier.any():
-            return levels
+    while (frontier := _neighbourhood(nbrs, levels[-1]) & ~seen).any():
         seen |= frontier
         levels.append(frontier)
+    (keep,) = np.nonzero(seen[:, 0] == (1 << n) - 1)
+    return keep, [level[keep] for level in levels]
 
 
-def _distances(nbrs: np.ndarray) -> np.ndarray:
-    """d[k, z, v]: the distance from z to v in row k of nbrs, by one
-    bit-frontier BFS from every source (``_levels``)."""
-    rows, n = nbrs.shape
-    levels = _levels(nbrs)
-    if (np.bitwise_or.reduce(levels) != (1 << n) - 1).any():
-        raise DisconnectedError("graph is disconnected")
+def _distances(levels: list[np.ndarray]) -> np.ndarray:
+    """d[k, z, v]: the distance from z to v in row k of the ``_levels``."""
+    rows, n = levels[0].shape
     d = np.zeros((rows, n, n), dtype=np.uint8)
     for depth in range(1, len(levels)):
         d += np.uint8(depth) * _unpack(levels[depth], n)

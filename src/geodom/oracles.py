@@ -8,15 +8,15 @@ distances themselves, once it is within their cap. Small-graph
 enumeration and seeded random generation supply the verification
 substrate, and the simplicial counterexample search certifies that
 simplicial vertices can fail to geodominate from every source. Each
-input is checked once, by the function that uses it: the generator
-checks its size and edge probability, the corpus its count and size
-range.
+input is checked by the function that takes it, before any work: the
+generator checks its size and edge probability, the corpus its count,
+size range and edge probability, even when it draws no graph.
 
 The brute-force searches, exhaustive enumeration, the counterexample
 search and the theorem sweep share one stage (bitmasks.py): edge masks
-in chunks, neighbour bitmasks and their own bit-frontier BFS, so nothing
-here calls the BFS, geodesic or simplicial code of graph.py that the
-searches certify. The theorem sweep reads only the boundary itself from
+in chunks, neighbour bitmasks and one bit-frontier BFS per chunk, so
+nothing here calls the BFS, geodesic or simplicial code of graph.py that
+the searches certify. The theorem sweep reads only the boundary itself from
 boundary.py, once per source index on the disjoint union of a chunk.
 """
 
@@ -32,9 +32,8 @@ import numpy as np
 
 from .bitmasks import (
     _all_pairs_list,
-    _connected,
-    _distances,
     _levels,
+    _distances,
     _mask_chunks,
     _neighbourhood,
     _pack,
@@ -43,7 +42,7 @@ from .bitmasks import (
     _vertex_bits,
 )
 from .boundary import _boundary_mask, _row_boundary
-from .graph import Graph, VertexSet
+from .graph import DisconnectedError, Graph, VertexSet
 
 __all__ = [
     "OracleResult",
@@ -58,6 +57,8 @@ __all__ = [
 ]
 
 _ENUM_LABELS = "abcdefgh"
+# the most vertices that enumeration, sweep and counterexample search cover
+_EXHAUSTIVE_MAX_N = 7
 # the largest graph min_x_geodominating_bruteforce searches by default,
 # and the theorem sweep's cap: it searches 2^(n-1) sets per source
 _GX_CAP = 12
@@ -101,12 +102,20 @@ def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = _GX_CAP) -> O
         raise ValueError("x-geodomination needs at least two vertices")
     if not 0 <= x < n:
         raise ValueError(f"vertex index {x} out of range [0, {n})")
-    return _min_x_search(_distances(_stacked_bits([g], n))[0], x)
+    return _min_x_search(_graph_distances(_stacked_bits([g], n))[0], x)
 
 
 def _require_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
+
+
+def _graph_distances(nbrs: np.ndarray) -> np.ndarray:
+    """``_distances`` of the rows of nbrs, which must all be connected."""
+    keep, levels = _levels(nbrs)
+    if len(keep) < len(nbrs):
+        raise DisconnectedError("graph is disconnected")
+    return _distances(levels)
 
 
 def _min_x_search(d: np.ndarray, x: int) -> OracleResult:
@@ -165,7 +174,7 @@ def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> tuple[int, VertexS
     if n == 1:
         return 1, VertexSet.of([0], 1)
 
-    d = _distances(_stacked_bits([g], n))[0]
+    d = _graph_distances(_stacked_bits([g], n))[0]
     full = (1 << n) - 1
     pair_mask = [[0] * n for _ in range(n)]
     for u in range(n):
@@ -206,10 +215,10 @@ def _mask_graph(n: int, mask: int) -> Graph:
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected simple labeled graph on n vertices, exactly once,
     by edge count ascending then combinations order of the edge list."""
-    if not 1 <= n <= 7:
-        raise ValueError("exhaustive enumeration supports 1 <= n <= 7")
+    if not 1 <= n <= _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {_EXHAUSTIVE_MAX_N}")
     for masks, nbrs in _mask_chunks(n):
-        for mask in masks[_connected(nbrs)].tolist():
+        for mask in masks[_levels(nbrs)[0]].tolist():
             yield _mask_graph(n, mask)
 
 
@@ -263,12 +272,14 @@ def random_graph_corpus(
 ) -> list[Graph]:
     """count seeded graphs with sizes cycling through [n_low, n_high].
 
-    count and the sizes are checked even when count is 0; the edge
-    probability is checked by ``random_connected_graph``, per graph."""
+    count, the sizes and the edge probability are checked even when count
+    is 0."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= n_low <= n_high:
         raise ValueError("need 2 <= n_low <= n_high")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError("edge probability must lie in [0, 1]")
     sizes = range(n_low, n_high + 1)
     return [
         random_connected_graph(sizes[i % len(sizes)], edge_probability, seed * 100003 + i)
@@ -293,7 +304,7 @@ def _simplicial_bits(nbrs: np.ndarray) -> np.ndarray:
     return np.packbits((closed & ~inside) == 0, axis=1, bitorder="little")[:, 0]
 
 
-def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray) -> np.ndarray:
+def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
     """Whether the simplicial bits cover no source, per row of connected
     graphs: for every z some v lies on no geodesic from z to simp.
 
@@ -303,12 +314,11 @@ def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray) -> np.ndarray:
     vertices on a geodesic from z to simp.
     """
     n = nbrs.shape[1]
-    levels = _levels(nbrs)
     targets = simp[:, None]
-    up = levels.pop() & targets
+    up = levels[-1] & targets
     covered = up.copy()
-    while levels:
-        up = levels.pop() & (targets | _neighbourhood(nbrs, up))
+    for level in reversed(levels[:-1]):
+        up = level & (targets | _neighbourhood(nbrs, up))
         covered |= up
     return (covered != (1 << n) - 1).all(axis=1)
 
@@ -318,8 +328,9 @@ def _first_counterexample(nbrs: np.ndarray, min_simplicial: int) -> tuple[int, i
     least min_simplicial simplicial vertices and fails from every source."""
     simp = _simplicial_bits(nbrs)
     (keep,) = np.nonzero(_POPCOUNT[simp] >= min_simplicial)
-    keep = keep[_connected(nbrs[keep])]
-    (hits,) = np.nonzero(_fails_everywhere(nbrs[keep], simp[keep]))
+    connected, levels = _levels(nbrs[keep])
+    keep = keep[connected]
+    (hits,) = np.nonzero(_fails_everywhere(nbrs[keep], simp[keep], levels))
     if len(hits) == 0:
         return None
     row = int(keep[hits[0]])
@@ -350,7 +361,7 @@ def find_simplicial_counterexample(
     if min_simplicial < 1:
         raise ValueError("min_simplicial must be at least 1")
 
-    for n in range(4, min(max_n, 7) + 1):
+    for n in range(4, min(max_n, _EXHAUSTIVE_MAX_N) + 1):
         for masks, nbrs in _mask_chunks(n):
             hit = _first_counterexample(nbrs, min_simplicial)
             if hit is not None:
@@ -391,8 +402,8 @@ def verify_unique_minimum(
     enumerated failure. Single-vertex graphs are skipped: geodomination
     needs a non-source vertex to exist.
     """
-    if not 0 <= exhaustive_n <= 7:
-        raise ValueError("exhaustive enumeration supports n <= 7")
+    if not 0 <= exhaustive_n <= _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive_n must lie in [0, {_EXHAUSTIVE_MAX_N}]")
     listed = _verify_graphs(graphs)
     enumerated = _verify_enumeration(exhaustive_n)
     return VerificationReport(
@@ -408,9 +419,9 @@ def _verify_enumeration(max_n: int) -> VerificationReport:
     failures: list[str] = []
     for n in range(2, max_n + 1):
         for masks, nbrs in _mask_chunks(n, _SWEEP_CHUNK):
-            keep = _connected(nbrs)
+            keep, levels = _levels(nbrs)
             masks, nbrs = masks[keep], nbrs[keep]
-            d = _distances(nbrs)
+            d = _distances(levels)
             failures.extend(
                 _failure(_mask_graph(n, int(masks[row])), d[row], x)
                 for row, x in _failing_sources(nbrs, d)
@@ -433,8 +444,8 @@ def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
         failing = []
         for n in sorted({g.n for g in chunk}):
             where = [i for i, g in enumerate(chunk) if g.n == n]
-            nbrs = _stacked_bits((chunk[i] for i in where), n)
-            d = _distances(nbrs)
+            nbrs = _stacked_bits([chunk[i] for i in where], n)
+            d = _graph_distances(nbrs)
             failing.extend((where[row], x, d[row]) for row, x in _failing_sources(nbrs, d))
         failing.sort(key=lambda f: f[:2])
         failures.extend(_failure(chunk[i], dist, x) for i, x, dist in failing)

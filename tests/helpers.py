@@ -33,6 +33,7 @@ from geodom import (
     VertexSet,
 )
 from geodom.boundary import _row_boundary
+from geodom.graph import _neighbour_lists
 from geodom.products import (
     _as_kind,
     _gx_bounds,
@@ -65,7 +66,6 @@ def reference_graph(
     g = Graph.__new__(Graph)
     g.labels = labels
     g._index = index
-    g._adj = adj
     g.edge_count = sum(len(a) for a in adj) // 2
     g.flat_neighbors = np.fromiter(
         (w for a in adj for w in a), dtype=np.intp, count=2 * g.edge_count
@@ -128,13 +128,13 @@ def loop_product(
 
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
     """got against a reference graph and its neighbour sets: labels, CSR,
-    adj, edges, has_edge, equality and hash."""
+    the neighbour lists a BFS reads, edges, has_edge, equality and hash."""
     assert got.labels == want.labels
     assert got.edge_count == want.edge_count
     for name in ("flat_neighbors", "neighbor_offsets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.adj == want.adj
+    assert _neighbour_lists(got) == [tuple(sorted(nbrs)) for nbrs in want_sets]
     assert list(got.edges()) == [
         (u, v) for u in range(want.n) for v in sorted(want_sets[u]) if u < v
     ]
@@ -508,7 +508,7 @@ def loop_simplicial_counterexample(
 def loop_simplicial_verdict(g: Graph) -> tuple[list[int], bool]:
     """The loop's simplicial vertices of g and whether they fail from
     every source."""
-    adj = [list(a) for a in g.adj]
+    adj = [list(g.neighbors(v)) for v in range(g.n)]
     simp = raw_simplicial(adj, [set(a) for a in adj])
     return simp, fails_from_every_source(raw_bfs_rows(adj), simp)
 
@@ -608,17 +608,19 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
 
 def close_the_path_in_graph_bfs(monkeypatch) -> None:
     """Make graph.py's BFS search the path a-b-c-d closed into a cycle,
-    by joining the first and last vertex of every graph it searches."""
-    graph = sys.modules["geodom.graph"]
-    bfs_row = graph._bfs_row
+    by joining the first and last vertex in the neighbour lists of every
+    graph it searches."""
+    lists = sys.modules["geodom.graph"]._neighbour_lists
 
-    def closed_row(adj, source):
-        adj = [list(nbrs) for nbrs in adj]
-        adj[0].append(len(adj) - 1)
-        adj[-1].append(0)
-        return bfs_row(adj, source)
+    def closed_lists(g):
+        out = lists(g)
+        out[0] += (len(out) - 1,)
+        out[-1] += (0,)
+        return out
 
-    monkeypatch.setattr(graph, "_bfs_row", closed_row)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geodom" and hasattr(module, "_neighbour_lists"):
+            monkeypatch.setattr(module, "_neighbour_lists", closed_lists)
 
 
 def drop_one_boundary_vertex(monkeypatch) -> None:

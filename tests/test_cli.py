@@ -496,8 +496,10 @@ def test_verify_theorems_report(capsys):
 
 
 def test_verify_theorems_validates_range(capsys):
-    code, _, err = run(capsys, "verify-theorems", "--exhaustive-n", "9")
-    assert code == 2 and "exhaustive-n" in err
+    # the library's check is the only one, and names the range it enforces
+    for bad in ("-1", "8"):
+        code, out, err = run(capsys, "verify-theorems", "--exhaustive-n", bad)
+        assert (code, out, err) == (2, "", "error: exhaustive_n must lie in [0, 7]\n")
 
 
 def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypatch):
@@ -514,10 +516,12 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
     [
         (("--random", "-3"), "count must be non-negative"),
         (("--exhaustive-n", "3", "--n", "1"), "need 2 <= n_low <= n_high"),
+        (("--random", "0", "--p", "1.5"), "edge probability must lie in [0, 1]"),
     ],
 )
 def test_verify_theorems_checks_the_corpus_flags_at_any_count(capsys, argv, message):
-    # the library checks the count and the size even when no graph is drawn
+    # the library checks the count, the size and the edge probability even
+    # when no graph is drawn
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, "verify-theorems", *argv, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -670,10 +674,11 @@ def test_find_counterexample_four_simplicial_json_golden(capsys):
 
 
 def test_find_counterexample_not_found_at_eight(capsys):
+    # n = 8 is not searched, so the line names the largest n that is
     argv = ("find-counterexample", "--max-n", "8", "--min-simplicial", "5")
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert out == "no counterexample found up to n = 8\n"
+    assert out == "no counterexample found up to n = 7\n"
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     doc = json.loads(out)

@@ -219,12 +219,6 @@ def test_parse_matches_reference(text):
     assert_same_graph(parse_graph(emit_graph(g)), *reference_parse(text))
 
 
-def test_adj_is_built_once_from_the_csr():
-    g = parse_graph("a b\nb c\nvertices: z\n")
-    assert g.adj is g.adj
-    assert g.adj == ((1,), (0, 2), (1,), ())
-
-
 # ---------------------------------------------------------------------------
 # VertexSet
 
@@ -409,12 +403,15 @@ def test_closure_second_word_adds_coverage():
 
 
 def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
-    rows = []
-    real_bfs = bfs_distances
+    # rows counts the BFS rows by source, builds the neighbour lists they read
+    rows, builds = [], []
+    graph = sys.modules["geodom.graph"]
+    real_row, real_lists = graph._bfs_row, graph._neighbour_lists
+    monkeypatch.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
     # `geodom.boundary` names the function, so the module comes from sys.modules
     for module in ("geodom.graph", "geodom.boundary"):
         monkeypatch.setattr(
-            sys.modules[module], "bfs_distances", lambda g, u: rows.append(u) or real_bfs(g, u)
+            sys.modules[module], "_neighbour_lists", lambda g: builds.append(g.n) or real_lists(g)
         )
     # a shallow graph runs full words on words; a lone source in the last
     # word may take no more than (n + m) / n levels, so it takes a row
@@ -422,25 +419,29 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
     assert rows == {63: [], 64: [], 65: [64], 129: [128]}[g.n]
+    assert builds == ([g.n] if rows else [])
     rows.clear()
+    builds.clear()
     assert len(geodetic_closure(g, range(g.n))) == g.n
-    assert rows == []
+    assert rows == builds == []
     # a path of 150 is deeper than 64 words may go (64 x 299 / 150 = 127
     # levels, and the closure keeps 4 x 448 / 150 = 11), so every source
-    # and every member takes its own row
-    rows.clear()
+    # and every member takes its own row, and each call builds its
+    # neighbour lists once for all of them
     p = path_graph(150)
     assert min_gx_vertex(p) == (0, 1)
-    assert rows == list(range(150))
+    assert rows == list(range(150)) and builds == [150]
     rows.clear()
+    builds.clear()
     members = list(range(5, 140, 2))
     assert set(geodetic_closure(p, members)) == set(range(5, 140))
-    assert rows == members
+    assert rows == members and builds == [150]
     # a 12 x 12 grid is shallow enough for 64 words (64 x 408 / 144 = 181
     # levels), but the closure keeps at most 4 x 672 / 144 = 18 levels and
     # the corner member 0 is 22 levels deep: it takes rows, and the first
     # row, from corner to corner, covers the grid
     rows.clear()
+    builds.clear()
     grid = Graph(
         (f"g{i:02d}{j:02d}", f"g{i + di:02d}{j + dj:02d}")
         for i in range(12)
@@ -449,7 +450,7 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
         if i + di < 12 and j + dj < 12
     )
     assert len(geodetic_closure(grid, [*range(0, 144, 2), 143])) == 144
-    assert rows == [0]
+    assert rows == [0] and builds == [144]
 
 
 DISCONNECTED = {

@@ -1,5 +1,7 @@
 import hashlib
+import random
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from geodom import (
     star_graph,
     verify_unique_minimum,
 )
-from geodom import oracles
+from geodom import bitmasks, oracles
 from geodom.boundary import _row_boundary
 from helpers import (
     close_the_path_in_graph_bfs,
@@ -41,6 +43,9 @@ from helpers import (
     loop_simplicial_counterexample,
     loop_simplicial_verdict,
     loop_verify_unique_minimum,
+    raw_bfs_rows,
+    raw_connected,
+    reference_graph,
 )
 from strategies import connected_graphs, graphs_with_vertex, trees
 
@@ -268,6 +273,49 @@ def test_mask_chunks_follow_combinations_order(n):
             assert row == want
 
 
+def _random_edge_sets(n: int, seed: int) -> list[list[set[int]]]:
+    """Neighbour sets of seeded random edge sets on n vertices; the
+    sparse ones leave vertices isolated (an empty CSR segment) or the
+    graph disconnected."""
+    rng = random.Random(seed)
+    out = []
+    for p in (0.0, 0.1, 0.2, 0.3, 0.5, 1.0) * 4:
+        adjsets: list[set[int]] = [set() for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if rng.random() < p:
+                adjsets[i].add(j)
+                adjsets[j].add(i)
+        out.append(adjsets)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_bits_match_the_reference_neighbour_sets(n):
+    labels = [f"v{i:02d}" for i in range(n)]
+    graphs, want = [], []
+    for adjsets in _random_edge_sets(n, n):
+        edges = [(labels[u], labels[w]) for u in range(n) for w in adjsets[u] if u < w]
+        g, sets = reference_graph(edges, labels)
+        graphs.append(g)
+        want.append([sum(1 << w for w in nbrs) for nbrs in sets])
+    bits = oracles._stacked_bits(graphs, n)
+    assert bits.dtype == bitmasks._bits_dtype(n) and bits.tolist() == want
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_connectivity_from_the_levels_matches_the_loop(n):
+    # uint16 rows: a reach mask of fewer bits than vertices loses some
+    cases = _random_edge_sets(n, 100 + n)
+    nbrs = np.array(
+        [[sum(1 << w for w in nbrs) for nbrs in adjsets] for adjsets in cases], dtype=np.uint16
+    )
+    keep, levels = bitmasks._levels(nbrs)
+    want = [k for k, adjsets in enumerate(cases) if raw_connected(n, adjsets)]
+    assert 0 < len(want) < len(cases) and keep.tolist() == want
+    rows = [raw_bfs_rows([sorted(a) for a in cases[k]]) for k in want]
+    assert bitmasks._distances(levels).tolist() == rows
+
+
 # ---------------------------------------------------------------------------
 # random generation
 
@@ -330,6 +378,10 @@ def test_corpus_cycles_sizes_and_is_deterministic():
     assert corpus == again
     with pytest.raises(ValueError):
         random_graph_corpus(3, 6, 4, 0.3, seed=2)
+    # the probability is checked even when no graph is drawn
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
+            random_graph_corpus(0, 4, 6, p, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +436,9 @@ def test_search_matches_the_loop(max_n, min_simplicial):
 def _assert_predicate_matches_loop(graphs, n):
     nbrs = oracles._stacked_bits(graphs, n)
     simp = oracles._simplicial_bits(nbrs)
-    fails = oracles._fails_everywhere(nbrs, simp)
+    keep, levels = oracles._levels(nbrs)
+    assert len(keep) == len(graphs)
+    fails = oracles._fails_everywhere(nbrs, simp, levels)
     for g, bits, verdict in zip(graphs, simp.tolist(), fails.tolist()):
         want_simp, want_fails = loop_simplicial_verdict(g)
         assert [v for v in range(n) if bits >> v & 1] == want_simp, g.edges()
@@ -413,7 +467,10 @@ def test_counterexample_search_is_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the counterexample search must not call graph.py")
 
-    names = ("bfs_distances", "_level_words", "geodesic_sweep", "simplicial_vertices")
+    names = (
+        "bfs_distances", "_neighbour_lists", "_bfs_row", "_level_words", "geodesic_sweep",
+        "simplicial_vertices",
+    )
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "geodom":
             for attr in names:
@@ -535,8 +592,9 @@ def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
     monkeypatch.setattr(oracles, "_mask_chunks", no_chunks)
     with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
         verify_unique_minimum([path_graph(13)], exhaustive_n=6)
-    with pytest.raises(ValueError, match="n <= 7"):
-        verify_unique_minimum([], exhaustive_n=8)
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match=r"exhaustive_n must lie in \[0, 7\]"):
+            verify_unique_minimum([], exhaustive_n=bad)
 
 
 def test_sweep_rejects_disconnected_graphs():
