@@ -7,6 +7,12 @@ the command's flags as parsed, in flag order. Output is byte-identical
 across runs for identical inputs and seeds. Exit codes: 0 success,
 1 property-check failure, 2 input error.
 
+product-verify checks every input before it makes a report, then takes
+the reports one base layer at a time: JSON writes each row as it is made,
+and plain keeps only its FAIL lines, since its summary comes first. If
+the reader closes stdout early, main makes the remaining rows unwritten,
+so the exit code is a full run's.
+
 The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse an over-cap
@@ -20,9 +26,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +54,12 @@ from .jsonout import Encoded, _write_json
 __all__ = ["main"]
 
 
-class Outcome(NamedTuple):
+@dataclass
+class Outcome:
+    """What a command prints. A value in ``result`` may be an iterator,
+    written as a list as it is produced; such an iterator updates ``code``
+    and ``checks`` as it goes, and ``main`` reads them after writing."""
+
     code: int
     lines: list[str]
     result: dict
@@ -193,7 +205,7 @@ def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarra
 
 
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
-    from .products import _require_report_factors, pair_label, product_reports
+    from .products import ProductReport, _require_report_factors, _stream_reports, pair_label
 
     g = _load_graph(args.g)
     h = _load_graph(args.h)
@@ -202,46 +214,63 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
         # a bad factor is reported before a bad base
         _require_report_factors(g, h)
         bases = [_parse_base(args.base, g, h)]
-    reports = product_reports(args.kind, g, h, bases)
-    all_contain = all(rep.containments_hold for rep in reports)
-    all_gx = all(rep.gx_holds for rep in reports)
+    # every input is checked here, before any report is made
+    stream = _stream_reports(args.kind, g, h, bases)
+    out = Outcome(
+        code=0,
+        lines=[],
+        result={},
+        checks={"containments_hold": True, "gx_bounds_hold": True},
+    )
+
+    def tallied(reports: Iterator[ProductReport]) -> Iterator[ProductReport]:
+        # the checks and the exit code cover every report passed on so far
+        for rep in reports:
+            if not rep.containments_hold:
+                out.checks["containments_hold"] = False
+                out.code = 1
+            if not rep.gx_holds:
+                out.checks["gx_bounds_hold"] = False
+                out.code = 1
+            yield rep
+
+    reports = tallied(stream)
     gl, hl = g.labels, h.labels
 
-    def base_label(rep) -> str:
+    def base_label(rep: ProductReport) -> str:
         return pair_label(gl[rep.base[0]], hl[rep.base[1]])
 
     # labels are formatted only for the cells the output names
     if args.base is not None:
+        reports = list(reports)
         (rep,) = reports
         shown = rep.actual | rep.lower | rep.upper
     else:
         shown = np.ones((g.n, h.n), dtype=bool)
     # only the output format asked for is built
-    rows = []
-    lines = []
     if args.format == "json":
         escaped = _label_grid(g, h, shown, escape=True)
-        for rep in reports:
-            rows.append(
-                {
-                    "base": base_label(rep),
-                    "actual": Encoded(escaped[rep.actual].tolist()),
-                    "lower": Encoded(escaped[rep.lower].tolist()),
-                    "upper": Encoded(escaped[rep.upper].tolist()),
-                    "containments_hold": rep.containments_hold,
-                    "upper_strict": rep.upper_strict,
-                    "witnesses": None
-                    if rep.witnesses is None
-                    else Encoded(escaped[rep.witnesses].tolist()),
-                    "gx": rep.gx,
-                    "gx_lower": rep.gx_lower,
-                    "gx_upper": rep.gx_upper,
-                    "gx_holds": rep.gx_holds,
-                }
-            )
+        out.result["bases"] = (
+            {
+                "base": base_label(rep),
+                "actual": Encoded(escaped[rep.actual].tolist()),
+                "lower": Encoded(escaped[rep.lower].tolist()),
+                "upper": Encoded(escaped[rep.upper].tolist()),
+                "containments_hold": rep.containments_hold,
+                "upper_strict": rep.upper_strict,
+                "witnesses": None
+                if rep.witnesses is None
+                else Encoded(escaped[rep.witnesses].tolist()),
+                "gx": rep.gx,
+                "gx_lower": rep.gx_lower,
+                "gx_upper": rep.gx_upper,
+                "gx_holds": rep.gx_holds,
+            }
+            for rep in reports
+        )
     elif args.base is not None:
         grid = _label_grid(g, h, shown, escape=False)
-        lines = [
+        out.lines = [
             f"base: {base_label(rep)}",
             "actual boundary: " + " ".join(grid[rep.actual].tolist()),
             "lower bound: " + " ".join(grid[rep.lower].tolist()),
@@ -252,31 +281,30 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             f"[{rep.gx_lower}, {rep.gx_upper}]",
         ]
         if rep.witnesses is not None:
-            lines.insert(5, "witnesses: " + " ".join(grid[rep.witnesses].tolist()))
+            out.lines.insert(5, "witnesses: " + " ".join(grid[rep.witnesses].tolist()))
     else:
-        lines = [
-            f"bases checked: {len(reports)}",
-            f"containments hold: {_yesno(all_contain)}",
-            f"gx bounds hold: {_yesno(all_gx)}",
-        ]
+        # the summary comes first but needs every report: keep the FAIL lines
+        fails = []
+        count = 0
         for rep in reports:
+            count += 1
             if rep.containments_hold and rep.gx_holds:
                 continue
             base = base_label(rep)
             if not rep.containments_hold:
                 witnesses = " ".join(_cell_labels(g, h, rep.witnesses))
-                lines.append(f"FAIL base {base}: witnesses {witnesses}")
+                fails.append(f"FAIL base {base}: witnesses {witnesses}")
             if not rep.gx_holds:
-                lines.append(
+                fails.append(
                     f"FAIL base {base}: gx {rep.gx} outside [{rep.gx_lower}, {rep.gx_upper}]"
                 )
-    ok = all_contain and all_gx
-    return Outcome(
-        code=0 if ok else 1,
-        lines=lines,
-        result={"bases": rows},
-        checks={"containments_hold": all_contain, "gx_bounds_hold": all_gx},
-    )
+        out.lines = [
+            f"bases checked: {count}",
+            f"containments hold: {_yesno(out.checks['containments_hold'])}",
+            f"gx bounds hold: {_yesno(out.checks['gx_bounds_hold'])}",
+            *fails,
+        ]
+    return out
 
 
 def _heuristic(g: Graph) -> tuple[int, int, VertexSet, bool, bool]:
@@ -519,17 +547,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the command's flags as parsed, in the order they were added
+    skip = ("command", "format", "run")
+    inputs = {key: value for key, value in vars(args).items() if key not in skip}
+    doc = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": out.result,
+        "checks": out.checks,
+    }
     try:
         if args.format == "json":
-            # the command's flags as parsed, in the order they were added
-            skip = ("command", "format", "run")
-            inputs = {key: value for key, value in vars(args).items() if key not in skip}
-            doc = {
-                "command": args.command,
-                "inputs": inputs,
-                "result": out.result,
-                "checks": out.checks,
-            }
             _write_json(doc, sys.stdout.write)
         else:
             for line in out.lines:
@@ -537,10 +565,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`geodom ... | head`). Point stdout
-        # at devnull, so that the flush at exit raises nothing either.
+        # at devnull, so that the flush at exit raises nothing either, and
+        # use up the rows still to come unwritten: the exit code and the
+        # checks are a full run's.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if args.format == "json":
+            _write_json(doc, lambda text: None)
     return out.code
 
 

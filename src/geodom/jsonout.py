@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -37,7 +38,8 @@ def _encoder(depth: int) -> Callable[[object], str]:
 
 def _write_json(obj: object, write: Callable[[str], object]) -> None:
     """Write `json.dumps(obj, indent=2) + "\\n"` through `write`, in pieces
-    of about 16 KiB.
+    of about 16 KiB, with any iterator in `obj` written as the list of its
+    items: taken one at a time, so the list is never built.
 
     With `indent` set, `json.dumps` takes the pure-Python encoder, which
     holds one string per item until it joins them all. Here a scalar is
@@ -82,7 +84,7 @@ def _leaf(value: object, depth: int) -> str | None:
         return "null"
     is_dict = isinstance(value, dict)
     if not (is_dict or isinstance(value, (list, tuple))):
-        return _encoder(depth)(value)
+        return None if isinstance(value, Iterator) else _encoder(depth)(value)
     if not value:
         return "{}" if is_dict else "[]"
     opening, closing = "{}" if is_dict else "[]"
@@ -97,9 +99,10 @@ def _leaf(value: object, depth: int) -> str | None:
 
 
 def _write_container(
-    obj: "dict | list | tuple", emit: Callable[[str], None], depth: int, keys: dict
+    obj: "dict | list | tuple | Iterator", emit: Callable[[str], None], depth: int, keys: dict
 ) -> None:
-    """Walk a container some of whose items are containers to walk too."""
+    """Walk an iterator, or a container some of whose items are containers
+    to walk too."""
     is_dict = isinstance(obj, dict)
     opening, closing = "{}" if is_dict else "[]"
     inner = "\n" + "  " * (depth + 1)
@@ -131,5 +134,6 @@ def _write_container(
                 emit("".join(parts))
                 parts = []
         sep = ","
-    parts.append("\n" + "  " * depth + closing)
+    # only an iterator can turn out empty here
+    parts.append(("\n" + "  " * depth if sep else "") + closing)
     emit("".join(parts))

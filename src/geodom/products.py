@@ -9,6 +9,9 @@ distances from one base (x, y), from the factor rows of x and y.
 source is its unique minimum geodominating set, the boundary of a base
 (x, y) and its gx follow from the factors alone: one BFS row per distinct
 x in G and y in H, and the factor boundary masks bg, bh of those rows.
+Its reports come from ``_stream_reports``, which checks every input
+before it returns, then yields one x's reports at a time, so a caller
+that writes each report and drops it holds one x's masks, not all.
 With d_G, d_H the factor distances from x and y:
 
 - cartesian (d = d_G + d_H): exactly bg x bh;
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,10 +54,11 @@ from .boundary import _boundary_mask
 from .graph import (
     DisconnectedError,
     Graph,
+    _bfs_row,
     _check_vertex,
+    _distance_row,
     _edge_arrays,
-    bfs_distances,
-    is_connected,
+    _neighbour_lists,
 )
 
 __all__ = [
@@ -191,24 +195,35 @@ class ProductReport:
     gx_holds: bool
 
 
-def _require_product_factors(g: Graph, h: Graph) -> None:
-    if not is_connected(g) or not is_connected(h):
+def _require_product_factors(
+    g: Graph, h: Graph
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Check that both factors are connected and their labels comma-free,
+    and return the factors' neighbour lists, which the first check builds."""
+    nbrs = _neighbour_lists(g), _neighbour_lists(h)
+    if any(-1 in _bfs_row(lists, 0) for lists in nbrs):
         raise DisconnectedError("disconnected factor")
     # a comma inside a factor label would make distinct pair labels collide
     for lab in (*g.labels, *h.labels):
         if "," in lab:
             raise ValueError(f"factor label {lab!r} contains a comma")
+    return nbrs
 
 
-def _require_report_factors(g: Graph, h: Graph) -> None:
-    """The checks ``product_reports`` makes on its factors, in its order."""
+def _require_report_factors(
+    g: Graph, h: Graph
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The checks ``product_reports`` makes on its factors, in its order,
+    and the factors' neighbour lists."""
     if g.n < 2 or h.n < 2:
         raise ValueError("boundary reports need factors with at least two vertices")
-    _require_product_factors(g, h)
+    return _require_product_factors(g, h)
 
 
-def _row_and_boundary(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
-    row = bfs_distances(g, x)
+def _row_and_boundary(
+    g: Graph, nbrs: Sequence[Sequence[int]], x: int
+) -> tuple[np.ndarray, np.ndarray]:
+    row = _distance_row(nbrs, x)
     return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
 
 
@@ -256,39 +271,53 @@ def _gx_bounds(
     return gx_g * gx_h, gx_g * nh + ng * gx_h
 
 
-def product_reports(
+def _stream_reports(
     kind: "ProductKind | str",
     g: Graph,
     h: Graph,
     bases: "Iterable[tuple[int, int]] | None" = None,
-) -> tuple[ProductReport, ...]:
-    """Reports for the given (x, y) factor index pairs, in their order, or
-    for every base in row-major order when ``bases`` is None.
+) -> Iterator[ProductReport]:
+    """Reports for the given (x, y) factor index pairs, grouped by x in
+    the order each x is first requested, a repeated pair once, or for
+    every base in row-major order when ``bases`` is None.
 
-    Computed from one BFS row of each distinct x in G and y in H; no
-    product graph and no all-pairs matrix is built. The masks of all
-    requested bases with the same x come from one array pass, and each
-    report holds read-only views into its stacks.
+    The kind, the factors and every base are checked before the iterator
+    is returned, so an input error comes before the first report. The
+    iterator computes one x's (#y, n_G, n_H) stacks at a time.
     """
     kind = _as_kind(kind)
-    _require_report_factors(g, h)
+    g_nbrs, h_nbrs = _require_report_factors(g, h)
     ng, nh = g.n, h.n
-    if bases is None:
-        bases = [(x, y) for x in range(ng) for y in range(nh)]
-    bases = [(int(x), int(y)) for x, y in bases]
     # the distinct y of each distinct x, in order of first request
-    ys_of: dict[int, dict[int, None]] = {}
-    for x, y in bases:
-        if not 0 <= x < ng:
-            raise ValueError(f"first-factor index {x} out of range")
-        if not 0 <= y < nh:
-            raise ValueError(f"second-factor index {y} out of range")
-        ys_of.setdefault(x, {})[y] = None
-    rows_h = {y: _row_and_boundary(h, y) for y in {y for _, y in bases}}
+    ys_of: "dict[int, Iterable[int]]"
+    if bases is None:
+        ys_of = dict.fromkeys(range(ng), range(nh))
+    else:
+        ys_of = {}
+        for x, y in bases:
+            x, y = int(x), int(y)
+            if not 0 <= x < ng:
+                raise ValueError(f"first-factor index {x} out of range")
+            if not 0 <= y < nh:
+                raise ValueError(f"second-factor index {y} out of range")
+            ys_of.setdefault(x, {})[y] = None
+    return _report_layers(kind, g, h, g_nbrs, h_nbrs, ys_of)
 
-    made: dict[tuple[int, int], ProductReport] = {}
+
+def _report_layers(
+    kind: ProductKind,
+    g: Graph,
+    h: Graph,
+    g_nbrs: Sequence[Sequence[int]],
+    h_nbrs: Sequence[Sequence[int]],
+    ys_of: "dict[int, Iterable[int]]",
+) -> Iterator[ProductReport]:
+    """The body of ``_stream_reports``, run on checked inputs."""
+    ng, nh = g.n, h.n
+    wanted = {y for ys in ys_of.values() for y in ys}
+    rows_h = {y: _row_and_boundary(h, h_nbrs, y) for y in wanted}
     for x, ys in ys_of.items():
-        dg, bg = _row_and_boundary(g, x)
+        dg, bg = _row_and_boundary(g, g_nbrs, x)
         gx_g = int(np.count_nonzero(bg))
         ys = list(ys)
         dh = np.array([rows_h[y][0] for y in ys])
@@ -313,7 +342,7 @@ def product_reports(
             gx_upper.tolist(),
         )
         for y, act, low, up, wit, fails, gx, tops, gxh, gxl, gxu in per_y:
-            made[x, y] = ProductReport(
+            yield ProductReport(
                 kind=kind,
                 base=(x, y),
                 actual=act,
@@ -329,4 +358,25 @@ def product_reports(
                 gx_upper=gxu,
                 gx_holds=gxl <= gx <= gxu,
             )
-    return tuple(made[base] for base in bases)
+
+
+def product_reports(
+    kind: "ProductKind | str",
+    g: Graph,
+    h: Graph,
+    bases: "Iterable[tuple[int, int]] | None" = None,
+) -> tuple[ProductReport, ...]:
+    """Reports for the given (x, y) factor index pairs, in their order, or
+    for every base in row-major order when ``bases`` is None.
+
+    Computed from one BFS row of each distinct x in G and y in H; no
+    product graph and no all-pairs matrix is built. The masks of all
+    requested bases with the same x come from one array pass, and each
+    report holds read-only views into its stacks.
+    """
+    if bases is not None:
+        bases = list(bases)
+    made = {rep.base: rep for rep in _stream_reports(kind, g, h, bases)}
+    if bases is None:
+        return tuple(made.values())
+    return tuple(made[int(x), int(y)] for x, y in bases)

@@ -301,7 +301,7 @@ def loop_product_reports(
     """The per-base loop that `product_reports` replaced with one array
     pass per distinct x: the same closed forms, one base at a time."""
     kind = _as_kind(kind)
-    _require_report_factors(g, h)
+    g_nbrs, h_nbrs = _require_report_factors(g, h)
     if bases is None:
         bases = [(x, y) for x in range(g.n) for y in range(h.n)]
     bases = [(int(x), int(y)) for x, y in bases]
@@ -310,8 +310,8 @@ def loop_product_reports(
             raise ValueError(f"first-factor index {x} out of range")
         if not 0 <= y < h.n:
             raise ValueError(f"second-factor index {y} out of range")
-    rows_g = {x: _row_and_boundary(g, x) for x in {x for x, _ in bases}}
-    rows_h = {y: _row_and_boundary(h, y) for y in {y for _, y in bases}}
+    rows_g = {x: _row_and_boundary(g, g_nbrs, x) for x in {x for x, _ in bases}}
+    rows_h = {y: _row_and_boundary(h, h_nbrs, y) for y in {y for _, y in bases}}
     reports = []
     for x, y in bases:
         (dg, bg), (dh, bh) = rows_g[x], rows_h[y]

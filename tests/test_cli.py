@@ -8,7 +8,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import cli_goldens
 import geodom
@@ -276,11 +276,15 @@ def test_product_verify_base_without_parens(capsys, factors):
 
 
 def test_product_verify_bad_base(capsys, factors):
+    # the base is checked before any output, in either format
     g, h = factors
-    code, _, err = run(
-        capsys, "product-verify", "--kind", "strong", "--g", g, "--h", h, "--base", "(q,9)"
-    )
-    assert code == 2 and "error:" in err
+    argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--base", "(q,9)"]
+    for fmt in ("json", "plain"):
+        assert run(capsys, *argv, "--format", fmt) == (
+            2,
+            "",
+            "error: base '(q,9)' does not name a vertex pair of the factors\n",
+        )
 
 
 @pytest.mark.parametrize("kind", ["cartesian", "lexicographic", "strong"])
@@ -757,6 +761,24 @@ def test_write_json_fast_paths_equal_indented_dumps(doc):
         assert "".join(pieces) == expected
 
 
+def _as_iterators(doc):
+    """doc with every list turned into an iterator over its items."""
+    if isinstance(doc, dict):
+        return {key: _as_iterators(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return (_as_iterators(item) for item in doc)
+    return doc
+
+
+@given(json_documents)
+@example([])
+@example({"rows": [[], [1]]})
+def test_write_json_writes_iterators_as_lists(doc):
+    pieces = []
+    _write_json(_as_iterators(doc), pieces.append)
+    assert "".join(pieces) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_write_json_keys_that_compare_equal():
     # 0 == False == 0.0 == -0.0, but json.dumps prints each differently
     doc = [{0: [1]}, {False: [1]}, {0.0: [1]}, {-0.0: [1]}, {None: [Encoded([])]}]
@@ -802,57 +824,136 @@ def test_every_command_writes_indented_json(capsys, tmp_path, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_product_verify_json_is_streamed(monkeypatch, big_factors):
-    # Beyond the document the handler returns, writing it may hold no
-    # more than a tenth of its length at once; json.dumps(doc, indent=2)
-    # would hold about 4.5 times its length in item strings.
-    class Sink:
-        total = largest = 0
+class _Sink:
+    """A stdout that counts what is written to it."""
 
-        def write(self, text):
-            self.total += len(text)
-            self.largest = max(self.largest, len(text))
+    total = largest = 0
 
-        def flush(self):
-            pass
+    def write(self, text):
+        self.total += len(text)
+        self.largest = max(self.largest, len(text))
 
-    handler = cli._cmd_product_verify
-    held = []
+    def flush(self):
+        pass
 
-    def measured(args):
-        out = handler(args)
-        held.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return out
 
-    g, h = big_factors
-    sink = Sink()
-    monkeypatch.setattr(cli, "_cmd_product_verify", measured)
+def _traced_peak(monkeypatch, argv):
+    """The exit code, the stdout sink and the tracemalloc peak of main(argv),
+    measured after one warm-up call that imports what the command uses."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    main(argv)
+    sink = _Sink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, sink, peak
+
+
+def _streamed_extra_bound(monkeypatch, g, h):
+    """How much more than a trivial command a streamed product-verify may
+    peak at: the four (n_G, n_H) masks of every base, which a run that
+    keeps every report holds."""
+    _, _, floor = _traced_peak(monkeypatch, ["boundary", "--graph", g, "--x", "c0"])
+    g_n, h_n = (parse_graph(Path(path).read_text()).n for path in (g, h))
+    return floor, 4 * (g_n * h_n) ** 2
+
+
+def test_product_verify_json_is_streamed(monkeypatch, big_factors):
+    # Each row is written as it is made and then dropped. Keeping every
+    # report measured 0.77 MB over the floor on these factors, against
+    # the bound of 0.18 MB and about 0.1 MB for one layer at a time.
+    g, h = big_factors
+    floor, extra = _streamed_extra_bound(monkeypatch, g, h)
+    argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"]
+    code, sink, peak = _traced_peak(monkeypatch, argv)
     assert code == 0 and sink.total >= 1_000_000
-    assert peak - held[0] < sink.total / 10
+    assert peak - floor < extra
     assert sink.largest < sink.total / 10
 
 
-@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_product_verify_plain_holds_only_the_fail_lines(monkeypatch, big_factors):
+    # keeping every report measured 0.29 MB over the floor on these factors
+    g, h = big_factors
+    floor, extra = _streamed_extra_bound(monkeypatch, g, h)
+    argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "plain"]
+    code, sink, peak = _traced_peak(monkeypatch, argv)
+    assert (code, sink.total) == (0, 62)
+    assert peak - floor < extra
+
+
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(argv):
+    """Exit code and peak RSS in KiB of `python -m geodom argv`, started from
+    a small launcher: a child's ru_maxrss also counts its parent's memory up
+    to the exec, which for a child of pytest would be pytest's."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "geodom", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+    )
+    code, kb = map(int, proc.stdout.split())
+    return code, kb
+
+
+def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
+    # two random 40-vertex factors: keeping every report peaked 35 MB above
+    # `boundary` in strong JSON, about 73 MB of output
+    from geodom import emit_graph, random_connected_graph
+
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"f{seed}.txt"
+        path.write_text(emit_graph(random_connected_graph(40, 0.08, seed)))
+        paths.append(str(path))
+    g, h = paths
+    _, floor = _peak_rss_kb(["boundary", "--graph", g, "--x", "v0"])
+    argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"]
+    code, peak = _peak_rss_kb(argv)
+    assert code == 0
+    assert peak - floor < 4 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain", "json-failing"])
 def test_closed_stdout_is_not_an_error(tmp_path, big_factors, fmt):
     # `geodom ... | head -c 10`: the reader leaves before the output ends
     g, h = big_factors
+    code = 0
     if fmt == "json":
         argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h]
+    elif fmt == "json-failing":
+        # K_60 with pendants p at k00 and q at k01. Only from p and q does a
+        # vertex at distance 2 lie outside the boundary (k01 from p, k00
+        # from q), so P2 lex it breaks the upper bound only at the bases
+        # (., p) and (., q), the first of them 0.3 MB into 0.66 MB of JSON.
+        # Those rows come after the pipe closes and must still set the code.
+        ks = [f"k{i:02d}" for i in range(60)]
+        edges = [f"{a} {b}\n" for i, a in enumerate(ks) for b in ks[i + 1:]]
+        h_path = tmp_path / "k60.txt"
+        h_path.write_text("".join(edges) + "k00 p\nk01 q\n")
+        g_path = tmp_path / "p2.txt"
+        g_path.write_text("A B\n")
+        argv = ["product-verify", "--kind", "lexicographic", "--g", str(g_path), "--h", str(h_path)]
+        code = 1
     else:
         # about 0.5 MB of edge lines
         path = tmp_path / "p30.txt"
         path.write_text("".join(f"p{i} p{i + 1}\n" for i in range(29)))
         argv = ["product", "--kind", "lexicographic", "--g", str(path), "--h", str(path), "--emit"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "geodom", *argv, "--format", fmt],
+        [sys.executable, "-m", "geodom", *argv, "--format", "plain" if fmt == "plain" else "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_child_env(),
@@ -860,11 +961,12 @@ def test_closed_stdout_is_not_an_error(tmp_path, big_factors, fmt):
     head = proc.stdout.read(10)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert (len(head), proc.returncode, err) == (10, 0, b"")
+    assert (len(head), proc.returncode, err) == (10, code, b"")
 
 
 _LOADS = """
 import sys
+from geodom import cli
 from geodom.cli import main
 main(sys.argv[1:])
 sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("geodom."))))
@@ -972,10 +1074,12 @@ def test_product_verify_rejects_bad_factors(capsys, factors, tmp_path, base):
         (str(solo), h, "boundary reports need factors with at least two vertices"),
         (g, str(solo), "boundary reports need factors with at least two vertices"),
     ]:
-        code, out, err = run(
-            capsys, "product-verify", "--kind", "strong", "--g", g_path, "--h", h_path, *extra
-        )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        # JSON streams its rows, so the factors must be checked before the
+        # document starts
+        for fmt in ("json", "plain"):
+            argv = ["--kind", "strong", "--g", g_path, "--h", h_path, *extra, "--format", fmt]
+            code, out, err = run(capsys, "product-verify", *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unknown_set_label_is_input_error(capsys, p4):

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -318,6 +319,43 @@ def test_report_rejects_bad_factors_and_bases():
         product_reports("strong", P3A, P3N, [(0, -1)])
     with pytest.raises(ValueError, match="unknown product kind"):
         product_reports("tensor", P3A, P3N)
+
+
+def test_stream_checks_every_input_before_it_returns():
+    # a generator body would defer these checks to the first report, after
+    # a caller has started writing its output
+    broken = parse_graph("vertices: z\na b\n")
+    with pytest.raises(DisconnectedError, match="disconnected factor"):
+        products._stream_reports("cartesian", P3A, broken)
+    with pytest.raises(ValueError, match="first-factor index 3 out of range"):
+        products._stream_reports("strong", P3A, P3N, [(0, 0), (3, 0)])
+    with pytest.raises(ValueError, match="unknown product kind"):
+        products._stream_reports("tensor", P3A, P3N)
+
+
+def test_stream_holds_one_layer_of_stacks():
+    # once the first report of x + 1 is out, no stack of x is alive
+    stacks = []
+    for rep in products._stream_reports("strong", P4N, P3A):
+        x = rep.base[0]
+        stacks.append((x, weakref.ref(rep.actual.base)))
+        del rep
+        assert all(ref() is None for x0, ref in stacks if x0 < x)
+    assert [x for x, _ in stacks] == [x for x in range(4) for _ in range(3)]
+
+
+@pytest.mark.parametrize("bases", [None, [(2, 1), (0, 3), (2, 1)]])
+def test_reports_build_each_factors_lists_once(monkeypatch, bases):
+    # the connectivity check and every factor row share one build per factor
+    built = []
+    real = products._neighbour_lists
+    monkeypatch.setattr(
+        products, "_neighbour_lists", lambda g: built.append(g) or real(g)
+    )
+    for kind in KINDS:
+        built.clear()
+        product_reports(kind, P3A, P4N, bases)
+        assert built == [P3A, P4N]
 
 
 def test_reports_follow_the_given_bases():
