@@ -30,10 +30,9 @@ from .graph import (
     Graph,
     VertexSet,
     _as_vertex_set,
-    _distance_row,
+    _distance_rows,
     _level_words,
     _mask,
-    _neighbour_lists,
     _word_budget,
     bfs_distances,
     geodesic_sweep,
@@ -156,10 +155,9 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
         batch = _gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
         if batch is None:
             csr = g.flat_neighbors, g.neighbor_offsets
-            nbr_lists = _neighbour_lists(g)
             sizes.extend(
-                int(np.count_nonzero(_boundary_mask(*csr, _distance_row(nbr_lists, x))))
-                for x in range(lo, g.n)
+                int(np.count_nonzero(_boundary_mask(*csr, row)))
+                for row in _distance_rows(g, range(lo, g.n))
             )
             break
         sizes.extend(batch.tolist())

@@ -7,18 +7,22 @@ the command's flags as parsed, in flag order. Output is byte-identical
 across runs for identical inputs and seeds. Exit codes: 0 success,
 1 property-check failure, 2 input error.
 
-product-verify checks every input before it makes a report, then takes
-the reports one base layer at a time: JSON writes each row as it is made,
-and plain keeps only its FAIL lines, since its summary comes first. If
-the reader closes stdout early, main makes the remaining rows unwritten,
-so the exit code is a full run's.
+product-verify checks every input before it makes a report, the factors
+before the base, then takes the reports one base layer at a time. Its
+factor rows come from graph.py, which alone builds the neighbour tuples
+and shares one build across a call's rows. JSON writes each row as it is
+made, and plain keeps only its FAIL lines, since its summary comes
+first. If the reader closes stdout early, main makes the remaining rows
+unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse an over-cap
 graph before any distance work and compute distances with their own BFS.
 verify-theorems hands --exhaustive-n and its corpus flags to the library
-as given, --random 0 included, so the library's checks are the only ones.
+as given, --random 0 included, so the library's checks are the only ones,
+save one: with --random above 0 it checks --n against the sweep's cap
+before the library draws a graph.
 """
 
 from __future__ import annotations
@@ -205,15 +209,13 @@ def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarra
 
 
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
-    from .products import ProductReport, _require_report_factors, _stream_reports, pair_label
+    from .products import ProductReport, _stream_reports, pair_label
 
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    bases = None
-    if args.base is not None:
-        # a bad factor is reported before a bad base
-        _require_report_factors(g, h)
-        bases = [_parse_base(args.base, g, h)]
+    # the base is parsed lazily, by _stream_reports after its factor
+    # checks, so a bad factor is reported before a bad base
+    bases = None if args.base is None else map(_parse_base, [args.base], [g], [h])
     # every input is checked here, before any report is made
     stream = _stream_reports(args.kind, g, h, bases)
     out = Outcome(
@@ -390,10 +392,14 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
-    from .oracles import random_graph_corpus, verify_unique_minimum
+    from .oracles import _GX_CAP, _require_cap, random_graph_corpus, verify_unique_minimum
 
+    # an --n over the sweep's cap fails before any graph is drawn: drawing
+    # one loops over all n^2 vertex pairs
+    if args.random > 0:
+        _require_cap(args.n, _GX_CAP)
     # the corpus is built, and swept, ahead of the enumeration, so a bad
-    # --random, --n or --p, or an --n over the cap, fails before the long part
+    # --random, --n or --p fails before the long part
     corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)
     report = verify_unique_minimum(corpus, exhaustive_n=args.exhaustive_n)
     lines = [

@@ -8,10 +8,15 @@ require a connected graph and raise :class:`DisconnectedError` otherwise.
 The adjacency is stored once, as CSR arrays, which ``Graph(...)``,
 ``parse_graph`` and ``products.product`` all build through ``Graph._build``.
 
-The metric core works on single distance rows. ``interval`` takes its
-row from one BFS (``bfs_distances``), O(n + m), and ``geodesic_sweep``
-turns a row into interval membership by one reverse sweep of the
-source's geodesic DAG.
+The metric core works on single distance rows, and every row in the
+package comes from ``_distance_rows``. Its Python BFS reads neighbour
+tuples built from the CSR, which this module alone builds: one build per
+call, shared by all of that call's rows, so ``bfs_distances`` pays one
+per row and a caller that wants many rows of one graph (the row
+fallbacks below and in boundary.py, the product reports) asks for them
+in one call. ``interval`` takes its row from one BFS, O(n + m), and
+``geodesic_sweep`` turns a row into interval membership by one reverse
+sweep of the source's geodesic DAG.
 ``geodetic_closure`` and ``is_geodetic`` take no matrix: they run the BFS
 of 64 members at a time in the bits of one uint64 word per vertex
 (``_level_words``), about depth x (n + m) word operations per batch.
@@ -333,16 +338,21 @@ def is_connected(g: Graph) -> bool:
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Distance row from source as a read-only integer array."""
     _check_vertex(g, source)
-    return _distance_row(_neighbour_lists(g), source)
+    return next(_distance_rows(g, (source,)))
 
 
-def _distance_row(nbr_lists: Sequence[Sequence[int]], source: int) -> np.ndarray:
-    """``bfs_distances`` over neighbour lists that the caller built."""
-    out = np.array(_bfs_row(nbr_lists, source), dtype=np.int32)
-    if out.min() < 0:
-        raise DisconnectedError("graph is disconnected")
-    out.setflags(write=False)
-    return out
+def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[np.ndarray]:
+    """The distance row of each source in turn, each a read-only int32
+    array; raises :class:`DisconnectedError` on a disconnected graph.
+    The neighbour tuples are built once, at the first row, and every
+    later row of the call reads that build."""
+    nbr_lists = _neighbour_lists(g)
+    for source in sources:
+        row = np.array(_bfs_row(nbr_lists, source), dtype=np.int32)
+        if row.min() < 0:
+            raise DisconnectedError("graph is disconnected")
+        row.setflags(write=False)
+        yield row
 
 
 def _degrees(g: Graph) -> np.ndarray:
@@ -494,9 +504,8 @@ def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
         reach = _batch_reach(g, batch, targets, budget)
         if reach is None:
             # too deep for the words: one row per remaining member
-            nbr_lists = _neighbour_lists(g)
-            for u in vs.members[lo:]:
-                covered |= geodesic_sweep(g, _distance_row(nbr_lists, u), members)
+            for row in _distance_rows(g, vs.members[lo:]):
+                covered |= geodesic_sweep(g, row, members)
                 if covered.all():
                     break
             break

@@ -9,6 +9,9 @@ distances from one base (x, y), from the factor rows of x and y.
 source is its unique minimum geodominating set, the boundary of a base
 (x, y) and its gx follow from the factors alone: one BFS row per distinct
 x in G and y in H, and the factor boundary masks bg, bh of those rows.
+The rows of each factor come from one ``graph._distance_rows`` call,
+which builds that factor's neighbour tuples once for all of them; this
+module never sees the tuples.
 Its reports come from ``_stream_reports``, which checks every input
 before it returns, then yields one x's reports at a time, so a caller
 that writes each report and drops it holds one x's masks, not all.
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,11 +57,10 @@ from .boundary import _boundary_mask
 from .graph import (
     DisconnectedError,
     Graph,
-    _bfs_row,
     _check_vertex,
-    _distance_row,
+    _distance_rows,
     _edge_arrays,
-    _neighbour_lists,
+    is_connected,
 )
 
 __all__ = [
@@ -195,36 +197,14 @@ class ProductReport:
     gx_holds: bool
 
 
-def _require_product_factors(
-    g: Graph, h: Graph
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Check that both factors are connected and their labels comma-free,
-    and return the factors' neighbour lists, which the first check builds."""
-    nbrs = _neighbour_lists(g), _neighbour_lists(h)
-    if any(-1 in _bfs_row(lists, 0) for lists in nbrs):
+def _require_product_factors(g: Graph, h: Graph) -> None:
+    """Check that both factors are connected and their labels comma-free."""
+    if not (is_connected(g) and is_connected(h)):
         raise DisconnectedError("disconnected factor")
     # a comma inside a factor label would make distinct pair labels collide
     for lab in (*g.labels, *h.labels):
         if "," in lab:
             raise ValueError(f"factor label {lab!r} contains a comma")
-    return nbrs
-
-
-def _require_report_factors(
-    g: Graph, h: Graph
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The checks ``product_reports`` makes on its factors, in its order,
-    and the factors' neighbour lists."""
-    if g.n < 2 or h.n < 2:
-        raise ValueError("boundary reports need factors with at least two vertices")
-    return _require_product_factors(g, h)
-
-
-def _row_and_boundary(
-    g: Graph, nbrs: Sequence[Sequence[int]], x: int
-) -> tuple[np.ndarray, np.ndarray]:
-    row = _distance_row(nbrs, x)
-    return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
 
 
 def _boundary_stacks(
@@ -286,7 +266,9 @@ def _stream_reports(
     iterator computes one x's (#y, n_G, n_H) stacks at a time.
     """
     kind = _as_kind(kind)
-    g_nbrs, h_nbrs = _require_report_factors(g, h)
+    if g.n < 2 or h.n < 2:
+        raise ValueError("boundary reports need factors with at least two vertices")
+    _require_product_factors(g, h)
     ng, nh = g.n, h.n
     # the distinct y of each distinct x, in order of first request
     ys_of: "dict[int, Iterable[int]]"
@@ -301,23 +283,21 @@ def _stream_reports(
             if not 0 <= y < nh:
                 raise ValueError(f"second-factor index {y} out of range")
             ys_of.setdefault(x, {})[y] = None
-    return _report_layers(kind, g, h, g_nbrs, h_nbrs, ys_of)
+    return _report_layers(kind, g, h, ys_of)
 
 
 def _report_layers(
-    kind: ProductKind,
-    g: Graph,
-    h: Graph,
-    g_nbrs: Sequence[Sequence[int]],
-    h_nbrs: Sequence[Sequence[int]],
-    ys_of: "dict[int, Iterable[int]]",
+    kind: ProductKind, g: Graph, h: Graph, ys_of: "dict[int, Iterable[int]]"
 ) -> Iterator[ProductReport]:
     """The body of ``_stream_reports``, run on checked inputs."""
     ng, nh = g.n, h.n
     wanted = {y for ys in ys_of.values() for y in ys}
-    rows_h = {y: _row_and_boundary(h, h_nbrs, y) for y in wanted}
-    for x, ys in ys_of.items():
-        dg, bg = _row_and_boundary(g, g_nbrs, x)
+    rows_h = {
+        y: (row, _boundary_mask(h.flat_neighbors, h.neighbor_offsets, row))
+        for y, row in zip(wanted, _distance_rows(h, wanted))
+    }
+    for (x, ys), dg in zip(ys_of.items(), _distance_rows(g, ys_of)):
+        bg = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, dg)
         gx_g = int(np.count_nonzero(bg))
         ys = list(ys)
         dh = np.array([rows_h[y][0] for y in ys])

@@ -32,14 +32,12 @@ from geodom import (
     VerificationReport,
     VertexSet,
 )
-from geodom.boundary import _row_boundary
-from geodom.graph import _neighbour_lists
+from geodom.boundary import _boundary_mask, _row_boundary
+from geodom.graph import _neighbour_lists, bfs_distances
 from geodom.products import (
     _as_kind,
     _gx_bounds,
     _require_product_factors,
-    _require_report_factors,
-    _row_and_boundary,
     pair_label,
 )
 
@@ -292,6 +290,12 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _row_and_mask(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distance row of x and the mask of its boundary."""
+    row = bfs_distances(g, x)
+    return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
+
+
 def loop_product_reports(
     kind: "ProductKind | str",
     g: Graph,
@@ -301,7 +305,9 @@ def loop_product_reports(
     """The per-base loop that `product_reports` replaced with one array
     pass per distinct x: the same closed forms, one base at a time."""
     kind = _as_kind(kind)
-    g_nbrs, h_nbrs = _require_report_factors(g, h)
+    if g.n < 2 or h.n < 2:
+        raise ValueError("boundary reports need factors with at least two vertices")
+    _require_product_factors(g, h)
     if bases is None:
         bases = [(x, y) for x in range(g.n) for y in range(h.n)]
     bases = [(int(x), int(y)) for x, y in bases]
@@ -310,8 +316,8 @@ def loop_product_reports(
             raise ValueError(f"first-factor index {x} out of range")
         if not 0 <= y < h.n:
             raise ValueError(f"second-factor index {y} out of range")
-    rows_g = {x: _row_and_boundary(g, g_nbrs, x) for x in {x for x, _ in bases}}
-    rows_h = {y: _row_and_boundary(h, h_nbrs, y) for y in {y for _, y in bases}}
+    rows_g = {x: _row_and_mask(g, x) for x in {x for x, _ in bases}}
+    rows_h = {y: _row_and_mask(h, y) for y in {y for _, y in bases}}
     reports = []
     for x, y in bases:
         (dg, bg), (dh, bh) = rows_g[x], rows_h[y]
@@ -609,8 +615,9 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
 def close_the_path_in_graph_bfs(monkeypatch) -> None:
     """Make graph.py's BFS search the path a-b-c-d closed into a cycle,
     by joining the first and last vertex in the neighbour lists of every
-    graph it searches."""
-    lists = sys.modules["geodom.graph"]._neighbour_lists
+    graph it searches (graph.py alone builds them)."""
+    graph = sys.modules["geodom.graph"]
+    lists = graph._neighbour_lists
 
     def closed_lists(g):
         out = lists(g)
@@ -618,9 +625,7 @@ def close_the_path_in_graph_bfs(monkeypatch) -> None:
         out[-1] += (0,)
         return out
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "geodom" and hasattr(module, "_neighbour_lists"):
-            monkeypatch.setattr(module, "_neighbour_lists", closed_lists)
+    monkeypatch.setattr(graph, "_neighbour_lists", closed_lists)
 
 
 def drop_one_boundary_vertex(monkeypatch) -> None:

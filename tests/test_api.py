@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -62,6 +63,18 @@ def test_package_names():
     # the lazily loaded names are their modules' own
     for name, module in geodom._LAZY.items():
         assert name in importlib.import_module(f"geodom.{module}").__all__
+
+
+def test_only_graph_knows_how_a_distance_row_is_made():
+    # the neighbour tuples and the BFS over them stay inside graph.py;
+    # every other module takes its rows from _distance_rows or bfs_distances.
+    # Importing __main__ would run the command line.
+    names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
+    assert {"graph", "boundary", "products", "cli", "oracles", "bitmasks"} <= set(names)
+    for name in names:
+        module = importlib.import_module(f"geodom.{name}")
+        holds = {attr for attr in ("_neighbour_lists", "_bfs_row") if hasattr(module, attr)}
+        assert holds == ({"_neighbour_lists", "_bfs_row"} if name == "graph" else set()), name
 
 
 def test_readme_python_blocks_print_what_they_show(capsys):

@@ -542,6 +542,19 @@ def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, m
         assert (code, out, err) == (2, "", "error: too large: 13 vertices exceeds the cap of 12\n")
 
 
+def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypatch):
+    # drawing a graph loops over all n^2 vertex pairs, so an --n far over
+    # the cap must fail before the first one is drawn
+    def no_drawing(*args):
+        raise AssertionError("an over-cap --n needs no graph")
+
+    monkeypatch.setattr("geodom.oracles.random_connected_graph", no_drawing)
+    argv = ("verify-theorems", "--exhaustive-n", "0", "--random", "1", "--n", "3000")
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: too large: 3000 vertices exceeds the cap of 12\n")
+
+
 def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):
     # each chunk of edge masks is checked before the next one is made
     events = []

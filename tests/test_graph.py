@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,7 +256,9 @@ def test_bfs_rows_match_floyd_warshall(g):
 
 def test_bfs_distances_row():
     g = path_graph(["a", "b", "c", "d"])
-    assert bfs_distances(g, 0).tolist() == [0, 1, 2, 3]
+    row = bfs_distances(g, 0)
+    assert row.tolist() == [0, 1, 2, 3]
+    assert row.dtype == np.int32 and not row.flags.writeable
     with pytest.raises(ValueError, match="out of range"):
         bfs_distances(g, 9)
 
@@ -408,11 +411,7 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     graph = sys.modules["geodom.graph"]
     real_row, real_lists = graph._bfs_row, graph._neighbour_lists
     monkeypatch.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
-    # `geodom.boundary` names the function, so the module comes from sys.modules
-    for module in ("geodom.graph", "geodom.boundary"):
-        monkeypatch.setattr(
-            sys.modules[module], "_neighbour_lists", lambda g: builds.append(g.n) or real_lists(g)
-        )
+    monkeypatch.setattr(graph, "_neighbour_lists", lambda g: builds.append(g.n) or real_lists(g))
     # a shallow graph runs full words on words; a lone source in the last
     # word may take no more than (n + m) / n levels, so it takes a row
     g, dist = word_graph

@@ -19,7 +19,7 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from geodom import products
+from geodom import graph, products
 from helpers import assert_same_graph, cells, loop_product, loop_product_reports, pair_labels
 from strategies import connected_graphs, relabelled
 
@@ -346,16 +346,15 @@ def test_stream_holds_one_layer_of_stacks():
 
 @pytest.mark.parametrize("bases", [None, [(2, 1), (0, 3), (2, 1)]])
 def test_reports_build_each_factors_lists_once(monkeypatch, bases):
-    # the connectivity check and every factor row share one build per factor
+    # one build per factor for the connectivity check, then one per factor
+    # that every row of that factor shares, whatever the bases
     built = []
-    real = products._neighbour_lists
-    monkeypatch.setattr(
-        products, "_neighbour_lists", lambda g: built.append(g) or real(g)
-    )
+    real = graph._neighbour_lists
+    monkeypatch.setattr(graph, "_neighbour_lists", lambda g: built.append(g) or real(g))
     for kind in KINDS:
         built.clear()
         product_reports(kind, P3A, P4N, bases)
-        assert built == [P3A, P4N]
+        assert built == [P3A, P4N, P4N, P3A]
 
 
 def test_reports_follow_the_given_bases():
