@@ -17,12 +17,11 @@ unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs. The oracle handlers hand the
-graph and --cap to the brute-force searches, which refuse an over-cap
-graph before any distance work and compute distances with their own BFS.
+graph and --cap to the brute-force searches, which refuse a --cap over
+20 or an over-cap graph before any distance work and compute distances
+with their own BFS.
 verify-theorems hands --exhaustive-n and its corpus flags to the library
-as given, --random 0 included, so the library's checks are the only ones,
-save one: with --random above 0 it checks --n against the sweep's cap
-before the library draws a graph.
+as given, --random 0 included, so the library's checks are the only ones.
 """
 
 from __future__ import annotations
@@ -392,12 +391,8 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
-    from .oracles import _GX_CAP, _require_cap, random_graph_corpus, verify_unique_minimum
+    from .oracles import random_graph_corpus, verify_unique_minimum
 
-    # an --n over the sweep's cap fails before any graph is drawn: drawing
-    # one loops over all n^2 vertex pairs
-    if args.random > 0:
-        _require_cap(args.n, _GX_CAP)
     # the corpus is built, and swept, ahead of the enumeration, so a bad
     # --random, --n or --p fails before the long part
     corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)

@@ -17,8 +17,6 @@ _SCALARS = {str, int, float, bool, type(None)}
 # pieces are joined into writes of about this many characters: unbuffered
 # stdout makes every write a system call
 _CHUNK = 1 << 14
-# a walked container hands its items over in batches of at most this many
-_ITEMS = 64
 
 
 class Encoded(list):
@@ -45,9 +43,9 @@ def _write_json(obj: object, write: Callable[[str], object]) -> None:
     holds one string per item until it joins them all. Here a scalar is
     escaped or formatted directly, a container whose items are all scalars
     is one call of the C encoder, an `Encoded` list is one `join`, and only
-    the containers above those are walked in Python, their items handed
-    over in batches. So nothing larger than a batch of such items is held
-    at once.
+    the containers above those are walked in Python, each item handed to
+    the 16 KiB write buffer as it is made. So nothing larger than one such
+    item and the buffer is held at once.
     """
     pieces: list[str] = []
     size = 0
@@ -63,7 +61,7 @@ def _write_json(obj: object, write: Callable[[str], object]) -> None:
 
     text = _leaf(obj, 0)
     if text is None:
-        _write_container(obj, emit, 0, {})
+        _write_container(obj, emit, 0)
     else:
         emit(text)
     pieces.append("\n")
@@ -99,41 +97,29 @@ def _leaf(value: object, depth: int) -> str | None:
 
 
 def _write_container(
-    obj: "dict | list | tuple | Iterator", emit: Callable[[str], None], depth: int, keys: dict
+    obj: "dict | list | tuple | Iterator", emit: Callable[[str], None], depth: int
 ) -> None:
     """Walk an iterator, or a container some of whose items are containers
     to walk too."""
     is_dict = isinstance(obj, dict)
     opening, closing = "{}" if is_dict else "[]"
     inner = "\n" + "  " * (depth + 1)
-    parts = [opening]
+    emit(opening)
     sep = ""
     for key, value in obj.items() if is_dict else enumerate(obj):
-        if is_dict:
-            # keyed by type too, since False == 0 == 0.0; float keys are not
-            # cached, since -0.0 == 0.0 but they print differently
-            slot = (depth, type(key), key)
-            head = keys.get(slot)
-            if head is None:
-                # '{"key": 0}' less its braces and value: the key as
-                # json.dumps writes it (int, float, bool and None keys too)
-                head = inner + _encoder(0)({key: 0})[1:-2]
-                if type(key) is not float:
-                    keys[slot] = head
-        else:
-            head = inner
+        head = sep + inner
+        if is_dict and type(key) is str:
+            head += encode_basestring_ascii(key) + ": "
+        elif is_dict:
+            # '{"key": 0}' less its braces and value: an int, float, bool
+            # or None key as json.dumps writes it
+            head += _encoder(0)({key: 0})[1:-2]
         text = _leaf(value, depth + 1)
         if text is None:
-            parts.append(sep + head)
-            emit("".join(parts))
-            parts = []
-            _write_container(value, emit, depth + 1, keys)
+            emit(head)
+            _write_container(value, emit, depth + 1)
         else:
-            parts.append(sep + head + text)
-            if len(parts) > _ITEMS:
-                emit("".join(parts))
-                parts = []
+            emit(head + text)
         sep = ","
     # only an iterator can turn out empty here
-    parts.append(("\n" + "  " * depth if sep else "") + closing)
-    emit("".join(parts))
+    emit(("\n" + "  " * depth if sep else "") + closing)

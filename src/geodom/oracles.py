@@ -10,7 +10,8 @@ substrate, and the simplicial counterexample search certifies that
 simplicial vertices can fail to geodominate from every source. Each
 input is checked by the function that takes it, before any work: the
 generator checks its size and edge probability, the corpus its count,
-size range and edge probability, even when it draws no graph.
+size range, largest size against the sweep's cap and edge probability,
+even when it draws no graph, and the searches refuse any cap over 20.
 
 The brute-force searches, exhaustive enumeration, the counterexample
 search and the theorem sweep share one stage (bitmasks.py): edge masks
@@ -62,6 +63,12 @@ _EXHAUSTIVE_MAX_N = 7
 # the largest graph min_x_geodominating_bruteforce searches by default,
 # and the theorem sweep's cap: it searches 2^(n-1) sets per source
 _GX_CAP = 12
+# the largest cap either search takes. Past the default caps each vertex
+# at least doubles the gx search's memory (its own share about 4, 18 and
+# 72 MB at n = 20, 22 and 24) and multiplies the geodetic search's time by
+# about 2.2 (0.55, 0.91 and 2.0 s on K_n at n = 17, 18 and 19, 2-vCPU
+# host), so a cap of 30 would allow gigabytes or hours
+_CAP_LIMIT = 20
 # the theorem sweep holds n x n distances and a CSR per graph, so it takes
 # smaller chunks; these keep its peak memory at about the interpreter's
 _SWEEP_CHUNK = 1 << 9
@@ -106,6 +113,8 @@ def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = _GX_CAP) -> O
 
 
 def _require_cap(n: int, cap: int) -> None:
+    if cap > _CAP_LIMIT:
+        raise ValueError(f"cap {cap} exceeds the limit of {_CAP_LIMIT} vertices")
     if n > cap:
         raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
 
@@ -272,12 +281,14 @@ def random_graph_corpus(
 ) -> list[Graph]:
     """count seeded graphs with sizes cycling through [n_low, n_high].
 
-    count, the sizes and the edge probability are checked even when count
-    is 0."""
+    count, the sizes, n_high against the theorem sweep's cap of 12 and the
+    edge probability are checked even when count is 0, so an over-cap
+    size fails before any graph is drawn."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= n_low <= n_high:
         raise ValueError("need 2 <= n_low <= n_high")
+    _require_cap(n_high, _GX_CAP)
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     sizes = range(n_low, n_high + 1)

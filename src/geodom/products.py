@@ -13,8 +13,10 @@ The rows of each factor come from one ``graph._distance_rows`` call,
 which builds that factor's neighbour tuples once for all of them; this
 module never sees the tuples.
 Its reports come from ``_stream_reports``, which checks every input
-before it returns, then yields one x's reports at a time, so a caller
-that writes each report and drops it holds one x's masks, not all.
+before it returns, then yields one report per requested base, in request
+order: each run of consecutive bases with the same x is one array pass,
+so a caller that writes each report and drops it holds one run's masks,
+not all.
 With d_G, d_H the factor distances from x and y:
 
 - cartesian (d = d_G + d_H): exactly bg x bh;
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,86 +259,80 @@ def _stream_reports(
     h: Graph,
     bases: "Iterable[tuple[int, int]] | None" = None,
 ) -> Iterator[ProductReport]:
-    """Reports for the given (x, y) factor index pairs, grouped by x in
-    the order each x is first requested, a repeated pair once, or for
-    every base in row-major order when ``bases`` is None.
+    """One report per given (x, y) factor index pair, in their order,
+    repeats included, or for every base in row-major order when ``bases``
+    is None.
 
     The kind, the factors and every base are checked before the iterator
-    is returned, so an input error comes before the first report. The
-    iterator computes one x's (#y, n_G, n_H) stacks at a time.
+    is returned, so an input error comes before the first report. Each
+    run of consecutive bases with the same x is one array pass, and the
+    iterator holds one run's (#y, n_G, n_H) stacks at a time.
     """
     kind = _as_kind(kind)
     if g.n < 2 or h.n < 2:
         raise ValueError("boundary reports need factors with at least two vertices")
     _require_product_factors(g, h)
     ng, nh = g.n, h.n
-    # the distinct y of each distinct x, in order of first request
-    ys_of: "dict[int, Iterable[int]]"
+    # (x, the y of each base in the run) per run of bases with the same x
+    runs: "list[tuple[int, Sequence[int]]]"
     if bases is None:
-        ys_of = dict.fromkeys(range(ng), range(nh))
+        runs = [(x, range(nh)) for x in range(ng)]
     else:
-        ys_of = {}
+        runs = []
         for x, y in bases:
             x, y = int(x), int(y)
             if not 0 <= x < ng:
                 raise ValueError(f"first-factor index {x} out of range")
             if not 0 <= y < nh:
                 raise ValueError(f"second-factor index {y} out of range")
-            ys_of.setdefault(x, {})[y] = None
-    return _report_layers(kind, g, h, ys_of)
+            if runs and runs[-1][0] == x:
+                runs[-1][1].append(y)
+            else:
+                runs.append((x, [y]))
+    return _report_layers(kind, g, h, runs)
 
 
 def _report_layers(
-    kind: ProductKind, g: Graph, h: Graph, ys_of: "dict[int, Iterable[int]]"
+    kind: ProductKind, g: Graph, h: Graph, runs: "list[tuple[int, Sequence[int]]]"
 ) -> Iterator[ProductReport]:
     """The body of ``_stream_reports``, run on checked inputs."""
     ng, nh = g.n, h.n
-    wanted = {y for ys in ys_of.values() for y in ys}
+    wanted = {y for _, ys in runs for y in ys}
     rows_h = {
         y: (row, _boundary_mask(h.flat_neighbors, h.neighbor_offsets, row))
         for y, row in zip(wanted, _distance_rows(h, wanted))
     }
-    for (x, ys), dg in zip(ys_of.items(), _distance_rows(g, ys_of)):
+    for (x, ys), dg in zip(runs, _distance_rows(g, [x for x, _ in runs])):
         bg = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, dg)
         gx_g = int(np.count_nonzero(bg))
-        ys = list(ys)
         dh = np.array([rows_h[y][0] for y in ys])
         bh = np.array([rows_h[y][1] for y in ys])
         actual, lower, upper = _boundary_stacks(kind, x, dg, bg, dh, bh)
         bad = (lower & ~actual) | (actual & ~upper)
         for stack in (actual, lower, upper, bad):
             stack.setflags(write=False)
+        fails = bad.any(axis=(1, 2)).tolist()
+        gx = np.count_nonzero(actual, axis=(1, 2)).tolist()
+        tops = np.count_nonzero(upper, axis=(1, 2)).tolist()
         gx_h = np.count_nonzero(bh, axis=1)
         gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, ng, nh)
-        per_y = zip(
-            ys,
-            list(actual),
-            list(lower),
-            list(upper),
-            list(bad),
-            bad.any(axis=(1, 2)).tolist(),
-            np.count_nonzero(actual, axis=(1, 2)).tolist(),
-            np.count_nonzero(upper, axis=(1, 2)).tolist(),
-            gx_h.tolist(),
-            gx_lower.tolist(),
-            gx_upper.tolist(),
-        )
-        for y, act, low, up, wit, fails, gx, tops, gxh, gxl, gxu in per_y:
+        gx_h, gx_lower, gx_upper = gx_h.tolist(), gx_lower.tolist(), gx_upper.tolist()
+        for k, y in enumerate(ys):
             yield ProductReport(
                 kind=kind,
                 base=(x, y),
-                actual=act,
-                lower=low,
-                upper=up,
-                containments_hold=not fails,
-                witnesses=wit if fails else None,
-                upper_strict=not fails and gx < tops,
-                gx=gx,
+                actual=actual[k],
+                lower=lower[k],
+                upper=upper[k],
+                containments_hold=not fails[k],
+                witnesses=bad[k] if fails[k] else None,
+                upper_strict=not fails[k] and gx[k] < tops[k],
+                gx=gx[k],
                 gx_g=gx_g,
-                gx_h=gxh,
-                gx_lower=gxl,
-                gx_upper=gxu,
-                gx_holds=gxl <= gx <= gxu,
+                gx_h=gx_h[k],
+                gx_lower=gx_lower[k],
+                gx_upper=gx_upper[k],
+                gx_holds=gx_lower[k] <= gx[k] <= gx_upper[k],
             )
 
 
@@ -349,14 +345,9 @@ def product_reports(
     """Reports for the given (x, y) factor index pairs, in their order, or
     for every base in row-major order when ``bases`` is None.
 
-    Computed from one BFS row of each distinct x in G and y in H; no
-    product graph and no all-pairs matrix is built. The masks of all
-    requested bases with the same x come from one array pass, and each
+    Computed from one BFS row of each distinct y in H and of x per run of
+    bases with the same x; no product graph and no all-pairs matrix is
+    built. The masks of each run come from one array pass, and each
     report holds read-only views into its stacks.
     """
-    if bases is not None:
-        bases = list(bases)
-    made = {rep.base: rep for rep in _stream_reports(kind, g, h, bases)}
-    if bases is None:
-        return tuple(made.values())
-    return tuple(made[int(x), int(y)] for x, y in bases)
+    return tuple(_stream_reports(kind, g, h, bases))

@@ -153,6 +153,21 @@ def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
             assert (code, out, err) == (2, "", message)
 
 
+def test_oracle_commands_refuse_a_cap_over_the_limit(capsys, p4, monkeypatch):
+    def no_distances(*args):
+        raise AssertionError("a cap over the limit needs no distances")
+
+    monkeypatch.setattr("geodom.oracles._graph_distances", no_distances)
+    for argv in (["oracle-gx", "--x", "b"], ["oracle-geodetic"]):
+        for fmt in ("plain", "json"):
+            code, out, err = run(capsys, *argv, "--graph", p4, "--cap", "21", "--format", fmt)
+            assert (code, out, err) == (2, "", "error: cap 21 exceeds the limit of 20 vertices\n")
+    monkeypatch.undo()
+    for argv in (["oracle-gx", "--x", "b"], ["oracle-geodetic"]):
+        code, _, _ = run(capsys, *argv, "--graph", p4, "--cap", "20")
+        assert code == 0
+
+
 def test_oracle_commands_take_their_distances_from_the_oracle_stage(capsys, p4, monkeypatch):
     # the oracles, with a BFS of their own, still see the path
     close_the_path_in_graph_bfs(monkeypatch)
@@ -521,11 +536,12 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
         (("--random", "-3"), "count must be non-negative"),
         (("--exhaustive-n", "3", "--n", "1"), "need 2 <= n_low <= n_high"),
         (("--random", "0", "--p", "1.5"), "edge probability must lie in [0, 1]"),
+        (("--random", "0", "--n", "13"), "too large: 13 vertices exceeds the cap of 12"),
     ],
 )
 def test_verify_theorems_checks_the_corpus_flags_at_any_count(capsys, argv, message):
-    # the library checks the count, the size and the edge probability even
-    # when no graph is drawn
+    # the library checks the count, the size, its cap and the edge
+    # probability even when no graph is drawn
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, "verify-theorems", *argv, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -107,6 +107,25 @@ def test_searches_check_the_cap_first(monkeypatch):
         geodetic_number_bruteforce(single, cap=0)
 
 
+def test_searches_refuse_a_cap_over_the_limit_first(monkeypatch):
+    def no_distances(*args):
+        raise AssertionError("a cap over the limit needs no distances")
+
+    monkeypatch.setattr(oracles, "_graph_distances", no_distances)
+    p4 = path_graph(4)
+    with pytest.raises(ValueError, match="cap 21 exceeds the limit of 20 vertices"):
+        min_x_geodominating_bruteforce(p4, 0, cap=21)
+    with pytest.raises(ValueError, match="cap 21 exceeds the limit of 20 vertices"):
+        geodetic_number_bruteforce(p4, cap=21)
+    # ahead of the single-vertex check too
+    with pytest.raises(ValueError, match="cap 1000 exceeds the limit"):
+        min_x_geodominating_bruteforce(Graph(vertices=["a"]), 0, cap=1000)
+    monkeypatch.undo()
+    # the limit itself is a cap the searches take
+    assert min_x_geodominating_bruteforce(p4, 0, cap=20).minimum_size == 1
+    assert geodetic_number_bruteforce(p4, cap=20)[0] == 2
+
+
 def test_searches_compute_their_own_distances(monkeypatch):
     # the searches, with a BFS of their own, still see the path
     close_the_path_in_graph_bfs(monkeypatch)
@@ -382,6 +401,19 @@ def test_corpus_cycles_sizes_and_is_deterministic():
     for p in (-0.1, 1.5):
         with pytest.raises(ValueError, match=r"edge probability must lie in \[0, 1\]"):
             random_graph_corpus(0, 4, 6, p, seed=2)
+
+
+def test_corpus_checks_the_cap_before_drawing_a_graph(monkeypatch):
+    # drawing a graph loops over all n^2 vertex pairs, so a size far over
+    # the sweep's cap must fail before the first one is drawn
+    def no_drawing(*args):
+        raise AssertionError("an over-cap size needs no graph")
+
+    monkeypatch.setattr(oracles, "random_connected_graph", no_drawing)
+    with pytest.raises(ValueError, match="too large: 3000 vertices exceeds the cap of 12"):
+        random_graph_corpus(1, 3000, 3000, 0.1, 0)
+    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+        random_graph_corpus(0, 4, 13, 0.1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,17 @@ def test_stream_holds_one_layer_of_stacks():
     assert [x for x, _ in stacks] == [x for x in range(4) for _ in range(3)]
 
 
+def test_stream_yields_every_base_in_request_order():
+    # one report per requested base, repeats included; each run of bases
+    # with the same x shares one array pass
+    bases = [(2, 1), (2, 0), (0, 3), (2, 1)]
+    reps = list(products._stream_reports("lexicographic", P3A, P4N, bases))
+    assert [rep.base for rep in reps] == bases
+    first, second, _, last = (rep.actual.base for rep in reps)
+    assert first is second
+    assert last is not first
+
+
 @pytest.mark.parametrize("bases", [None, [(2, 1), (0, 3), (2, 1)]])
 def test_reports_build_each_factors_lists_once(monkeypatch, bases):
     # one build per factor for the connectivity check, then one per factor
