@@ -28,7 +28,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "OracleResult",
             "VerificationReport",
             "min_x_geodominating_bruteforce",
             "geodetic_number_bruteforce",

@@ -39,21 +39,12 @@ from .graph import (
 )
 
 __all__ = [
-    "BoundaryResult",
     "GeodominationCheck",
     "boundary",
     "is_x_geodominating",
     "min_gx_vertex",
     "geodetic_from_boundary",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryResult:
-    """Boundary of a source vertex and the geodomination number it induces."""
-
-    boundary: VertexSet
-    gx: int
 
 
 @dataclass(frozen=True)
@@ -66,18 +57,18 @@ class GeodominationCheck:
     witness_uncovered: int | None
 
 
-def boundary(g: Graph, x: int) -> BoundaryResult:
-    """Boundary vertices of x, with gx = its size."""
+def boundary(g: Graph, x: int) -> VertexSet:
+    """Boundary vertices of x: the unique minimum x-geodominating set, so
+    gx is its size."""
     return _row_boundary(g, bfs_distances(g, x))
 
 
-def _row_boundary(g: Graph, row: np.ndarray) -> BoundaryResult:
+def _row_boundary(g: Graph, row: np.ndarray) -> VertexSet:
     """Boundary of the source of a distance row."""
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     mask = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
-    members = VertexSet.of(np.flatnonzero(mask), g.n)
-    return BoundaryResult(boundary=members, gx=len(members))
+    return VertexSet.of(np.flatnonzero(mask), g.n)
 
 
 def _boundary_mask(
@@ -112,12 +103,12 @@ def _row_coverage(g: Graph, row: np.ndarray, s: "VertexSet | Iterable[int]") -> 
 
 def _boundary_and_coverage(
     g: Graph, x: int, s: "VertexSet | Iterable[int] | None" = None
-) -> tuple[BoundaryResult, GeodominationCheck]:
+) -> tuple[VertexSet, GeodominationCheck]:
     """The boundary of x and the geodomination check of s from x (of the
     boundary itself when s is None), both from one BFS row."""
     row = bfs_distances(g, x)
-    res = _row_boundary(g, row)
-    return res, _row_coverage(g, row, res.boundary if s is None else s)
+    members = _row_boundary(g, row)
+    return members, _row_coverage(g, row, members if s is None else s)
 
 
 def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:
@@ -175,4 +166,4 @@ def geodetic_from_boundary(g: Graph) -> VertexSet:
 def _boundary_with_source(g: Graph, x: int) -> VertexSet:
     """The boundary of x together with x itself: a geodetic set of size
     gx + 1, since every vertex lies on a geodesic from x to the boundary."""
-    return VertexSet.of([*boundary(g, x).boundary, x], g.n)
+    return VertexSet.of([*boundary(g, x), x], g.n)

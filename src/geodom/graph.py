@@ -30,6 +30,7 @@ factor rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -199,7 +200,8 @@ class VertexSet:
     def __post_init__(self):
         prev = -1
         for m in self.members:
-            if not isinstance(m, int) or not prev < m < self.n:
+            # exact ints only: a bool is an int, but no vertex index
+            if type(m) is not int or not prev < m < self.n:
                 raise ValueError(
                     f"vertex set members must be strictly ascending indices in "
                     f"[0, {self.n}), got {self.members!r}"
@@ -208,7 +210,9 @@ class VertexSet:
 
     @classmethod
     def of(cls, items: Iterable[int], n: int) -> "VertexSet":
-        return cls(tuple(sorted({int(i) for i in items})), n)
+        """The set of items, which are ints or numpy integers; a float or
+        a bool (a mask entry) is refused, not read as an index."""
+        return cls(tuple(sorted({_vertex_index(i) for i in items})), n)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -224,6 +228,12 @@ class VertexSet:
 
     def issubset(self, other: Iterable[int]) -> bool:
         return set(self.members) <= {int(i) for i in other}
+
+
+def _vertex_index(i: int) -> int:
+    if isinstance(i, bool):
+        raise ValueError(f"a vertex index cannot be the bool {i!r}")
+    return operator.index(i)
 
 
 def _as_vertex_set(s: "VertexSet | Iterable[int]", n: int) -> VertexSet:

@@ -46,7 +46,6 @@ from .boundary import _boundary_mask, _row_boundary
 from .graph import DisconnectedError, Graph, VertexSet
 
 __all__ = [
-    "OracleResult",
     "VerificationReport",
     "min_x_geodominating_bruteforce",
     "geodetic_number_bruteforce",
@@ -76,23 +75,13 @@ _SWEEP_CHUNK = 1 << 9
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of a size-ordered exhaustive search.
-
-    minimum_sets holds every set of the winning size; exhausted records
-    that the search space was fully covered up to that size, so nothing
-    smaller exists.
-    """
-
-    minimum_size: int
-    minimum_sets: tuple[VertexSet, ...]
-    exhausted: bool
-
-
-def min_x_geodominating_bruteforce(g: Graph, x: int, *, cap: int = _GX_CAP) -> OracleResult:
-    """All minimum x-geodominating sets, in combinations order, by
-    exhaustive search over every candidate set (``_minimum_covers``).
+def min_x_geodominating_bruteforce(
+    g: Graph, x: int, *, cap: int = _GX_CAP
+) -> tuple[VertexSet, ...]:
+    """Every minimum x-geodominating set, all of one size, in combinations
+    order, by exhaustive search over every candidate set
+    (``_minimum_covers``). The search covers every candidate or refuses
+    the graph, so no smaller set exists.
 
     The cap is checked before anything else. The distances come from the
     oracle stage's own bit-frontier BFS (bitmasks.py), not from the BFS
@@ -127,15 +116,11 @@ def _graph_distances(nbrs: np.ndarray) -> np.ndarray:
     return _distances(levels)
 
 
-def _min_x_search(d: np.ndarray, x: int) -> OracleResult:
+def _min_x_search(d: np.ndarray, x: int) -> tuple[VertexSet, ...]:
     """The search of ``min_x_geodominating_bruteforce`` for source x on
     any symmetric (n, n) matrix d with a zero diagonal."""
-    size, hits = _minimum_covers(d[None], x)
-    return OracleResult(
-        minimum_size=int(size[0]),
-        minimum_sets=_minimum_sets(hits[0], x, len(d)),
-        exhausted=True,
-    )
+    _, hits = _minimum_covers(d[None], x)
+    return _minimum_sets(hits[0], x, len(d))
 
 
 def _minimum_covers(d: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +158,16 @@ def _minimum_sets(hits: np.ndarray, x: int, n: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(m, n) for m in members)
 
 
-def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> tuple[int, VertexSet]:
-    """Smallest k with a geodetic set of size k, plus the first witness.
+def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> VertexSet:
+    """The first geodetic set of least size, in combinations order: its
+    size is the geodetic number.
 
     As in ``min_x_geodominating_bruteforce``, the cap comes first and the
     distances come from the oracle stage's own BFS."""
     n = g.n
     _require_cap(n, cap)
     if n == 1:
-        return 1, VertexSet.of([0], 1)
+        return VertexSet.of([0], 1)
 
     d = _graph_distances(_stacked_bits([g], n))[0]
     full = (1 << n) - 1
@@ -202,7 +188,7 @@ def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> tuple[int, VertexS
                 for v in combo[i + 1:]:
                     mask |= row[v]
             if mask == full:
-                return size, VertexSet.of(combo, n)
+                return VertexSet.of(combo, n)
     raise AssertionError("unreachable: V itself is geodetic")
 
 
@@ -493,11 +479,11 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
 
 def _failure(g: Graph, d: np.ndarray, x: int) -> str:
     """The report line of a failing source x of g, whose distances are d."""
-    res = _min_x_search(d, x)
-    expected = _row_boundary(g, d[x]).boundary
-    oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
+    sets = _min_x_search(d, x)
+    expected = _row_boundary(g, d[x])
+    oracle_sets = [g.labels_of(s) for s in sets]
     return (
         f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "
-        f"oracle size {res.minimum_size} sets {oracle_sets} vs "
+        f"oracle size {len(sets[0])} sets {oracle_sets} vs "
         f"boundary {g.labels_of(expected)}"
     )

@@ -93,12 +93,13 @@ def _as_kind(kind: "ProductKind | str") -> ProductKind:
 
 @dataclass(frozen=True, eq=False)
 class ProductGraph:
-    """A constructed product together with its factor bookkeeping.
+    """A constructed product together with its factors and the factor
+    pair behind each product vertex; the kind is the caller's own argument
+    to ``product`` and is not stored.
 
     factor_pairs[p] is the (g_index, h_index) pair behind product vertex p.
     """
 
-    kind: ProductKind
     factor_g: Graph
     factor_h: Graph
     graph: Graph
@@ -146,7 +147,7 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     order = pg._build([pair_label(a, b) for a in g.labels for b in h.labels], tails, heads)
     if len(pg._index) != pg.n:
         raise AssertionError("pair labels collided; factor labels are unusable")
-    return ProductGraph(kind, g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
+    return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 
 def product_distance(kind: "ProductKind | str", dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
@@ -183,7 +184,6 @@ class ProductReport:
     which come from the factor values ``gx_g`` and ``gx_h``.
     """
 
-    kind: ProductKind
     base: tuple[int, int]
     actual: np.ndarray
     lower: np.ndarray
@@ -319,7 +319,6 @@ def _report_layers(
         gx_h, gx_lower, gx_upper = gx_h.tolist(), gx_lower.tolist(), gx_upper.tolist()
         for k, y in enumerate(ys):
             yield ProductReport(
-                kind=kind,
                 base=(x, y),
                 actual=actual[k],
                 lower=lower[k],

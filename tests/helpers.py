@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from geodom import (
     Graph,
-    OracleResult,
     ProductGraph,
     ProductKind,
     ProductReport,
@@ -121,7 +120,7 @@ def loop_product(
     for gi in range(g.n):
         for hi in range(h.n):
             pairs[pg.index_of(pair_label(gl[gi], hl[hi]))] = (gi, hi)
-    return ProductGraph(kind, g, h, pg, tuple(pairs)), sets
+    return ProductGraph(g, h, pg, tuple(pairs)), sets
 
 
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
@@ -330,7 +329,6 @@ def loop_product_reports(
         gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, g.n, h.n)
         reports.append(
             ProductReport(
-                kind=kind,
                 base=(x, y),
                 actual=_frozen(actual),
                 lower=_frozen(lower),
@@ -525,7 +523,7 @@ def loop_simplicial_verdict(g: Graph) -> tuple[list[int], bool]:
 
 def loop_min_x_geodominating(
     g: Graph, d: Sequence[Sequence[int]], x: int, *, cap: int = 12
-) -> OracleResult:
+) -> tuple[VertexSet, ...]:
     """All minimum x-geodominating sets, by exhaustive size-ordered search
     on the distance matrix d, ``floyd_warshall(g)`` for a graph.
 
@@ -558,11 +556,7 @@ def loop_min_x_geodominating(
             if _union(cover, combo) == full
         ]
         if winners:
-            return OracleResult(
-                minimum_size=size,
-                minimum_sets=tuple(VertexSet.of(c, n) for c in winners),
-                exhausted=True,
-            )
+            return tuple(VertexSet.of(c, n) for c in winners)
     raise AssertionError("unreachable: V minus x always geodominates")
 
 
@@ -590,19 +584,14 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
         dist = floyd_warshall(g)
         for x in range(g.n):
             sources_checked += 1
-            res = loop_min_x_geodominating(g, dist, x)
+            sets = loop_min_x_geodominating(g, dist, x)
             # the oracle's matrix holds the row, so no BFS per source
-            expected = _row_boundary(g, np.array(dist[x])).boundary
-            if (
-                not res.exhausted
-                or len(res.minimum_sets) != 1
-                or res.minimum_sets[0] != expected
-                or res.minimum_size != len(expected)
-            ):
-                oracle_sets = [g.labels_of(s) for s in res.minimum_sets]
+            expected = _row_boundary(g, np.array(dist[x]))
+            if sets != (expected,):
+                oracle_sets = [g.labels_of(s) for s in sets]
                 failures.append(
                     f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "
-                    f"oracle size {res.minimum_size} sets {oracle_sets} vs "
+                    f"oracle size {len(sets[0])} sets {oracle_sets} vs "
                     f"boundary {g.labels_of(expected)}"
                 )
     return VerificationReport(

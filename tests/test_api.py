@@ -29,7 +29,6 @@ PUBLIC_NAMES = {
     "complete_graph",
     "star_graph",
     # boundary
-    "BoundaryResult",
     "GeodominationCheck",
     "boundary",
     "is_x_geodominating",
@@ -43,7 +42,6 @@ PUBLIC_NAMES = {
     "product_distance",
     "product_reports",
     # oracles
-    "OracleResult",
     "VerificationReport",
     "min_x_geodominating_bruteforce",
     "geodetic_number_bruteforce",

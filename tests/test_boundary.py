@@ -23,7 +23,7 @@ P4 = path_graph(["a", "b", "c", "d"])
 
 
 def labels_of_boundary(g, x_label):
-    return g.labels_of(boundary(g, g.index_of(x_label)).boundary)
+    return g.labels_of(boundary(g, g.index_of(x_label)))
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def labels_of_boundary(g, x_label):
 def test_path_boundaries():
     assert labels_of_boundary(P4, "b") == ["a", "d"]
     assert labels_of_boundary(P4, "a") == ["d"]
-    assert boundary(P4, P4.index_of("b")).gx == 2
+    assert len(boundary(P4, P4.index_of("b"))) == 2
     p3 = path_graph(["a", "b", "c"])
     assert labels_of_boundary(p3, "a") == ["c"]
     assert labels_of_boundary(p3, "b") == ["a", "c"]
@@ -41,16 +41,16 @@ def test_path_boundaries():
 
 def test_cycle_boundaries():
     c5 = cycle_graph(5)
-    assert c5.labels_of(boundary(c5, 0).boundary) == ["v2", "v3"]
+    assert c5.labels_of(boundary(c5, 0)) == ["v2", "v3"]
     c6 = cycle_graph(6)
-    assert c6.labels_of(boundary(c6, 0).boundary) == ["v3"]
+    assert c6.labels_of(boundary(c6, 0)) == ["v3"]
 
 
 def test_complete_graph_boundary_is_everyone_else():
     k5 = complete_graph(5)
     for x in range(5):
-        assert set(boundary(k5, x).boundary) == set(range(5)) - {x}
-        assert boundary(k5, x).gx == 4
+        assert set(boundary(k5, x)) == set(range(5)) - {x}
+        assert len(boundary(k5, x)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +60,20 @@ def test_complete_graph_boundary_is_everyone_else():
 @given(graphs_with_vertex())
 def test_boundary_matches_definition_scan(gv):
     g, x = gv
-    assert set(boundary(g, x).boundary) == direct_boundary(g, floyd_warshall(g), x)
+    assert set(boundary(g, x)) == direct_boundary(g, floyd_warshall(g), x)
 
 
 @given(graphs_with_vertex())
 def test_source_never_in_own_boundary(gv):
     g, x = gv
-    assert x not in boundary(g, x).boundary
+    assert x not in boundary(g, x)
 
 
 @given(graphs_with_vertex())
 def test_eccentric_vertices_are_boundary(gv):
     g, x = gv
     row = bfs_distances(g, x)
-    b = set(boundary(g, x).boundary)
+    b = set(boundary(g, x))
     assert set(np.flatnonzero(row == row.max())) <= b
 
 
@@ -81,7 +81,7 @@ def test_eccentric_vertices_are_boundary(gv):
 def test_tree_boundary_is_leaves_except_source(t):
     leaves = {v for v in range(t.n) if t.degree(v) == 1}
     for x in range(t.n):
-        assert set(boundary(t, x).boundary) == leaves - {x}
+        assert set(boundary(t, x)) == leaves - {x}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_vertex_set_size_mismatch_rejected():
 def test_geodominating_iff_contains_boundary(gvs):
     g, x, members = gvs
     direct = is_x_geodominating(g, x, members).is_geodominating
-    assert direct == boundary(g, x).boundary.issubset(members)
+    assert direct == boundary(g, x).issubset(members)
 
 
 FIXED_SMALL = [
@@ -148,7 +148,7 @@ FIXED_SMALL = [
 @pytest.mark.parametrize("g", FIXED_SMALL, ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_rule_exhaustive_over_all_subsets(g):
     for x in range(g.n):
-        b = set(boundary(g, x).boundary)
+        b = set(boundary(g, x))
         for mask in range(1 << g.n):
             s = [v for v in range(g.n) if mask >> v & 1]
             direct = is_x_geodominating(g, x, s).is_geodominating
@@ -166,7 +166,7 @@ def test_min_gx_vertex_values():
 
 @given(connected_graphs())
 def test_min_gx_vertex_is_argmin_with_lowest_index(g):
-    sizes = [boundary(g, x).gx for x in range(g.n)]
+    sizes = [len(boundary(g, x)) for x in range(g.n)]
     x, value = min_gx_vertex(g)
     assert value == min(sizes)
     assert sizes[x] == value and sizes.index(value) == x

@@ -14,6 +14,7 @@ import cli_goldens
 import geodom
 from geodom import (
     Graph,
+    VertexSet,
     boundary,
     enumerate_connected_graphs,
     oracles,
@@ -126,6 +127,30 @@ def test_oracle_gx_plain(capsys, p4):
         "minimum sets: {a d}",
         "matches boundary: yes",
     ]
+
+
+def test_oracle_gx_fails_a_tied_minimum(capsys, p4, monkeypatch):
+    # a tie whose first set is the boundary {a d}: not unique, so no match
+    def tied(g, x, *, cap):
+        return VertexSet.of([0, 3], g.n), VertexSet.of([1, 3], g.n)
+
+    monkeypatch.setattr("geodom.oracles.min_x_geodominating_bruteforce", tied)
+    code, out, err = run(capsys, "oracle-gx", "--graph", p4, "--x", "b")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "minimum size = 2",
+        "minimum sets: {a d}, {b d}",
+        "matches boundary: no",
+    ]
+    code, out, err = run(capsys, "oracle-gx", "--graph", p4, "--x", "b", "--format", "json")
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["result"] == {
+        "minimum_size": 2,
+        "minimum_sets": [["a", "d"], ["b", "d"]],
+        "exhausted": True,
+    }
+    assert doc["checks"] == {"unique_minimum": False, "equals_boundary": False}
 
 
 def test_oracle_geodetic_plain(capsys, p4):
@@ -384,8 +409,8 @@ def _expected_verify_document(kind, g_path, h_path, base=None):
     g = parse_graph(Path(g_path).read_text())
     h = parse_graph(Path(h_path).read_text())
     pg = product(kind, g, h)
-    bg = [set(boundary(g, x).boundary) for x in range(g.n)]
-    bh = [set(boundary(h, y).boundary) for y in range(h.n)]
+    bg = [set(boundary(g, x)) for x in range(g.n)]
+    bh = [set(boundary(h, y)) for y in range(h.n)]
 
     def labels(pairs):
         ordered = sorted(pairs, key=lambda p: (g.labels[p[0]], h.labels[p[1]]))
@@ -398,7 +423,7 @@ def _expected_verify_document(kind, g_path, h_path, base=None):
             if base is not None and label != base:
                 continue
             p = pg.index_of_pair(x, y)
-            actual = {pg.pair_of(q) for q in boundary(pg.graph, p).boundary}
+            actual = {pg.pair_of(q) for q in boundary(pg.graph, p)}
             gx_g, gx_h = len(bg[x]), len(bh[y])
             if kind == "cartesian":
                 lower = upper = {(a, b) for a in bg[x] for b in bh[y]}

@@ -238,6 +238,30 @@ def test_vertex_set_validates(members):
         VertexSet(members, 5)
 
 
+def test_vertex_set_refuses_masks_floats_and_bools():
+    # none of these is a list of indices; int() once read the mask of the
+    # two ends of a-b-c-d-e as {0, 1}, and the floats as {0, 4}
+    g = path_graph("abcde")
+    mask = np.array([True, False, False, False, True])
+    for bad in (mask, [0.9, 4.2], np.array([0.0, 4.0])):
+        with pytest.raises(TypeError):
+            VertexSet.of(bad, 5)
+        with pytest.raises(TypeError):
+            geodetic_closure(g, bad)
+    for bad in ([True, 4], [False]):
+        with pytest.raises(ValueError, match="bool"):
+            VertexSet.of(bad, 5)
+        with pytest.raises(ValueError, match="bool"):
+            geodetic_closure(g, bad)
+    for members in ((True,), (False, 4)):
+        with pytest.raises(ValueError, match="strictly ascending indices"):
+            VertexSet(members, 5)
+    # numpy integers stay indices
+    assert VertexSet.of(np.flatnonzero(mask), 5).members == (0, 4)
+    assert VertexSet.of(np.array([3, 1], dtype=np.int32), 5).members == (1, 3)
+    assert g.labels_of(geodetic_closure(g, np.flatnonzero(mask))) == list("abcde")
+
+
 def test_vertex_set_issubset():
     vs = VertexSet.of([1, 3], 5)
     assert vs.issubset([0, 1, 2, 3])

@@ -56,22 +56,21 @@ from strategies import connected_graphs, graphs_with_vertex, trees
 
 def test_path_minimum_is_far_endpoint():
     g = path_graph(["a", "b", "c", "d"])
-    res = min_x_geodominating_bruteforce(g, 0)
-    assert res.minimum_size == 1 and res.exhausted
-    assert [g.labels_of(s) for s in res.minimum_sets] == [["d"]]
+    sets = min_x_geodominating_bruteforce(g, 0)
+    assert len(sets[0]) == 1
+    assert [g.labels_of(s) for s in sets] == [["d"]]
 
 
 def test_complete_graph_minimum_is_everyone_else():
     g = complete_graph(4)
-    res = min_x_geodominating_bruteforce(g, 2)
-    assert res.minimum_size == 3
-    assert [set(s) for s in res.minimum_sets] == [{0, 1, 3}]
+    sets = min_x_geodominating_bruteforce(g, 2)
+    assert len(sets[0]) == 3
+    assert [set(s) for s in sets] == [{0, 1, 3}]
 
 
 def test_every_minimum_set_geodominates():
     g = cycle_graph(6)
-    res = min_x_geodominating_bruteforce(g, 0)
-    for s in res.minimum_sets:
+    for s in min_x_geodominating_bruteforce(g, 0):
         assert is_x_geodominating(g, 0, s).is_geodominating
 
 
@@ -79,7 +78,7 @@ def test_cap_is_enforced_and_overridable():
     g = path_graph(13)
     with pytest.raises(ValueError, match="too large"):
         min_x_geodominating_bruteforce(g, 0)
-    assert min_x_geodominating_bruteforce(g, 0, cap=13).minimum_size == 1
+    assert len(min_x_geodominating_bruteforce(g, 0, cap=13)[0]) == 1
 
 
 def test_single_vertex_rejected():
@@ -122,19 +121,19 @@ def test_searches_refuse_a_cap_over_the_limit_first(monkeypatch):
         min_x_geodominating_bruteforce(Graph(vertices=["a"]), 0, cap=1000)
     monkeypatch.undo()
     # the limit itself is a cap the searches take
-    assert min_x_geodominating_bruteforce(p4, 0, cap=20).minimum_size == 1
-    assert geodetic_number_bruteforce(p4, cap=20)[0] == 2
+    assert len(min_x_geodominating_bruteforce(p4, 0, cap=20)[0]) == 1
+    assert len(geodetic_number_bruteforce(p4, cap=20)) == 2
 
 
 def test_searches_compute_their_own_distances(monkeypatch):
     # the searches, with a BFS of their own, still see the path
     close_the_path_in_graph_bfs(monkeypatch)
     p4 = path_graph("abcd")
-    assert p4.labels_of(boundary(p4, 0).boundary) == ["c"]
-    res = min_x_geodominating_bruteforce(p4, 0)
-    assert [p4.labels_of(s) for s in res.minimum_sets] == [["d"]]
-    number, witness = geodetic_number_bruteforce(p4)
-    assert (number, p4.labels_of(witness)) == (2, ["a", "d"])
+    assert p4.labels_of(boundary(p4, 0)) == ["c"]
+    sets = min_x_geodominating_bruteforce(p4, 0)
+    assert [p4.labels_of(s) for s in sets] == [["d"]]
+    witness = geodetic_number_bruteforce(p4)
+    assert (len(witness), p4.labels_of(witness)) == (2, ["a", "d"])
 
 
 def test_searches_reject_disconnected_graphs():
@@ -149,8 +148,7 @@ def test_searches_reject_disconnected_graphs():
 def test_excluding_x_loses_nothing(gv):
     # the search skips x as a candidate; adding it back never helps
     g, x = gv
-    res = min_x_geodominating_bruteforce(g, x)
-    for s in res.minimum_sets:
+    for s in min_x_geodominating_bruteforce(g, x):
         with_x = set(s) | {x}
         assert is_x_geodominating(g, x, with_x).is_geodominating
         assert set(is_x_geodominating(g, x, s).covered) == set(
@@ -175,7 +173,7 @@ def test_search_matches_the_loop_on_a_random_corpus():
 
 def test_search_lists_tied_sets_in_combinations_order():
     # a graph has one minimum set per source; arbitrary symmetric matrices
-    # with a zero diagonal tie many, which pins the order of minimum_sets
+    # with a zero diagonal tie many, which pins the order of the sets
     rng = np.random.default_rng(7)
     tied = 0
     for _ in range(300):
@@ -184,10 +182,10 @@ def test_search_lists_tied_sets_in_combinations_order():
         d = np.triu(d, 1) + np.triu(d, 1).T
         g = complete_graph(n)
         for x in range(n):
-            res = oracles._min_x_search(d, x)
-            assert res == loop_min_x_geodominating(g, d, x)
+            sets = oracles._min_x_search(d, x)
+            assert sets == loop_min_x_geodominating(g, d, x)
             # ties of sets with two or more members, which index order does not sort
-            tied += res.minimum_size > 1 and len(res.minimum_sets) > 1
+            tied += len(sets[0]) > 1 and len(sets) > 1
     assert tied > 50
 
 
@@ -197,37 +195,37 @@ def test_search_lists_tied_sets_in_combinations_order():
 
 def test_geodetic_numbers_of_families():
     p5 = path_graph(5)
-    n, witness = geodetic_number_bruteforce(p5)
-    assert n == 2 and list(witness) == [0, 4]
+    witness = geodetic_number_bruteforce(p5)
+    assert len(witness) == 2 and list(witness) == [0, 4]
     c5 = cycle_graph(5)
-    n5, w5 = geodetic_number_bruteforce(c5)
-    assert n5 == 3 and is_geodetic(c5, w5)
+    w5 = geodetic_number_bruteforce(c5)
+    assert len(w5) == 3 and is_geodetic(c5, w5)
     c6 = cycle_graph(6)
-    assert geodetic_number_bruteforce(c6)[0] == 2
+    assert len(geodetic_number_bruteforce(c6)) == 2
     k4 = complete_graph(4)
-    assert geodetic_number_bruteforce(k4)[0] == 4
+    assert len(geodetic_number_bruteforce(k4)) == 4
     star = star_graph(6)
-    assert geodetic_number_bruteforce(star)[0] == 5
+    assert len(geodetic_number_bruteforce(star)) == 5
 
 
 def test_geodetic_cap():
     g = path_graph(11)
     with pytest.raises(ValueError, match="too large"):
         geodetic_number_bruteforce(g)
-    assert geodetic_number_bruteforce(g, cap=11)[0] == 2
+    assert len(geodetic_number_bruteforce(g, cap=11)) == 2
 
 
 def test_geodetic_single_vertex():
     g = Graph(vertices=["a"])
-    n, w = geodetic_number_bruteforce(g)
-    assert n == 1 and list(w) == [0]
+    w = geodetic_number_bruteforce(g)
+    assert len(w) == 1 and list(w) == [0]
 
 
 @given(connected_graphs(max_n=7))
 def test_geodetic_number_at_most_min_gx_plus_one(g):
-    number, witness = geodetic_number_bruteforce(g)
+    witness = geodetic_number_bruteforce(g)
     assert is_geodetic(g, witness)
-    assert number <= min_gx_vertex(g)[1] + 1
+    assert len(witness) <= min_gx_vertex(g)[1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +606,10 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     expected, tied = [], 0
     for row, g in enumerate(graphs):
         for x in range(6):
-            res = loop_min_x_geodominating(g, d[row], x)
-            inside = _row_boundary(g, d[row, x]).boundary
-            tied += len(res.minimum_sets) > 1
-            if res.minimum_sets != (inside,) or res.minimum_size != len(inside):
+            sets = loop_min_x_geodominating(g, d[row], x)
+            inside = _row_boundary(g, d[row, x])
+            tied += len(sets) > 1
+            if sets != (inside,):
                 expected.append((row, x))
     assert tied > 5 and 20 < len(expected) < 150
     assert oracles._failing_sources(nbrs, d) == expected
@@ -638,7 +636,6 @@ def test_sweep_rejects_disconnected_graphs():
 @given(connected_graphs(max_n=6))
 def test_oracle_agrees_with_boundary(g):
     for x in range(g.n):
-        res = min_x_geodominating_bruteforce(g, x)
-        assert res.exhausted
-        assert len(res.minimum_sets) == 1
-        assert res.minimum_sets[0] == boundary(g, x).boundary
+        sets = min_x_geodominating_bruteforce(g, x)
+        assert len(sets) == 1
+        assert sets[0] == boundary(g, x)
