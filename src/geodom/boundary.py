@@ -11,17 +11,16 @@ Both questions need only the distance row of x, so ``boundary`` and
 ``is_x_geodominating`` run one BFS (``bfs_distances``): the boundary is a
 scan of that row over the CSR neighbours, and coverage is one geodesic
 sweep (``geodesic_sweep``), each O(n + m). ``min_gx_vertex`` and
-``geodetic_from_boundary`` visit every source without a matrix: the BFS
-levels of 64 sources share one uint64 word per vertex (``_level_words``),
-so gx for all n sources costs about ceil(n/64) x depth x (n + m) word
-operations and O(n) words of memory. On graphs deeper than
-``_word_budget`` allows, the sources take one BFS row each instead.
+``geodetic_from_boundary`` visit every source without a matrix, on the
+word-parallel BFS or the row fallback that graph.py's
+``_source_schedule`` picks (its module docstring has the schedule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,10 +29,8 @@ from .graph import (
     Graph,
     VertexSet,
     _as_vertex_set,
-    _distance_rows,
-    _level_words,
     _mask,
-    _word_budget,
+    _source_schedule,
     bfs_distances,
     geodesic_sweep,
 )
@@ -111,9 +108,19 @@ def _boundary_and_coverage(
     return members, _row_coverage(g, row, members if s is None else s)
 
 
-def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:
-    """gx of each of at most 64 sources; None when their BFS needs more
-    levels than ``_word_budget`` allows.
+def _gx_of_sources(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """gx of each source, in order, from ``_source_schedule``: 64 sources
+    at a time through ``_gx_of_levels``, or one BFS row each."""
+    csr = g.flat_neighbors, g.neighbor_offsets
+    return np.hstack(list(_source_schedule(
+        g, sources, partial(_gx_of_levels, g),
+        lambda row: np.count_nonzero(_boundary_mask(*csr, row)),
+        cap=g.n,  # no BFS has more than n levels
+    )))
+
+
+def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> np.ndarray:
+    """gx of each source of ``batch`` from its level words ``levels``.
 
     A vertex is in the boundary of a source unless a neighbour lies one
     level farther. The spread of level d, masked by the levels before d,
@@ -121,39 +128,22 @@ def _gx_of_sources(g: Graph, sources: range) -> np.ndarray | None:
     the OR of those masks over all levels is the interior word; gx of
     source i is n minus the number of vertices with interior bit i set.
     """
-    budget = _word_budget(g, len(sources))
     interior = np.zeros(g.n, dtype=np.uint64)
     before = np.zeros(g.n, dtype=np.uint64)
-    for depth, (level, spread) in enumerate(_level_words(g, sources)):
-        if depth == budget:
-            return None
+    for level, spread in levels:
         interior |= spread & before
         before |= level
     bits = np.unpackbits(interior.astype("<u8").view(np.uint8), bitorder="little")
-    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(sources)]
+    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(batch)]
 
 
 def min_gx_vertex(g: Graph) -> tuple[int, int]:
-    """Vertex minimizing gx, ties broken by index; returns (vertex, gx).
-
-    Sources go 64 at a time through ``_gx_of_sources``; once a batch is
-    too deep for it, the remaining sources take one BFS row each.
-    """
+    """Vertex minimizing gx, ties broken by index; returns (vertex, gx)."""
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    sizes: list[int] = []
-    for lo in range(0, g.n, _WORD_BITS):
-        batch = _gx_of_sources(g, range(lo, min(lo + _WORD_BITS, g.n)))
-        if batch is None:
-            csr = g.flat_neighbors, g.neighbor_offsets
-            sizes.extend(
-                int(np.count_nonzero(_boundary_mask(*csr, row)))
-                for row in _distance_rows(g, range(lo, g.n))
-            )
-            break
-        sizes.extend(batch.tolist())
+    sizes = _gx_of_sources(g, range(g.n))
     x = int(np.argmin(sizes))
-    return x, sizes[x]
+    return x, int(sizes[x])
 
 
 def geodetic_from_boundary(g: Graph) -> VertexSet:

@@ -12,20 +12,21 @@ The metric core works on single distance rows, and every row in the
 package comes from ``_distance_rows``. Its Python BFS reads neighbour
 tuples built from the CSR, which this module alone builds: one build per
 call, shared by all of that call's rows, so ``bfs_distances`` pays one
-per row and a caller that wants many rows of one graph (the row
-fallbacks below and in boundary.py, the product reports) asks for them
-in one call. ``interval`` takes its row from one BFS, O(n + m), and
+per row and a caller that wants many rows of one graph (the schedule's
+row fallback below, the product reports) asks for them in one call.
+``interval`` takes its row from one BFS, O(n + m), and
 ``geodesic_sweep`` turns a row into interval membership by one reverse
 sweep of the source's geodesic DAG.
-``geodetic_closure`` and ``is_geodetic`` take no matrix: they run the BFS
-of 64 members at a time in the bits of one uint64 word per vertex
+Every all-source pass (``geodetic_closure`` here, ``min_gx_vertex`` in
+boundary.py) runs one schedule, ``_source_schedule``: sources in any
+order, 64 at a time in the bits of one uint64 word per vertex
 (``_level_words``), about depth x (n + m) word operations per batch.
-``_word_budget`` and ``_kept_levels`` cap the depth at
-min(|batch| x (n + m), 4(n + 2m)) / n levels; deeper graphs (paths, long
-cycles, grids) go back to one row and one sweep per member. Nothing here
-builds an all-pairs matrix: the brute-force oracles compute theirs with
-their own BFS (bitmasks.py), and ``products.product_distance`` takes
-factor rows.
+``_word_budget`` caps the depth at |batch| x (n + m) / n levels, and the
+closure, which keeps its levels, at ``_kept_levels``; from the first
+batch deeper than that (paths, long cycles, grids), each source left
+takes one distance row. Nothing here builds an all-pairs matrix: the
+brute-force oracles compute theirs with their own BFS (bitmasks.py), and
+``products.product_distance`` takes factor rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,14 +150,17 @@ class Graph:
             raise ValueError(f"unknown vertex label {label!r}") from None
 
     def label(self, v: int) -> str:
-        return self.labels[v]
+        return self.labels[_check_vertex(self, v)]
 
     def labels_of(self, vertices: Iterable[int]) -> list[str]:
-        """Labels of the given indices; ascending indices give sorted labels."""
+        """Labels of the given indices; ascending indices give sorted labels.
+        A VertexSet of this graph's size holds checked indices already."""
+        if not (isinstance(vertices, VertexSet) and vertices.n == self.n):
+            vertices = [_check_vertex(self, v) for v in vertices]
         return [self.labels[v] for v in vertices]
 
     def _csr_row(self, v: int) -> np.ndarray:
-        _check_vertex(self, v)
+        v = _check_vertex(self, v)
         end = self.neighbor_offsets[v + 1] if v + 1 < self.n else len(self.flat_neighbors)
         return self.flat_neighbors[self.neighbor_offsets[v]:end]
 
@@ -167,8 +171,7 @@ class Graph:
         return len(self._csr_row(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(self, v)
-        return bool(v in self._csr_row(u))
+        return bool(_check_vertex(self, v) in self._csr_row(u))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as an index pair (u, v) with u < v, sorted."""
@@ -221,13 +224,16 @@ class VertexSet:
         return len(self.members)
 
     def __contains__(self, v: object) -> bool:
-        return v in self.members
+        try:
+            return _vertex_index(v) in self.members
+        except (TypeError, ValueError):
+            return False
 
     def __bool__(self) -> bool:
         return bool(self.members)
 
     def issubset(self, other: Iterable[int]) -> bool:
-        return set(self.members) <= {int(i) for i in other}
+        return set(self.members) <= {_vertex_index(i) for i in other}
 
 
 def _vertex_index(i: int) -> int:
@@ -244,9 +250,13 @@ def _as_vertex_set(s: "VertexSet | Iterable[int]", n: int) -> VertexSet:
     return VertexSet.of(s, n)
 
 
-def _check_vertex(g: Graph, v: int) -> None:
+def _check_vertex(g: Graph, v: int, what: str = "vertex") -> int:
+    """v as an int, once it is known to be a vertex of g; a float raises
+    TypeError, and a bool ValueError, a numpy bool too."""
+    v = _vertex_index(bool(v) if isinstance(v, np.bool_) else v)
     if not 0 <= v < g.n:
-        raise ValueError(f"vertex index {v} out of range [0, {g.n})")
+        raise ValueError(f"{what} index {v} out of range [0, {g.n})")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +357,7 @@ def is_connected(g: Graph) -> bool:
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Distance row from source as a read-only integer array."""
-    _check_vertex(g, source)
-    return next(_distance_rows(g, (source,)))
+    return next(_distance_rows(g, (_check_vertex(g, source),)))
 
 
 def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[np.ndarray]:
@@ -444,6 +453,27 @@ def _level_words(
         raise DisconnectedError("graph is disconnected")
 
 
+def _source_schedule(
+    g: Graph, sources: Sequence[int], word_step: Callable, row_step: Callable, *, cap: int
+) -> Iterator:
+    """``word_step(batch, levels)`` on the ``_level_words`` of each batch of
+    64 sources, in order, until one takes more than min(``_word_budget``,
+    cap) levels; from that batch on, ``row_step(row)`` on the distance row
+    of each source left. Yields each result as it comes, so a caller that
+    has its answer leaves its loop and no further batch or row runs. A step
+    sees at most the budget of levels, and a deeper batch's is thrown away.
+    """
+    for lo in range(0, len(sources), _WORD_BITS):
+        batch = sources[lo:lo + _WORD_BITS]
+        walk = _level_words(g, batch)
+        result = word_step(batch, islice(walk, min(_word_budget(g, len(batch)), cap)))
+        if next(walk, None) is None:
+            yield result
+            continue
+        yield from map(row_step, _distance_rows(g, sources[lo:]))
+        return
+
+
 def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Mask of the vertices on some geodesic from the source of ``row`` to
     a vertex of the boolean mask ``targets``.
@@ -487,20 +517,18 @@ def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
 def interval(g: Graph, u: int, v: int) -> VertexSet:
     """Vertices on at least one shortest u-v path:
     { w : d(u,w) + d(w,v) = d(u,v) }."""
-    _check_vertex(g, v)
-    on_geodesic = geodesic_sweep(g, bfs_distances(g, u), _mask(g, [v]))
+    on_geodesic = geodesic_sweep(g, bfs_distances(g, u), _mask(g, [_check_vertex(g, v)]))
     return VertexSet.of(np.flatnonzero(on_geodesic), g.n)
 
 
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     """Union of intervals over all pairs of vertices in s.
 
-    Members go 64 at a time through ``_batch_reach`` while their BFS stays
-    within ``_word_budget`` and ``_kept_levels`` levels; from the first
-    batch that does not, each member takes one BFS row and one
-    ``geodesic_sweep``. Stops once every vertex is covered (the union
-    cannot grow after that); the first batch always runs, so a
-    disconnected graph is reported.
+    The members go through ``_source_schedule``, keeping at most
+    ``_kept_levels`` levels: 64 at a time through ``_batch_reach``, or one
+    BFS row and one ``geodesic_sweep`` each. Stops once every vertex is
+    covered (the union cannot grow after that); the first batch always
+    runs, so a disconnected graph is reported.
     """
     vs = _as_vertex_set(s, g.n)
     if not vs:
@@ -508,37 +536,27 @@ def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     members = _mask(g, vs)
     covered = members.copy()
     targets = np.where(members, ~np.uint64(0), np.uint64(0))
-    for lo in range(0, len(vs), _WORD_BITS):
-        batch = vs.members[lo:lo + _WORD_BITS]
-        budget = min(_word_budget(g, len(batch)), _kept_levels(g))
-        reach = _batch_reach(g, batch, targets, budget)
-        if reach is None:
-            # too deep for the words: one row per remaining member
-            for row in _distance_rows(g, vs.members[lo:]):
-                covered |= geodesic_sweep(g, row, members)
-                if covered.all():
-                    break
-            break
+    for reach in _source_schedule(
+        g, vs.members,
+        lambda _, levels: _batch_reach(g, targets, levels),
+        lambda row: geodesic_sweep(g, row, members),
+        cap=_kept_levels(g),
+    ):
         covered |= reach
         if covered.all():
             break
     return VertexSet.of(np.flatnonzero(covered), g.n)
 
 
-def _batch_reach(
-    g: Graph, batch: Sequence[int], targets: np.ndarray, budget: int
-) -> np.ndarray | None:
-    """Mask of the vertices on a geodesic from a member of ``batch`` to a
-    vertex whose ``targets`` word is all ones; None when the batch needs
-    more than ``budget`` levels.
+def _batch_reach(g: Graph, targets: np.ndarray, levels: Iterable) -> np.ndarray:
+    """Mask of the vertices on a geodesic from a source of the level
+    words ``levels`` to a vertex whose ``targets`` word is all ones.
 
     Bit i of ``reach[v]`` marks v as lying on such a geodesic from
-    batch[i]. One sweep over the level words, from the far end back, sets
+    source i. One sweep over the level words, from the far end back, sets
     it where v is a target or a neighbour one level farther has it.
     """
-    levels = [level for level, _ in islice(_level_words(g, batch), budget + 1)]
-    if len(levels) > budget:
-        return None
+    levels = [level for level, _ in levels]
     reach = levels[-1] & targets
     for level in reversed(levels[:-1]):
         reach |= level & (targets | _neighbour_or(g, reach))

@@ -43,7 +43,7 @@ from .bitmasks import (
     _vertex_bits,
 )
 from .boundary import _boundary_mask, _row_boundary
-from .graph import DisconnectedError, Graph, VertexSet
+from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
 
 __all__ = [
     "VerificationReport",
@@ -96,8 +96,7 @@ def min_x_geodominating_bruteforce(
     _require_cap(n, cap)
     if n < 2:
         raise ValueError("x-geodomination needs at least two vertices")
-    if not 0 <= x < n:
-        raise ValueError(f"vertex index {x} out of range [0, {n})")
+    x = _check_vertex(g, x)
     return _min_x_search(_graph_distances(_stacked_bits([g], n))[0], x)
 
 

@@ -106,15 +106,12 @@ class ProductGraph:
     factor_pairs: tuple[tuple[int, int], ...]
 
     def index_of_pair(self, gi: int, hi: int) -> int:
-        if not 0 <= gi < self.factor_g.n:
-            raise ValueError(f"first-factor index {gi} out of range")
-        if not 0 <= hi < self.factor_h.n:
-            raise ValueError(f"second-factor index {hi} out of range")
-        return self.graph.index_of(pair_label(self.factor_g.labels[gi], self.factor_h.labels[hi]))
+        g_label = self.factor_g.labels[_check_vertex(self.factor_g, gi, "first-factor")]
+        h_label = self.factor_h.labels[_check_vertex(self.factor_h, hi, "second-factor")]
+        return self.graph.index_of(pair_label(g_label, h_label))
 
     def pair_of(self, p: int) -> tuple[int, int]:
-        _check_vertex(self.graph, p)
-        return self.factor_pairs[p]
+        return self.factor_pairs[_check_vertex(self.graph, p)]
 
 
 def pair_label(g_label: str, h_label: str) -> str:
@@ -272,19 +269,14 @@ def _stream_reports(
     if g.n < 2 or h.n < 2:
         raise ValueError("boundary reports need factors with at least two vertices")
     _require_product_factors(g, h)
-    ng, nh = g.n, h.n
     # (x, the y of each base in the run) per run of bases with the same x
     runs: "list[tuple[int, Sequence[int]]]"
     if bases is None:
-        runs = [(x, range(nh)) for x in range(ng)]
+        runs = [(x, range(h.n)) for x in range(g.n)]
     else:
         runs = []
         for x, y in bases:
-            x, y = int(x), int(y)
-            if not 0 <= x < ng:
-                raise ValueError(f"first-factor index {x} out of range")
-            if not 0 <= y < nh:
-                raise ValueError(f"second-factor index {y} out of range")
+            x, y = _check_vertex(g, x, "first-factor"), _check_vertex(h, y, "second-factor")
             if runs and runs[-1][0] == x:
                 runs[-1][1].append(y)
             else:

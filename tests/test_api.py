@@ -4,7 +4,20 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import geodom
+from geodom import (
+    bfs_distances,
+    boundary,
+    interval,
+    is_x_geodominating,
+    min_x_geodominating_bruteforce,
+    path_graph,
+    product,
+    product_reports,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,6 +76,46 @@ def test_package_names():
         assert name in importlib.import_module(f"geodom.{module}").__all__
 
 
+P5 = path_graph(5)
+P3 = path_graph(3)
+P3_SQUARE = product("cartesian", P3, P3)
+
+# every public call that takes a vertex index, with the index as v
+VERTEX_CALLS = {
+    "boundary": lambda v: boundary(P5, v),
+    "is_x_geodominating": lambda v: is_x_geodominating(P5, v, [0, 4]),
+    "bfs_distances": lambda v: bfs_distances(P5, v),
+    "interval-from": lambda v: interval(P5, v, 4),
+    "interval-to": lambda v: interval(P5, 0, v),
+    "min_x_geodominating_bruteforce": lambda v: min_x_geodominating_bruteforce(P5, v),
+    "product_reports-x": lambda v: product_reports("strong", P3, P3, [(v, 0)]),
+    "product_reports-y": lambda v: product_reports("strong", P3, P3, [(0, v)]),
+    "index_of_pair-g": lambda v: P3_SQUARE.index_of_pair(v, 0),
+    "index_of_pair-h": lambda v: P3_SQUARE.index_of_pair(0, v),
+    "pair_of": lambda v: P3_SQUARE.pair_of(v),
+    "label": lambda v: P5.label(v),
+    "labels_of": lambda v: P5.labels_of([v]),
+    "neighbors": lambda v: P5.neighbors(v),
+    "degree": lambda v: P5.degree(v),
+    "has_edge-u": lambda v: P5.has_edge(v, 2),
+    "has_edge-v": lambda v: P5.has_edge(2, v),
+}
+
+
+@pytest.mark.parametrize("call", VERTEX_CALLS.values(), ids=VERTEX_CALLS.keys())
+def test_every_vertex_argument_is_an_index(call):
+    # a bool is an int to Python, and numpy's indexes as one, so
+    # boundary(g, True) would answer for vertex 1. A float is no index
+    # either, and a numpy integer is the same index as the int
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="bool"):
+            call(bad)
+    for bad in (1.0, np.float64(1)):
+        with pytest.raises(TypeError):
+            call(bad)
+    assert repr(call(np.int64(1))) == repr(call(1))
+
+
 def test_only_graph_knows_how_a_distance_row_is_made():
     # the neighbour tuples and the BFS over them stay inside graph.py;
     # every other module takes its rows from _distance_rows or bfs_distances.
@@ -73,6 +126,17 @@ def test_only_graph_knows_how_a_distance_row_is_made():
         module = importlib.import_module(f"geodom.{name}")
         holds = {attr for attr in ("_neighbour_lists", "_bfs_row") if hasattr(module, attr)}
         assert holds == ({"_neighbour_lists", "_bfs_row"} if name == "graph" else set()), name
+
+
+def test_only_graph_schedules_the_word_walk():
+    # words or rows is decided once, in graph._source_schedule; no other
+    # module walks level words or reads the level budgets
+    names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
+    scheduling = ("_level_words", "_word_budget", "_kept_levels")
+    for name in names:
+        module = importlib.import_module(f"geodom.{name}")
+        holds = {attr for attr in scheduling if hasattr(module, attr)}
+        assert holds == (set(scheduling) if name == "graph" else set()), name
 
 
 def test_readme_python_blocks_print_what_they_show(capsys):

@@ -36,6 +36,7 @@ from helpers import (
     direct_closure,
     floyd_warshall,
     geodesic_vertices_by_paths,
+    raw_bfs_rows,
     reference_graph,
     reference_parse,
 )
@@ -269,6 +270,21 @@ def test_vertex_set_issubset():
     assert not vs.issubset([1, 2])
 
 
+def test_vertex_set_reads_only_indices():
+    # int() would read 0.9 as 0 and a mask entry as 0 or 1, and `in` would
+    # match True against 1; both go through the one index check
+    vs = VertexSet.of([0, 1], 5)
+    for bad in ([0.9, 1], np.array([True, True])):
+        with pytest.raises(TypeError):
+            vs.issubset(bad)
+    with pytest.raises(ValueError, match="bool"):
+        vs.issubset([False, True])
+    assert vs.issubset(np.arange(3)) and not vs.issubset(np.array([1, 2]))
+    for bad in (True, np.True_, 1.0, np.float64(1), "1", None):
+        assert bad not in vs
+    assert np.int64(1) in vs and 1 in vs and 2 not in vs
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -427,6 +443,34 @@ def test_closure_second_word_adds_coverage():
     assert set(geodetic_closure(g, members)) == direct_closure(floyd_warshall(g), members, g.n)
     assert len(geodetic_closure(g, members)) == g.n
     assert 67 not in geodetic_closure(g, range(64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(66, 150), st.data())
+def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
+    # a shuffled source list with a gap, longer than one word: each source
+    # gets its own gx in the order given, on the level words and, with no
+    # level budget, on one row each
+    seed = data.draw(st.integers(0, 2**16))
+    g = random_connected_graph(n, edge_probability=3 / n, seed=seed)
+    gap = data.draw(st.integers(1, n - 2))
+    size = data.draw(st.integers(65, n - 1))
+    sources = random.Random(seed).sample([v for v in range(n) if v != gap], size)
+    dist = raw_bfs_rows([g.neighbors(v) for v in range(n)])
+    want = [len(direct_boundary(g, dist, x)) for x in sources]
+    graph = sys.modules["geodom.graph"]
+    gx_of_sources = sys.modules["geodom.boundary"]._gx_of_sources
+    rows = []
+    real_row = graph._bfs_row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
+        # the first word always fits; a short last word may take rows
+        assert gx_of_sources(g, sources).tolist() == want
+        assert rows in ([], sources[64:])
+        rows.clear()
+        mp.setattr(graph, "_word_budget", lambda g, k: 0)
+        assert gx_of_sources(g, sources).tolist() == want
+        assert rows == sources
 
 
 def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
