@@ -7,33 +7,35 @@ lies on a shortest path from x to some member of S. The two notions
 coincide minimally: the boundary of x is the unique minimum
 x-geodominating set, so gx equals the boundary's size.
 
-Both questions need only the distance row of x, so ``boundary`` and
-``is_x_geodominating`` run one BFS (``bfs_distances``): the boundary is a
-scan of that row over the CSR neighbours, and coverage is one geodesic
-sweep (``geodesic_sweep``), each O(n + m). ``min_gx_vertex`` and
-``geodetic_from_boundary`` visit every source without a matrix, on the
-word-parallel BFS or the row fallback that graph.py's
-``_source_schedule`` picks (its module docstring has the schedule).
+Both questions need only the distance row of x. The one BFS of graph.py
+(``_bfs_row``) flags the boundary in the pass that makes the row, so
+``boundary`` reads those flags, and coverage is one geodesic sweep over
+the neighbour tuples (``graph._sweep``): each O(n + m), and neither loads
+numpy. ``min_gx_vertex`` and ``geodetic_from_boundary`` visit every
+source without a matrix, on the word-parallel BFS or the row fallback
+that graph.py's ``_source_schedule`` picks (its module docstring has the
+schedule); they load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import (
     _WORD_BITS,
     Graph,
     VertexSet,
     _as_vertex_set,
-    _mask,
+    _distance_row,
+    _flagged,
     _source_schedule,
-    bfs_distances,
-    geodesic_sweep,
+    _sweep,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GeodominationCheck",
@@ -57,44 +59,30 @@ class GeodominationCheck:
 def boundary(g: Graph, x: int) -> VertexSet:
     """Boundary vertices of x: the unique minimum x-geodominating set, so
     gx is its size."""
-    return _row_boundary(g, bfs_distances(g, x))
+    return _boundary_and_row(g, x)[0]
 
 
-def _row_boundary(g: Graph, row: np.ndarray) -> VertexSet:
-    """Boundary of the source of a distance row."""
+def _boundary_and_row(g: Graph, x: int) -> tuple[VertexSet, list[int]]:
+    """The boundary of x and the distance row of x, from one BFS."""
+    row, flags = _distance_row(g, x)
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
-    mask = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
-    return VertexSet.of(np.flatnonzero(mask), g.n)
-
-
-def _boundary_mask(
-    flat_neighbors: np.ndarray, neighbor_offsets: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """Mask of the vertices with no neighbour farther from the source of
-    ``row``, in the graph with these CSR arrays.
-
-    Every vertex needs a neighbour, so that every reduceat segment is
-    nonempty: a connected graph on n >= 2 vertices, or a disjoint union of
-    such graphs, has no isolated vertex.
-    """
-    farthest = np.maximum.reduceat(row[flat_neighbors], neighbor_offsets)
-    return farthest <= row
+    return _flagged(flags), row
 
 
 def is_x_geodominating(g: Graph, x: int, s: "VertexSet | Iterable[int]") -> GeodominationCheck:
     """Does every vertex lie on a shortest path from x to some member of s?"""
-    return _row_coverage(g, bfs_distances(g, x), s)
+    return _row_coverage(g, _distance_row(g, x)[0], s)
 
 
-def _row_coverage(g: Graph, row: np.ndarray, s: "VertexSet | Iterable[int]") -> GeodominationCheck:
+def _row_coverage(g: Graph, row: list[int], s: "VertexSet | Iterable[int]") -> GeodominationCheck:
     """Geodomination check of s from the source of a distance row."""
-    covered_mask = geodesic_sweep(g, row, _mask(g, _as_vertex_set(s, g.n)))
-    covered = VertexSet.of(np.flatnonzero(covered_mask), g.n)
-    ok = len(covered) == g.n
-    witness = None if ok else int(np.flatnonzero(~covered_mask)[0])
+    reach = _sweep(g, row, _as_vertex_set(s, g.n))
+    uncovered = reach.find(0)
     return GeodominationCheck(
-        covered=covered, is_geodominating=ok, witness_uncovered=witness
+        covered=_flagged(reach),
+        is_geodominating=uncovered < 0,
+        witness_uncovered=None if uncovered < 0 else uncovered,
     )
 
 
@@ -103,18 +91,19 @@ def _boundary_and_coverage(
 ) -> tuple[VertexSet, GeodominationCheck]:
     """The boundary of x and the geodomination check of s from x (of the
     boundary itself when s is None), both from one BFS row."""
-    row = bfs_distances(g, x)
-    members = _row_boundary(g, row)
+    members, row = _boundary_and_row(g, x)
     return members, _row_coverage(g, row, members if s is None else s)
 
 
 def _gx_of_sources(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """gx of each source, in order, from ``_source_schedule``: 64 sources
-    at a time through ``_gx_of_levels``, or one BFS row each."""
-    csr = g.flat_neighbors, g.neighbor_offsets
+    at a time through ``_gx_of_levels``, or the boundary flags of one BFS
+    row each."""
+    import numpy as np
+
     return np.hstack(list(_source_schedule(
         g, sources, partial(_gx_of_levels, g),
-        lambda row: np.count_nonzero(_boundary_mask(*csr, row)),
+        lambda _, flags: flags.count(1),
         cap=g.n,  # no BFS has more than n levels
     )))
 
@@ -128,6 +117,8 @@ def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> np.ndarra
     the OR of those masks over all levels is the interior word; gx of
     source i is n minus the number of vertices with interior bit i set.
     """
+    import numpy as np
+
     interior = np.zeros(g.n, dtype=np.uint64)
     before = np.zeros(g.n, dtype=np.uint64)
     for level, spread in levels:
@@ -142,7 +133,7 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     sizes = _gx_of_sources(g, range(g.n))
-    x = int(np.argmin(sizes))
+    x = int(sizes.argmin())
     return x, int(sizes[x])
 
 

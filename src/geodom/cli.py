@@ -9,14 +9,15 @@ across runs for identical inputs and seeds. Exit codes: 0 success,
 
 product-verify checks every input before it makes a report, the factors
 before the base, then takes the reports one base layer at a time. Its
-factor rows come from graph.py, which alone builds the neighbour tuples
-and shares one build across a call's rows. JSON writes each row as it is
+factor rows come from graph.py's BFS over each factor's stored neighbour
+tuples. JSON writes each row as it is
 made, and plain keeps only its FAIL lines, since its summary comes
 first. If the reader closes stdout early, main makes the remaining rows
 unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
-so a command loads only the layers it runs. The oracle handlers hand the
+so a command loads only the layers it runs; numpy is one of them, and
+boundary, gx and check never load it. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse a --cap over
 20 or an over-cap graph before any distance work and compute distances
 with their own BFS.
@@ -32,9 +33,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .boundary import (
     _boundary_and_coverage,
@@ -53,6 +52,9 @@ from .graph import (
     parse_graph,
 )
 from .jsonout import Encoded, _write_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -194,13 +196,15 @@ def _cell_labels(g: Graph, h: Graph, mask: np.ndarray) -> list[str]:
     from .products import pair_label
 
     gl, hl = g.labels, h.labels
-    rows, cols = np.nonzero(mask)
+    rows, cols = mask.nonzero()
     return [pair_label(gl[a], hl[b]) for a, b in zip(rows.tolist(), cols.tolist())]
 
 
 def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarray:
     """Object array shaped like the pair grid, holding the label of each
     cell set in mask (JSON-escaped when asked) and None elsewhere."""
+    import numpy as np
+
     labels = _cell_labels(g, h, mask)
     grid = np.empty(mask.shape, dtype=object)
     grid[mask] = list(map(encode_basestring_ascii, labels)) if escape else labels
@@ -208,6 +212,8 @@ def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarra
 
 
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
+    import numpy as np
+
     from .products import ProductReport, _stream_reports, pair_label
 
     g = _load_graph(args.g)

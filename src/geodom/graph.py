@@ -5,18 +5,24 @@ the labels' positions in sorted order, so every derived quantity is
 deterministic across runs. Graphs are simple, undirected, and immutable
 after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
-The adjacency is stored once, as CSR arrays, which ``Graph(...)``,
-``parse_graph`` and ``products.product`` all build through ``Graph._build``.
+The adjacency is stored once, as one sorted neighbour tuple per vertex,
+which ``Graph(...)``, ``parse_graph`` and ``products.product`` all build
+through ``Graph._build``. The CSR arrays the vectorised layers read
+(``flat_neighbors``, ``neighbor_offsets``) are derived from the tuples on
+first use and kept. numpy is imported there and in the functions that
+take or return arrays, so the single-source path (``boundary``,
+``is_x_geodominating``, ``interval``, parsing and emitting) runs without
+it.
 
 The metric core works on single distance rows, and every row in the
-package comes from ``_distance_rows``. Its Python BFS reads neighbour
-tuples built from the CSR, which this module alone builds: one build per
-call, shared by all of that call's rows, so ``bfs_distances`` pays one
-per row and a caller that wants many rows of one graph (the schedule's
-row fallback below, the product reports) asks for them in one call.
-``interval`` takes its row from one BFS, O(n + m), and
-``geodesic_sweep`` turns a row into interval membership by one reverse
-sweep of the source's geodesic DAG.
+package comes from one BFS, ``_bfs_row``, over the stored tuples; in the
+same pass it flags the boundary of the source, the vertices with no
+neighbour one level farther. ``_distance_rows`` hands out the rows of
+many sources and checks connectivity, and ``bfs_distances`` converts one
+row to an array. ``interval`` takes its row from one BFS, O(n + m), and
+``_sweep`` turns a row into interval membership by one reverse sweep of
+the source's geodesic DAG, level by level over the tuples;
+``geodesic_sweep`` is the same sweep on arrays.
 Every all-source pass (``geodetic_closure`` here, ``min_gx_vertex`` in
 boundary.py) runs one schedule, ``_source_schedule``: sources in any
 order, 64 at a time in the bits of one uint64 word per vertex
@@ -31,12 +37,16 @@ brute-force oracles compute theirs with their own BFS (bitmasks.py), and
 
 from __future__ import annotations
 
+import gc
 import operator
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, islice, starmap
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -82,6 +92,41 @@ class DisconnectedError(GraphError):
 _RESERVED = ("#", "vertices:")
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """The cyclic garbage collector off for a block that allocates many
+    containers and makes no reference cycles, then back as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _neighbour_tuples(
+    n: int, tails: Iterable[int], heads: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The ascending neighbour tuple of each of n vertices, given the edges
+    as index pairs. Both ends of each edge append to a per-vertex list,
+    and each list is sorted. A repeated edge leaves two equal neighbours
+    side by side; only then do sets drop the repeats, which would cost
+    more than the rest of the build."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(tails, heads):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for row in adjacency:
+        row.sort()
+    # every row followed by -1 - v, so that no two rows meet
+    ends = zip(range(-1, -n - 1, -1))
+    flat = list(chain.from_iterable(chain.from_iterable(zip(adjacency, ends))))
+    if any(map(operator.eq, flat, islice(flat, 1, None))):
+        adjacency = [sorted(set(row)) for row in adjacency]
+    return tuple(map(tuple, adjacency))
+
+
 def _valid_label(label: str) -> bool:
     return isinstance(label, str) and label.split() == [label] and not label.startswith(_RESERVED)
 
@@ -90,11 +135,13 @@ class Graph:
     """Immutable simple undirected graph over string-labeled vertices.
 
     ``labels`` is the sorted tuple of vertex labels; vertex ``i`` is
-    ``labels[i]``. Only the CSR is stored: ``flat_neighbors`` from
-    ``neighbor_offsets[i]`` to the next offset are i's neighbours, ascending.
+    ``labels[i]``, and ``neighbors(i)`` is the ascending tuple of its
+    neighbours, stored once. The CSR arrays ``flat_neighbors`` (from
+    ``neighbor_offsets[i]`` to the next offset are i's neighbours) are
+    derived from the tuples when first read.
     """
 
-    __slots__ = ("labels", "_index", "flat_neighbors", "neighbor_offsets", "edge_count")
+    __slots__ = ("labels", "_index", "_adjacency", "_csr_arrays", "edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), vertices: Iterable[str] = ()):
         index: dict[str, int] = {}
@@ -116,32 +163,54 @@ class Graph:
 
     def _build(self, labels: Sequence[str], tails: Sequence, heads: Sequence) -> list[int]:
         """Fill the graph from distinct valid labels in any order and its
-        edges as index arrays into them; returns ``order``, where vertex i
+        edges as index lists into them; returns ``order``, where vertex i
         is labels[order[i]]. Callers with labels valid by construction call
         it on ``Graph.__new__(Graph)``, skipping the checks of __init__.
-        One sort of the keys tail * n + head of both directions of each edge
-        puts repeats side by side (numpy 2's hash-based ``np.unique`` is
-        many times slower); the heads are the CSR."""
+
+        The neighbour tuples come from ``_neighbour_tuples`` with the
+        garbage collector paused, since they are many containers and no
+        cycles: parsing a graph with n = 100000 and m = 250000 spent 87 ms
+        in collections, and 26 ms with the pause (2-vCPU host)."""
         n = len(labels)
         order = sorted(range(n), key=labels.__getitem__)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        tails = rank[np.asarray(tails, dtype=np.intp)]
-        heads = rank[np.asarray(heads, dtype=np.intp)]
-        keys = np.sort(np.concatenate([tails * n + heads, heads * n + tails]))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rank = [0] * n
+        for i, label_index in enumerate(order):
+            rank[label_index] = i
+        with _gc_paused():
+            self._adjacency: tuple[tuple[int, ...], ...] = _neighbour_tuples(
+                n, map(rank.__getitem__, tails), map(rank.__getitem__, heads)
+            )
         self.labels: tuple[str, ...] = tuple(map(labels.__getitem__, order))
         self._index: dict[str, int] = dict(zip(self.labels, range(n)))
-        self.flat_neighbors: np.ndarray = keys % n
-        self.neighbor_offsets: np.ndarray = np.searchsorted(keys, np.arange(0, n * n, n))
-        self.flat_neighbors.setflags(write=False)
-        self.neighbor_offsets.setflags(write=False)
-        self.edge_count: int = len(keys) // 2
+        self.edge_count: int = sum(map(len, self._adjacency)) // 2
+        self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         return order
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def flat_neighbors(self) -> np.ndarray:
+        return self._csr()[0]
+
+    @property
+    def neighbor_offsets(self) -> np.ndarray:
+        return self._csr()[1]
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat_neighbors, neighbor_offsets), read-only intp arrays made
+        from the neighbour tuples at the first call and kept."""
+        if self._csr_arrays is None:
+            import numpy as np
+
+            flat = np.fromiter(chain.from_iterable(self._adjacency), np.intp, 2 * self.edge_count)
+            offsets = np.zeros(self.n, dtype=np.intp)
+            np.cumsum(np.fromiter(map(len, self._adjacency[:-1]), np.intp), out=offsets[1:])
+            flat.setflags(write=False)
+            offsets.setflags(write=False)
+            self._csr_arrays = flat, offsets
+        return self._csr_arrays
 
     def index_of(self, label: str) -> int:
         try:
@@ -159,27 +228,22 @@ class Graph:
             vertices = [_check_vertex(self, v) for v in vertices]
         return [self.labels[v] for v in vertices]
 
-    def _csr_row(self, v: int) -> np.ndarray:
-        v = _check_vertex(self, v)
-        end = self.neighbor_offsets[v + 1] if v + 1 < self.n else len(self.flat_neighbors)
-        return self.flat_neighbors[self.neighbor_offsets[v]:end]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._csr_row(v).tolist())
+        return self._adjacency[_check_vertex(self, v)]
 
     def degree(self, v: int) -> int:
-        return len(self._csr_row(v))
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(_check_vertex(self, v) in self._csr_row(u))
+        v = _check_vertex(self, v)
+        return v in self.neighbors(u)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as an index pair (u, v) with u < v, sorted."""
-        tails, heads = _edge_arrays(self)
-        return zip(tails.tolist(), heads.tolist())
+        return ((u, v) for u, nbrs in enumerate(self._adjacency) for v in nbrs if u < v)
 
     def _key(self) -> tuple:
-        return self.labels, self.neighbor_offsets.tobytes(), self.flat_neighbors.tobytes()
+        return self.labels, self._adjacency
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -250,10 +314,19 @@ def _as_vertex_set(s: "VertexSet | Iterable[int]", n: int) -> VertexSet:
     return VertexSet.of(s, n)
 
 
+def _flagged(flags: bytearray) -> VertexSet:
+    """The vertices whose byte in flags is nonzero, already ascending."""
+    return VertexSet(tuple(compress(range(len(flags)), flags)), len(flags))
+
+
 def _check_vertex(g: Graph, v: int, what: str = "vertex") -> int:
     """v as an int, once it is known to be a vertex of g; a float raises
-    TypeError, and a bool ValueError, a numpy bool too."""
-    v = _vertex_index(bool(v) if isinstance(v, np.bool_) else v)
+    TypeError, and a bool ValueError, a numpy bool too (there is none
+    unless numpy is loaded)."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(v, np.bool_):
+        v = bool(v)
+    v = _vertex_index(v)
     if not 0 <= v < g.n:
         raise ValueError(f"{what} index {v} out of range [0, {g.n})")
     return v
@@ -275,15 +348,16 @@ def parse_graph(text: str) -> Graph:
     index: dict[str, int] = {}
     tails, heads = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("vertices:"):
-            for label in line[len("vertices:"):].split():
-                index.setdefault(label, len(index))
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        parts = raw.split()
+        # anything but an edge line: a blank line, a comment, a declaration
+        if len(parts) != 2 or parts[0].startswith(_RESERVED):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("vertices:"):
+                for label in line[len("vertices:"):].split():
+                    index.setdefault(label, len(index))
+                continue
             raise ParseError(f"expected an edge line 'u v', got {raw!r}", line_no)
         u, v = parts
         if u == v:
@@ -324,72 +398,79 @@ def emit_graph(g: Graph) -> str:
 # distances
 
 
-def _neighbour_lists(g: Graph) -> list[tuple[int, ...]]:
-    """Neighbour tuples from one ``tolist()`` of the CSR, what ``_bfs_row`` reads;
-    tuples hold items inline, so rows on a shuffled path beat lists by ~10%."""
-    flat = g.flat_neighbors.tolist()
-    bounds = [*g.neighbor_offsets.tolist(), len(flat)]
-    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> tuple[list[int], bytearray]:
+    """Hop counts from source, -1 marking unreachable vertices, and the
+    source's boundary flags: byte v is 0 when v has a neighbour one level
+    farther, else 1.
 
-
-def _bfs_row(nbr_lists: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Hop counts from source; -1 marks unreachable vertices."""
-    dist = [-1] * len(nbr_lists)
+    Scanning a vertex u of level d - 1 meets each neighbour of level d:
+    one not reached yet, which u reaches, or one reached earlier in the
+    same level. Either way u has a neighbour farther than itself, so the
+    pass that makes the row gives the flags too, for one comparison per
+    edge that reaches no vertex."""
+    dist = [-1] * len(adjacency)
     dist[source] = 0
+    flags = bytearray(b"\x01") * len(adjacency)
     frontier = [source]
     d = 0
     while frontier:
         d += 1
         nxt = []
         for u in frontier:
-            for w in nbr_lists[u]:
+            for w in adjacency[u]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
+                    flags[u] = 0
+                elif dist[w] == d:
+                    flags[u] = 0
         frontier = nxt
-    return dist
+    return dist, flags
 
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
-    return -1 not in _bfs_row(_neighbour_lists(g), 0)
+    return -1 not in _bfs_row(g._adjacency, 0)[0]
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Distance row from source as a read-only integer array."""
+    import numpy as np
+
+    row = np.array(_distance_row(g, source)[0], dtype=np.int32)
+    row.setflags(write=False)
+    return row
+
+
+def _distance_row(g: Graph, source: int) -> tuple[list[int], bytearray]:
+    """``_bfs_row`` of one checked source of a connected graph."""
     return next(_distance_rows(g, (_check_vertex(g, source),)))
 
 
-def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[np.ndarray]:
-    """The distance row of each source in turn, each a read-only int32
-    array; raises :class:`DisconnectedError` on a disconnected graph.
-    The neighbour tuples are built once, at the first row, and every
-    later row of the call reads that build."""
-    nbr_lists = _neighbour_lists(g)
-    for source in sources:
-        row = np.array(_bfs_row(nbr_lists, source), dtype=np.int32)
-        if row.min() < 0:
+def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[list[int], bytearray]]:
+    """The ``_bfs_row`` of each source in turn; raises
+    :class:`DisconnectedError` on a disconnected graph, which the first
+    row shows, so no later row is scanned for it."""
+    for k, source in enumerate(sources):
+        row, flags = _bfs_row(g._adjacency, source)
+        if not k and -1 in row:
             raise DisconnectedError("graph is disconnected")
-        row.setflags(write=False)
-        yield row
+        yield row, flags
 
 
 def _degrees(g: Graph) -> np.ndarray:
-    return np.diff(g.neighbor_offsets, append=len(g.flat_neighbors))
+    import numpy as np
 
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge once, as sorted index arrays (tails, heads), tail < head."""
-    tails = np.repeat(np.arange(g.n), _degrees(g))
-    forward = tails < g.flat_neighbors
-    return tails[forward], g.flat_neighbors[forward]
+    return np.fromiter(map(len, g._adjacency), np.intp, g.n)
 
 
 def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
     """Per vertex, the OR of its neighbours' words. Needs every vertex to
     have a neighbour when g has edges: ``reduceat`` misreads an empty CSR
     segment."""
-    if not len(g.flat_neighbors):
+    import numpy as np
+
+    if not g.edge_count:
         return np.zeros_like(words)
     return np.bitwise_or.reduceat(words[g.flat_neighbors], g.neighbor_offsets)
 
@@ -414,8 +495,8 @@ def _word_budget(g: Graph, k: int) -> int:
 def _kept_levels(g: Graph) -> int:
     """Most BFS levels a walk may keep at once: 4(n + 2m) / n levels of n
     words, four times the CSR arrays, about what one BFS row and one
-    ``geodesic_sweep`` allocate, so a closure that sweeps its levels back
-    holds no more than the row-per-member path."""
+    ``_sweep`` allocate, so a closure that sweeps its levels back holds
+    no more than the row-per-member path."""
     return 4 * (g.n + 2 * g.edge_count) // g.n
 
 
@@ -433,13 +514,15 @@ def _level_words(
     levels run out, when some source has not reached every vertex; a
     caller that stops early leaves that check to its fallback.
     """
+    import numpy as np
+
     sources = np.asarray(sources, dtype=np.intp)
     k = len(sources)
     if not 1 <= k <= _WORD_BITS:
         raise ValueError(f"level words take 1 to {_WORD_BITS} sources, got {k}")
     # an isolated vertex leaves an empty CSR segment, which reduceat
     # misreads; a single vertex has no neighbours to OR
-    if g.n > 1 and not _degrees(g).all():
+    if g.n > 1 and not all(g._adjacency):
         raise DisconnectedError("graph is disconnected")
     level = np.zeros(g.n, dtype=np.uint64)
     level[sources] = np.uint64(1) << np.arange(k, dtype=np.uint64)
@@ -458,10 +541,11 @@ def _source_schedule(
 ) -> Iterator:
     """``word_step(batch, levels)`` on the ``_level_words`` of each batch of
     64 sources, in order, until one takes more than min(``_word_budget``,
-    cap) levels; from that batch on, ``row_step(row)`` on the distance row
-    of each source left. Yields each result as it comes, so a caller that
-    has its answer leaves its loop and no further batch or row runs. A step
-    sees at most the budget of levels, and a deeper batch's is thrown away.
+    cap) levels; from that batch on, ``row_step(row, flags)`` on the
+    ``_distance_rows`` of each source left. Yields each result as it comes,
+    so a caller that has its answer leaves its loop and no further batch
+    or row runs. A step sees at most the budget of levels, and a deeper
+    batch's is thrown away.
     """
     for lo in range(0, len(sources), _WORD_BITS):
         batch = sources[lo:lo + _WORD_BITS]
@@ -470,44 +554,48 @@ def _source_schedule(
         if next(walk, None) is None:
             yield result
             continue
-        yield from map(row_step, _distance_rows(g, sources[lo:]))
+        yield from starmap(row_step, _distance_rows(g, sources[lo:]))
         return
+
+
+def _sweep(g: Graph, row: Sequence[int], targets: Iterable[int]) -> bytearray:
+    """Flags of the vertices on some geodesic from the source of the
+    distance row ``row`` to a vertex of ``targets``.
+
+    The geodesic DAG of the source u has the edges v -> w with
+    d(w) = d(v) + 1. v lies on a shortest u-y path exactly when y can be
+    reached from v in that DAG, so one sweep over the levels, from the
+    farthest target's back to u, flags v when it is a target or has a
+    flagged neighbour one level farther: O(n + m).
+    """
+    reach = bytearray(len(row))
+    far = -1
+    for t in targets:
+        reach[t] = 1
+        far = max(far, row[t])
+    # levels nearer than the farthest target; no vertex beyond it is flagged
+    levels: list[list[int]] = [[] for _ in range(far)]
+    for v, d in enumerate(row):
+        if d < far:
+            levels[d].append(v)
+    adjacency = g._adjacency
+    for farther in range(far, 0, -1):
+        for v in levels[farther - 1]:
+            if not reach[v]:
+                for w in adjacency[v]:
+                    if reach[w] and row[w] == farther:
+                        reach[v] = 1
+                        break
+    return reach
 
 
 def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Mask of the vertices on some geodesic from the source of ``row`` to
-    a vertex of the boolean mask ``targets``.
+    a vertex of the boolean mask ``targets``: ``_sweep`` on arrays."""
+    import numpy as np
 
-    The geodesic DAG of the source u has the edges v -> w with
-    d(w) = d(v) + 1. v lies on a shortest u-y path exactly when y can be
-    reached from v in that DAG, so one sweep over the levels, from the far
-    end back to u, marks the union of the intervals I[u, y] over the
-    targets y. The forward edges are sorted by level once; each level is
-    one masked scatter, so the sweep costs O(n + m log m).
-    """
-    reach = targets.copy()
-    if not reach.any():
-        return reach
-    tails = np.repeat(np.arange(g.n), _degrees(g))
-    heads = g.flat_neighbors
-    levels = row[tails]
-    # edges leaving the farthest target's level or beyond reach no target
-    forward = (row[heads] == levels + 1) & (levels < row[targets].max())
-    levels = levels[forward]
-    order = np.argsort(levels, kind="stable")
-    tails, heads = tails[forward][order], heads[forward][order]
-    ends = np.cumsum(np.bincount(levels))
-    for level in reversed(range(len(ends))):
-        lo = ends[level - 1] if level else 0
-        level_tails, level_heads = tails[lo:ends[level]], heads[lo:ends[level]]
-        reach[level_tails[reach[level_heads]]] = True
-    return reach
-
-
-def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(vertices)] = True
-    return mask
+    reach = _sweep(g, np.asarray(row).tolist(), np.flatnonzero(targets).tolist())
+    return np.frombuffer(reach, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +605,8 @@ def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
 def interval(g: Graph, u: int, v: int) -> VertexSet:
     """Vertices on at least one shortest u-v path:
     { w : d(u,w) + d(w,v) = d(u,v) }."""
-    on_geodesic = geodesic_sweep(g, bfs_distances(g, u), _mask(g, [_check_vertex(g, v)]))
-    return VertexSet.of(np.flatnonzero(on_geodesic), g.n)
+    row, _ = _distance_row(g, u)
+    return _flagged(_sweep(g, row, (_check_vertex(g, v),)))
 
 
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
@@ -526,26 +614,29 @@ def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
 
     The members go through ``_source_schedule``, keeping at most
     ``_kept_levels`` levels: 64 at a time through ``_batch_reach``, or one
-    BFS row and one ``geodesic_sweep`` each. Stops once every vertex is
-    covered (the union cannot grow after that); the first batch always
-    runs, so a disconnected graph is reported.
+    BFS row and one ``_sweep`` each. Stops once every vertex is covered
+    (the union cannot grow after that); the first batch always runs, so a
+    disconnected graph is reported.
     """
+    import numpy as np
+
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    members = _mask(g, vs)
+    members = np.zeros(g.n, dtype=bool)
+    members[list(vs)] = True
     covered = members.copy()
     targets = np.where(members, ~np.uint64(0), np.uint64(0))
     for reach in _source_schedule(
         g, vs.members,
         lambda _, levels: _batch_reach(g, targets, levels),
-        lambda row: geodesic_sweep(g, row, members),
+        lambda row, _: np.frombuffer(_sweep(g, row, vs), dtype=bool),
         cap=_kept_levels(g),
     ):
         covered |= reach
         if covered.all():
             break
-    return VertexSet.of(np.flatnonzero(covered), g.n)
+    return VertexSet(tuple(np.flatnonzero(covered).tolist()), g.n)
 
 
 def _batch_reach(g: Graph, targets: np.ndarray, levels: Iterable) -> np.ndarray:
@@ -570,10 +661,10 @@ def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:
 
 def simplicial_vertices(g: Graph) -> VertexSet:
     """Vertices whose neighborhood induces a clique."""
-    nbr_lists = _neighbour_lists(g)
-    out = [v for v, nbrs in enumerate(nbr_lists)
-           if all(set(nbrs[i + 1:]).issubset(nbr_lists[a]) for i, a in enumerate(nbrs))]
-    return VertexSet.of(out, g.n)
+    adjacency = g._adjacency
+    out = [v for v, nbrs in enumerate(adjacency)
+           if all(set(nbrs[i + 1:]).issubset(adjacency[a]) for i, a in enumerate(nbrs))]
+    return VertexSet(tuple(out), g.n)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ The brute-force searches, exhaustive enumeration, the counterexample
 search and the theorem sweep share one stage (bitmasks.py): edge masks
 in chunks, neighbour bitmasks and one bit-frontier BFS per chunk, so
 nothing here calls the BFS, geodesic or simplicial code of graph.py that
-the searches certify. The theorem sweep reads only the boundary itself from
-boundary.py, once per source index on the disjoint union of a chunk.
+the searches certify. The theorem sweep checks the minimum against a
+boundary rule of its own (``_boundary_mask``, the definition as one
+array pass), run once per source index on the disjoint union of a chunk;
+the tests tie that rule to the boundary that graph.py's BFS flags.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .bitmasks import (
     _union_csr,
     _vertex_bits,
 )
-from .boundary import _boundary_mask, _row_boundary
 from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
 
 __all__ = [
@@ -455,8 +456,8 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     minimum x-geodominating set is not unique or is not the boundary, by
     row then x; d holds their distances (``_distances``).
 
-    The oracle is ``_minimum_covers``; the boundary is the library's
-    ``_boundary_mask``, run once per source index on the union of rows.
+    The oracle is ``_minimum_covers``; the boundary is ``_boundary_mask``,
+    run once per source index on the union of rows.
     """
     rows, n = nbrs.shape
     flat, offsets = _union_csr(nbrs)
@@ -476,10 +477,26 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     return [(row, x) for row, x in np.argwhere(bad).tolist()]
 
 
+def _boundary_mask(
+    flat_neighbors: np.ndarray, neighbor_offsets: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """Mask of the vertices with no neighbour farther from the source of
+    ``row``, in the graph with these CSR arrays: the boundary by its
+    definition.
+
+    Every vertex needs a neighbour, so that every reduceat segment is
+    nonempty: a connected graph on n >= 2 vertices, or a disjoint union of
+    such graphs, has no isolated vertex.
+    """
+    farthest = np.maximum.reduceat(row[flat_neighbors], neighbor_offsets)
+    return farthest <= row
+
+
 def _failure(g: Graph, d: np.ndarray, x: int) -> str:
     """The report line of a failing source x of g, whose distances are d."""
     sets = _min_x_search(d, x)
-    expected = _row_boundary(g, d[x])
+    inside = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, d[x])
+    expected = VertexSet(tuple(np.flatnonzero(inside).tolist()), g.n)
     oracle_sets = [g.labels_of(s) for s in sets]
     return (
         f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "

@@ -8,10 +8,9 @@ distances from one base (x, y), from the factor rows of x and y.
 ``product_reports`` never builds the product. Since the boundary of a
 source is its unique minimum geodominating set, the boundary of a base
 (x, y) and its gx follow from the factors alone: one BFS row per distinct
-x in G and y in H, and the factor boundary masks bg, bh of those rows.
-The rows of each factor come from one ``graph._distance_rows`` call,
-which builds that factor's neighbour tuples once for all of them; this
-module never sees the tuples.
+x in G and y in H, and the factor boundary masks bg, bh of those rows,
+which the BFS of graph.py flags as it makes them (``_factor_rows``);
+this module never sees the neighbour tuples.
 Its reports come from ``_stream_reports``, which checks every input
 before it returns, then yields one report per requested base, in request
 order: each run of consecutive bases with the same x is one array pass,
@@ -55,13 +54,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .boundary import _boundary_mask
 from .graph import (
     DisconnectedError,
     Graph,
     _check_vertex,
+    _degrees,
     _distance_rows,
-    _edge_arrays,
     is_connected,
 )
 
@@ -141,10 +139,18 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     tails = np.r_[(layers[:, None] * nh + h_tails).ravel(), (g_tails[:, None] * nh + rel_c).ravel()]
     heads = np.r_[(layers[:, None] * nh + h_heads).ravel(), (g_heads[:, None] * nh + rel_d).ravel()]
     pg = Graph.__new__(Graph)
-    order = pg._build([pair_label(a, b) for a in g.labels for b in h.labels], tails, heads)
+    labels = [pair_label(a, b) for a in g.labels for b in h.labels]
+    order = pg._build(labels, tails.tolist(), heads.tolist())
     if len(pg._index) != pg.n:
         raise AssertionError("pair labels collided; factor labels are unusable")
     return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge once, as sorted index arrays (tails, heads), tail < head."""
+    tails = np.repeat(np.arange(g.n), _degrees(g))
+    forward = tails < g.flat_neighbors
+    return tails[forward], g.flat_neighbors[forward]
 
 
 def product_distance(kind: "ProductKind | str", dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
@@ -284,18 +290,20 @@ def _stream_reports(
     return _report_layers(kind, g, h, runs)
 
 
+def _factor_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The distance row and the boundary mask of each source, as arrays."""
+    for row, flags in _distance_rows(g, sources):
+        yield np.array(row, dtype=np.int32), np.frombuffer(flags, dtype=bool)
+
+
 def _report_layers(
     kind: ProductKind, g: Graph, h: Graph, runs: "list[tuple[int, Sequence[int]]]"
 ) -> Iterator[ProductReport]:
     """The body of ``_stream_reports``, run on checked inputs."""
     ng, nh = g.n, h.n
     wanted = {y for _, ys in runs for y in ys}
-    rows_h = {
-        y: (row, _boundary_mask(h.flat_neighbors, h.neighbor_offsets, row))
-        for y, row in zip(wanted, _distance_rows(h, wanted))
-    }
-    for (x, ys), dg in zip(runs, _distance_rows(g, [x for x, _ in runs])):
-        bg = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, dg)
+    rows_h = dict(zip(wanted, _factor_rows(h, wanted)))
+    for (x, ys), (dg, bg) in zip(runs, _factor_rows(g, [x for x, _ in runs])):
         gx_g = int(np.count_nonzero(bg))
         dh = np.array([rows_h[y][0] for y in ys])
         bh = np.array([rows_h[y][1] for y in ys])

@@ -6,18 +6,19 @@ enumeration, boundaries and coverage from direct definition scans. The
 graph enumeration, the simplicial counterexample search, the minimum
 x-geodominating search and the theorem sweep are the pure-Python loops
 over `combinations` tuples that the package's array passes replaced; the
-sweep loop still reads the boundary through the package, as the array
-sweep does, since the boundary is what it checks. The product report
+sweep loop reads the boundary through the oracle sweep's own rule, as the
+array sweep does, since that rule is what it checks. The product report
 loop is the per-base loop that the per-x array pass replaced; it takes
-the factor rows and gx bounds from the package, since the stacking is
-what it checks (BFS on the built product checks the closed forms).
-The graph constructor, the parser and the product builder are the
-set-based and label-string versions that the index-edge builder replaced:
-neighbour sets, then sorted neighbour tuples, then the CSR.
+the factor rows, boundaries and gx bounds from the package, since the
+stacking is what it checks (BFS on the built product checks the closed
+forms). The graph constructor, the parser and the product builder are
+the set-based and label-string versions that the index-edge builder
+replaced: neighbour sets, then sorted neighbour tuples.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -30,9 +31,9 @@ from geodom import (
     ProductReport,
     VerificationReport,
     VertexSet,
+    bfs_distances,
+    boundary,
 )
-from geodom.boundary import _boundary_mask, _row_boundary
-from geodom.graph import _neighbour_lists, bfs_distances
 from geodom.products import (
     _as_kind,
     _gx_bounds,
@@ -47,8 +48,8 @@ def reference_graph(
     edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()
 ) -> tuple[Graph, list[frozenset[int]]]:
     """The set-based constructor: per-vertex neighbour sets, sorted into
-    neighbour tuples, flattened into the CSR, and written into a bare
-    Graph. Also returns the neighbour sets. Takes valid labels only."""
+    neighbour tuples and written into a bare Graph. Also returns the
+    neighbour sets. Takes valid labels only."""
     pairs = list(edges)
     label_set = set(vertices)
     for u, v in pairs:
@@ -59,16 +60,12 @@ def reference_graph(
     for u, v in pairs:
         neighbor_sets[index[u]].add(index[v])
         neighbor_sets[index[v]].add(index[u])
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbor_sets)
     g = Graph.__new__(Graph)
     g.labels = labels
     g._index = index
-    g.edge_count = sum(len(a) for a in adj) // 2
-    g.flat_neighbors = np.fromiter(
-        (w for a in adj for w in a), dtype=np.intp, count=2 * g.edge_count
-    )
-    g.neighbor_offsets = np.zeros(len(labels), dtype=np.intp)
-    np.cumsum([len(a) for a in adj][:-1], out=g.neighbor_offsets[1:])
+    g._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in neighbor_sets)
+    g._csr_arrays = None
+    g.edge_count = sum(len(a) for a in g._adjacency) // 2
     return g, [frozenset(nbrs) for nbrs in neighbor_sets]
 
 
@@ -124,14 +121,19 @@ def loop_product(
 
 
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
-    """got against a reference graph and its neighbour sets: labels, CSR,
-    the neighbour lists a BFS reads, edges, has_edge, equality and hash."""
+    """got against a reference graph and its neighbour sets: labels, the
+    neighbour tuples a BFS reads, the CSR derived from them, edges,
+    has_edge, equality and hash."""
     assert got.labels == want.labels
     assert got.edge_count == want.edge_count
-    for name in ("flat_neighbors", "neighbor_offsets"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert _neighbour_lists(got) == [tuple(sorted(nbrs)) for nbrs in want_sets]
+    nbrs = [tuple(sorted(s)) for s in want_sets]
+    assert [got.neighbors(v) for v in range(got.n)] == nbrs
+    flat = np.array([w for a in nbrs for w in a], dtype=np.intp)
+    offsets = np.cumsum([0] + [len(a) for a in nbrs[:-1]], dtype=np.intp)
+    for name, array in (("flat_neighbors", flat), ("neighbor_offsets", offsets)):
+        got_array = getattr(got, name)
+        assert got_array.dtype == np.intp and np.array_equal(got_array, array), name
+        assert not got_array.flags.writeable, name
     assert list(got.edges()) == [
         (u, v) for u in range(want.n) for v in sorted(want_sets[u]) if u < v
     ]
@@ -291,8 +293,9 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
 
 def _row_and_mask(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The distance row of x and the mask of its boundary."""
-    row = bfs_distances(g, x)
-    return row, _boundary_mask(g.flat_neighbors, g.neighbor_offsets, row)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(boundary(g, x))] = True
+    return bfs_distances(g, x), mask
 
 
 def loop_product_reports(
@@ -586,7 +589,7 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
             sources_checked += 1
             sets = loop_min_x_geodominating(g, dist, x)
             # the oracle's matrix holds the row, so no BFS per source
-            expected = _row_boundary(g, np.array(dist[x]))
+            expected = _oracle_rule_boundary(g, np.array(dist[x]))
             if sets != (expected,):
                 oracle_sets = [g.labels_of(s) for s in sets]
                 failures.append(
@@ -601,28 +604,36 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
     )
 
 
+def _oracle_rule_boundary(g: Graph, row: np.ndarray) -> VertexSet:
+    """The boundary of the source of row by the oracle sweep's own rule,
+    looked up at each call, so that a test's mutant of the rule applies."""
+    rule = importlib.import_module("geodom.oracles")._boundary_mask
+    inside = rule(g.flat_neighbors, g.neighbor_offsets, row)
+    return VertexSet.of(np.flatnonzero(inside), g.n)
+
+
 def close_the_path_in_graph_bfs(monkeypatch) -> None:
     """Make graph.py's BFS search the path a-b-c-d closed into a cycle,
-    by joining the first and last vertex in the neighbour lists of every
-    graph it searches (graph.py alone builds them)."""
+    by joining the first and last vertex in the neighbour tuples it reads
+    (graph.py's one BFS makes every row)."""
     graph = sys.modules["geodom.graph"]
-    lists = graph._neighbour_lists
+    bfs_row = graph._bfs_row
 
-    def closed_lists(g):
-        out = lists(g)
-        out[0] += (len(out) - 1,)
-        out[-1] += (0,)
-        return out
+    def closed_bfs(adjacency, source):
+        closed = list(adjacency)
+        closed[0] += (len(closed) - 1,)
+        closed[-1] += (0,)
+        return bfs_row(closed, source)
 
-    monkeypatch.setattr(graph, "_neighbour_lists", closed_lists)
+    monkeypatch.setattr(graph, "_bfs_row", closed_bfs)
 
 
 def drop_one_boundary_vertex(monkeypatch) -> None:
-    """Make the package's boundary lose its highest vertex in every
-    connected component of the graph it scans, so one vertex per graph
-    both when it scans one graph and when it scans a disjoint union."""
-    # the package exports a function named boundary over the module's name
-    mask = sys.modules["geodom.boundary"]._boundary_mask
+    """Make the oracle sweep's boundary rule lose its highest vertex in
+    every connected component of the graph it scans, so one vertex per
+    graph both when it scans one graph and when it scans a disjoint union."""
+    oracles = importlib.import_module("geodom.oracles")
+    mask = oracles._boundary_mask
 
     def mutant(flat_neighbors, neighbor_offsets, row):
         keep = mask(flat_neighbors, neighbor_offsets, row).copy()
@@ -637,6 +648,4 @@ def drop_one_boundary_vertex(monkeypatch) -> None:
         keep[list(last.values())] = False
         return keep
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "geodom" and hasattr(module, "_boundary_mask"):
-            monkeypatch.setattr(module, "_boundary_mask", mutant)
+    monkeypatch.setattr(oracles, "_boundary_mask", mutant)

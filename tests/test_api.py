@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 import shlex
@@ -117,15 +118,16 @@ def test_every_vertex_argument_is_an_index(call):
 
 
 def test_only_graph_knows_how_a_distance_row_is_made():
-    # the neighbour tuples and the BFS over them stay inside graph.py;
-    # every other module takes its rows from _distance_rows or bfs_distances.
-    # Importing __main__ would run the command line.
+    # the stored neighbour tuples and the BFS over them stay inside
+    # graph.py; every other module takes its rows from _distance_rows or
+    # bfs_distances, and reads no tuples. Importing __main__ would run the
+    # command line.
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     assert {"graph", "boundary", "products", "cli", "oracles", "bitmasks"} <= set(names)
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
-        holds = {attr for attr in ("_neighbour_lists", "_bfs_row") if hasattr(module, attr)}
-        assert holds == ({"_neighbour_lists", "_bfs_row"} if name == "graph" else set()), name
+        assert hasattr(module, "_bfs_row") == (name == "graph"), name
+        assert ("_adjacency" in inspect.getsource(module)) == (name == "graph"), name
 
 
 def test_only_graph_schedules_the_word_walk():

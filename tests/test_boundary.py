@@ -1,6 +1,10 @@
+import sys
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom import (
     Graph,
@@ -9,14 +13,23 @@ from geodom import (
     boundary,
     complete_graph,
     cycle_graph,
+    enumerate_connected_graphs,
     geodetic_from_boundary,
     is_geodetic,
     is_x_geodominating,
     min_gx_vertex,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
-from helpers import direct_boundary, direct_covered, floyd_warshall
+from geodom import bitmasks, graph, oracles
+from helpers import (
+    direct_boundary,
+    direct_covered,
+    floyd_warshall,
+    geodesic_vertices_by_paths,
+    raw_bfs_rows,
+)
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
 
 P4 = path_graph(["a", "b", "c", "d"])
@@ -187,6 +200,87 @@ def test_heuristic_examples():
         "v2",
         "v3",
     ]
+
+
+# ---------------------------------------------------------------------------
+# every boundary rule against the definition
+
+
+def _gx_on_words_and_rows(g):
+    """gx of every source from the schedule's level words, and again with
+    no level budget, so that every source takes a BFS row."""
+    gx_of_sources = sys.modules["geodom.boundary"]._gx_of_sources
+    on_words = gx_of_sources(g, range(g.n)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_word_budget", lambda g, k: 0)
+        on_rows = gx_of_sources(g, range(g.n)).tolist()
+    return on_words, on_rows
+
+
+def _oracle_rule(flat, offsets, dist):
+    """The oracle sweep's own boundary rule from every source, run as the
+    sweep runs it, once per source index on the graphs with this CSR (a
+    disjoint union, one graph after another); dist[k] holds the distances
+    of graph k. Returns the boundary of each source of each graph."""
+    d = np.array(dist)
+    graphs, n, _ = d.shape
+    inside = [
+        oracles._boundary_mask(flat, offsets, d[:, x, :].ravel()).reshape(graphs, n)
+        for x in range(n)
+    ]
+    return [[set(np.flatnonzero(inside[x][k]).tolist()) for x in range(n)] for k in range(graphs)]
+
+
+def _assert_rules_agree(g, dist, interval_oracle, targets):
+    """The boundary that the BFS pass flags and gx on words and on rows
+    equal the definition scan from every source, and so do the coverage
+    sweeps: of one target y in targets (the interval to y) against
+    interval_oracle, of the boundary and of the even vertices against the
+    distance definition."""
+    want = [direct_boundary(g, dist, x) for x in range(g.n)]
+    assert [set(boundary(g, x)) for x in range(g.n)] == want
+    assert _gx_on_words_and_rows(g) == ([len(b) for b in want],) * 2
+    evens = range(0, g.n, 2)
+    for x in range(g.n):
+        row, _ = graph._distance_row(g, x)
+        for y in targets:
+            assert set(compress(range(g.n), graph._sweep(g, row, [y]))) == interval_oracle(x, y)
+        for s in (want[x], evens):
+            covered = set(is_x_geodominating(g, x, s).covered)
+            assert covered == direct_covered(dist, x, s, g.n)
+    return want
+
+
+def test_boundary_rules_agree_on_every_small_graph():
+    # every connected labelled graph on 2 to 5 vertices, from every
+    # source; intervals come from enumerating simple paths. The theorem
+    # sweep checks the oracle's own rule, so this ties that rule to the
+    # boundary the commands print
+    by_size = {n: list(enumerate_connected_graphs(n)) for n in range(2, 6)}
+    assert sum(map(len, by_size.values())) == 771
+    for n, graphs in by_size.items():
+        dist = [floyd_warshall(g) for g in graphs]
+        wants = [
+            _assert_rules_agree(
+                g, d, lambda x, y, g=g: geodesic_vertices_by_paths(g, x, y), range(n)
+            )
+            for g, d in zip(graphs, dist)
+        ]
+        union = bitmasks._union_csr(bitmasks._stacked_bits(graphs, n))
+        assert _oracle_rule(*union, dist) == wants
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(6, 70), st.floats(0.0, 0.3), st.integers(0, 2**16))
+def test_boundary_rules_agree_on_larger_graphs(n, extra, seed):
+    # past one word of 64 sources too; intervals by the distance
+    # definition, to about ten targets per source
+    g = random_connected_graph(n, edge_probability=2 / n + extra, seed=seed)
+    dist = raw_bfs_rows([g.neighbors(v) for v in range(n)])
+    want = _assert_rules_agree(
+        g, dist, lambda x, y: direct_covered(dist, x, [y], n), range(0, n, max(1, n // 10))
+    )
+    assert _oracle_rule(g.flat_neighbors, g.neighbor_offsets, [dist]) == [want]
 
 
 # ---------------------------------------------------------------------------

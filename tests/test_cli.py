@@ -964,7 +964,9 @@ def _peak_rss_kb(argv):
 
 def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
     # two random 40-vertex factors: keeping every report peaked 35 MB above
-    # `boundary` in strong JSON, about 73 MB of output
+    # a trivial command in strong JSON, about 73 MB of output. The trivial
+    # command is `closure`, which loads numpy, as the product layer does;
+    # `boundary` no longer loads it
     from geodom import emit_graph, random_connected_graph
 
     paths = []
@@ -973,7 +975,8 @@ def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
         path.write_text(emit_graph(random_connected_graph(40, 0.08, seed)))
         paths.append(str(path))
     g, h = paths
-    _, floor = _peak_rss_kb(["boundary", "--graph", g, "--x", "v0"])
+    code, floor = _peak_rss_kb(["closure", "--graph", g, "--set", "v00"])
+    assert code == 0
     argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"]
     code, peak = _peak_rss_kb(argv)
     assert code == 0
@@ -1023,17 +1026,22 @@ import sys
 from geodom import cli
 from geodom.cli import main
 main(sys.argv[1:])
-sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("geodom."))))
+loaded = (m for m in sys.modules if m.startswith("geodom.") or m == "numpy")
+sys.stderr.write(" ".join(sorted(loaded)))
 """
 
 
 _ORACLE_COMMANDS = {"oracle-gx", "oracle-geodetic", "verify-theorems", "find-counterexample"}
+# one BFS from x answers these, with no numpy
+_SINGLE_SOURCE_COMMANDS = {"boundary", "gx", "check"}
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["boundary", "--graph", "G", "--x", "a"],
+        ["gx", "--graph", "G", "--x", "a"],
+        ["check", "--graph", "G", "--x", "b", "--set", "a d"],
         ["closure", "--graph", "G", "--set", "a"],
         ["geodetic-heuristic", "--graph", "G"],
         ["oracle-gx", "--graph", "G", "--x", "a"],
@@ -1050,6 +1058,8 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
         unloaded = {"oracles", "bitmasks"}
     elif argv[0] in _ORACLE_COMMANDS:
         unloaded = {"products"}
+    elif argv[0] in _SINGLE_SOURCE_COMMANDS:
+        unloaded = {"oracles", "bitmasks", "products", "numpy"}
     else:
         unloaded = {"oracles", "bitmasks", "products"}
     path = tmp_path / "p4.txt"
@@ -1060,9 +1070,32 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
         text=True,
         env=_child_env(),
     )
-    loaded = {name.split(".", 1)[1] for name in proc.stderr.split()}
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("geodom.") for name in proc.stderr.split()}
     assert {"graph", "boundary", "cli"} <= loaded, proc.stderr
     assert not loaded & unloaded
+    assert ("numpy" in loaded) == (argv[0] not in _SINGLE_SOURCE_COMMANDS)
+
+
+_LIBRARY_LOADS = """
+import sys
+import geodom
+from geodom import Graph, boundary, emit_graph, interval, is_x_geodominating, parse_graph
+g = parse_graph("a b\\nb c\\nc d\\n")
+h = Graph([("a", "b"), ("b", "c")])
+assert parse_graph(emit_graph(g)) == g
+print(g.labels_of(boundary(g, 1)), is_x_geodominating(g, 0, [3]).is_geodominating)
+print(list(interval(h, 0, 2)), "numpy" in sys.modules)
+"""
+
+
+def test_single_source_library_calls_load_no_numpy():
+    # the same calls as the single-source commands, through the package
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_LOADS], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['a', 'd'] True\n[0, 1, 2] False\n"
 
 
 def test_find_counterexample_json_round_trips(capsys):

@@ -464,9 +464,9 @@ def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
     real_row = graph._bfs_row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
-        # the first word always fits; a short last word may take rows
+        # full words always fit; a short last word may take rows
         assert gx_of_sources(g, sources).tolist() == want
-        assert rows in ([], sources[64:])
+        assert rows in ([], sources[(size - 1) // 64 * 64:])
         rows.clear()
         mp.setattr(graph, "_word_budget", lambda g, k: 0)
         assert gx_of_sources(g, sources).tolist() == want
@@ -474,41 +474,47 @@ def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
 
 
 def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
-    # rows counts the BFS rows by source, builds the neighbour lists they read
-    rows, builds = [], []
+    # rows counts the BFS rows by source, builds the adjacency builds, and
+    # csr the CSR arrays derived from the stored neighbour tuples: once a
+    # graph is built, no call builds an adjacency again, and the word walk
+    # derives a graph's CSR at most once, however many calls read it
+    rows, builds, csr = [], [], []
     graph = sys.modules["geodom.graph"]
-    real_row, real_lists = graph._bfs_row, graph._neighbour_lists
-    monkeypatch.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
-    monkeypatch.setattr(graph, "_neighbour_lists", lambda g: builds.append(g.n) or real_lists(g))
+    real_row, real_build, real_csr = graph._bfs_row, Graph._build, Graph._csr
+
+    def counted_csr(g):
+        if g._csr_arrays is None:
+            csr.append(g.n)
+        return real_csr(g)
+
+    monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
+    monkeypatch.setattr(Graph, "_build", lambda g, *a: builds.append(g) or real_build(g, *a))
+    monkeypatch.setattr(Graph, "_csr", counted_csr)
     # a shallow graph runs full words on words; a lone source in the last
     # word may take no more than (n + m) / n levels, so it takes a row
     g, dist = word_graph
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
     assert rows == {63: [], 64: [], 65: [64], 129: [128]}[g.n]
-    assert builds == ([g.n] if rows else [])
     rows.clear()
-    builds.clear()
     assert len(geodetic_closure(g, range(g.n))) == g.n
-    assert rows == builds == []
+    assert rows == builds == [] and csr in ([], [g.n])
     # a path of 150 is deeper than 64 words may go (64 x 299 / 150 = 127
     # levels, and the closure keeps 4 x 448 / 150 = 11), so every source
-    # and every member takes its own row, and each call builds its
-    # neighbour lists once for all of them
+    # and every member takes its own row, each from the stored tuples
     p = path_graph(150)
-    assert min_gx_vertex(p) == (0, 1)
-    assert rows == list(range(150)) and builds == [150]
-    rows.clear()
     builds.clear()
+    csr.clear()
+    assert min_gx_vertex(p) == (0, 1)
+    assert rows == list(range(150))
+    rows.clear()
     members = list(range(5, 140, 2))
     assert set(geodetic_closure(p, members)) == set(range(5, 140))
-    assert rows == members and builds == [150]
+    assert rows == members and builds == [] and csr == [150]
     # a 12 x 12 grid is shallow enough for 64 words (64 x 408 / 144 = 181
     # levels), but the closure keeps at most 4 x 672 / 144 = 18 levels and
     # the corner member 0 is 22 levels deep: it takes rows, and the first
     # row, from corner to corner, covers the grid
-    rows.clear()
-    builds.clear()
     grid = Graph(
         (f"g{i:02d}{j:02d}", f"g{i + di:02d}{j + dj:02d}")
         for i in range(12)
@@ -516,8 +522,11 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
         for di, dj in ((0, 1), (1, 0))
         if i + di < 12 and j + dj < 12
     )
+    rows.clear()
+    builds.clear()
+    csr.clear()
     assert len(geodetic_closure(grid, [*range(0, 144, 2), 143])) == 144
-    assert rows == [0] and builds == [144]
+    assert rows == [0] and builds == [] and csr == [144]
 
 
 DISCONNECTED = {

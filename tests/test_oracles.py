@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from geodom import (
     Graph,
     GraphError,
+    VertexSet,
     boundary,
     complete_graph,
     cycle_graph,
@@ -31,10 +32,10 @@ from geodom import (
     verify_unique_minimum,
 )
 from geodom import bitmasks, oracles
-from geodom.boundary import _row_boundary
 from helpers import (
     close_the_path_in_graph_bfs,
     connected_labeled_graph_counts,
+    direct_boundary,
     drop_one_boundary_vertex,
     edge_subsets,
     floyd_warshall,
@@ -498,7 +499,7 @@ def test_counterexample_search_is_independent(monkeypatch):
         raise AssertionError("the counterexample search must not call graph.py")
 
     names = (
-        "bfs_distances", "_neighbour_lists", "_bfs_row", "_level_words", "geodesic_sweep",
+        "bfs_distances", "_bfs_row", "_sweep", "_level_words", "geodesic_sweep",
         "simplicial_vertices",
     )
     for name, module in list(sys.modules.items()):
@@ -607,7 +608,7 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     for row, g in enumerate(graphs):
         for x in range(6):
             sets = loop_min_x_geodominating(g, d[row], x)
-            inside = _row_boundary(g, d[row, x])
+            inside = VertexSet.of(direct_boundary(g, d[row].tolist(), x), 6)
             tied += len(sets) > 1
             if sets != (inside,):
                 expected.append((row, x))

@@ -19,7 +19,7 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from geodom import graph, products
+from geodom import products
 from helpers import assert_same_graph, cells, loop_product, loop_product_reports, pair_labels
 from strategies import connected_graphs, relabelled
 
@@ -359,16 +359,21 @@ def test_stream_yields_every_base_in_request_order():
 
 
 @pytest.mark.parametrize("bases", [None, [(2, 1), (0, 3), (2, 1)]])
-def test_reports_build_each_factors_lists_once(monkeypatch, bases):
-    # one build per factor for the connectivity check, then one per factor
-    # that every row of that factor shares, whatever the bases
-    built = []
-    real = graph._neighbour_lists
-    monkeypatch.setattr(graph, "_neighbour_lists", lambda g: built.append(g) or real(g))
+def test_reports_build_no_adjacency(monkeypatch, bases):
+    # the factors' rows and boundaries come from the neighbour tuples each
+    # factor stored when it was built: no call builds an adjacency or
+    # derives a CSR, whatever the bases
+    g, h = path_graph(["a", "b", "c"]), path_graph(["1", "2", "3", "4"])
+
+    def no_build(*args):
+        raise AssertionError("product reports must read the stored neighbour tuples")
+
+    monkeypatch.setattr(Graph, "_build", no_build)
+    monkeypatch.setattr(Graph, "_csr", no_build)
     for kind in KINDS:
-        built.clear()
-        product_reports(kind, P3A, P4N, bases)
-        assert built == [P3A, P4N, P4N, P3A]
+        assert [rep.base for rep in product_reports(kind, g, h, bases)] == (
+            bases or [(x, y) for x in range(3) for y in range(4)]
+        )
 
 
 def test_reports_follow_the_given_bases():
