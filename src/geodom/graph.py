@@ -111,8 +111,8 @@ def _neighbour_tuples(
     """The ascending neighbour tuple of each of n vertices, given the edges
     as index pairs. Both ends of each edge append to a per-vertex list,
     and each list is sorted. A repeated edge leaves two equal neighbours
-    side by side; only then do sets drop the repeats, which would cost
-    more than the rest of the build."""
+    side by side; only then do sets drop the repeats, since a set per
+    vertex costs nearly as much as the rest of the build."""
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(tails, heads):
         adjacency[u].append(v)
