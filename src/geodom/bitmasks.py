@@ -3,12 +3,13 @@
 Every edge set on n <= 7 vertices is an integer mask, produced in chunks
 in (edge count, combinations rank) order together with per-vertex
 neighbour bitmasks (``_mask_chunks``); graphs of any size stack into the
-same bitmask rows (``_stacked_bits``, from each graph's CSR). One
-bit-frontier BFS per chunk (``_levels``) gives connectivity, distances
-and geodesic sweeps, so the oracles built on it call none of the BFS
-code of graph.py that they check. The brute-force searches, exhaustive
-enumeration, the simplicial counterexample search and the theorem sweep
-in oracles.py share this stage.
+same bitmask rows (``_stacked_bits``, from each graph's ``neighbors``),
+and ``_union_csr`` turns rows into the stage's own CSR. One bit-frontier
+BFS per chunk (``_levels``) gives connectivity, distances and geodesic
+sweeps, so the oracles built on it call none of the BFS code of graph.py
+that they check. The brute-force searches, exhaustive enumeration, the
+simplicial counterexample search and the theorem sweep in oracles.py
+share this stage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _degrees
+from .graph import Graph
 
 # edge masks per array pass; larger chunks gain little speed and raise
 # the peak memory of the search
@@ -107,11 +108,10 @@ def _pack(flags: np.ndarray) -> np.ndarray:
 
 
 def _stacked_bits(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Neighbour bitmasks of n-vertex graphs, one row per graph, from their CSR."""
-    adj = np.zeros((len(graphs), n, n), dtype=bool)
-    for k, g in enumerate(graphs):
-        adj[k, np.repeat(np.arange(n), _degrees(g)), g.flat_neighbors] = True
-    return _pack(adj)
+    """Neighbour bitmasks of n-vertex graphs, one row per graph, from
+    ``g.neighbors(v)``."""
+    rows = [[sum(1 << w for w in g.neighbors(v)) for v in range(n)] for g in graphs]
+    return np.array(rows, dtype=_bits_dtype(n)).reshape(len(graphs), n)
 
 
 def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -146,8 +146,9 @@ def _distances(levels: list[np.ndarray]) -> np.ndarray:
 
 
 def _union_csr(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """flat_neighbors and neighbor_offsets of the disjoint union of the
-    graphs in nbrs[K, n], where vertex v of row k is k * n + v."""
+    """The CSR arrays (flat, offsets) of the disjoint union of the graphs
+    in nbrs[K, n], where vertex v of row k is k * n + v: the neighbours of
+    v run from ``flat[offsets[v]]`` to the next offset."""
     rows, n = nbrs.shape
     adj = _unpack(nbrs, n).reshape(rows * n, n)
     owner, w = np.nonzero(adj)

@@ -12,30 +12,25 @@ Both questions need only the distance row of x. The one BFS of graph.py
 ``boundary`` reads those flags, and coverage is one geodesic sweep over
 the neighbour tuples (``graph._sweep``): each O(n + m), and neither loads
 numpy. ``min_gx_vertex`` and ``geodetic_from_boundary`` visit every
-source without a matrix, on the word-parallel BFS or the row fallback
-that graph.py's ``_source_schedule`` picks (its module docstring has the
-schedule); they load numpy.
+source without a matrix: graph.py's ``_gx_of_sources`` gives gx of each
+source, on the word-parallel BFS or the row fallback that graph.py
+schedules (its module docstring has the schedule); they load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 from .graph import (
-    _WORD_BITS,
     Graph,
     VertexSet,
     _as_vertex_set,
     _distance_row,
     _flagged,
-    _source_schedule,
+    _gx_of_sources,
     _sweep,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GeodominationCheck",
@@ -48,10 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeodominationCheck:
-    """Outcome of testing one candidate set against one source: the
-    vertices its geodesics cover, and the first one they miss."""
+    """Outcome of testing one candidate set against one source: whether
+    its geodesics cover every vertex, and the first one they miss."""
 
-    covered: VertexSet
     is_geodominating: bool
     witness_uncovered: int | None
 
@@ -80,7 +74,6 @@ def _row_coverage(g: Graph, row: list[int], s: "VertexSet | Iterable[int]") -> G
     reach = _sweep(g, row, _as_vertex_set(s, g.n))
     uncovered = reach.find(0)
     return GeodominationCheck(
-        covered=_flagged(reach),
         is_geodominating=uncovered < 0,
         witness_uncovered=None if uncovered < 0 else uncovered,
     )
@@ -93,39 +86,6 @@ def _boundary_and_coverage(
     boundary itself when s is None), both from one BFS row."""
     members, row = _boundary_and_row(g, x)
     return members, _row_coverage(g, row, members if s is None else s)
-
-
-def _gx_of_sources(g: Graph, sources: Sequence[int]) -> np.ndarray:
-    """gx of each source, in order, from ``_source_schedule``: 64 sources
-    at a time through ``_gx_of_levels``, or the boundary flags of one BFS
-    row each."""
-    import numpy as np
-
-    return np.hstack(list(_source_schedule(
-        g, sources, partial(_gx_of_levels, g),
-        lambda _, flags: flags.count(1),
-        cap=g.n,  # no BFS has more than n levels
-    )))
-
-
-def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> np.ndarray:
-    """gx of each source of ``batch`` from its level words ``levels``.
-
-    A vertex is in the boundary of a source unless a neighbour lies one
-    level farther. The spread of level d, masked by the levels before d,
-    marks exactly the vertices of level d - 1 with such a neighbour, so
-    the OR of those masks over all levels is the interior word; gx of
-    source i is n minus the number of vertices with interior bit i set.
-    """
-    import numpy as np
-
-    interior = np.zeros(g.n, dtype=np.uint64)
-    before = np.zeros(g.n, dtype=np.uint64)
-    for level, spread in levels:
-        interior |= spread & before
-        before |= level
-    bits = np.unpackbits(interior.astype("<u8").view(np.uint8), bitorder="little")
-    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(batch)]
 
 
 def min_gx_vertex(g: Graph) -> tuple[int, int]:

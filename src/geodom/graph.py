@@ -7,12 +7,13 @@ after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
 The adjacency is stored once, as one sorted neighbour tuple per vertex,
 which ``Graph(...)``, ``parse_graph`` and ``products.product`` all build
-through ``Graph._build``. The CSR arrays the vectorised layers read
-(``flat_neighbors``, ``neighbor_offsets``) are derived from the tuples on
-first use and kept. numpy is imported there and in the functions that
-take or return arrays, so the single-source path (``boundary``,
-``is_x_geodominating``, ``interval``, parsing and emitting) runs without
-it.
+through ``Graph._build``. Other modules read it only through
+``g.edges()``, ``g.neighbors(v)`` and the distance rows below. The word
+walk's CSR arrays (``Graph._csr``) are derived from the tuples on first
+use, kept, and read by ``_neighbour_or`` alone. numpy is imported there
+and in the functions that take or return arrays, so the single-source
+path (``boundary``, ``is_x_geodominating``, ``interval``, parsing and
+emitting) runs without it.
 
 The metric core works on single distance rows, and every row in the
 package comes from one BFS, ``_bfs_row``, over the stored tuples; in the
@@ -21,12 +22,13 @@ neighbour one level farther. ``_distance_rows`` hands out the rows of
 many sources and checks connectivity, and ``bfs_distances`` converts one
 row to an array. ``interval`` takes its row from one BFS, O(n + m), and
 ``_sweep`` turns a row into interval membership by one reverse sweep of
-the source's geodesic DAG, level by level over the tuples;
-``geodesic_sweep`` is the same sweep on arrays.
-Every all-source pass (``geodetic_closure`` here, ``min_gx_vertex`` in
-boundary.py) runs one schedule, ``_source_schedule``: sources in any
-order, 64 at a time in the bits of one uint64 word per vertex
-(``_level_words``), about depth x (n + m) word operations per batch.
+the source's geodesic DAG, level by level over the tuples.
+Every all-source pass (``geodetic_closure`` and ``_gx_of_sources``, which
+``min_gx_vertex`` in boundary.py calls) runs one schedule,
+``_source_schedule``: sources in any order, 64 at a time in the bits of
+one uint64 word per vertex (``_level_words``), about depth x (n + m) word
+operations per batch. Only ``_batch_reach`` and ``_gx_of_levels`` read
+those words.
 ``_word_budget`` caps the depth at |batch| x (n + m) / n levels, and the
 closure, which keeps its levels, at ``_kept_levels``; from the first
 batch deeper than that (paths, long cycles, grids), each source left
@@ -42,6 +44,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, islice, starmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -58,7 +61,6 @@ __all__ = [
     "emit_graph",
     "is_connected",
     "bfs_distances",
-    "geodesic_sweep",
     "interval",
     "geodetic_closure",
     "is_geodetic",
@@ -136,9 +138,7 @@ class Graph:
 
     ``labels`` is the sorted tuple of vertex labels; vertex ``i`` is
     ``labels[i]``, and ``neighbors(i)`` is the ascending tuple of its
-    neighbours, stored once. The CSR arrays ``flat_neighbors`` (from
-    ``neighbor_offsets[i]`` to the next offset are i's neighbours) are
-    derived from the tuples when first read.
+    neighbours, stored once.
     """
 
     __slots__ = ("labels", "_index", "_adjacency", "_csr_arrays", "edge_count")
@@ -190,17 +190,10 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def flat_neighbors(self) -> np.ndarray:
-        return self._csr()[0]
-
-    @property
-    def neighbor_offsets(self) -> np.ndarray:
-        return self._csr()[1]
-
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat_neighbors, neighbor_offsets), read-only intp arrays made
-        from the neighbour tuples at the first call and kept."""
+        """(flat, offsets), read-only intp arrays made from the neighbour
+        tuples at the first call and kept: the neighbours of i run from
+        ``flat[offsets[i]]`` to the next offset."""
         if self._csr_arrays is None:
             import numpy as np
 
@@ -458,12 +451,6 @@ def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[list[int]
         yield row, flags
 
 
-def _degrees(g: Graph) -> np.ndarray:
-    import numpy as np
-
-    return np.fromiter(map(len, g._adjacency), np.intp, g.n)
-
-
 def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
     """Per vertex, the OR of its neighbours' words. Needs every vertex to
     have a neighbour when g has edges: ``reduceat`` misreads an empty CSR
@@ -472,7 +459,8 @@ def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
 
     if not g.edge_count:
         return np.zeros_like(words)
-    return np.bitwise_or.reduceat(words[g.flat_neighbors], g.neighbor_offsets)
+    flat, offsets = g._csr()
+    return np.bitwise_or.reduceat(words[flat], offsets)
 
 
 _WORD_BITS = 64
@@ -589,15 +577,6 @@ def _sweep(g: Graph, row: Sequence[int], targets: Iterable[int]) -> bytearray:
     return reach
 
 
-def geodesic_sweep(g: Graph, row: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Mask of the vertices on some geodesic from the source of ``row`` to
-    a vertex of the boolean mask ``targets``: ``_sweep`` on arrays."""
-    import numpy as np
-
-    reach = _sweep(g, np.asarray(row).tolist(), np.flatnonzero(targets).tolist())
-    return np.frombuffer(reach, dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # intervals and geodetic closure
 
@@ -652,6 +631,39 @@ def _batch_reach(g: Graph, targets: np.ndarray, levels: Iterable) -> np.ndarray:
     for level in reversed(levels[:-1]):
         reach |= level & (targets | _neighbour_or(g, reach))
     return reach != 0
+
+
+def _gx_of_sources(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """gx of each source, in order, from ``_source_schedule``: 64 sources
+    at a time through ``_gx_of_levels``, or the boundary flags of one BFS
+    row each."""
+    import numpy as np
+
+    return np.hstack(list(_source_schedule(
+        g, sources, partial(_gx_of_levels, g),
+        lambda _, flags: flags.count(1),
+        cap=g.n,  # no BFS has more than n levels
+    )))
+
+
+def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> np.ndarray:
+    """gx of each source of ``batch`` from its level words ``levels``.
+
+    A vertex is in the boundary of a source unless a neighbour lies one
+    level farther. The spread of level d, masked by the levels before d,
+    marks exactly the vertices of level d - 1 with such a neighbour, so
+    the OR of those masks over all levels is the interior word; gx of
+    source i is n minus the number of vertices with interior bit i set.
+    """
+    import numpy as np
+
+    interior = np.zeros(g.n, dtype=np.uint64)
+    before = np.zeros(g.n, dtype=np.uint64)
+    for level, spread in levels:
+        interior |= spread & before
+        before |= level
+    bits = np.unpackbits(interior.astype("<u8").view(np.uint8), bitorder="little")
+    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(batch)]
 
 
 def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:

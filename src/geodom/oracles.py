@@ -477,9 +477,7 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     return [(row, x) for row, x in np.argwhere(bad).tolist()]
 
 
-def _boundary_mask(
-    flat_neighbors: np.ndarray, neighbor_offsets: np.ndarray, row: np.ndarray
-) -> np.ndarray:
+def _boundary_mask(flat: np.ndarray, offsets: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Mask of the vertices with no neighbour farther from the source of
     ``row``, in the graph with these CSR arrays: the boundary by its
     definition.
@@ -488,14 +486,16 @@ def _boundary_mask(
     nonempty: a connected graph on n >= 2 vertices, or a disjoint union of
     such graphs, has no isolated vertex.
     """
-    farthest = np.maximum.reduceat(row[flat_neighbors], neighbor_offsets)
+    farthest = np.maximum.reduceat(row[flat], offsets)
     return farthest <= row
 
 
 def _failure(g: Graph, d: np.ndarray, x: int) -> str:
-    """The report line of a failing source x of g, whose distances are d."""
+    """The report line of a failing source x of g, whose distances are d:
+    the boundary comes from the rule that found x (``_failing_sources``),
+    over the oracle stage's own CSR of g."""
     sets = _min_x_search(d, x)
-    inside = _boundary_mask(g.flat_neighbors, g.neighbor_offsets, d[x])
+    inside = _boundary_mask(*_union_csr(_stacked_bits([g], g.n)), d[x])
     expected = VertexSet(tuple(np.flatnonzero(inside).tolist()), g.n)
     oracle_sets = [g.labels_of(s) for s in sets]
     return (

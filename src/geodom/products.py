@@ -58,7 +58,6 @@ from .graph import (
     DisconnectedError,
     Graph,
     _check_vertex,
-    _degrees,
     _distance_rows,
     is_connected,
 )
@@ -127,7 +126,9 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     kind = _as_kind(kind)
     _require_product_factors(g, h)
     nh, layers, same = h.n, np.arange(g.n), np.arange(h.n)
-    (g_tails, g_heads), (h_tails, h_heads) = _edge_arrays(g), _edge_arrays(h)
+    # each edge once, as index arrays (tails, heads) with tail < head
+    g_tails, g_heads = np.array([*g.edges()], dtype=np.intp).reshape(-1, 2).T
+    h_tails, h_heads = np.array([*h.edges()], dtype=np.intp).reshape(-1, 2).T
     if kind is ProductKind.CARTESIAN:
         rel_c, rel_d = same, same
     elif kind is ProductKind.STRONG:
@@ -144,13 +145,6 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     if len(pg._index) != pg.n:
         raise AssertionError("pair labels collided; factor labels are unusable")
     return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge once, as sorted index arrays (tails, heads), tail < head."""
-    tails = np.repeat(np.arange(g.n), _degrees(g))
-    forward = tails < g.flat_neighbors
-    return tails[forward], g.flat_neighbors[forward]
 
 
 def product_distance(kind: "ProductKind | str", dg: np.ndarray, dh: np.ndarray) -> np.ndarray:

@@ -13,14 +13,17 @@ the factor rows, boundaries and gx bounds from the package, since the
 stacking is what it checks (BFS on the built product checks the closed
 forms). The graph constructor, the parser and the product builder are
 the set-based and label-string versions that the index-edge builder
-replaced: neighbour sets, then sorted neighbour tuples.
+replaced: neighbour sets, then sorted neighbour tuples. Two functions
+call into the package on purpose, to hand a test what it checks:
+``swept_cover`` runs the geodesic sweep that ``is_x_geodominating``
+runs, and ``_oracle_rule_boundary`` the oracle sweep's boundary rule.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,18 +123,23 @@ def loop_product(
     return ProductGraph(g, h, pg, tuple(pairs)), sets
 
 
+def reference_csr(nbrs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays (flat, offsets) of the neighbour lists nbrs: the
+    neighbours of v run from flat[offsets[v]] to the next offset."""
+    flat = np.array([w for a in nbrs for w in a], dtype=np.intp)
+    offsets = np.cumsum([0] + [len(a) for a in nbrs[:-1]], dtype=np.intp)
+    return flat, offsets
+
+
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
     """got against a reference graph and its neighbour sets: labels, the
-    neighbour tuples a BFS reads, the CSR derived from them, edges,
-    has_edge, equality and hash."""
+    neighbour tuples a BFS reads, the CSR the word walk derives from them,
+    edges, has_edge, equality and hash."""
     assert got.labels == want.labels
     assert got.edge_count == want.edge_count
     nbrs = [tuple(sorted(s)) for s in want_sets]
     assert [got.neighbors(v) for v in range(got.n)] == nbrs
-    flat = np.array([w for a in nbrs for w in a], dtype=np.intp)
-    offsets = np.cumsum([0] + [len(a) for a in nbrs[:-1]], dtype=np.intp)
-    for name, array in (("flat_neighbors", flat), ("neighbor_offsets", offsets)):
-        got_array = getattr(got, name)
+    for name, got_array, array in zip(("flat", "offsets"), got._csr(), reference_csr(nbrs)):
         assert got_array.dtype == np.intp and np.array_equal(got_array, array), name
         assert not got_array.flags.writeable, name
     assert list(got.edges()) == [
@@ -348,6 +356,14 @@ def loop_product_reports(
             )
         )
     return tuple(reports)
+
+
+def swept_cover(g: Graph, x: int, members) -> set[int]:
+    """The vertices that the package's geodesic sweep (``graph._sweep``,
+    which ``is_x_geodominating`` runs) flags from x to members."""
+    graph = sys.modules["geodom.graph"]
+    row, _ = graph._distance_row(g, x)
+    return set(compress(range(g.n), graph._sweep(g, row, members)))
 
 
 def direct_covered(dist: list[list[int]], x: int, members, n: int) -> set[int]:
@@ -608,7 +624,7 @@ def _oracle_rule_boundary(g: Graph, row: np.ndarray) -> VertexSet:
     """The boundary of the source of row by the oracle sweep's own rule,
     looked up at each call, so that a test's mutant of the rule applies."""
     rule = importlib.import_module("geodom.oracles")._boundary_mask
-    inside = rule(g.flat_neighbors, g.neighbor_offsets, row)
+    inside = rule(*reference_csr([g.neighbors(v) for v in range(g.n)]), row)
     return VertexSet.of(np.flatnonzero(inside), g.n)
 
 
@@ -635,12 +651,12 @@ def drop_one_boundary_vertex(monkeypatch) -> None:
     oracles = importlib.import_module("geodom.oracles")
     mask = oracles._boundary_mask
 
-    def mutant(flat_neighbors, neighbor_offsets, row):
-        keep = mask(flat_neighbors, neighbor_offsets, row).copy()
+    def mutant(flat, offsets, row):
+        keep = mask(flat, offsets, row).copy()
         # least vertex of each component, by min-label propagation
         comp = np.arange(len(row))
         while True:
-            least = np.minimum(comp, np.minimum.reduceat(comp[flat_neighbors], neighbor_offsets))
+            least = np.minimum(comp, np.minimum.reduceat(comp[flat], offsets))
             if (least == comp).all():
                 break
             comp = least

@@ -10,15 +10,21 @@ import pytest
 
 import geodom
 from geodom import (
+    Graph,
+    VertexSet,
     bfs_distances,
     boundary,
+    cycle_graph,
+    geodetic_number_bruteforce,
     interval,
     is_x_geodominating,
     min_x_geodominating_bruteforce,
     path_graph,
     product,
     product_reports,
+    verify_unique_minimum,
 )
+from helpers import drop_one_boundary_vertex
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,7 +39,6 @@ PUBLIC_NAMES = {
     "emit_graph",
     "is_connected",
     "bfs_distances",
-    "geodesic_sweep",
     "interval",
     "geodetic_closure",
     "is_geodetic",
@@ -118,27 +123,60 @@ def test_every_vertex_argument_is_an_index(call):
 
 
 def test_only_graph_knows_how_a_distance_row_is_made():
-    # the stored neighbour tuples and the BFS over them stay inside
-    # graph.py; every other module takes its rows from _distance_rows or
-    # bfs_distances, and reads no tuples. Importing __main__ would run the
+    # the stored neighbour tuples, the CSR the word walk derives from them
+    # and the BFS over them stay inside graph.py; every other module takes
+    # its rows from _distance_rows or bfs_distances, and reads the graph
+    # through edges() and neighbors(). Importing __main__ would run the
     # command line.
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     assert {"graph", "boundary", "products", "cli", "oracles", "bitmasks"} <= set(names)
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
+        source = inspect.getsource(module)
         assert hasattr(module, "_bfs_row") == (name == "graph"), name
-        assert ("_adjacency" in inspect.getsource(module)) == (name == "graph"), name
+        assert ("_adjacency" in source) == (name == "graph"), name
+        # _csr the name, not bitmasks._union_csr or the cache _csr_arrays
+        assert bool(re.search(r"\b_csr\b", source)) == (name == "graph"), name
 
 
 def test_only_graph_schedules_the_word_walk():
     # words or rows is decided once, in graph._source_schedule; no other
-    # module walks level words or reads the level budgets
+    # module walks level words, reads their bits or the level budgets
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
-    scheduling = ("_level_words", "_word_budget", "_kept_levels")
+    scheduling = (
+        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_WORD_BITS",
+        "_gx_of_levels",
+    )
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
         holds = {attr for attr in scheduling if hasattr(module, attr)}
         assert holds == (set(scheduling) if name == "graph" else set()), name
+
+
+def test_products_and_oracles_never_derive_the_csr(monkeypatch):
+    # product() takes the factor edges from edges(), and the oracle stage
+    # fills its bitmasks from neighbors() and builds its own CSR, down to
+    # the report line of a failing source: only the word walk reads
+    # Graph._csr
+    def no_csr(g):
+        raise AssertionError("only the word walk derives the CSR")
+
+    monkeypatch.setattr(Graph, "_csr", no_csr)
+    p3, c4 = path_graph(3), cycle_graph(4)
+    edge_counts = {"cartesian": 20, "lexicographic": 44, "strong": 36}
+    for kind, m in edge_counts.items():
+        assert product(kind, p3, c4).graph.edge_count == m
+    assert min_x_geodominating_bruteforce(c4, 0) == (VertexSet.of([2], 4),)
+    assert len(geodetic_number_bruteforce(c4)) == 2
+    assert verify_unique_minimum([p3, c4], exhaustive_n=4).ok
+    # a rule that loses a boundary vertex fails every source of P3
+    drop_one_boundary_vertex(monkeypatch)
+    failures = verify_unique_minimum([p3]).failures
+    assert len(failures) == 3
+    assert failures[0] == (
+        "Graph(n=3, m=2) edges=[(0, 1), (1, 2)] x=v0: "
+        "oracle size 1 sets [['v2']] vs boundary []"
+    )
 
 
 def test_readme_python_blocks_print_what_they_show(capsys):

@@ -1,4 +1,3 @@
-import sys
 from itertools import compress
 
 import numpy as np
@@ -29,6 +28,8 @@ from helpers import (
     floyd_warshall,
     geodesic_vertices_by_paths,
     raw_bfs_rows,
+    reference_csr,
+    swept_cover,
 )
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
 
@@ -101,18 +102,27 @@ def test_tree_boundary_is_leaves_except_source(t):
 # x-geodomination checks
 
 
+def _assert_check_reads_the_sweep(g, x, members, covered):
+    """is_x_geodominating's verdict and witness follow from the swept
+    cover: it holds when covered is all of V, and the witness is the least
+    vertex missing from covered."""
+    chk = is_x_geodominating(g, x, members)
+    assert chk.is_geodominating == (len(covered) == g.n)
+    assert chk.witness_uncovered == min(set(range(g.n)) - covered, default=None)
+
+
 @given(graphs_vertex_and_set())
 def test_covered_set_matches_direct_computation(gvs):
     g, x, members = gvs
-    chk = is_x_geodominating(g, x, members)
-    assert set(chk.covered) == direct_covered(floyd_warshall(g), x, members, g.n)
-    assert chk.is_geodominating == (len(chk.covered) == g.n)
+    covered = swept_cover(g, x, members)
+    assert covered == direct_covered(floyd_warshall(g), x, members, g.n)
+    _assert_check_reads_the_sweep(g, x, members, covered)
 
 
 def test_empty_set_never_geodominates():
     chk = is_x_geodominating(P4, 0, [])
     assert not chk.is_geodominating
-    assert len(chk.covered) == 0
+    assert swept_cover(P4, 0, []) == set()
     assert chk.witness_uncovered == 0
 
 
@@ -129,7 +139,7 @@ def test_witness_is_smallest_uncovered():
     # v3 is not on any geodesic from v0 to v2
     assert not chk.is_geodominating
     assert chk.witness_uncovered == 3
-    assert chk.witness_uncovered not in chk.covered
+    assert chk.witness_uncovered not in swept_cover(c5, 0, [2])
 
 
 def test_vertex_set_size_mismatch_rejected():
@@ -209,7 +219,7 @@ def test_heuristic_examples():
 def _gx_on_words_and_rows(g):
     """gx of every source from the schedule's level words, and again with
     no level budget, so that every source takes a BFS row."""
-    gx_of_sources = sys.modules["geodom.boundary"]._gx_of_sources
+    gx_of_sources = graph._gx_of_sources
     on_words = gx_of_sources(g, range(g.n)).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_word_budget", lambda g, k: 0)
@@ -246,8 +256,9 @@ def _assert_rules_agree(g, dist, interval_oracle, targets):
         for y in targets:
             assert set(compress(range(g.n), graph._sweep(g, row, [y]))) == interval_oracle(x, y)
         for s in (want[x], evens):
-            covered = set(is_x_geodominating(g, x, s).covered)
+            covered = swept_cover(g, x, s)
             assert covered == direct_covered(dist, x, s, g.n)
+            _assert_check_reads_the_sweep(g, x, s, covered)
     return want
 
 
@@ -280,7 +291,8 @@ def test_boundary_rules_agree_on_larger_graphs(n, extra, seed):
     want = _assert_rules_agree(
         g, dist, lambda x, y: direct_covered(dist, x, [y], n), range(0, n, max(1, n // 10))
     )
-    assert _oracle_rule(g.flat_neighbors, g.neighbor_offsets, [dist]) == [want]
+    csr = reference_csr([g.neighbors(v) for v in range(n)])
+    assert _oracle_rule(*csr, [dist]) == [want]
 
 
 # ---------------------------------------------------------------------------

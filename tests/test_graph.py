@@ -459,7 +459,7 @@ def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
     dist = raw_bfs_rows([g.neighbors(v) for v in range(n)])
     want = [len(direct_boundary(g, dist, x)) for x in sources]
     graph = sys.modules["geodom.graph"]
-    gx_of_sources = sys.modules["geodom.boundary"]._gx_of_sources
+    gx_of_sources = graph._gx_of_sources
     rows = []
     real_row = graph._bfs_row
     with pytest.MonkeyPatch.context() as mp:

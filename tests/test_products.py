@@ -1,5 +1,6 @@
 import weakref
 from dataclasses import fields
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from geodom import (
     bfs_distances,
     boundary,
     complete_graph,
+    enumerate_connected_graphs,
     parse_graph,
     path_graph,
     product,
@@ -20,7 +22,15 @@ from geodom import (
     product_reports,
 )
 from geodom import products
-from helpers import assert_same_graph, cells, loop_product, loop_product_reports, pair_labels
+from helpers import (
+    assert_same_graph,
+    cells,
+    direct_boundary,
+    floyd_warshall,
+    loop_product,
+    loop_product_reports,
+    pair_labels,
+)
 from strategies import connected_graphs, relabelled
 
 P3A = path_graph(["a", "b", "c"])
@@ -400,6 +410,72 @@ def test_reports_match_bfs_on_built_product(factors):
                 expected
             ), (kind, rep.base)
             assert rep.gx == len(expected)
+
+
+def _factor_classes(n):
+    """One connected graph on n vertices per isomorphism class: the first
+    one of ``enumerate_connected_graphs(n)`` with each least relabelled
+    edge list."""
+    classes = {}
+    for g in enumerate_connected_graphs(n):
+        edges = list(g.edges())
+        key = min(
+            sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)
+            for p in permutations(range(n))
+        )
+        classes.setdefault(tuple(key), g)
+    return list(classes.values())
+
+
+def test_every_factor_class_on_at_most_five_vertices():
+    # every ordered pair of the 30 connected factor classes on 2 to 5
+    # vertices, every kind and every base: each report's boundary is BFS
+    # on the built product, cartesian and strong keep their bounds, and
+    # every lexicographic base fails exactly as criterion 6 predicts
+    classes = {n: _factor_classes(n) for n in range(2, 6)}
+    assert {n: len(c) for n, c in classes.items()} == {2: 1, 3: 2, 4: 6, 5: 21}
+    factors = []
+    for g in chain.from_iterable(classes.values()):
+        dist = floyd_warshall(g)
+        factors.append((g, dist, [direct_boundary(g, dist, x) for x in range(g.n)]))
+    reports, mismatches, unpredicted = 0, [], []
+    contain_bad, gx_bad = dict.fromkeys(KINDS, 0), dict.fromkeys(KINDS, 0)
+    for g, _, bg in factors:
+        for h, dist_h, bh in factors:
+            for kind in KINDS:
+                pg = product(kind, g, h)
+                cell = [a * h.n + b for a, b in pg.factor_pairs]
+                for rep in product_reports(kind, g, h):
+                    reports += 1
+                    bfs = boundary(pg.graph, pg.index_of_pair(*rep.base))
+                    got = set(np.flatnonzero(rep.actual).tolist())
+                    if got != {cell[p] for p in bfs} or rep.gx != len(bfs):
+                        mismatches.append((list(g.edges()), list(h.edges()), kind, rep.base))
+                    contain_bad[kind] += not rep.containments_hold
+                    gx_bad[kind] += not rep.gx_holds
+                    if kind is not ProductKind.LEXICOGRAPHIC:
+                        continue
+                    # the candidate misses exactly the base-layer vertices at
+                    # layer distance two whose second coordinate is interior,
+                    # and the gx cap gx_g * n_H + gx_h fails exactly when exceeded
+                    x, y = rep.base
+                    predicted = {
+                        (x, b) for b in range(h.n) if dist_h[y][b] >= 2 and b not in bh[y]
+                    }
+                    witnesses = set() if rep.witnesses is None else cells(rep.witnesses)
+                    if not (
+                        witnesses == predicted
+                        and rep.containments_hold == (not predicted)
+                        and cells(rep.lower) <= cells(rep.actual)
+                        and rep.gx_lower <= rep.gx
+                        and rep.gx_holds == (rep.gx <= len(bg[x]) * h.n + len(bh[y]))
+                    ):
+                        unpredicted.append((list(g.edges()), list(h.edges()), rep.base))
+    assert reports == 3 * 137**2 == 56307
+    assert mismatches == [] and unpredicted == []
+    lex = ProductKind.LEXICOGRAPHIC
+    assert contain_bad == {**dict.fromkeys(KINDS, 0), lex: 2466}
+    assert gx_bad == {**dict.fromkeys(KINDS, 0), lex: 1224}
 
 
 def _assert_same_reports(got, want):
