@@ -4,12 +4,13 @@ Every edge set on n <= 7 vertices is an integer mask, produced in chunks
 in (edge count, combinations rank) order together with per-vertex
 neighbour bitmasks (``_mask_chunks``); graphs of any size stack into the
 same bitmask rows (``_stacked_bits``, from each graph's ``neighbors``),
-and ``_union_csr`` turns rows into the stage's own CSR. One bit-frontier
-BFS per chunk (``_levels``) gives connectivity, distances and geodesic
-sweeps, so the oracles built on it call none of the BFS code of graph.py
-that they check. The brute-force searches, exhaustive enumeration, the
-simplicial counterexample search and the theorem sweep in oracles.py
-share this stage.
+which ``_unpack`` spreads into the stage's own adjacency. One
+bit-frontier BFS per chunk (``_levels``) gives connectivity, distances
+and geodesic sweeps, and ``_interval_bits`` the intervals I[x, y] from
+those distances, so the oracles built on it call none of the BFS code of
+graph.py that they check. The brute-force searches, exhaustive
+enumeration, the simplicial counterexample search and the theorem sweep
+in oracles.py share this stage.
 """
 
 from __future__ import annotations
@@ -145,13 +146,8 @@ def _distances(levels: list[np.ndarray]) -> np.ndarray:
     return d
 
 
-def _union_csr(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays (flat, offsets) of the disjoint union of the graphs
-    in nbrs[K, n], where vertex v of row k is k * n + v: the neighbours of
-    v run from ``flat[offsets[v]]`` to the next offset."""
-    rows, n = nbrs.shape
-    adj = _unpack(nbrs, n).reshape(rows * n, n)
-    owner, w = np.nonzero(adj)
-    offsets = np.zeros(rows * n, dtype=np.intp)
-    np.cumsum(adj.sum(axis=1)[:-1], out=offsets[1:])
-    return owner - owner % n + w, offsets
+def _interval_bits(d: np.ndarray, x: int) -> np.ndarray:
+    """iv[k, y]: the interval I[x, y] in graph k of the distances d[K, n, n]
+    as a bitmask: the vertices v with d(x, v) + d(y, v) = d(x, y)."""
+    dx = d[:, x, :]
+    return _pack(dx[:, None, :] + d == dx[:, :, None])

@@ -19,8 +19,9 @@ in chunks, neighbour bitmasks and one bit-frontier BFS per chunk, so
 nothing here calls the BFS, geodesic or simplicial code of graph.py that
 the searches certify. The theorem sweep checks the minimum against a
 boundary rule of its own (``_boundary_mask``, the definition as one
-array pass), run once per source index on the disjoint union of a chunk;
-the tests tie that rule to the boundary that graph.py's BFS flags.
+array pass), run once per source index on the adjacency of a chunk's
+bitmask rows; the tests tie that rule to the boundary that graph.py's
+BFS flags.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,11 +39,12 @@ from .bitmasks import (
     _all_pairs_list,
     _levels,
     _distances,
+    _interval_bits,
     _mask_chunks,
     _neighbourhood,
     _pack,
     _stacked_bits,
-    _union_csr,
+    _unpack,
     _vertex_bits,
 )
 from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
@@ -69,8 +72,8 @@ _GX_CAP = 12
 # about 2.2 (0.55, 0.91 and 2.0 s on K_n at n = 17, 18 and 19, 2-vCPU
 # host), so a cap of 30 would allow gigabytes or hours
 _CAP_LIMIT = 20
-# the theorem sweep holds n x n distances and a CSR per graph, so it takes
-# smaller chunks; these keep its peak memory at about the interpreter's
+# the theorem sweep holds n x n distances and adjacency per graph, so it
+# takes smaller chunks; these keep its peak memory at about the interpreter's
 _SWEEP_CHUNK = 1 << 9
 # set bits of every byte (np.bitwise_count needs numpy 2)
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
@@ -128,14 +131,13 @@ def _minimum_covers(d: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
     marks the candidate sets t of least size size[k] whose geodesics from
     x cover every vertex, where bit i of t is the i-th vertex other than x.
 
-    cover[k, i] is the interval I[x, y] of candidate y as a bitmask. Subset
-    doubling unions them over every t: the unions of the sets without
-    candidate i, ORed with cover i, are those of the sets with it.
+    cover[k, i] is the interval I[x, y] of candidate y as a bitmask
+    (``_interval_bits``). Subset doubling unions them over every t: the
+    unions of the sets without candidate i, ORed with cover i, are those of
+    the sets with it.
     """
     rows, n, _ = d.shape
-    dx = d[:, x, :]
-    on = dx[:, None, :] + d == dx[:, :, None]  # [k, y, v]: v on a geodesic x..y
-    cover = _pack(np.delete(on, x, axis=1))
+    cover = np.delete(_interval_bits(d, x), x, axis=1)
     union = np.zeros((rows, 1), dtype=cover.dtype)
     sizes = np.zeros(1, dtype=np.uint8)
     for i in range(n - 1):
@@ -171,14 +173,7 @@ def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> VertexSet:
 
     d = _graph_distances(_stacked_bits([g], n))[0]
     full = (1 << n) - 1
-    pair_mask = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            mask = 0
-            for w in range(n):
-                if d[u, w] + d[w, v] == d[u, v]:
-                    mask |= 1 << w
-            pair_mask[u][v] = mask
+    pair_mask = [_interval_bits(d[None], u)[0].tolist() for u in range(n)]
 
     for size in range(2, n + 1):
         for combo in combinations(range(n), size):
@@ -393,11 +388,12 @@ def verify_unique_minimum(
 
     exhaustive_n puts every connected graph on 2..exhaustive_n vertices
     ahead of graphs, swept chunk by chunk from ``_mask_chunks`` without
-    building a Graph. graphs take the same chunk check, stacked by vertex
-    count; they are swept first, so that one over the cap of 12 vertices
-    fails before the enumeration. A Graph is built only to report an
-    enumerated failure. Single-vertex graphs are skipped: geodomination
-    needs a non-source vertex to exist.
+    building a Graph. graphs take the same chunk check, one run of graphs
+    of one vertex count at a time; they are swept first, and every cap is
+    checked before any sweep, so that one over the cap of 12 vertices fails
+    before the enumeration. A Graph is built only to report an enumerated
+    failure. Single-vertex graphs are skipped: geodomination needs a
+    non-source vertex to exist.
     """
     if not 0 <= exhaustive_n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive_n must lie in [0, {_EXHAUSTIVE_MAX_N}]")
@@ -429,26 +425,23 @@ def _verify_enumeration(max_n: int) -> VerificationReport:
 
 
 def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
-    """The sweep over graphs, _SWEEP_CHUNK at a time, each chunk stacked by
-    vertex count; failures keep the order of graphs, then of sources."""
-    graphs_checked = sources_checked = 0
+    """The sweep over graphs: every cap first, then each run of consecutive
+    graphs of one vertex count, _SWEEP_CHUNK at a time, so failures keep
+    the order of graphs, then of sources."""
+    graphs = [g for g in graphs if g.n >= 2]
+    for g in graphs:
+        _require_cap(g.n, _GX_CAP)
     failures: list[str] = []
-    todo = iter(graphs)
-    while chunk := list(islice(todo, _SWEEP_CHUNK)):
-        chunk = [g for g in chunk if g.n >= 2]
-        for g in chunk:
-            _require_cap(g.n, _GX_CAP)
-        failing = []
-        for n in sorted({g.n for g in chunk}):
-            where = [i for i, g in enumerate(chunk) if g.n == n]
-            nbrs = _stacked_bits([chunk[i] for i in where], n)
+    for n, run in groupby(graphs, key=attrgetter("n")):
+        run = list(run)
+        for lead in range(0, len(run), _SWEEP_CHUNK):
+            chunk = run[lead:lead + _SWEEP_CHUNK]
+            nbrs = _stacked_bits(chunk, n)
             d = _graph_distances(nbrs)
-            failing.extend((where[row], x, d[row]) for row, x in _failing_sources(nbrs, d))
-        failing.sort(key=lambda f: f[:2])
-        failures.extend(_failure(chunk[i], dist, x) for i, x, dist in failing)
-        graphs_checked += len(chunk)
-        sources_checked += sum(g.n for g in chunk)
-    return VerificationReport(graphs_checked, sources_checked, tuple(failures))
+            failures.extend(
+                _failure(chunk[row], d[row], x) for row, x in _failing_sources(nbrs, d)
+            )
+    return VerificationReport(len(graphs), sum(g.n for g in graphs), tuple(failures))
 
 
 def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
@@ -457,10 +450,10 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     row then x; d holds their distances (``_distances``).
 
     The oracle is ``_minimum_covers``; the boundary is ``_boundary_mask``,
-    run once per source index on the union of rows.
+    run once per source index on the adjacency of the rows.
     """
     rows, n = nbrs.shape
-    flat, offsets = _union_csr(nbrs)
+    adj = _unpack(nbrs, n).astype(bool)
     bad = np.zeros((rows, n), dtype=bool)
     for x in range(n):
         size, hits = _minimum_covers(d, x)
@@ -468,7 +461,7 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
         first = hits.argmax(axis=1)
         low = (1 << x) - 1
         found = (first & low) | ((first & ~low) << 1)
-        inside = _boundary_mask(flat, offsets, d[:, x, :].ravel()).reshape(rows, n)
+        inside = _boundary_mask(adj, d[:, x, :])
         bad[:, x] = ~(
             (hits.sum(axis=1) == 1)
             & (found == _pack(inside))
@@ -477,25 +470,20 @@ def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
     return [(row, x) for row, x in np.argwhere(bad).tolist()]
 
 
-def _boundary_mask(flat: np.ndarray, offsets: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Mask of the vertices with no neighbour farther from the source of
-    ``row``, in the graph with these CSR arrays: the boundary by its
-    definition.
-
-    Every vertex needs a neighbour, so that every reduceat segment is
-    nonempty: a connected graph on n >= 2 vertices, or a disjoint union of
-    such graphs, has no isolated vertex.
-    """
-    farthest = np.maximum.reduceat(row[flat], offsets)
-    return farthest <= row
+def _boundary_mask(adj: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """inside[k, v]: whether v has no neighbour farther from the source of
+    dx[k] than v is, in graph k with adjacency adj[k]: the boundary by its
+    definition."""
+    return ~(adj & (dx[:, None, :] > dx[:, :, None])).any(axis=2)
 
 
 def _failure(g: Graph, d: np.ndarray, x: int) -> str:
     """The report line of a failing source x of g, whose distances are d:
     the boundary comes from the rule that found x (``_failing_sources``),
-    over the oracle stage's own CSR of g."""
+    over the adjacency of g's bitmask row."""
     sets = _min_x_search(d, x)
-    inside = _boundary_mask(*_union_csr(_stacked_bits([g], g.n)), d[x])
+    adj = _unpack(_stacked_bits([g], g.n), g.n).astype(bool)
+    inside = _boundary_mask(adj, d[None, x])[0]
     expected = VertexSet(tuple(np.flatnonzero(inside).tolist()), g.n)
     oracle_sets = [g.labels_of(s) for s in sets]
     return (

@@ -131,6 +131,15 @@ def reference_csr(nbrs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     return flat, offsets
 
 
+def reference_adjacency(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The dense adjacency of the neighbour lists nbrs: adj[v, w] is
+    whether w is a neighbour of v."""
+    adj = np.zeros((len(nbrs), len(nbrs)), dtype=bool)
+    for v, a in enumerate(nbrs):
+        adj[v, list(a)] = True
+    return adj
+
+
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
     """got against a reference graph and its neighbour sets: labels, the
     neighbour tuples a BFS reads, the CSR the word walk derives from them,
@@ -624,8 +633,8 @@ def _oracle_rule_boundary(g: Graph, row: np.ndarray) -> VertexSet:
     """The boundary of the source of row by the oracle sweep's own rule,
     looked up at each call, so that a test's mutant of the rule applies."""
     rule = importlib.import_module("geodom.oracles")._boundary_mask
-    inside = rule(*reference_csr([g.neighbors(v) for v in range(g.n)]), row)
-    return VertexSet.of(np.flatnonzero(inside), g.n)
+    inside = rule(reference_adjacency([g.neighbors(v) for v in range(g.n)])[None], row[None])
+    return VertexSet.of(np.flatnonzero(inside[0]), g.n)
 
 
 def close_the_path_in_graph_bfs(monkeypatch) -> None:
@@ -645,23 +654,15 @@ def close_the_path_in_graph_bfs(monkeypatch) -> None:
 
 
 def drop_one_boundary_vertex(monkeypatch) -> None:
-    """Make the oracle sweep's boundary rule lose its highest vertex in
-    every connected component of the graph it scans, so one vertex per
-    graph both when it scans one graph and when it scans a disjoint union."""
+    """Make the oracle sweep's boundary rule lose the highest boundary
+    vertex of each row it scans, which is one graph."""
     oracles = importlib.import_module("geodom.oracles")
     mask = oracles._boundary_mask
 
-    def mutant(flat, offsets, row):
-        keep = mask(flat, offsets, row).copy()
-        # least vertex of each component, by min-label propagation
-        comp = np.arange(len(row))
-        while True:
-            least = np.minimum(comp, np.minimum.reduceat(comp[flat], offsets))
-            if (least == comp).all():
-                break
-            comp = least
-        last = {c: v for v, c in enumerate(comp.tolist()) if keep[v]}
-        keep[list(last.values())] = False
+    def mutant(adj, dx):
+        keep = mask(adj, dx).copy()
+        for row in keep:
+            row[np.flatnonzero(row)[-1:]] = False
         return keep
 
     monkeypatch.setattr(oracles, "_boundary_mask", mutant)

@@ -135,8 +135,9 @@ def test_only_graph_knows_how_a_distance_row_is_made():
         source = inspect.getsource(module)
         assert hasattr(module, "_bfs_row") == (name == "graph"), name
         assert ("_adjacency" in source) == (name == "graph"), name
-        # _csr the name, not bitmasks._union_csr or the cache _csr_arrays
+        # _csr the name, not the cache _csr_arrays
         assert bool(re.search(r"\b_csr\b", source)) == (name == "graph"), name
+        assert ("reduceat" in source) == (name == "graph"), name
 
 
 def test_only_graph_schedules_the_word_walk():
@@ -155,9 +156,9 @@ def test_only_graph_schedules_the_word_walk():
 
 def test_products_and_oracles_never_derive_the_csr(monkeypatch):
     # product() takes the factor edges from edges(), and the oracle stage
-    # fills its bitmasks from neighbors() and builds its own CSR, down to
-    # the report line of a failing source: only the word walk reads
-    # Graph._csr
+    # fills its bitmasks from neighbors() and reads them as its own
+    # adjacency, down to the report line of a failing source: only the word
+    # walk reads Graph._csr
     def no_csr(g):
         raise AssertionError("only the word walk derives the CSR")
 

@@ -28,7 +28,7 @@ from helpers import (
     floyd_warshall,
     geodesic_vertices_by_paths,
     raw_bfs_rows,
-    reference_csr,
+    reference_adjacency,
     swept_cover,
 )
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
@@ -227,17 +227,14 @@ def _gx_on_words_and_rows(g):
     return on_words, on_rows
 
 
-def _oracle_rule(flat, offsets, dist):
+def _oracle_rule(adj, dist):
     """The oracle sweep's own boundary rule from every source, run as the
-    sweep runs it, once per source index on the graphs with this CSR (a
-    disjoint union, one graph after another); dist[k] holds the distances
-    of graph k. Returns the boundary of each source of each graph."""
+    sweep runs it, once per source index on the graphs with adjacency
+    adj[k]; dist[k] holds the distances of graph k. Returns the boundary
+    of each source of each graph."""
     d = np.array(dist)
     graphs, n, _ = d.shape
-    inside = [
-        oracles._boundary_mask(flat, offsets, d[:, x, :].ravel()).reshape(graphs, n)
-        for x in range(n)
-    ]
+    inside = [oracles._boundary_mask(adj, d[:, x, :]) for x in range(n)]
     return [[set(np.flatnonzero(inside[x][k]).tolist()) for x in range(n)] for k in range(graphs)]
 
 
@@ -277,8 +274,8 @@ def test_boundary_rules_agree_on_every_small_graph():
             )
             for g, d in zip(graphs, dist)
         ]
-        union = bitmasks._union_csr(bitmasks._stacked_bits(graphs, n))
-        assert _oracle_rule(*union, dist) == wants
+        adj = bitmasks._unpack(bitmasks._stacked_bits(graphs, n), n).astype(bool)
+        assert _oracle_rule(adj, dist) == wants
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,8 +288,8 @@ def test_boundary_rules_agree_on_larger_graphs(n, extra, seed):
     want = _assert_rules_agree(
         g, dist, lambda x, y: direct_covered(dist, x, [y], n), range(0, n, max(1, n // 10))
     )
-    csr = reference_csr([g.neighbors(v) for v in range(n)])
-    assert _oracle_rule(*csr, [dist]) == [want]
+    adj = reference_adjacency([g.neighbors(v) for v in range(n)])
+    assert _oracle_rule(adj[None], [dist]) == [want]
 
 
 # ---------------------------------------------------------------------------

@@ -579,12 +579,14 @@ def test_sweep_report_matches_the_loop():
 
 def test_sweep_failures_match_the_loop(monkeypatch):
     drop_one_boundary_vertex(monkeypatch)
-    graphs = [g for n in range(2, 5) for g in enumerate_connected_graphs(n)]
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    # the 728 graphs on five vertices are one run that a slice boundary splits
+    assert 728 > oracles._SWEEP_CHUNK
     expected = loop_verify_unique_minimum(graphs)
     # a boundary is never empty, so the mutant fails every source
-    assert len(expected.failures) == expected.sources_checked == 2 + 4 * 3 + 38 * 4
+    assert len(expected.failures) == expected.sources_checked == 2 + 4 * 3 + 38 * 4 + 728 * 5
     assert verify_unique_minimum(graphs) == expected
-    assert verify_unique_minimum([], exhaustive_n=4) == expected
+    assert verify_unique_minimum([], exhaustive_n=5) == expected
     up_to_three = graphs[:5]
     corpus = random_graph_corpus(9, 7, 9, 0.3, seed=4)
     expected = loop_verify_unique_minimum(up_to_three + corpus)
@@ -615,12 +617,17 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
 
 
 def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
-    def no_chunks(*args):
-        raise AssertionError("an over-cap graph must fail before the enumeration")
+    def no_sweep(*args):
+        raise AssertionError("an over-cap graph must fail before any sweep")
 
-    monkeypatch.setattr(oracles, "_mask_chunks", no_chunks)
-    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
-        verify_unique_minimum([path_graph(13)], exhaustive_n=6)
+    monkeypatch.setattr(oracles, "_mask_chunks", no_sweep)
+    monkeypatch.setattr(oracles, "_failing_sources", no_sweep)
+    # every cap comes first: of later sizes, and past a full slice of graphs
+    full_slice = [path_graph(5)] * oracles._SWEEP_CHUNK
+    for graphs in ([path_graph(13)], [path_graph(5), path_graph(6), path_graph(13)],
+                   full_slice + [path_graph(13)]):
+        with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+            verify_unique_minimum(graphs, exhaustive_n=6)
     for bad in (-1, 8):
         with pytest.raises(ValueError, match=r"exhaustive_n must lie in \[0, 7\]"):
             verify_unique_minimum([], exhaustive_n=bad)
