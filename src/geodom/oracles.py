@@ -29,8 +29,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -388,12 +387,14 @@ def verify_unique_minimum(
 
     exhaustive_n puts every connected graph on 2..exhaustive_n vertices
     ahead of graphs, swept chunk by chunk from ``_mask_chunks`` without
-    building a Graph. graphs take the same chunk check, one run of graphs
-    of one vertex count at a time; they are swept first, and every cap is
-    checked before any sweep, so that one over the cap of 12 vertices fails
-    before the enumeration. A Graph is built only to report an enumerated
-    failure. Single-vertex graphs are skipped: geodomination needs a
-    non-source vertex to exist.
+    building a Graph. graphs take the same chunk check: they are read
+    _SWEEP_CHUNK at a time, so an iterator is never held whole, each
+    slice's graphs of one vertex count are stacked into one chunk, and a
+    slice's caps are all checked before it is swept. They are swept first,
+    so that a graph over the cap of 12 vertices fails before the
+    enumeration. A Graph is built only to report an enumerated failure.
+    Single-vertex graphs are skipped: geodomination needs a non-source
+    vertex to exist.
     """
     if not 0 <= exhaustive_n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive_n must lie in [0, {_EXHAUSTIVE_MAX_N}]")
@@ -425,23 +426,29 @@ def _verify_enumeration(max_n: int) -> VerificationReport:
 
 
 def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
-    """The sweep over graphs: every cap first, then each run of consecutive
-    graphs of one vertex count, _SWEEP_CHUNK at a time, so failures keep
-    the order of graphs, then of sources."""
-    graphs = [g for g in graphs if g.n >= 2]
-    for g in graphs:
-        _require_cap(g.n, _GX_CAP)
+    """The sweep over graphs, read _SWEEP_CHUNK at a time so that an
+    iterator is never held whole. A slice's caps are all checked before it
+    is swept, and its graphs of each vertex count are stacked into one
+    chunk; failures keep the order of graphs, then of sources."""
+    graphs_checked = sources_checked = 0
     failures: list[str] = []
-    for n, run in groupby(graphs, key=attrgetter("n")):
-        run = list(run)
-        for lead in range(0, len(run), _SWEEP_CHUNK):
-            chunk = run[lead:lead + _SWEEP_CHUNK]
-            nbrs = _stacked_bits(chunk, n)
+    todo = iter(graphs)
+    while chunk := list(islice(todo, _SWEEP_CHUNK)):
+        chunk = [g for g in chunk if g.n >= 2]
+        for g in chunk:
+            _require_cap(g.n, _GX_CAP)
+        lines: list[list[str]] = [[] for _ in chunk]  # the failures of each graph
+        for n in {g.n for g in chunk}:
+            where = [i for i, g in enumerate(chunk) if g.n == n]
+            nbrs = _stacked_bits([chunk[i] for i in where], n)
             d = _graph_distances(nbrs)
-            failures.extend(
-                _failure(chunk[row], d[row], x) for row, x in _failing_sources(nbrs, d)
-            )
-    return VerificationReport(len(graphs), sum(g.n for g in graphs), tuple(failures))
+            for row, x in _failing_sources(nbrs, d):
+                i = where[row]
+                lines[i].append(_failure(chunk[i], d[row], x))
+        failures.extend(chain.from_iterable(lines))
+        graphs_checked += len(chunk)
+        sources_checked += sum(g.n for g in chunk)
+    return VerificationReport(graphs_checked, sources_checked, tuple(failures))
 
 
 def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:

@@ -74,17 +74,24 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
-        'groupby(graphs, key=attrgetter("n"))',
-        'groupby(sorted(graphs, key=attrgetter("n")), key=attrgetter("n"))',
+        "i = where[row]",
+        "i = row",
         SWEEP_FAILURES,
-        "_verify_graphs sweeps the listed graphs sorted by size",
+        "_verify_graphs reports a failure on the slice's graph at its row in the size's chunk",
     ),
     Mutant(
         ORACLES,
-        "_failure(chunk[row], d[row], x)",
-        "_failure(run[row], d[row], x)",
-        SWEEP_FAILURES,
-        "_verify_graphs reports a failure of a later slice on the run's first graphs",
+        "islice(todo, _SWEEP_CHUNK)",
+        "islice(todo, None)",
+        "tests/test_oracles.py::test_sweep_reads_the_graphs_a_slice_at_a_time",
+        "_verify_graphs holds the whole iterator",
+    ),
+    Mutant(
+        ORACLES,
+        "islice(todo, _SWEEP_CHUNK)",
+        "islice(todo, 1)",
+        "tests/test_oracles.py::test_sweep_stacks_each_slice_by_vertex_count",
+        "_verify_graphs sweeps the listed graphs one at a time",
     ),
     Mutant(
         ORACLES,

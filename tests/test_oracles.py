@@ -622,15 +622,52 @@ def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
 
     monkeypatch.setattr(oracles, "_mask_chunks", no_sweep)
     monkeypatch.setattr(oracles, "_failing_sources", no_sweep)
-    # every cap comes first: of later sizes, and past a full slice of graphs
-    full_slice = [path_graph(5)] * oracles._SWEEP_CHUNK
+    # a slice's caps all come first: of later sizes, and up to its last graph
+    rest_of_slice = [path_graph(5)] * (oracles._SWEEP_CHUNK - 1)
     for graphs in ([path_graph(13)], [path_graph(5), path_graph(6), path_graph(13)],
-                   full_slice + [path_graph(13)]):
+                   rest_of_slice + [path_graph(13)]):
         with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
             verify_unique_minimum(graphs, exhaustive_n=6)
     for bad in (-1, 8):
         with pytest.raises(ValueError, match=r"exhaustive_n must lie in \[0, 7\]"):
             verify_unique_minimum([], exhaustive_n=bad)
+
+
+def test_sweep_reads_the_graphs_a_slice_at_a_time(monkeypatch):
+    drawn = []
+
+    def graphs():
+        for g in enumerate_connected_graphs(5):
+            drawn.append(g)
+            yield g
+
+    sweep = oracles._failing_sources
+    drawn_at_sweep = []
+
+    def counting(nbrs, d):
+        drawn_at_sweep.append(len(drawn))
+        return sweep(nbrs, d)
+
+    monkeypatch.setattr(oracles, "_failing_sources", counting)
+    report = verify_unique_minimum(graphs())
+    assert report.ok and report.graphs_checked == 728
+    # an iterator is never held whole: each sweep follows one slice's draw
+    assert drawn_at_sweep == [oracles._SWEEP_CHUNK, 728]
+
+
+def test_sweep_stacks_each_slice_by_vertex_count(monkeypatch):
+    sweep = oracles._failing_sources
+    shapes = []
+
+    def counting(nbrs, d):
+        shapes.append(nbrs.shape)
+        return sweep(nbrs, d)
+
+    monkeypatch.setattr(oracles, "_failing_sources", counting)
+    corpus = random_graph_corpus(200, 6, 9, 0.35, seed=42)
+    assert verify_unique_minimum(corpus).ok
+    # the sizes cycle 6, 7, 8, 9: one stacked chunk per size, not one per graph
+    assert sorted(shapes) == [(50, 6), (50, 7), (50, 8), (50, 9)]
 
 
 def test_sweep_rejects_disconnected_graphs():
