@@ -10,11 +10,11 @@ x-geodominating set, so gx equals the boundary's size.
 Both questions need only the distance row of x. The one BFS of graph.py
 (``_bfs_row``) flags the boundary in the pass that makes the row, so
 ``boundary`` reads those flags, and coverage is one geodesic sweep over
-the neighbour tuples (``graph._sweep``): each O(n + m), and neither loads
-numpy. ``min_gx_vertex`` and ``geodetic_from_boundary`` visit every
-source without a matrix: graph.py's ``_gx_of_sources`` gives gx of each
-source, on the word-parallel BFS or the row fallback that graph.py
-schedules (its module docstring has the schedule); they load numpy.
+the neighbour tuples (``graph._sweep``): each O(n + m). ``min_gx_vertex``
+and ``geodetic_from_boundary`` visit every source without a matrix:
+graph.py's ``_gx_of_sources`` gives gx of each source, on the bit-parallel
+BFS over Python ints or the row fallback (graph.py's module docstring has
+the schedule). Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
     if g.n < 2:
         raise ValueError("boundary needs at least two vertices")
     sizes = _gx_of_sources(g, range(g.n))
-    x = int(sizes.argmin())
-    return x, int(sizes[x])
+    x = sizes.index(min(sizes))
+    return x, sizes[x]
 
 
 def geodetic_from_boundary(g: Graph) -> VertexSet:

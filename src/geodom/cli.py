@@ -17,7 +17,7 @@ unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
 so a command loads only the layers it runs; numpy is one of them, and
-boundary, gx and check never load it. The oracle handlers hand the
+boundary, gx, check, closure and geodetic-heuristic never load it. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse a --cap over
 20 or an over-cap graph before any distance work and compute distances
 with their own BFS.

@@ -7,13 +7,10 @@ after construction; all metric operations (distances, intervals, closures)
 require a connected graph and raise :class:`DisconnectedError` otherwise.
 The adjacency is stored once, as one sorted neighbour tuple per vertex,
 which ``Graph(...)``, ``parse_graph`` and ``products.product`` all build
-through ``Graph._build``. Other modules read it only through
-``g.edges()``, ``g.neighbors(v)`` and the distance rows below. The word
-walk's CSR arrays (``Graph._csr``) are derived from the tuples on first
-use, kept, and read by ``_neighbour_or`` alone. numpy is imported there
-and in the functions that take or return arrays, so the single-source
-path (``boundary``, ``is_x_geodominating``, ``interval``, parsing and
-emitting) runs without it.
+through ``Graph._build``; a graph keeps no other form of it. Other modules
+read it only through ``g.edges()``, ``g.neighbors(v)`` and the distance
+rows below. numpy is imported only by ``bfs_distances``, which returns an
+array, so every other function here runs without it.
 
 The metric core works on single distance rows, and every row in the
 package comes from one BFS, ``_bfs_row``, over the stored tuples; in the
@@ -25,14 +22,12 @@ row to an array. ``interval`` takes its row from one BFS, O(n + m), and
 the source's geodesic DAG, level by level over the tuples.
 Every all-source pass (``geodetic_closure`` and ``_gx_of_sources``, which
 ``min_gx_vertex`` in boundary.py calls) runs one schedule,
-``_source_schedule``: sources in any order, 64 at a time in the bits of
-one uint64 word per vertex (``_level_words``), about depth x (n + m) word
-operations per batch. Only ``_batch_reach`` and ``_gx_of_levels`` read
-those words.
-``_word_budget`` caps the depth at |batch| x (n + m) / n levels, and the
-closure, which keeps its levels, at ``_kept_levels``; from the first
-batch deeper than that (paths, long cycles, grids), each source left
-takes one distance row. Nothing here builds an all-pairs matrix: the
+``_source_schedule``: sources in any order, a batch at a time in the bits
+of one Python int per vertex (``_level_words``), which only
+``_batch_reach`` and ``_gx_of_levels`` read. A probe of 64 sources comes
+first; if it is deeper than its budget (paths, long cycles, grids), every
+source takes one distance row instead, and else the rest go in batches
+of ``_batch_width``. Nothing here builds an all-pairs matrix: the
 brute-force oracles compute theirs with their own BFS (bitmasks.py), and
 ``products.product_distance`` takes factor rows.
 """
@@ -44,12 +39,9 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, islice, starmap
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -141,7 +133,7 @@ class Graph:
     neighbours, stored once.
     """
 
-    __slots__ = ("labels", "_index", "_adjacency", "_csr_arrays", "edge_count")
+    __slots__ = ("labels", "_index", "_adjacency", "edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]] = (), vertices: Iterable[str] = ()):
         index: dict[str, int] = {}
@@ -183,27 +175,11 @@ class Graph:
         self.labels: tuple[str, ...] = tuple(map(labels.__getitem__, order))
         self._index: dict[str, int] = dict(zip(self.labels, range(n)))
         self.edge_count: int = sum(map(len, self._adjacency)) // 2
-        self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         return order
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat, offsets), read-only intp arrays made from the neighbour
-        tuples at the first call and kept: the neighbours of i run from
-        ``flat[offsets[i]]`` to the next offset."""
-        if self._csr_arrays is None:
-            import numpy as np
-
-            flat = np.fromiter(chain.from_iterable(self._adjacency), np.intp, 2 * self.edge_count)
-            offsets = np.zeros(self.n, dtype=np.intp)
-            np.cumsum(np.fromiter(map(len, self._adjacency[:-1]), np.intp), out=offsets[1:])
-            flat.setflags(write=False)
-            offsets.setflags(write=False)
-            self._csr_arrays = flat, offsets
-        return self._csr_arrays
 
     def index_of(self, label: str) -> int:
         try:
@@ -426,7 +402,7 @@ def is_connected(g: Graph) -> bool:
     return -1 not in _bfs_row(g._adjacency, 0)[0]
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
+def bfs_distances(g: Graph, source: int) -> "numpy.ndarray":
     """Distance row from source as a read-only integer array."""
     import numpy as np
 
@@ -451,99 +427,103 @@ def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[list[int]
         yield row, flags
 
 
-def _neighbour_or(g: Graph, words: np.ndarray) -> np.ndarray:
-    """Per vertex, the OR of its neighbours' words. Needs every vertex to
-    have a neighbour when g has edges: ``reduceat`` misreads an empty CSR
-    segment."""
-    import numpy as np
-
-    if not g.edge_count:
-        return np.zeros_like(words)
-    flat, offsets = g._csr()
-    return np.bitwise_or.reduceat(words[flat], offsets)
+# the first batch of every all-source pass; it alone may fall back to rows
+_PROBE_WIDTH = 64
+# bits, 50 MB, that the n-entry int lists of a later batch may hold
+_WALK_BITS = 4 * 10**8
 
 
-_WORD_BITS = 64
+def _batch_width(n: int, lists: int) -> int:
+    """Sources in each batch after the probe whose step holds ``lists``
+    n-entry lists of ints, at least 64 and at most n: four for gx, fewer
+    than 2 x ``_kept_levels`` for the closure. With n = 100000 and
+    m = 250000, gx batches of 1000 kept ``geodetic-heuristic`` at 133 MB
+    peak RSS in 111 s, and of 1342 at 152 MB in 92 s (2-vCPU host)."""
+    return min(n, max(_PROBE_WIDTH, _WALK_BITS // (lists * n)))
 
 
 def _word_budget(g: Graph, k: int) -> int:
-    """Most BFS levels a word-parallel walk of k sources may take.
+    """Most BFS levels the probe of k sources may walk before every source
+    takes a BFS row.
 
-    The walk costs about levels x (n + m) word operations; k separate BFS
-    rows cost k x (n + m) Python steps, each 10 to 17 times dearer than a
-    word operation (measured on sparse random graphs, paths and grids).
-    Capping levels x n at k x (n + m), 2k to 4k levels on sparse graphs,
-    keeps the walk cheaper than the rows on graphs of any diameter;
-    deeper graphs (paths, long cycles, large grids) go back to one row
-    per source.
+    The walk's pushes are at most the k rows' steps, and fewer where the
+    sources' levels share vertices; each level adds scans of n-entry lists
+    in C. Capping levels x n at k x (n + m), 2k to 4k levels on sparse
+    graphs, bounds those scans. A failed probe took 0.03 s on a shuffled
+    5000-vertex path and 0.07 s on a 4 x 1250 grid, against 0.05 s for
+    their 64 rows (2-vCPU host).
     """
     return k * (g.n + g.edge_count) // g.n
 
 
 def _kept_levels(g: Graph) -> int:
-    """Most BFS levels a walk may keep at once: 4(n + 2m) / n levels of n
-    words, four times the CSR arrays, about what one BFS row and one
-    ``_sweep`` allocate, so a closure that sweeps its levels back holds
-    no more than the row-per-member path."""
+    """Most BFS levels the closure's probe may keep: 4(n + 2m) / n levels
+    of n entries, 4(n + 2m) entries in all, about four times what the
+    graph stores. A later batch keeps fewer than twice as many (see
+    ``_source_schedule``), and its ``_batch_width`` allows for that."""
     return 4 * (g.n + 2 * g.edge_count) // g.n
 
 
-def _level_words(
-    g: Graph, sources: Sequence[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """BFS levels of at most 64 distinct sources at once, one bit per
-    source, as pairs ``(level, spread)``: bit i of ``level[v]`` is set iff
-    d(sources[i], v) = d for the d-th pair, and ``spread`` is the OR of
-    ``level`` over the neighbours of each vertex.
+def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """BFS levels of distinct sources at once, one int per vertex and one
+    bit per source, as pairs ``(level, spread)``: bit i of ``level[v]`` is
+    set iff d(sources[i], v) = d for the d-th pair, and ``spread[v]`` is
+    the OR of ``level`` over the neighbours of v, read before the next
+    pair is drawn: the walk then masks it, in place, into the next level.
 
-    The next level is ``spread`` masked by the visited words: the
-    word-parallel BFS of Akiba, Iwata and Yoshida (SIGMOD 2013), one
-    ``reduceat`` per level. Raises :class:`DisconnectedError`, once the
-    levels run out, when some source has not reached every vertex; a
-    caller that stops early leaves that check to its fallback.
+    This is the multi-source BFS of Akiba, Iwata and Yoshida (SIGMOD 2013)
+    and Then et al. (PVLDB 2014): each vertex of a level pushes its int to
+    its neighbours, which lie in level d - 1, d or d + 1, so the next
+    level is ``spread`` without the bits of this level and the one before.
+    Raises :class:`DisconnectedError`, once the levels run out, when some
+    source has not reached every vertex; a caller that stops early leaves
+    that check to its fallback.
     """
-    import numpy as np
-
-    sources = np.asarray(sources, dtype=np.intp)
-    k = len(sources)
-    if not 1 <= k <= _WORD_BITS:
-        raise ValueError(f"level words take 1 to {_WORD_BITS} sources, got {k}")
-    # an isolated vertex leaves an empty CSR segment, which reduceat
-    # misreads; a single vertex has no neighbours to OR
-    if g.n > 1 and not all(g._adjacency):
-        raise DisconnectedError("graph is disconnected")
-    level = np.zeros(g.n, dtype=np.uint64)
-    level[sources] = np.uint64(1) << np.arange(k, dtype=np.uint64)
-    visited = level.copy()
-    while level.any():
-        spread = _neighbour_or(g, level)
+    n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
+    level, before = [0] * n, [0] * n
+    for i, source in enumerate(sources):
+        level[source] = 1 << i
+    reached = 0
+    while any(level):
+        reached += sum(map(int.bit_count, filter(None, level)))
+        spread = [0] * n
+        for neighbours, bits in zip(compress(adjacency, level), filter(None, level)):
+            for w in neighbours:
+                spread[w] |= bits
         yield level, spread
-        level = spread & ~visited
-        visited |= level
-    if not (visited == np.uint64((1 << k) - 1)).all():
+        for w in compress(vertices, spread):
+            spread[w] &= ~(level[w] | before[w])
+        before, level = level, spread
+    if reached != len(sources) * n:
         raise DisconnectedError("graph is disconnected")
 
 
 def _source_schedule(
-    g: Graph, sources: Sequence[int], word_step: Callable, row_step: Callable, *, cap: int
+    g: Graph, sources: Sequence[int], word_step: Callable, row_step: Callable, *,
+    cap: int, width: int,
 ) -> Iterator:
-    """``word_step(batch, levels)`` on the ``_level_words`` of each batch of
-    64 sources, in order, until one takes more than min(``_word_budget``,
-    cap) levels; from that batch on, ``row_step(row, flags)`` on the
-    ``_distance_rows`` of each source left. Yields each result as it comes,
-    so a caller that has its answer leaves its loop and no further batch
-    or row runs. A step sees at most the budget of levels, and a deeper
-    batch's is thrown away.
+    """``word_step(batch, levels)`` on the ``_level_words`` of each batch
+    of sources, in order: a probe of the first 64, then batches of
+    ``width``. If the probe takes more than min(``_word_budget``, cap)
+    levels, its result is thrown away and ``row_step(row, flags)`` runs on
+    the ``_distance_rows`` of every source instead. Yields each result as
+    it comes, so a caller that has its answer leaves its loop and no
+    further batch or row runs.
+
+    Once the probe fits, every later batch does too, in fewer than twice
+    its levels: ecc(u) <= diam <= 2 ecc(v) for all u and v, so no later
+    batch is walked and then thrown away.
     """
-    for lo in range(0, len(sources), _WORD_BITS):
-        batch = sources[lo:lo + _WORD_BITS]
-        walk = _level_words(g, batch)
-        result = word_step(batch, islice(walk, min(_word_budget(g, len(batch)), cap)))
-        if next(walk, None) is None:
-            yield result
-            continue
-        yield from starmap(row_step, _distance_rows(g, sources[lo:]))
+    probe = sources[:_PROBE_WIDTH]
+    walk = _level_words(g, probe)
+    result = word_step(probe, islice(walk, min(_word_budget(g, len(probe)), cap)))
+    if next(walk, None) is not None:
+        yield from starmap(row_step, _distance_rows(g, sources))
         return
+    yield result
+    for lo in range(len(probe), len(sources), width):
+        batch = sources[lo:lo + width]
+        yield word_step(batch, _level_words(g, batch))
 
 
 def _sweep(g: Graph, row: Sequence[int], targets: Iterable[int]) -> bytearray:
@@ -591,79 +571,98 @@ def interval(g: Graph, u: int, v: int) -> VertexSet:
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     """Union of intervals over all pairs of vertices in s.
 
-    The members go through ``_source_schedule``, keeping at most
-    ``_kept_levels`` levels: 64 at a time through ``_batch_reach``, or one
-    BFS row and one ``_sweep`` each. Stops once every vertex is covered
-    (the union cannot grow after that); the first batch always runs, so a
-    disconnected graph is reported.
+    The members go through ``_source_schedule``, the probe keeping at most
+    ``_kept_levels`` levels, so a later batch fewer than twice as many: a
+    batch at a time through ``_batch_reach``, or one BFS row and one
+    ``_sweep`` each. Stops once every vertex is covered (the union cannot
+    grow after that); the probe always runs, so a disconnected graph is
+    reported.
     """
-    import numpy as np
-
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    members = np.zeros(g.n, dtype=bool)
-    members[list(vs)] = True
-    covered = members.copy()
-    targets = np.where(members, ~np.uint64(0), np.uint64(0))
+    members = bytearray(g.n)
+    for v in vs:
+        members[v] = 1
+    covered, cap = members, _kept_levels(g)
     for reach in _source_schedule(
         g, vs.members,
-        lambda _, levels: _batch_reach(g, targets, levels),
-        lambda row, _: np.frombuffer(_sweep(g, row, vs), dtype=bool),
-        cap=_kept_levels(g),
+        lambda _, levels: _batch_reach(g, members, levels),
+        lambda row, _: _sweep(g, row, vs),
+        cap=cap,
+        width=_batch_width(g.n, 2 * cap),
     ):
-        covered |= reach
-        if covered.all():
+        covered = bytearray(map(operator.or_, covered, reach))
+        if all(covered):
             break
-    return VertexSet(tuple(np.flatnonzero(covered).tolist()), g.n)
+    return _flagged(covered)
 
 
-def _batch_reach(g: Graph, targets: np.ndarray, levels: Iterable) -> np.ndarray:
-    """Mask of the vertices on a geodesic from a source of the level
-    words ``levels`` to a vertex whose ``targets`` word is all ones.
+def _batch_reach(g: Graph, members: bytearray, levels: Iterable) -> bytearray:
+    """Flags of the vertices on a geodesic from a source of the level ints
+    ``levels`` to a vertex flagged in ``members``.
 
-    Bit i of ``reach[v]`` marks v as lying on such a geodesic from
-    source i. One sweep over the level words, from the far end back, sets
-    it where v is a target or a neighbour one level farther has it.
+    Bit i of ``reach[v]`` marks v as lying on such a geodesic from source
+    i. One sweep over the levels, from the far end back, sets it where v
+    is in level d of source i and is a member or has a neighbour with bit
+    i set in the levels already swept (not in its own, no step farther).
     """
-    levels = [level for level, _ in levels]
-    reach = levels[-1] & targets
-    for level in reversed(levels[:-1]):
-        reach |= level & (targets | _neighbour_or(g, reach))
-    return reach != 0
+    adjacency, vertices, reach = g._adjacency, list(range(g.n)), [0] * g.n
+    farther = partial(map, reach.__getitem__)
+    for level, _ in reversed(list(levels)):
+        gains = [
+            bits if member else bits & reduce(operator.or_, farther(neighbours), 0)
+            for neighbours, bits, member in zip(
+                compress(adjacency, level), filter(None, level), compress(members, level)
+            )
+        ]
+        for v, gain in zip(compress(vertices, level), gains):
+            reach[v] |= gain
+    return bytearray(map(bool, reach))
 
 
-def _gx_of_sources(g: Graph, sources: Sequence[int]) -> np.ndarray:
-    """gx of each source, in order, from ``_source_schedule``: 64 sources
-    at a time through ``_gx_of_levels``, or the boundary flags of one BFS
-    row each."""
-    import numpy as np
-
-    return np.hstack(list(_source_schedule(
+def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
+    """gx of each source, in order, from ``_source_schedule``: a batch at a
+    time through ``_gx_of_levels``, or the boundary flags of one BFS row
+    each."""
+    return list(chain.from_iterable(_source_schedule(
         g, sources, partial(_gx_of_levels, g),
-        lambda _, flags: flags.count(1),
+        lambda _, flags: (flags.count(1),),
         cap=g.n,  # no BFS has more than n levels
+        width=_batch_width(g.n, 4),
     )))
 
 
-def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> np.ndarray:
-    """gx of each source of ``batch`` from its level words ``levels``.
+def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> list[int]:
+    """gx of each source of ``batch`` from its level ints ``levels``.
 
     A vertex is in the boundary of a source unless a neighbour lies one
-    level farther. The spread of level d, masked by the levels before d,
-    marks exactly the vertices of level d - 1 with such a neighbour, so
-    the OR of those masks over all levels is the interior word; gx of
-    source i is n minus the number of vertices with interior bit i set.
+    level farther. The spread of level d, masked by level d - 1, marks
+    exactly the vertices of level d - 1 with such a neighbour, so the OR
+    of those masks over all levels is the interior int. A bit-sliced
+    counter adds up the interior ints: bit i of ``counts[j]`` is bit j of
+    the number of interior vertices of source i, and gx of source i is n
+    minus that number.
     """
-    import numpy as np
-
-    interior = np.zeros(g.n, dtype=np.uint64)
-    before = np.zeros(g.n, dtype=np.uint64)
+    vertices, interior, previous = list(range(g.n)), [0] * g.n, [0] * g.n
     for level, spread in levels:
-        interior |= spread & before
-        before |= level
-    bits = np.unpackbits(interior.astype("<u8").view(np.uint8), bitorder="little")
-    return g.n - bits.reshape(g.n, _WORD_BITS).sum(axis=0)[: len(batch)]
+        for v, bits in zip(compress(vertices, previous), filter(None, previous)):
+            interior[v] |= spread[v] & bits
+        previous = level
+    counts: list[int] = []
+    for carry in interior:
+        for j, count in enumerate(counts):
+            if not carry:
+                break
+            counts[j], carry = count ^ carry, count & carry
+        else:
+            if carry:
+                counts.append(carry)
+    gx = [g.n] * len(batch)
+    for j, count in enumerate(counts):
+        bits = map(int, reversed(f"{count:0{len(batch)}b}"))
+        gx = [size - (bit << j) for size, bit in zip(gx, bits)]
+    return gx
 
 
 def is_geodetic(g: Graph, s: "VertexSet | Iterable[int]") -> bool:

@@ -67,7 +67,6 @@ def reference_graph(
     g.labels = labels
     g._index = index
     g._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in neighbor_sets)
-    g._csr_arrays = None
     g.edge_count = sum(len(a) for a in g._adjacency) // 2
     return g, [frozenset(nbrs) for nbrs in neighbor_sets]
 
@@ -123,14 +122,6 @@ def loop_product(
     return ProductGraph(g, h, pg, tuple(pairs)), sets
 
 
-def reference_csr(nbrs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays (flat, offsets) of the neighbour lists nbrs: the
-    neighbours of v run from flat[offsets[v]] to the next offset."""
-    flat = np.array([w for a in nbrs for w in a], dtype=np.intp)
-    offsets = np.cumsum([0] + [len(a) for a in nbrs[:-1]], dtype=np.intp)
-    return flat, offsets
-
-
 def reference_adjacency(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
     """The dense adjacency of the neighbour lists nbrs: adj[v, w] is
     whether w is a neighbour of v."""
@@ -142,15 +133,12 @@ def reference_adjacency(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
 
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
     """got against a reference graph and its neighbour sets: labels, the
-    neighbour tuples a BFS reads, the CSR the word walk derives from them,
-    edges, has_edge, equality and hash."""
+    neighbour tuples a BFS and the word walk read, edges, has_edge,
+    equality and hash."""
     assert got.labels == want.labels
     assert got.edge_count == want.edge_count
     nbrs = [tuple(sorted(s)) for s in want_sets]
     assert [got.neighbors(v) for v in range(got.n)] == nbrs
-    for name, got_array, array in zip(("flat", "offsets"), got._csr(), reference_csr(nbrs)):
-        assert got_array.dtype == np.intp and np.array_equal(got_array, array), name
-        assert not got_array.flags.writeable, name
     assert list(got.edges()) == [
         (u, v) for u in range(want.n) for v in sorted(want_sets[u]) if u < v
     ]

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 ORACLES = "src/geodom/oracles.py"
 BITMASKS = "src/geodom/bitmasks.py"
+GRAPH = "src/geodom/graph.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
 SWEEP_FAILURES = "tests/test_oracles.py::test_sweep_failures_match_the_loop"
 
@@ -148,6 +149,41 @@ MUTANTS = (
         "_POPCOUNT[simp] > min_simplicial",
         "tests/test_oracles.py::test_search_matches_the_loop",
         "_first_counterexample wants more simplicial vertices than asked",
+    ),
+    Mutant(
+        GRAPH,
+        "spread[w] &= ~(level[w] | before[w])",
+        "spread[w] &= ~level[w]",
+        "tests/test_graph.py::test_word_budget_picks_words_or_rows",
+        "_level_words keeps the bits of the level before in the next level",
+    ),
+    Mutant(
+        GRAPH,
+        "interior[v] |= spread[v] & bits",
+        "interior[v] |= spread[v]",
+        "tests/test_graph.py::test_schedule_gives_each_source_its_gx_on_words_and_rows",
+        "_gx_of_levels counts a vertex as interior with a neighbour in any level",
+    ),
+    Mutant(
+        GRAPH,
+        "counts[j], carry = count ^ carry, count & carry",
+        "counts[j], carry = count ^ carry, 0",
+        "tests/test_graph.py::test_min_gx_vertex_across_words",
+        "_gx_of_levels drops the counter's carries",
+    ),
+    Mutant(
+        GRAPH,
+        "islice(walk, min(_word_budget(g, len(probe)), cap))",
+        "islice(walk, min(_word_budget(g, len(probe)), cap) - 1)",
+        "tests/test_graph.py::test_probe_falls_back_one_level_past_its_budget",
+        "_source_schedule falls back one level before the probe's budget",
+    ),
+    Mutant(
+        GRAPH,
+        "return min(n, max(_PROBE_WIDTH, _WALK_BITS // (lists * n)))",
+        "return max(_PROBE_WIDTH, _WALK_BITS // (lists * n))",
+        "tests/test_graph.py::test_batch_width_comes_from_n_and_the_memory_constant",
+        "_batch_width is not capped at n",
     ),
 )
 

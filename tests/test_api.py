@@ -123,11 +123,13 @@ def test_every_vertex_argument_is_an_index(call):
 
 
 def test_only_graph_knows_how_a_distance_row_is_made():
-    # the stored neighbour tuples, the CSR the word walk derives from them
-    # and the BFS over them stay inside graph.py; every other module takes
-    # its rows from _distance_rows or bfs_distances, and reads the graph
-    # through edges() and neighbors(). Importing __main__ would run the
-    # command line.
+    # the stored neighbour tuples, the only stored form of a graph, and the
+    # BFS and the word walk over them stay inside graph.py; every other
+    # module takes its rows from _distance_rows or bfs_distances, and reads
+    # the graph through edges() and neighbors(). No module derives a CSR.
+    # graph.py imports numpy only in bfs_distances, which returns an array,
+    # and boundary.py not at all. Importing __main__ would run the command
+    # line.
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     assert {"graph", "boundary", "products", "cli", "oracles", "bitmasks"} <= set(names)
     for name in names:
@@ -135,9 +137,17 @@ def test_only_graph_knows_how_a_distance_row_is_made():
         source = inspect.getsource(module)
         assert hasattr(module, "_bfs_row") == (name == "graph"), name
         assert ("_adjacency" in source) == (name == "graph"), name
-        # _csr the name, not the cache _csr_arrays
-        assert bool(re.search(r"\b_csr\b", source)) == (name == "graph"), name
-        assert ("reduceat" in source) == (name == "graph"), name
+        assert "_csr" not in source and "reduceat" not in source, name
+        if name in ("graph", "boundary"):
+            imports = re.findall(r"^\s*(?:import|from) numpy\b.*$", source, re.M)
+            assert imports == (["    import numpy as np"] if name == "graph" else []), name
+    numpy_users = {
+        f.__name__
+        for f in vars(importlib.import_module("geodom.graph")).values()
+        if inspect.isfunction(f) and f.__module__ == "geodom.graph"
+        and "import numpy" in inspect.getsource(f)
+    }
+    assert numpy_users == {"bfs_distances"}
 
 
 def test_only_graph_schedules_the_word_walk():
@@ -145,8 +155,8 @@ def test_only_graph_schedules_the_word_walk():
     # module walks level words, reads their bits or the level budgets
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     scheduling = (
-        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_WORD_BITS",
-        "_gx_of_levels",
+        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_PROBE_WIDTH",
+        "_WALK_BITS", "_batch_width", "_gx_of_levels", "_batch_reach",
     )
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
@@ -154,15 +164,17 @@ def test_only_graph_schedules_the_word_walk():
         assert holds == (set(scheduling) if name == "graph" else set()), name
 
 
-def test_products_and_oracles_never_derive_the_csr(monkeypatch):
+def test_products_and_oracles_never_walk_levels(monkeypatch):
     # product() takes the factor edges from edges(), and the oracle stage
     # fills its bitmasks from neighbors() and reads them as its own
-    # adjacency, down to the report line of a failing source: only the word
-    # walk reads Graph._csr
-    def no_csr(g):
-        raise AssertionError("only the word walk derives the CSR")
+    # adjacency, down to the report line of a failing source: neither runs
+    # the word walk or its schedule
+    def no_walk(*args, **kwargs):
+        raise AssertionError("only the all-source passes walk levels")
 
-    monkeypatch.setattr(Graph, "_csr", no_csr)
+    graph = importlib.import_module("geodom.graph")
+    monkeypatch.setattr(graph, "_level_words", no_walk)
+    monkeypatch.setattr(graph, "_source_schedule", no_walk)
     p3, c4 = path_graph(3), cycle_graph(4)
     edge_counts = {"cartesian": 20, "lexicographic": 44, "strong": 36}
     for kind, m in edge_counts.items():

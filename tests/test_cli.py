@@ -965,8 +965,9 @@ def _peak_rss_kb(argv):
 def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
     # two random 40-vertex factors: keeping every report peaked 35 MB above
     # a trivial command in strong JSON, about 73 MB of output. The trivial
-    # command is `closure`, which loads numpy, as the product layer does;
-    # `boundary` no longer loads it
+    # command is `product` of two 2-vertex paths, which loads numpy and the
+    # product layer as product-verify does; the single-source commands,
+    # `closure` and `geodetic-heuristic` no longer load numpy
     from geodom import emit_graph, random_connected_graph
 
     paths = []
@@ -975,7 +976,9 @@ def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
         path.write_text(emit_graph(random_connected_graph(40, 0.08, seed)))
         paths.append(str(path))
     g, h = paths
-    code, floor = _peak_rss_kb(["closure", "--graph", g, "--set", "v00"])
+    p2 = tmp_path / "p2.txt"
+    p2.write_text("a b\n")
+    code, floor = _peak_rss_kb(["product", "--kind", "strong", "--g", str(p2), "--h", str(p2)])
     assert code == 0
     argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"]
     code, peak = _peak_rss_kb(argv)
@@ -1032,8 +1035,9 @@ sys.stderr.write(" ".join(sorted(loaded)))
 
 
 _ORACLE_COMMANDS = {"oracle-gx", "oracle-geodetic", "verify-theorems", "find-counterexample"}
-# one BFS from x answers these, with no numpy
-_SINGLE_SOURCE_COMMANDS = {"boundary", "gx", "check"}
+# one BFS from x answers the first three, and the word walk on Python ints
+# the other two, with no numpy
+_NUMPY_FREE_COMMANDS = {"boundary", "gx", "check", "closure", "geodetic-heuristic"}
 
 
 @pytest.mark.parametrize(
@@ -1058,10 +1062,8 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
         unloaded = {"oracles", "bitmasks"}
     elif argv[0] in _ORACLE_COMMANDS:
         unloaded = {"products"}
-    elif argv[0] in _SINGLE_SOURCE_COMMANDS:
-        unloaded = {"oracles", "bitmasks", "products", "numpy"}
     else:
-        unloaded = {"oracles", "bitmasks", "products"}
+        unloaded = {"oracles", "bitmasks", "products", "numpy"}
     path = tmp_path / "p4.txt"
     path.write_text(P4_TEXT)
     proc = subprocess.run(
@@ -1074,28 +1076,32 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
     loaded = {name.removeprefix("geodom.") for name in proc.stderr.split()}
     assert {"graph", "boundary", "cli"} <= loaded, proc.stderr
     assert not loaded & unloaded
-    assert ("numpy" in loaded) == (argv[0] not in _SINGLE_SOURCE_COMMANDS)
+    assert ("numpy" in loaded) == (argv[0] not in _NUMPY_FREE_COMMANDS)
 
 
 _LIBRARY_LOADS = """
 import sys
 import geodom
-from geodom import Graph, boundary, emit_graph, interval, is_x_geodominating, parse_graph
+from geodom import (
+    Graph, boundary, emit_graph, geodetic_closure, interval, is_x_geodominating, min_gx_vertex,
+    parse_graph,
+)
 g = parse_graph("a b\\nb c\\nc d\\n")
 h = Graph([("a", "b"), ("b", "c")])
 assert parse_graph(emit_graph(g)) == g
 print(g.labels_of(boundary(g, 1)), is_x_geodominating(g, 0, [3]).is_geodominating)
-print(list(interval(h, 0, 2)), "numpy" in sys.modules)
+print(list(interval(h, 0, 2)), list(geodetic_closure(g, [0, 3])), min_gx_vertex(g))
+print("numpy" in sys.modules)
 """
 
 
 def test_single_source_library_calls_load_no_numpy():
-    # the same calls as the single-source commands, through the package
+    # the same calls as the numpy-free commands, through the package
     proc = subprocess.run(
         [sys.executable, "-c", _LIBRARY_LOADS], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['a', 'd'] True\n[0, 1, 2] False\n"
+    assert proc.stdout == "['a', 'd'] True\n[0, 1, 2] [0, 1, 2, 3] (0, 1)\nFalse\n"
 
 
 def test_find_counterexample_json_round_trips(capsys):

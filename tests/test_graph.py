@@ -392,7 +392,7 @@ def test_closure_matches_direct_computation(g, data):
 
 
 # ---------------------------------------------------------------------------
-# bit-parallel BFS across 64-bit word boundaries
+# bit-parallel BFS across the probe's 64 sources and the batches after it
 
 
 @pytest.fixture(scope="module", params=[63, 64, 65, 129])
@@ -415,7 +415,7 @@ def test_min_gx_vertex_across_words(word_graph):
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     best = min(sizes)
     assert min_gx_vertex(g) == (sizes.index(best), best)
-    # move a minimiser to each side of every word boundary
+    # move a minimiser to each side of every batch boundary
     x = sizes.index(best)
     for t in sorted({0, 62, 63, 64, 65, 127, 128} & set(range(g.n))):
         moved = sizes.copy()
@@ -434,7 +434,7 @@ def test_closure_across_words(word_graph):
 def test_closure_second_word_adds_coverage():
     # a star on v000..v063 hangs off h = v064, which joins a = v065 and
     # b = v066; w = v067 is a second a-b geodesic. Every geodesic from the
-    # first 64 members to a member stops before w, so only the second word
+    # first 64 members to a member stops before w, so only the second batch
     # (sources a and b) covers it.
     star = [(0, i) for i in range(1, 64)]
     edges = [*star, (0, 64), (64, 65), (64, 66), (65, 67), (66, 67)]
@@ -464,54 +464,53 @@ def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
     real_row = graph._bfs_row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
-        # full words always fit; a short last word may take rows
-        assert gx_of_sources(g, sources).tolist() == want
-        assert rows in ([], sources[(size - 1) // 64 * 64:])
-        rows.clear()
+        # the probe fits its budget, and no batch after it falls back
+        assert gx_of_sources(g, sources) == want
+        assert rows == []
         mp.setattr(graph, "_word_budget", lambda g, k: 0)
-        assert gx_of_sources(g, sources).tolist() == want
+        assert gx_of_sources(g, sources) == want
         assert rows == sources
 
 
 def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     # rows counts the BFS rows by source, builds the adjacency builds, and
-    # csr the CSR arrays derived from the stored neighbour tuples: once a
-    # graph is built, no call builds an adjacency again, and the word walk
-    # derives a graph's CSR at most once, however many calls read it
-    rows, builds, csr = [], [], []
+    # walks the sources of each batch the word walk takes: once a graph is
+    # built, no call builds an adjacency again
+    rows, builds, walks = [], [], []
     graph = sys.modules["geodom.graph"]
-    real_row, real_build, real_csr = graph._bfs_row, Graph._build, Graph._csr
-
-    def counted_csr(g):
-        if g._csr_arrays is None:
-            csr.append(g.n)
-        return real_csr(g)
-
+    real_row, real_build, real_walk = graph._bfs_row, Graph._build, graph._level_words
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(Graph, "_build", lambda g, *a: builds.append(g) or real_build(g, *a))
-    monkeypatch.setattr(Graph, "_csr", counted_csr)
-    # a shallow graph runs full words on words; a lone source in the last
-    # word may take no more than (n + m) / n levels, so it takes a row
+    monkeypatch.setattr(
+        graph, "_level_words", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+    )
+    # a shallow graph runs every source on the walk: a probe of 64 that
+    # fits its budget, then the rest in one batch, since n x n bits are far
+    # below the memory constant
     g, dist = word_graph
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
-    assert rows == {63: [], 64: [], 65: [64], 129: [128]}[g.n]
-    rows.clear()
+    assert rows == []
+    assert walks == [list(range(min(g.n, 64))), list(range(64, g.n))][: 1 + (g.n > 64)]
+    walks.clear()
     assert len(geodetic_closure(g, range(g.n))) == g.n
-    assert rows == builds == [] and csr in ([], [g.n])
-    # a path of 150 is deeper than 64 words may go (64 x 299 / 150 = 127
+    assert rows == builds == []
+    assert walks[0] == list(range(min(g.n, 64)))
+    # a path of 150 is deeper than the probe may go (64 x 299 / 150 = 127
     # levels, and the closure keeps 4 x 448 / 150 = 11), so every source
-    # and every member takes its own row, each from the stored tuples
+    # and every member takes its own row, each from the stored tuples, and
+    # the walk runs the probe alone
     p = path_graph(150)
     builds.clear()
-    csr.clear()
+    walks.clear()
     assert min_gx_vertex(p) == (0, 1)
-    assert rows == list(range(150))
+    assert rows == list(range(150)) and walks == [list(range(64))]
     rows.clear()
+    walks.clear()
     members = list(range(5, 140, 2))
     assert set(geodetic_closure(p, members)) == set(range(5, 140))
-    assert rows == members and builds == [] and csr == [150]
-    # a 12 x 12 grid is shallow enough for 64 words (64 x 408 / 144 = 181
+    assert rows == members and builds == [] and walks == [members[:64]]
+    # a 12 x 12 grid is shallow enough for the probe (64 x 408 / 144 = 181
     # levels), but the closure keeps at most 4 x 672 / 144 = 18 levels and
     # the corner member 0 is 22 levels deep: it takes rows, and the first
     # row, from corner to corner, covers the grid
@@ -524,9 +523,64 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     )
     rows.clear()
     builds.clear()
-    csr.clear()
-    assert len(geodetic_closure(grid, [*range(0, 144, 2), 143])) == 144
-    assert rows == [0] and builds == [] and csr == [144]
+    walks.clear()
+    grid_members = [*range(0, 144, 2), 143]
+    assert len(geodetic_closure(grid, grid_members)) == 144
+    assert rows == [0] and builds == [] and walks == [grid_members[:64]]
+
+
+@pytest.mark.parametrize("n, on_rows", [(127, False), (128, True)])
+def test_probe_falls_back_one_level_past_its_budget(n, on_rows, monkeypatch):
+    # the probe from the first 64 vertices of a path of n takes n levels,
+    # and its budget is 64 x (2n - 1) // n = 127 levels: a path of 127
+    # fits, and on a path of 128 every source takes a row
+    rows = []
+    graph = sys.modules["geodom.graph"]
+    real_row = graph._bfs_row
+    monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
+    p = path_graph(n)
+    assert graph._word_budget(p, 64) == 127
+    assert graph._gx_of_sources(p, range(n)) == [1, *[2] * (n - 2), 1]
+    assert rows == (list(range(n)) if on_rows else [])
+
+
+def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
+    # after the probe, a batch whose step holds `lists` n-entry lists of
+    # ints takes _WALK_BITS // (lists x n) sources, at least the probe's 64
+    # and at most n: four lists for gx, and for the closure twice the
+    # levels its probe may keep, 2 x 24 on a sparse graph of average
+    # degree 5
+    graph = sys.modules["geodom.graph"]
+    assert graph._WALK_BITS == 4 * 10**8
+    widths = [graph._batch_width(n, 4) for n in (1, 63, 2000, 10000, 10001, 100000, 10**6, 10**7)]
+    assert widths == [1, 63, 2000, 10000, 9999, 1000, 100, 64]
+    assert [graph._batch_width(n, 48) for n in (2000, 4000, 100000)] == [2000, 2083, 83]
+    # with a smaller constant, the 86 sources after the probe of a
+    # 150-vertex graph go in batches of the constant // (4 x 150), and of
+    # 64 when that is fewer
+    g = random_connected_graph(150, edge_probability=3 / 150, seed=150)
+    want = graph._gx_of_sources(g, range(150))
+    walks = []
+    real_walk = graph._level_words
+    monkeypatch.setattr(
+        graph, "_level_words", lambda g, batch: walks.append(len(batch)) or real_walk(g, batch)
+    )
+    for width, batches in ((150, [64, 86]), (40, [64, 64, 22]), (80, [64, 80, 6])):
+        monkeypatch.setattr(graph, "_WALK_BITS", 4 * 150 * width)
+        walks.clear()
+        assert graph._gx_of_sources(g, range(150)) == want
+        assert walks == batches, width
+
+
+@given(connected_graphs(), st.data())
+def test_closure_on_rows_matches_direct_computation(g, data):
+    # with no level budget the probe hands the closure's word step no
+    # levels, and every member takes a BFS row and a sweep
+    members = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["geodom.graph"], "_word_budget", lambda g, k: 0)
+        got = set(geodetic_closure(g, members))
+    assert got == direct_closure(floyd_warshall(g), members, g.n)
 
 
 DISCONNECTED = {

@@ -1,3 +1,4 @@
+import sys
 import weakref
 from dataclasses import fields
 from itertools import chain, permutations
@@ -371,15 +372,15 @@ def test_stream_yields_every_base_in_request_order():
 @pytest.mark.parametrize("bases", [None, [(2, 1), (0, 3), (2, 1)]])
 def test_reports_build_no_adjacency(monkeypatch, bases):
     # the factors' rows and boundaries come from the neighbour tuples each
-    # factor stored when it was built: no call builds an adjacency or
-    # derives a CSR, whatever the bases
+    # factor stored when it was built: no call builds an adjacency or runs
+    # the word walk, whatever the bases
     g, h = path_graph(["a", "b", "c"]), path_graph(["1", "2", "3", "4"])
 
     def no_build(*args):
         raise AssertionError("product reports must read the stored neighbour tuples")
 
     monkeypatch.setattr(Graph, "_build", no_build)
-    monkeypatch.setattr(Graph, "_csr", no_build)
+    monkeypatch.setattr(sys.modules["geodom.graph"], "_level_words", no_build)
     for kind in KINDS:
         assert [rep.base for rep in product_reports(kind, g, h, bases)] == (
             bases or [(x, y) for x in range(3) for y in range(4)]
