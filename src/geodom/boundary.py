@@ -30,6 +30,7 @@ from .graph import (
     _flagged,
     _gx_of_sources,
     _sweep,
+    is_geodetic,
 )
 
 __all__ = [
@@ -101,10 +102,12 @@ def geodetic_from_boundary(g: Graph) -> VertexSet:
     """Geodetic set of size (min over x of gx) + 1: the boundary of a
     minimizing vertex together with that vertex itself."""
     x, _ = min_gx_vertex(g)
-    return _boundary_with_source(g, x)
+    return _boundary_with_source(g, x)[0]
 
 
-def _boundary_with_source(g: Graph, x: int) -> VertexSet:
-    """The boundary of x together with x itself: a geodetic set of size
-    gx + 1, since every vertex lies on a geodesic from x to the boundary."""
-    return VertexSet.of([*boundary(g, x), x], g.n)
+def _boundary_with_source(g: Graph, x: int) -> tuple[VertexSet, bool]:
+    """The boundary of x together with x itself, and whether that set is
+    geodetic: it is when the boundary x-geodominates, else the closure says."""
+    members, chk = _boundary_and_coverage(g, x)
+    s = VertexSet.of([*members, x], g.n)
+    return s, chk.is_geodominating or is_geodetic(g, s)

@@ -8,16 +8,17 @@ across runs for identical inputs and seeds. Exit codes: 0 success,
 1 property-check failure, 2 input error.
 
 product-verify checks every input before it makes a report, the factors
-before the base, then takes the reports one base layer at a time. Its
-factor rows come from graph.py's BFS over each factor's stored neighbour
-tuples. JSON writes each row as it is
-made, and plain keeps only its FAIL lines, since its summary comes
-first. If the reader closes stdout early, main makes the remaining rows
-unwritten, so the exit code is a full run's.
+before the base, then takes the reports one base at a time. Its factor
+rows come from graph.py's BFS over each factor's stored neighbour
+tuples, and each report's vertex sets are int masks over the product
+cells, whose labels ``products._picked`` reads in row-major order. JSON
+writes each row as it is made, and plain keeps only its FAIL lines,
+since its summary comes first. If the reader closes stdout early, main
+makes the remaining rows unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
-so a command loads only the layers it runs; numpy is one of them, and
-boundary, gx, check, closure and geodetic-heuristic never load it. The oracle handlers hand the
+so a command loads only the layers it runs. Only the oracle layer loads
+numpy; every other command runs without it. The oracle handlers hand the
 graph and --cap to the brute-force searches, which refuse a --cap over
 20 or an over-cap graph before any distance work and compute distances
 with their own BFS.
@@ -33,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boundary import (
     _boundary_and_coverage,
@@ -48,13 +49,9 @@ from .graph import (
     VertexSet,
     emit_graph,
     geodetic_closure,
-    is_geodetic,
     parse_graph,
 )
 from .jsonout import Encoded, _write_json
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["main"]
 
@@ -189,32 +186,8 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
     )
 
 
-def _cell_labels(g: Graph, h: Graph, mask: np.ndarray) -> list[str]:
-    """Pair labels of the cells set in an (n_G, n_H) report mask, in
-    row-major order: factor label order, which is not always the string
-    order of the pair labels ("(a+,x)" < "(a,x)")."""
-    from .products import pair_label
-
-    gl, hl = g.labels, h.labels
-    rows, cols = mask.nonzero()
-    return [pair_label(gl[a], hl[b]) for a, b in zip(rows.tolist(), cols.tolist())]
-
-
-def _label_grid(g: Graph, h: Graph, mask: np.ndarray, escape: bool) -> np.ndarray:
-    """Object array shaped like the pair grid, holding the label of each
-    cell set in mask (JSON-escaped when asked) and None elsewhere."""
-    import numpy as np
-
-    labels = _cell_labels(g, h, mask)
-    grid = np.empty(mask.shape, dtype=object)
-    grid[mask] = list(map(encode_basestring_ascii, labels)) if escape else labels
-    return grid
-
-
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
-    import numpy as np
-
-    from .products import ProductReport, _stream_reports, pair_label
+    from .products import ProductReport, _picked, _stream_reports, pair_label
 
     g = _load_graph(args.g)
     h = _load_graph(args.h)
@@ -243,31 +216,37 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
 
     reports = tallied(stream)
     gl, hl = g.labels, h.labels
+    # the factor label pair of each cell, in mask bit order
+    pairs = [(a, b) for a in gl for b in hl]
 
     def base_label(rep: ProductReport) -> str:
         return pair_label(gl[rep.base[0]], hl[rep.base[1]])
 
-    # labels are formatted only for the cells the output names
+    # labels are formatted only for the cells the output names: all of them
+    # in JSON, the sets of the one base, or the witnesses of FAIL lines
     if args.base is not None:
         reports = list(reports)
         (rep,) = reports
         shown = rep.actual | rep.lower | rep.upper
     else:
-        shown = np.ones((g.n, h.n), dtype=bool)
+        shown = (1 << len(pairs)) - 1 if args.format == "json" else 0
+    escape = encode_basestring_ascii if args.format == "json" else str
+    grid: list = [None] * len(pairs)
+    for p in _picked(range(len(pairs)), shown):
+        grid[p] = escape(pair_label(*pairs[p]))
     # only the output format asked for is built
     if args.format == "json":
-        escaped = _label_grid(g, h, shown, escape=True)
         out.result["bases"] = (
             {
                 "base": base_label(rep),
-                "actual": Encoded(escaped[rep.actual].tolist()),
-                "lower": Encoded(escaped[rep.lower].tolist()),
-                "upper": Encoded(escaped[rep.upper].tolist()),
+                "actual": Encoded(_picked(grid, rep.actual)),
+                "lower": Encoded(_picked(grid, rep.lower)),
+                "upper": Encoded(_picked(grid, rep.upper)),
                 "containments_hold": rep.containments_hold,
                 "upper_strict": rep.upper_strict,
                 "witnesses": None
                 if rep.witnesses is None
-                else Encoded(escaped[rep.witnesses].tolist()),
+                else Encoded(_picked(grid, rep.witnesses)),
                 "gx": rep.gx,
                 "gx_lower": rep.gx_lower,
                 "gx_upper": rep.gx_upper,
@@ -276,19 +255,18 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             for rep in reports
         )
     elif args.base is not None:
-        grid = _label_grid(g, h, shown, escape=False)
         out.lines = [
             f"base: {base_label(rep)}",
-            "actual boundary: " + " ".join(grid[rep.actual].tolist()),
-            "lower bound: " + " ".join(grid[rep.lower].tolist()),
-            "upper bound: " + " ".join(grid[rep.upper].tolist()),
+            "actual boundary: " + " ".join(_picked(grid, rep.actual)),
+            "lower bound: " + " ".join(_picked(grid, rep.lower)),
+            "upper bound: " + " ".join(_picked(grid, rep.upper)),
             f"containments hold: {_yesno(rep.containments_hold)}",
             f"upper bound strict: {_yesno(rep.upper_strict)}",
             f"gx: {rep.gx} {'within' if rep.gx_holds else 'outside'} "
             f"[{rep.gx_lower}, {rep.gx_upper}]",
         ]
         if rep.witnesses is not None:
-            out.lines.insert(5, "witnesses: " + " ".join(grid[rep.witnesses].tolist()))
+            out.lines.insert(5, "witnesses: " + " ".join(_picked(grid, rep.witnesses)))
     else:
         # the summary comes first but needs every report: keep the FAIL lines
         fails = []
@@ -299,7 +277,7 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
                 continue
             base = base_label(rep)
             if not rep.containments_hold:
-                witnesses = " ".join(_cell_labels(g, h, rep.witnesses))
+                witnesses = " ".join(pair_label(*p) for p in _picked(pairs, rep.witnesses))
                 fails.append(f"FAIL base {base}: witnesses {witnesses}")
             if not rep.gx_holds:
                 fails.append(
@@ -318,8 +296,8 @@ def _heuristic(g: Graph) -> tuple[int, int, VertexSet, bool, bool]:
     """The least-gx source x, its gx, the set boundary(x) + x, whether
     that set is geodetic and whether its size is gx + 1."""
     x, min_gx = min_gx_vertex(g)
-    s = _boundary_with_source(g, x)
-    return x, min_gx, s, is_geodetic(g, s), len(s) == min_gx + 1
+    s, geodetic = _boundary_with_source(g, x)
+    return x, min_gx, s, geodetic, len(s) == min_gx + 1
 
 
 def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:

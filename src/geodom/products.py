@@ -8,14 +8,21 @@ distances from one base (x, y), from the factor rows of x and y.
 ``product_reports`` never builds the product. Since the boundary of a
 source is its unique minimum geodominating set, the boundary of a base
 (x, y) and its gx follow from the factors alone: one BFS row per distinct
-x in G and y in H, and the factor boundary masks bg, bh of those rows,
-which the BFS of graph.py flags as it makes them (``_factor_rows``);
-this module never sees the neighbour tuples.
+x in G and y in H, and the factor boundaries of those rows, which the
+BFS of graph.py flags as it makes them (``_factor_masks``); this module
+never sees the neighbour tuples.
+Every vertex set of a report is one Python int over the product cells:
+bit a * n_H + b stands for the product vertex (a, b), so bit order is
+row-major order, and ``_picked`` reads the set bits in that order. The
+cell set S x T (a in S, b in T) is the product ``spread(S) * T``, where
+``spread(S)`` puts bit a of S at bit a * n_H; no carries arise, since
+T < 2^n_H. So each report is a few big-int products and ORs over the
+factor masks (``_boundary_masks``), and nothing here loads numpy.
 Its reports come from ``_stream_reports``, which checks every input
 before it returns, then yields one report per requested base, in request
-order: each run of consecutive bases with the same x is one array pass,
-so a caller that writes each report and drops it holds one run's masks,
-not all.
+order: each run of consecutive bases with the same x shares x's row and
+its spread level masks, and a caller that writes each report and drops
+it holds one report's masks, not all.
 With d_G, d_H the factor distances from x and y:
 
 - cartesian (d = d_G + d_H): exactly bg x bh;
@@ -48,11 +55,11 @@ records.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .graph import (
     DisconnectedError,
@@ -70,6 +77,8 @@ __all__ = [
     "product_distance",
     "product_reports",
 ]
+
+_T = TypeVar("_T")
 
 
 class ProductKind(str, Enum):
@@ -125,45 +134,57 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     """
     kind = _as_kind(kind)
     _require_product_factors(g, h)
-    nh, layers, same = h.n, np.arange(g.n), np.arange(h.n)
-    # each edge once, as index arrays (tails, heads) with tail < head
-    g_tails, g_heads = np.array([*g.edges()], dtype=np.intp).reshape(-1, 2).T
-    h_tails, h_heads = np.array([*h.edges()], dtype=np.intp).reshape(-1, 2).T
+    nh, g_edges, h_edges = h.n, [*g.edges()], [*h.edges()]
+    # the pairs (c, d) of second coordinates that each edge ab of G joins
+    # as (a, c) to (b, d)
     if kind is ProductKind.CARTESIAN:
-        rel_c, rel_d = same, same
+        rel = [(c, c) for c in range(nh)]
     elif kind is ProductKind.STRONG:
-        rel_c, rel_d = np.r_[same, h_tails, h_heads], np.r_[same, h_heads, h_tails]
+        rel = [(c, c) for c in range(nh)] + h_edges + [(d, c) for c, d in h_edges]
     else:
-        rel_c, rel_d = np.repeat(same, nh), np.tile(same, nh)
-    # (a, c) is a * nh + c until the builder sorts the pair labels. All kinds copy H
-    # into each layer; each edge ab of G joins (a, c) to (b, d) for (c, d) in rel
-    tails = np.r_[(layers[:, None] * nh + h_tails).ravel(), (g_tails[:, None] * nh + rel_c).ravel()]
-    heads = np.r_[(layers[:, None] * nh + h_heads).ravel(), (g_heads[:, None] * nh + rel_d).ravel()]
+        rel = [(c, d) for c in range(nh) for d in range(nh)]
+    rel_c, rel_d = [c for c, _ in rel], [d for _, d in rel]
+    # (a, c) is a * nh + c until the builder sorts the pair labels; every
+    # kind also copies H into each layer
+    layers = range(0, g.n * nh, nh)
+    tails = [a + c for a in layers for c, _ in h_edges]
+    heads = [a + d for a in layers for _, d in h_edges]
+    tails += [a * nh + c for a, _ in g_edges for c in rel_c]
+    heads += [b * nh + d for _, b in g_edges for d in rel_d]
     pg = Graph.__new__(Graph)
     labels = [pair_label(a, b) for a in g.labels for b in h.labels]
-    order = pg._build(labels, tails.tolist(), heads.tolist())
+    order = pg._build(labels, tails, heads)
     if len(pg._index) != pg.n:
         raise AssertionError("pair labels collided; factor labels are unusable")
     return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 
-def product_distance(kind: "ProductKind | str", dg: np.ndarray, dh: np.ndarray) -> np.ndarray:
+def _factor_row(row: Iterable[int]) -> list[int]:
+    """A factor distance row as a list of ints, checked to have one zero."""
+    try:
+        out = list(map(operator.index, row))
+    except TypeError:
+        out = []
+    if out.count(0) != 1:
+        raise ValueError("a factor row must be 1-D with exactly one zero, at its source")
+    return out
+
+
+def product_distance(
+    kind: "ProductKind | str", dg: Iterable[int], dh: Iterable[int]
+) -> list[list[int]]:
     """Closed-form distances from the base (x, y) whose factor rows are dg,
-    the distances from x in G, and dh, the distances from y in H, as an
-    (n_G, n_H) array: cell [a, b] is the distance to (a, b)."""
+    the distances from x in G, and dh, the distances from y in H, as n_G
+    lists of n_H ints: entry [a][b] is the distance to (a, b)."""
     kind = _as_kind(kind)
-    dg, dh = np.asarray(dg), np.asarray(dh)
-    for row in (dg, dh):
-        if row.ndim != 1 or np.count_nonzero(row == 0) != 1:
-            raise ValueError("a factor row must be 1-D with exactly one zero, at its source")
-    cg, ch = dg[:, None], dh[None, :]
+    dg, dh = _factor_row(dg), _factor_row(dh)
     if kind is ProductKind.CARTESIAN:
-        return cg + ch
+        return [[a + b for b in dh] for a in dg]
     if kind is ProductKind.STRONG:
-        return np.maximum(cg, ch)
-    out = np.repeat(cg, len(dh), axis=1)
+        return [[max(a, b) for b in dh] for a in dg]
+    out = [[a] * len(dh) for a in dg]
     # the base layer: hop out to a neighbour layer and back, unless G is trivial
-    out[np.argmin(dg)] = dh if len(dg) == 1 else np.minimum(dh, 2)
+    out[dg.index(0)] = dh if len(dg) == 1 else [min(b, 2) for b in dh]
     return out
 
 
@@ -172,21 +193,23 @@ class ProductReport:
     """Boundary and gx of one base vertex (x, y) of a product, against the
     candidate bounds built from the factor boundaries.
 
-    ``actual``, ``lower``, ``upper`` and ``witnesses`` are read-only boolean
-    masks of shape (n_G, n_H): cell [a, b] stands for the product vertex
-    (a, b). ``witnesses`` marks the vertices violating a containment and is
-    None when both containments hold; ``upper_strict`` records whether the
-    actual boundary is a proper subset of the upper bound. ``gx`` is the
-    size of the actual boundary, checked against [gx_lower, gx_upper],
-    which come from the factor values ``gx_g`` and ``gx_h``.
+    ``actual``, ``lower``, ``upper`` and ``witnesses`` are vertex sets of
+    the product, each one int: bit a * n_H + b stands for the product
+    vertex (a, b), so the set bits in ascending order are the cells in
+    row-major order. ``witnesses`` marks the vertices violating a
+    containment and is None when both containments hold; ``upper_strict``
+    records whether the actual boundary is a proper subset of the upper
+    bound. ``gx`` is the size of the actual boundary, checked against
+    [gx_lower, gx_upper], which come from the factor values ``gx_g`` and
+    ``gx_h``.
     """
 
     base: tuple[int, int]
-    actual: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    actual: int
+    lower: int
+    upper: int
     containments_hold: bool
-    witnesses: np.ndarray | None
+    witnesses: int | None
     upper_strict: bool
     gx: int
     gx_g: int
@@ -194,6 +217,17 @@ class ProductReport:
     gx_lower: int
     gx_upper: int
     gx_holds: bool
+
+
+# a mask's binary digits as the bytes 0 and 1, selectors for ``compress``,
+# and back: BFS boundary flags, highest vertex first, as binary digits
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _picked(items: Sequence[_T], mask: int) -> Iterator[_T]:
+    """The items at the set bits of mask, lowest bit first."""
+    return compress(items, format(mask, "b").encode()[::-1].translate(_SELECTORS))
 
 
 def _require_product_factors(g: Graph, h: Graph) -> None:
@@ -206,43 +240,50 @@ def _require_product_factors(g: Graph, h: Graph) -> None:
             raise ValueError(f"factor label {lab!r} contains a comma")
 
 
-def _boundary_stacks(
+def _boundary_masks(
     kind: ProductKind,
     x: int,
-    dg: np.ndarray,
-    bg: np.ndarray,
-    dh: np.ndarray,
-    bh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Actual boundary, lower and upper candidate of the bases (x, y_k),
-    each of shape (k, n_G, n_H), from the factor row dg of x, its boundary
-    mask bg, and the stacked rows dh and boundary masks bh of the y_k
-    (both factors with two or more vertices)."""
-    g_in = bg[None, :, None]
-    h_in = bh[:, None, :]
+    g_rows: Sequence[int],
+    b_rows: Sequence[int],
+    h_levels: Sequence[int],
+    bh: int,
+    nh: int,
+) -> tuple[int, int, int]:
+    """Actual boundary, lower and upper candidate of the base (x, y) as
+    product cell masks (both factors with two or more vertices).
+
+    From x: g_rows[k] is spread(G_k), one bit per first-factor vertex at
+    distance k, at the first cell of its row, and b_rows[k] is
+    spread(bg & G_k). From y: h_levels[k] is the mask H_k of the
+    second-factor vertices at distance k, and bh its boundary. A spread
+    mask times a second-factor mask is the cell set of their pairs.
+    """
+    full = (1 << nh) - 1
+    in_bg = sum(b_rows)  # the level masks are disjoint: a sum is their OR
     if kind is ProductKind.CARTESIAN:
-        actual = g_in & h_in
+        actual = in_bg * bh
         return actual, actual, actual
     if kind is ProductKind.STRONG:
         # d = max(d_G, d_H): the larger coordinate must be a factor boundary
-        # vertex, and on a tie both must
-        cg, ch = dg[None, :, None], dh[:, None, :]
-        actual = ((cg > ch) & g_in) | ((ch > cg) & h_in) | ((cg == ch) & g_in & h_in)
-        return actual, g_in & h_in, g_in | h_in
+        # vertex, and on a tie both must; row by row over the levels k of d_G
+        actual, below = 0, 0
+        for k, (g_k, b_k) in enumerate(zip(g_rows, b_rows)):
+            level = h_levels[k] if k < len(h_levels) else 0
+            above = full & ~(below | level)
+            actual |= b_k * below | g_k * (bh & above) | b_k * (bh & level)
+            below |= level
+        return actual, in_bg * bh, in_bg * full | sum(g_rows) * bh
     # d = d_G off the base layer and min(d_H, 2) on it; a neighbour of x
     # also sees the base layer, which reaches 2 unless y dominates H
-    layers = bg & ((dg >= 2) | (dh.max(axis=1) <= 1)[:, None])
-    actual = np.repeat(layers[:, :, None], dh.shape[1], axis=2)
-    actual[:, x] = (dh >= 2) | ((dh == 1) & bh)
-    lower = np.zeros_like(actual)
-    lower[:, x] = bh
-    return actual, lower, g_in | lower
+    layers = sum(b_rows[2:]) if len(h_levels) > 2 else in_bg
+    near = h_levels[1]
+    base_row = (full & ~(h_levels[0] | near)) | (near & bh)
+    lower = bh << (x * nh)
+    return layers * full | base_row << (x * nh), lower, in_bg * full | lower
 
 
-def _gx_bounds(
-    kind: ProductKind, gx_g: int, gx_h: "int | np.ndarray", ng: int, nh: int
-) -> tuple["int | np.ndarray", "int | np.ndarray"]:
-    """The candidate gx interval, elementwise when gx_h is an array."""
+def _gx_bounds(kind: ProductKind, gx_g: int, gx_h: int, ng: int, nh: int) -> tuple[int, int]:
+    """The candidate gx interval."""
     if kind is ProductKind.CARTESIAN:
         return gx_g * gx_h, gx_g * gx_h
     if kind is ProductKind.LEXICOGRAPHIC:
@@ -262,8 +303,8 @@ def _stream_reports(
 
     The kind, the factors and every base are checked before the iterator
     is returned, so an input error comes before the first report. Each
-    run of consecutive bases with the same x is one array pass, and the
-    iterator holds one run's (#y, n_G, n_H) stacks at a time.
+    run of consecutive bases with the same x shares x's BFS row, and the
+    iterator makes one report at a time.
     """
     kind = _as_kind(kind)
     if g.n < 2 or h.n < 2:
@@ -284,10 +325,20 @@ def _stream_reports(
     return _report_layers(kind, g, h, runs)
 
 
-def _factor_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The distance row and the boundary mask of each source, as arrays."""
+def _factor_masks(g: Graph, sources: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+    """The distance levels of each source, as masks (bit v of levels[d]
+    set when v lies at distance d), and its boundary mask."""
     for row, flags in _distance_rows(g, sources):
-        yield np.array(row, dtype=np.int32), np.frombuffer(flags, dtype=bool)
+        levels = [0] * (max(row) + 1)
+        for v, d in enumerate(row):
+            levels[d] |= 1 << v
+        yield levels, int(flags[::-1].translate(_DIGITS), 2)
+
+
+def _spreader(nh: int) -> Callable[[int], int]:
+    """spread(S): bit a of a first-factor mask S moved to bit a * nh."""
+    table = {ord("0"): "0" * nh, ord("1"): "1".rjust(nh, "0")}
+    return lambda s: int(format(s, "b").translate(table), 2)
 
 
 def _report_layers(
@@ -295,37 +346,33 @@ def _report_layers(
 ) -> Iterator[ProductReport]:
     """The body of ``_stream_reports``, run on checked inputs."""
     ng, nh = g.n, h.n
+    spread = _spreader(nh)
     wanted = {y for _, ys in runs for y in ys}
-    rows_h = dict(zip(wanted, _factor_rows(h, wanted)))
-    for (x, ys), (dg, bg) in zip(runs, _factor_rows(g, [x for x, _ in runs])):
-        gx_g = int(np.count_nonzero(bg))
-        dh = np.array([rows_h[y][0] for y in ys])
-        bh = np.array([rows_h[y][1] for y in ys])
-        actual, lower, upper = _boundary_stacks(kind, x, dg, bg, dh, bh)
-        bad = (lower & ~actual) | (actual & ~upper)
-        for stack in (actual, lower, upper, bad):
-            stack.setflags(write=False)
-        fails = bad.any(axis=(1, 2)).tolist()
-        gx = np.count_nonzero(actual, axis=(1, 2)).tolist()
-        tops = np.count_nonzero(upper, axis=(1, 2)).tolist()
-        gx_h = np.count_nonzero(bh, axis=1)
-        gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, ng, nh)
-        gx_h, gx_lower, gx_upper = gx_h.tolist(), gx_lower.tolist(), gx_upper.tolist()
-        for k, y in enumerate(ys):
+    rows_h = dict(zip(wanted, _factor_masks(h, wanted)))
+    for (x, ys), (g_levels, bg) in zip(runs, _factor_masks(g, [x for x, _ in runs])):
+        gx_g = bg.bit_count()
+        g_rows = [spread(level) for level in g_levels]
+        b_rows = [spread(level & bg) for level in g_levels]
+        for y in ys:
+            h_levels, bh = rows_h[y]
+            actual, lower, upper = _boundary_masks(kind, x, g_rows, b_rows, h_levels, bh, nh)
+            bad = (lower & ~actual) | (actual & ~upper)
+            gx, gx_h = actual.bit_count(), bh.bit_count()
+            gx_lower, gx_upper = _gx_bounds(kind, gx_g, gx_h, ng, nh)
             yield ProductReport(
                 base=(x, y),
-                actual=actual[k],
-                lower=lower[k],
-                upper=upper[k],
-                containments_hold=not fails[k],
-                witnesses=bad[k] if fails[k] else None,
-                upper_strict=not fails[k] and gx[k] < tops[k],
-                gx=gx[k],
+                actual=actual,
+                lower=lower,
+                upper=upper,
+                containments_hold=not bad,
+                witnesses=bad or None,
+                upper_strict=not bad and gx < upper.bit_count(),
+                gx=gx,
                 gx_g=gx_g,
-                gx_h=gx_h[k],
-                gx_lower=gx_lower[k],
-                gx_upper=gx_upper[k],
-                gx_holds=gx_lower[k] <= gx[k] <= gx_upper[k],
+                gx_h=gx_h,
+                gx_lower=gx_lower,
+                gx_upper=gx_upper,
+                gx_holds=gx_lower <= gx <= gx_upper,
             )
 
 
@@ -340,7 +387,7 @@ def product_reports(
 
     Computed from one BFS row of each distinct y in H and of x per run of
     bases with the same x; no product graph and no all-pairs matrix is
-    built. The masks of each run come from one array pass, and each
-    report holds read-only views into its stacks.
+    built. Each report's masks are a few big-int products and ORs of the
+    factor masks.
     """
     return tuple(_stream_reports(kind, g, h, bases))

@@ -8,15 +8,16 @@ x-geodominating search and the theorem sweep are the pure-Python loops
 over `combinations` tuples that the package's array passes replaced; the
 sweep loop reads the boundary through the oracle sweep's own rule, as the
 array sweep does, since that rule is what it checks. The product report
-loop is the per-base loop that the per-x array pass replaced; it takes
-the factor rows, boundaries and gx bounds from the package, since the
-stacking is what it checks (BFS on the built product checks the closed
-forms). The graph constructor, the parser and the product builder are
-the set-based and label-string versions that the index-edge builder
-replaced: neighbour sets, then sorted neighbour tuples. Two functions
-call into the package on purpose, to hand a test what it checks:
-``swept_cover`` runs the geodesic sweep that ``is_x_geodominating``
-runs, and ``_oracle_rule_boundary`` the oracle sweep's boundary rule.
+loop is the per-base loop on (n_G, n_H) boolean arrays that the big-int
+kernel replaced; it takes the factor rows, boundaries and gx bounds from
+the package, since the cell masks are what it checks (BFS on the built
+product checks the closed forms). The graph constructor, the parser and
+the product builder are the set-based and label-string versions that
+the index-edge builder replaced: neighbour sets, then sorted neighbour
+tuples. Two functions call into the package on purpose, to hand a test
+what it checks: ``swept_cover`` runs the geodesic sweep that
+``is_x_geodominating`` runs, and ``_oracle_rule_boundary`` the oracle
+sweep's boundary rule.
 """
 
 from __future__ import annotations
@@ -239,14 +240,15 @@ def direct_lexicographic_boundary(
     return base_layer | layers
 
 
-def cells(mask) -> set[tuple[int, int]]:
-    """The (a, b) factor index pairs set in a product report's mask."""
-    return {(int(a), int(b)) for a, b in zip(*mask.nonzero())}
+def cells(mask: int, nh: int) -> set[tuple[int, int]]:
+    """The (a, b) factor index pairs set in a product report's mask, whose
+    bit a * nh + b stands for (a, b)."""
+    return {divmod(p, nh) for p in range(mask.bit_length()) if mask >> p & 1}
 
 
-def pair_labels(g: Graph, h: Graph, mask) -> list[str]:
+def pair_labels(g: Graph, h: Graph, mask: int) -> list[str]:
     """Sorted product labels "(g,h)" of the pairs set in a report's mask."""
-    return sorted(f"({g.labels[a]},{h.labels[b]})" for a, b in cells(mask))
+    return sorted(f"({g.labels[a]},{h.labels[b]})" for a, b in cells(mask, h.n))
 
 
 def _loop_actual_boundary(
@@ -291,9 +293,10 @@ def _loop_candidate_bounds(
     return np.outer(bg, bh), bg[:, None] | bh[None, :]
 
 
-def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask.setflags(write=False)
-    return mask
+def _as_mask(cells: np.ndarray) -> int:
+    """An (n_G, n_H) boolean array as a report's int mask: cell [a, b] is
+    bit a * n_H + b."""
+    return int.from_bytes(np.packbits(cells.ravel(), bitorder="little").tobytes(), "little")
 
 
 def _row_and_mask(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +312,9 @@ def loop_product_reports(
     h: Graph,
     bases: "Iterable[tuple[int, int]] | None" = None,
 ) -> tuple[ProductReport, ...]:
-    """The per-base loop that `product_reports` replaced with one array
-    pass per distinct x: the same closed forms, one base at a time."""
+    """The per-base array loop that `product_reports` replaced with big-int
+    products of the factor masks: the same closed forms, one base at a
+    time on (n_G, n_H) boolean arrays, each turned into an int mask last."""
     kind = _as_kind(kind)
     if g.n < 2 or h.n < 2:
         raise ValueError("boundary reports need factors with at least two vertices")
@@ -338,11 +342,11 @@ def loop_product_reports(
         reports.append(
             ProductReport(
                 base=(x, y),
-                actual=_frozen(actual),
-                lower=_frozen(lower),
-                upper=_frozen(upper),
+                actual=_as_mask(actual),
+                lower=_as_mask(lower),
+                upper=_as_mask(upper),
                 containments_hold=holds,
-                witnesses=None if holds else _frozen(bad),
+                witnesses=None if holds else _as_mask(bad),
                 upper_strict=holds and gx < int(np.count_nonzero(upper)),
                 gx=gx,
                 gx_g=gx_g,

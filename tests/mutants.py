@@ -48,8 +48,10 @@ class Mutant(NamedTuple):
 ORACLES = "src/geodom/oracles.py"
 BITMASKS = "src/geodom/bitmasks.py"
 GRAPH = "src/geodom/graph.py"
+PRODUCTS = "src/geodom/products.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
 SWEEP_FAILURES = "tests/test_oracles.py::test_sweep_failures_match_the_loop"
+EVERY_CLASS = "tests/test_products.py::test_every_factor_class_on_at_most_five_vertices"
 
 MUTANTS = (
     Mutant(
@@ -184,6 +186,55 @@ MUTANTS = (
         "return max(_PROBE_WIDTH, _WALK_BITS // (lists * n))",
         "tests/test_graph.py::test_batch_width_comes_from_n_and_the_memory_constant",
         "_batch_width is not capped at n",
+    ),
+    Mutant(
+        PRODUCTS,
+        "actual = in_bg * bh",
+        "actual = in_bg | bh",
+        EVERY_CLASS,
+        "_boundary_masks takes the cartesian boundary as an OR of the factor masks",
+    ),
+    Mutant(
+        PRODUCTS,
+        "b_k * below |",
+        "b_k * (below & bh) |",
+        EVERY_CLASS,
+        "_boundary_masks asks b in bh of the strong cells with d_G > d_H",
+    ),
+    Mutant(
+        PRODUCTS,
+        "g_k * (bh & above)",
+        "b_k * (bh & above)",
+        EVERY_CLASS,
+        "_boundary_masks asks a in bg of the strong cells with d_H > d_G",
+    ),
+    Mutant(
+        PRODUCTS,
+        "b_k * (bh & level)",
+        "g_k * (bh & level)",
+        EVERY_CLASS,
+        "_boundary_masks drops a in bg from the strong ties",
+    ),
+    Mutant(
+        PRODUCTS,
+        "if len(h_levels) > 2 else in_bg",
+        "if len(h_levels) > 1 else in_bg",
+        EVERY_CLASS,
+        "_boundary_masks never takes the lexicographic layers at d_G = 1",
+    ),
+    Mutant(
+        PRODUCTS,
+        "| (near & bh)",
+        "| near",
+        EVERY_CLASS,
+        "_boundary_masks puts every neighbour of y in the lexicographic base row",
+    ),
+    Mutant(
+        PRODUCTS,
+        'format(mask, "b").encode()[::-1]',
+        'format(mask, "b").encode()',
+        "tests/test_cli.py::test_product_verify_json_golden",
+        "_picked reads a mask's bits highest first",
     ),
 )
 

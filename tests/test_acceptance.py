@@ -191,7 +191,7 @@ def test_criterion_05_cartesian_equality_on_corpus(factor_pairs):
     for g, h in factor_pairs:
         for rep in product_reports("cartesian", g, h):
             bases += 1
-            assert cells(rep.lower) == cells(rep.upper) == cells(rep.actual), (
+            assert cells(rep.lower, h.n) == cells(rep.upper, h.n) == cells(rep.actual, h.n), (
                 rep.base,
                 list(g.edges()),
                 list(h.edges()),
@@ -227,7 +227,7 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
             for rep in product_reports(kind, g, h):
                 # BFS on the built product is the oracle at every kind
                 bfs = boundary(pg.graph, pg.index_of_pair(*rep.base))
-                got = {pg.index_of_pair(a, b) for a, b in cells(rep.actual)}
+                got = {pg.index_of_pair(a, b) for a, b in cells(rep.actual, h.n)}
                 if got != set(bfs) or rep.gx != len(bfs):
                     wrong.append((idx, rep.base, f"{kind.value} boundary against BFS"))
                 if not rep.containments_hold:
@@ -238,7 +238,7 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
                     continue
                 bases += 1
                 x, y = rep.base
-                actual = cells(rep.actual)
+                actual = cells(rep.actual, h.n)
                 # the paper's candidate misses exactly the base-layer vertices
                 # at layer distance two whose second coordinate is interior
                 predicted = {
@@ -246,8 +246,8 @@ def test_criterion_06_sandwich_and_gx_bounds(factor_pairs):
                     for b in range(h.n)
                     if dist_h[y][b] >= 2 and b not in bh[y]
                 }
-                witnesses = set() if rep.witnesses is None else cells(rep.witnesses)
-                if not cells(rep.lower) <= actual:
+                witnesses = set() if rep.witnesses is None else cells(rep.witnesses, h.n)
+                if not cells(rep.lower, h.n) <= actual:
                     wrong.append((idx, rep.base, "lower containment"))
                 if actual != exact[rep.base]:
                     wrong.append((idx, rep.base, "exact boundary"))
@@ -298,13 +298,13 @@ def test_criterion_07_closed_form_distances_match_bfs(factor_pairs):
         rows_h = [bfs_distances(h, y) for y in range(h.n)]
         for kind in ProductKind:
             pg = product(kind, g, h)
-            a, b = np.array(pg.factor_pairs).T
             products += 1
             for p in range(pg.graph.n):
                 x, y = pg.pair_of(p)
                 # one closed-form row per p, against every q
-                got = product_distance(kind, rows_g[x], rows_h[y])[a, b]
-                assert got.tolist() == bfs_distances(pg.graph, p).tolist(), (kind, (x, y))
+                got = product_distance(kind, rows_g[x], rows_h[y])
+                got = [got[a][b] for a, b in pg.factor_pairs]
+                assert got == bfs_distances(pg.graph, p).tolist(), (kind, (x, y))
     report(
         f"criterion 7: PASS - closed-form distances match BFS on "
         f"{products} constructed products"

@@ -1,3 +1,4 @@
+import sys
 from itertools import compress
 
 import numpy as np
@@ -21,7 +22,8 @@ from geodom import (
     random_connected_graph,
     star_graph,
 )
-from geodom import bitmasks, graph, oracles
+from geodom import bitmasks, cli, graph, oracles
+from geodom.boundary import GeodominationCheck
 from helpers import (
     direct_boundary,
     direct_covered,
@@ -34,6 +36,8 @@ from helpers import (
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
 
 P4 = path_graph(["a", "b", "c", "d"])
+# the module, whose name the function boundary shadows in the package
+boundary_module = sys.modules["geodom.boundary"]
 
 
 def labels_of_boundary(g, x_label):
@@ -200,6 +204,38 @@ def test_heuristic_set_is_geodetic_with_pinned_size(g):
     s = geodetic_from_boundary(g)
     assert is_geodetic(g, s)
     assert len(s) == min_gx_vertex(g)[1] + 1
+
+
+@given(connected_graphs())
+def test_heuristic_verdict_needs_no_closure(g):
+    # the boundary of x x-geodominates, so boundary(x) + x is geodetic: the
+    # sweep of x's own row decides, and the closure never runs
+    want = [(VertexSet.of([*boundary(g, x), x], g.n), True) for x in range(g.n)]
+
+    def no_closure(*args):
+        raise AssertionError("the sweep proves the set geodetic")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "geodetic_closure", no_closure)
+        got = [boundary_module._boundary_with_source(g, x) for x in range(g.n)]
+        x, _, s, geodetic, size_ok = cli._heuristic(g)
+        assert (s, geodetic) == want[x] and size_ok
+        assert geodetic_from_boundary(g) == s
+    assert got == want
+
+
+def test_heuristic_verdict_falls_back_to_the_closure(monkeypatch):
+    # a failed sweep hands the verdict to the geodetic closure
+    monkeypatch.setattr(
+        boundary_module, "_row_coverage", lambda g, row, s: GeodominationCheck(False, 0)
+    )
+    c5 = cycle_graph(5)
+    for g in (P4, c5, star_graph(5)):
+        assert all(boundary_module._boundary_with_source(g, x)[1] for x in range(g.n))
+    # a closure that adds nothing leaves {v0, v2, v3} short of C5
+    monkeypatch.setattr(graph, "geodetic_closure", lambda g, s: VertexSet.of(s, g.n))
+    s, geodetic = boundary_module._boundary_with_source(c5, 0)
+    assert c5.labels_of(s) == ["v0", "v2", "v3"] and not geodetic
 
 
 def test_heuristic_examples():

@@ -388,7 +388,7 @@ def test_product_verify_formats_only_printed_labels(capsys, factors, tmp_path, m
                 if not (rep.containments_hold and rep.gx_holds)
             ]
             assert len(formatted) == sum(
-                1 + (0 if rep.witnesses is None else len(cells(rep.witnesses)))
+                1 + (0 if rep.witnesses is None else len(cells(rep.witnesses, h.n)))
                 for rep in failing
             )
             fails += len(failing)
@@ -396,7 +396,7 @@ def test_product_verify_formats_only_printed_labels(capsys, factors, tmp_path, m
             formatted.clear()
             run(capsys, *argv, "--kind", kind, "--base", f"({g.labels[0]},{h.labels[-1]})")
             [rep] = products.product_reports(kind, g, h, [(0, h.n - 1)])
-            assert len(formatted) == 1 + len(cells(rep.actual | rep.lower | rep.upper))
+            assert len(formatted) == 1 + len(cells(rep.actual | rep.lower | rep.upper, h.n))
             assert len(formatted) < g.n * h.n
     assert fails
 
@@ -965,9 +965,8 @@ def _peak_rss_kb(argv):
 def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
     # two random 40-vertex factors: keeping every report peaked 35 MB above
     # a trivial command in strong JSON, about 73 MB of output. The trivial
-    # command is `product` of two 2-vertex paths, which loads numpy and the
-    # product layer as product-verify does; the single-source commands,
-    # `closure` and `geodetic-heuristic` no longer load numpy
+    # command is `boundary` on two vertices, which like product-verify loads
+    # no numpy
     from geodom import emit_graph, random_connected_graph
 
     paths = []
@@ -978,7 +977,7 @@ def test_product_verify_peak_rss_stays_near_a_trivial_command(tmp_path):
     g, h = paths
     p2 = tmp_path / "p2.txt"
     p2.write_text("a b\n")
-    code, floor = _peak_rss_kb(["product", "--kind", "strong", "--g", str(p2), "--h", str(p2)])
+    code, floor = _peak_rss_kb(["boundary", "--graph", str(p2), "--x", "a"])
     assert code == 0
     argv = ["product-verify", "--kind", "strong", "--g", g, "--h", h, "--format", "json"]
     code, peak = _peak_rss_kb(argv)
@@ -1035,9 +1034,12 @@ sys.stderr.write(" ".join(sorted(loaded)))
 
 
 _ORACLE_COMMANDS = {"oracle-gx", "oracle-geodetic", "verify-theorems", "find-counterexample"}
-# one BFS from x answers the first three, and the word walk on Python ints
-# the other two, with no numpy
-_NUMPY_FREE_COMMANDS = {"boundary", "gx", "check", "closure", "geodetic-heuristic"}
+# one BFS from x answers the first three, the word walk on Python ints the
+# next two, and big-int products of the factor masks the product reports,
+# with no numpy; only the oracle commands load it
+_NUMPY_FREE_COMMANDS = {
+    "boundary", "gx", "check", "closure", "geodetic-heuristic", "product", "product-verify"
+}
 
 
 @pytest.mark.parametrize(
@@ -1059,7 +1061,7 @@ _NUMPY_FREE_COMMANDS = {"boundary", "gx", "check", "closure", "geodetic-heuristi
 )
 def test_commands_load_only_the_layers_they_run(tmp_path, argv):
     if argv[0].startswith("product"):
-        unloaded = {"oracles", "bitmasks"}
+        unloaded = {"oracles", "bitmasks", "numpy"}
     elif argv[0] in _ORACLE_COMMANDS:
         unloaded = {"products"}
     else:
