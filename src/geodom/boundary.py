@@ -12,9 +12,10 @@ Both questions need only the distance row of x. The one BFS of graph.py
 ``boundary`` reads those flags, and coverage is one geodesic sweep over
 the neighbour tuples (``graph._sweep``): each O(n + m). ``min_gx_vertex``
 and ``geodetic_from_boundary`` visit every source without a matrix:
-graph.py's ``_gx_of_sources`` gives gx of each source, on the bit-parallel
-BFS over Python ints or the row fallback (graph.py's module docstring has
-the schedule). Nothing here loads numpy.
+graph.py's ``_gx_of_sources`` gives gx of each source: the first from its
+BFS row, the rest from the bit-parallel BFS over Python ints, or from one
+row each when that first row is deep (graph.py's module docstring has the
+schedule). Nothing here loads numpy.
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ row to an array. ``interval`` takes its row from one BFS, O(n + m), and
 the source's geodesic DAG, level by level over the tuples.
 Every all-source pass (``geodetic_closure`` and ``_gx_of_sources``, which
 ``min_gx_vertex`` in boundary.py calls) runs one schedule,
-``_source_schedule``: sources in any order, a batch at a time in the bits
-of one Python int per vertex (``_level_words``), which only
-``_batch_reach`` and ``_gx_of_levels`` read. A probe of 64 sources comes
-first; if it is deeper than its budget (paths, long cycles, grids), every
-source takes one distance row instead, and else the rest go in batches
-of ``_batch_width``. Nothing here builds an all-pairs matrix: the
-brute-force oracles compute theirs with their own BFS (bitmasks.py), and
+``_source_schedule``. The first source takes a distance row, which
+checks connectivity and gives its eccentricity e; no eccentricity
+exceeds 2e. If e is below the pass's depth, the other sources go a batch
+of ``_batch_width`` at a time in the bits of one Python int per vertex
+(``_level_words``), which only ``_batch_reach`` and ``_gx_of_levels``
+read; else (paths, long cycles, grids) every source takes a row.
+Nothing here builds an all-pairs matrix: the brute-force oracles compute
+theirs with their own BFS (bitmasks.py), and
 ``products.product_distance`` takes factor rows.
 """
 
@@ -427,40 +428,42 @@ def _distance_rows(g: Graph, sources: Iterable[int]) -> Iterator[tuple[list[int]
         yield row, flags
 
 
-# the first batch of every all-source pass; it alone may fall back to rows
-_PROBE_WIDTH = 64
-# bits, 50 MB, that the n-entry int lists of a later batch may hold
+# the least batch width of the word walk (unless n is less), and the rows
+# whose steps _word_budget weighs a batch's levels against
+_MIN_BATCH = 64
+# bits, 50 MB, that the n-entry int lists of a batch may hold
 _WALK_BITS = 4 * 10**8
 
 
 def _batch_width(n: int, lists: int) -> int:
-    """Sources in each batch after the probe whose step holds ``lists``
+    """Sources in each batch of the word walk whose step holds ``lists``
     n-entry lists of ints, at least 64 and at most n: four for gx, fewer
     than 2 x ``_kept_levels`` for the closure. With n = 100000 and
     m = 250000, gx batches of 1000 kept ``geodetic-heuristic`` at 133 MB
     peak RSS in 111 s, and of 1342 at 152 MB in 92 s (2-vCPU host)."""
-    return min(n, max(_PROBE_WIDTH, _WALK_BITS // (lists * n)))
+    return min(n, max(_MIN_BATCH, _WALK_BITS // (lists * n)))
 
 
-def _word_budget(g: Graph, k: int) -> int:
-    """Most BFS levels the probe of k sources may walk before every source
-    takes a BFS row.
+def _word_budget(g: Graph) -> int:
+    """The depth of the gx pass: every source takes a BFS row once the
+    first source's row is this many levels deep.
 
-    The walk's pushes are at most the k rows' steps, and fewer where the
-    sources' levels share vertices; each level adds scans of n-entry lists
-    in C. Capping levels x n at k x (n + m), 2k to 4k levels on sparse
-    graphs, bounds those scans. A failed probe took 0.03 s on a shuffled
-    5000-vertex path and 0.07 s on a 4 x 1250 grid, against 0.05 s for
-    their 64 rows (2-vCPU host).
+    A batch's walk pushes at most what its rows would, and fewer where the
+    sources' levels share vertices, but each of its levels adds scans of
+    n-entry lists in C, and a first row e levels deep bounds a batch to
+    2e + 1 levels. Keeping e x n below 64 x (n + m), e below 128 to 256 on
+    sparse graphs, keeps those scans within about twice the steps of 64
+    rows. A shuffled 5000-vertex path is at least 2500 levels deep from
+    any source, so all its sources take rows, in 3.6 s (2-vCPU host).
     """
-    return k * (g.n + g.edge_count) // g.n
+    return _MIN_BATCH * (g.n + g.edge_count) // g.n
 
 
 def _kept_levels(g: Graph) -> int:
-    """Most BFS levels the closure's probe may keep: 4(n + 2m) / n levels
-    of n entries, 4(n + 2m) entries in all, about four times what the
-    graph stores. A later batch keeps fewer than twice as many (see
-    ``_source_schedule``), and its ``_batch_width`` allows for that."""
+    """The depth of the closure: 4(n + 2m) / n levels of n entries,
+    4(n + 2m) entries in all, about four times what the graph stores.
+    A batch keeps fewer than twice as many (see ``_source_schedule``),
+    and its ``_batch_width`` allows for that."""
     return 4 * (g.n + 2 * g.edge_count) // g.n
 
 
@@ -475,17 +478,14 @@ def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], 
     and Then et al. (PVLDB 2014): each vertex of a level pushes its int to
     its neighbours, which lie in level d - 1, d or d + 1, so the next
     level is ``spread`` without the bits of this level and the one before.
-    Raises :class:`DisconnectedError`, once the levels run out, when some
-    source has not reached every vertex; a caller that stops early leaves
-    that check to its fallback.
+    It does not check connectivity: ``_source_schedule`` takes a row
+    first, which does.
     """
     n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
     level, before = [0] * n, [0] * n
     for i, source in enumerate(sources):
         level[source] = 1 << i
-    reached = 0
     while any(level):
-        reached += sum(map(int.bit_count, filter(None, level)))
         spread = [0] * n
         for neighbours, bits in zip(compress(adjacency, level), filter(None, level)):
             for w in neighbours:
@@ -494,34 +494,31 @@ def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], 
         for w in compress(vertices, spread):
             spread[w] &= ~(level[w] | before[w])
         before, level = level, spread
-    if reached != len(sources) * n:
-        raise DisconnectedError("graph is disconnected")
 
 
 def _source_schedule(
     g: Graph, sources: Sequence[int], word_step: Callable, row_step: Callable, *,
-    cap: int, width: int,
+    depth: int, width: int,
 ) -> Iterator:
-    """``word_step(batch, levels)`` on the ``_level_words`` of each batch
-    of sources, in order: a probe of the first 64, then batches of
-    ``width``. If the probe takes more than min(``_word_budget``, cap)
-    levels, its result is thrown away and ``row_step(row, flags)`` runs on
-    the ``_distance_rows`` of every source instead. Yields each result as
-    it comes, so a caller that has its answer leaves its loop and no
-    further batch or row runs.
+    """``row_step(row, flags)`` on the ``_distance_rows`` of the first
+    source, which checks connectivity; then, if that source's
+    eccentricity (the row's largest entry) is at least ``depth``, the same
+    on the row of every other source, else ``word_step(batch, levels)``
+    on the ``_level_words`` of each batch of ``width`` other sources, in
+    order. Yields each result as it comes, so a caller that has its
+    answer leaves its loop and no further batch or row runs.
 
-    Once the probe fits, every later batch does too, in fewer than twice
-    its levels: ecc(u) <= diam <= 2 ecc(v) for all u and v, so no later
-    batch is walked and then thrown away.
+    ecc(u) <= d(u, v) + ecc(v) <= 2 ecc(v) for all u and v (Takes and
+    Kosters, CIKM 2011), so a first source of eccentricity e < depth
+    bounds every batch's BFS to at most 2e + 1 levels.
     """
-    probe = sources[:_PROBE_WIDTH]
-    walk = _level_words(g, probe)
-    result = word_step(probe, islice(walk, min(_word_budget(g, len(probe)), cap)))
-    if next(walk, None) is not None:
-        yield from starmap(row_step, _distance_rows(g, sources))
+    rows = _distance_rows(g, sources)
+    row, flags = next(rows)
+    yield row_step(row, flags)
+    if max(row) >= depth:
+        yield from starmap(row_step, rows)
         return
-    yield result
-    for lo in range(len(probe), len(sources), width):
+    for lo in range(1, len(sources), width):
         batch = sources[lo:lo + width]
         yield word_step(batch, _level_words(g, batch))
 
@@ -571,11 +568,12 @@ def interval(g: Graph, u: int, v: int) -> VertexSet:
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     """Union of intervals over all pairs of vertices in s.
 
-    The members go through ``_source_schedule``, the probe keeping at most
-    ``_kept_levels`` levels, so a later batch fewer than twice as many: a
-    batch at a time through ``_batch_reach``, or one BFS row and one
-    ``_sweep`` each. Stops once every vertex is covered (the union cannot
-    grow after that); the probe always runs, so a disconnected graph is
+    The members go through ``_source_schedule`` at a depth of
+    ``_kept_levels``: the first takes one BFS row and one ``_sweep``, and
+    the rest either the same or a batch at a time through
+    ``_batch_reach``, each batch keeping fewer than twice that many
+    levels. Stops once every vertex is covered (the union cannot grow
+    after that); the first row always runs, so a disconnected graph is
     reported.
     """
     vs = _as_vertex_set(s, g.n)
@@ -584,13 +582,13 @@ def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     members = bytearray(g.n)
     for v in vs:
         members[v] = 1
-    covered, cap = members, _kept_levels(g)
+    covered, depth = members, _kept_levels(g)
     for reach in _source_schedule(
         g, vs.members,
         lambda _, levels: _batch_reach(g, members, levels),
         lambda row, _: _sweep(g, row, vs),
-        cap=cap,
-        width=_batch_width(g.n, 2 * cap),
+        depth=depth,
+        width=_batch_width(g.n, 2 * depth),
     ):
         covered = bytearray(map(operator.or_, covered, reach))
         if all(covered):
@@ -628,7 +626,7 @@ def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
     return list(chain.from_iterable(_source_schedule(
         g, sources, partial(_gx_of_levels, g),
         lambda _, flags: (flags.count(1),),
-        cap=g.n,  # no BFS has more than n levels
+        depth=_word_budget(g),
         width=_batch_width(g.n, 4),
     )))
 

@@ -156,7 +156,7 @@ MUTANTS = (
         GRAPH,
         "spread[w] &= ~(level[w] | before[w])",
         "spread[w] &= ~level[w]",
-        "tests/test_graph.py::test_word_budget_picks_words_or_rows",
+        "tests/test_graph.py::test_level_words_are_the_levels_of_the_rows",
         "_level_words keeps the bits of the level before in the next level",
     ),
     Mutant(
@@ -175,15 +175,22 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "islice(walk, min(_word_budget(g, len(probe)), cap))",
-        "islice(walk, min(_word_budget(g, len(probe)), cap) - 1)",
-        "tests/test_graph.py::test_probe_falls_back_one_level_past_its_budget",
-        "_source_schedule falls back one level before the probe's budget",
+        "max(row) >= depth",
+        "max(row) > depth",
+        "tests/test_graph.py::test_first_row_at_the_budget_puts_every_source_on_rows",
+        "_source_schedule walks when the first row is exactly as deep as the budget",
     ),
     Mutant(
         GRAPH,
-        "return min(n, max(_PROBE_WIDTH, _WALK_BITS // (lists * n)))",
-        "return max(_PROBE_WIDTH, _WALK_BITS // (lists * n))",
+        "covered, depth = members, _kept_levels(g)",
+        "covered, depth = members, _word_budget(g)",
+        "tests/test_graph.py::test_word_budget_picks_words_or_rows",
+        "geodetic_closure walks as deep as the gx pass",
+    ),
+    Mutant(
+        GRAPH,
+        "return min(n, max(_MIN_BATCH, _WALK_BITS // (lists * n)))",
+        "return max(_MIN_BATCH, _WALK_BITS // (lists * n))",
         "tests/test_graph.py::test_batch_width_comes_from_n_and_the_memory_constant",
         "_batch_width is not capped at n",
     ),

@@ -155,7 +155,7 @@ def test_only_graph_schedules_the_word_walk():
     # module walks level words, reads their bits or the level budgets
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     scheduling = (
-        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_PROBE_WIDTH",
+        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_MIN_BATCH",
         "_WALK_BITS", "_batch_width", "_gx_of_levels", "_batch_reach",
     )
     for name in names:

@@ -258,7 +258,7 @@ def _gx_on_words_and_rows(g):
     gx_of_sources = graph._gx_of_sources
     on_words = gx_of_sources(g, range(g.n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_word_budget", lambda g, k: 0)
+        mp.setattr(graph, "_word_budget", lambda g: 0)
         on_rows = gx_of_sources(g, range(g.n))
     return on_words, on_rows
 
@@ -317,8 +317,8 @@ def test_boundary_rules_agree_on_every_small_graph():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(6, 70), st.floats(0.0, 0.3), st.integers(0, 2**16))
 def test_boundary_rules_agree_on_larger_graphs(n, extra, seed):
-    # past the probe of 64 sources too; intervals by the distance
-    # definition, to about ten targets per source
+    # graphs of up to 70 vertices; intervals by the distance definition,
+    # to about ten targets per source
     g = random_connected_graph(n, edge_probability=2 / n + extra, seed=seed)
     dist = raw_bfs_rows([g.neighbors(v) for v in range(n)])
     want = _assert_rules_agree(

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -392,7 +393,7 @@ def test_closure_matches_direct_computation(g, data):
 
 
 # ---------------------------------------------------------------------------
-# bit-parallel BFS across the probe's 64 sources and the batches after it
+# the first source's row, then the bit-parallel BFS in batches or rows
 
 
 @pytest.fixture(scope="module", params=[63, 64, 65, 129])
@@ -410,14 +411,30 @@ def _swapped(g, a, b):
     return Graph(edges, vertices=lab)
 
 
+def test_level_words_are_the_levels_of_the_rows(word_graph):
+    # bit i of the d-th level int is set at exactly the vertices d hops
+    # from the i-th source, and the walk ends after the deepest level
+    g, dist = word_graph
+    batch = list(range(1, g.n, 2))
+    graph = sys.modules["geodom.graph"]
+    levels = [level.copy() for level, _ in islice(graph._level_words(g, batch), g.n + 1)]
+    depth = max(dist[s][v] for s in batch for v in range(g.n))
+    want = [
+        [sum(1 << i for i, s in enumerate(batch) if dist[s][v] == d) for v in range(g.n)]
+        for d in range(depth + 1)
+    ]
+    assert levels == want
+
+
 def test_min_gx_vertex_across_words(word_graph):
     g, dist = word_graph
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     best = min(sizes)
     assert min_gx_vertex(g) == (sizes.index(best), best)
-    # move a minimiser to each side of every batch boundary
+    # move a minimiser to the first row, to each side of its end and across
+    # the batch after it
     x = sizes.index(best)
-    for t in sorted({0, 62, 63, 64, 65, 127, 128} & set(range(g.n))):
+    for t in sorted({0, 1, 2, 62, 63, 64, 65, 127, 128} & set(range(g.n))):
         moved = sizes.copy()
         moved[x], moved[t] = moved[t], moved[x]
         assert min_gx_vertex(_swapped(g, x, t)) == (moved.index(best), best), t
@@ -434,8 +451,9 @@ def test_closure_across_words(word_graph):
 def test_closure_second_word_adds_coverage():
     # a star on v000..v063 hangs off h = v064, which joins a = v065 and
     # b = v066; w = v067 is a second a-b geodesic. Every geodesic from the
-    # first 64 members to a member stops before w, so only the second batch
-    # (sources a and b) covers it.
+    # star's members to a member stops before w, so only the bits of
+    # sources a and b cover it, in the batch after the first row (from the
+    # centre v000).
     star = [(0, i) for i in range(1, 64)]
     edges = [*star, (0, 64), (64, 65), (64, 66), (65, 67), (66, 67)]
     g = Graph((f"v{u:03d}", f"v{v:03d}") for u, v in edges)
@@ -449,8 +467,8 @@ def test_closure_second_word_adds_coverage():
 @given(st.integers(66, 150), st.data())
 def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
     # a shuffled source list with a gap, longer than one word: each source
-    # gets its own gx in the order given, on the level words and, with no
-    # level budget, on one row each
+    # gets its own gx in the order given, on the level words after the
+    # first source's row and, with no level budget, on one row each
     seed = data.draw(st.integers(0, 2**16))
     g = random_connected_graph(n, edge_probability=3 / n, seed=seed)
     gap = data.draw(st.integers(1, n - 2))
@@ -464,10 +482,11 @@ def test_schedule_gives_each_source_its_gx_on_words_and_rows(n, data):
     real_row = graph._bfs_row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_bfs_row", lambda lists, u: rows.append(u) or real_row(lists, u))
-        # the probe fits its budget, and no batch after it falls back
+        # the first row is shallower than the budget, so the rest walk
         assert gx_of_sources(g, sources) == want
-        assert rows == []
-        mp.setattr(graph, "_word_budget", lambda g, k: 0)
+        assert rows == sources[:1]
+        rows.clear()
+        mp.setattr(graph, "_word_budget", lambda g: 0)
         assert gx_of_sources(g, sources) == want
         assert rows == sources
 
@@ -484,36 +503,41 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     monkeypatch.setattr(
         graph, "_level_words", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
     )
-    # a shallow graph runs every source on the walk: a probe of 64 that
-    # fits its budget, then the rest in one batch, since n x n bits are far
-    # below the memory constant
+    # on a shallow graph the first source takes a row and the rest walk in
+    # one batch, since n x n bits are far below the memory constant
     g, dist = word_graph
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
-    assert rows == []
-    assert walks == [list(range(min(g.n, 64))), list(range(64, g.n))][: 1 + (g.n > 64)]
-    walks.clear()
-    assert len(geodetic_closure(g, range(g.n))) == g.n
-    assert rows == builds == []
-    assert walks[0] == list(range(min(g.n, 64)))
-    # a path of 150 is deeper than the probe may go (64 x 299 / 150 = 127
-    # levels, and the closure keeps 4 x 448 / 150 = 11), so every source
-    # and every member takes its own row, each from the stored tuples, and
-    # the walk runs the probe alone
-    p = path_graph(150)
-    builds.clear()
-    walks.clear()
-    assert min_gx_vertex(p) == (0, 1)
-    assert rows == list(range(150)) and walks == [list(range(64))]
+    assert rows == [0] and walks == [list(range(1, g.n))]
+    # a closure of two members walks the second; the first row of the
+    # closure of every vertex covers it, so nothing walks
     rows.clear()
     walks.clear()
+    ends = [0, g.n - 1]
+    assert set(geodetic_closure(g, ends)) == direct_closure(dist, ends, g.n)
+    assert rows == [0] and walks == [[g.n - 1]]
+    rows.clear()
+    walks.clear()
+    assert len(geodetic_closure(g, range(g.n))) == g.n
+    assert rows == [0] and builds == walks == []
+    # a path of 150 is deeper from its first vertex, 149 levels, than gx
+    # (64 x 299 / 150 = 127 levels) or the closure (4 x 448 / 150 = 11)
+    # may walk, so every source and every member takes its own row, each
+    # from the stored tuples, and nothing walks
+    p = path_graph(150)
+    builds.clear()
+    rows.clear()
+    assert min_gx_vertex(p) == (0, 1)
+    assert rows == list(range(150)) and walks == []
+    rows.clear()
     members = list(range(5, 140, 2))
     assert set(geodetic_closure(p, members)) == set(range(5, 140))
-    assert rows == members and builds == [] and walks == [members[:64]]
-    # a 12 x 12 grid is shallow enough for the probe (64 x 408 / 144 = 181
-    # levels), but the closure keeps at most 4 x 672 / 144 = 18 levels and
-    # the corner member 0 is 22 levels deep: it takes rows, and the first
-    # row, from corner to corner, covers the grid
+    assert rows == members and builds == walks == []
+    # a 12 x 12 grid is shallow enough for gx (64 x 408 / 144 = 181
+    # levels), but the closure walks at most 4 x 672 / 144 = 18 and the
+    # corner member 0 is 22 levels deep: its members take rows. The first
+    # row, from corner to corner, covers the grid; from the corner to two
+    # members on its sides it does not, and each member takes a row
     grid = Graph(
         (f"g{i:02d}{j:02d}", f"g{i + di:02d}{j + dj:02d}")
         for i in range(12)
@@ -523,39 +547,73 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     )
     rows.clear()
     builds.clear()
-    walks.clear()
     grid_members = [*range(0, 144, 2), 143]
     assert len(geodetic_closure(grid, grid_members)) == 144
-    assert rows == [0] and builds == [] and walks == [grid_members[:64]]
+    assert rows == [0] and builds == walks == []
+    rows.clear()
+    sides = [0, 5, 60]
+    assert set(geodetic_closure(grid, sides)) == direct_closure(floyd_warshall(grid), sides, 144)
+    assert rows == sides and walks == []
 
 
 @pytest.mark.parametrize("n, on_rows", [(127, False), (128, True)])
-def test_probe_falls_back_one_level_past_its_budget(n, on_rows, monkeypatch):
-    # the probe from the first 64 vertices of a path of n takes n levels,
-    # and its budget is 64 x (2n - 1) // n = 127 levels: a path of 127
-    # fits, and on a path of 128 every source takes a row
-    rows = []
+def test_first_row_at_the_budget_puts_every_source_on_rows(n, on_rows, monkeypatch):
+    # the first source of a path of n, an end, is n - 1 levels deep, and
+    # the budget is 64 x (2n - 1) // n = 127 levels: on a path of 127 the
+    # other sources walk, and on a path of 128 every source takes a row
+    rows, walks = [], []
     graph = sys.modules["geodom.graph"]
-    real_row = graph._bfs_row
+    real_row, real_walk = graph._bfs_row, graph._level_words
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
+    monkeypatch.setattr(
+        graph, "_level_words", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+    )
     p = path_graph(n)
-    assert graph._word_budget(p, 64) == 127
+    assert graph._word_budget(p) == 127
     assert graph._gx_of_sources(p, range(n)) == [1, *[2] * (n - 2), 1]
-    assert rows == (list(range(n)) if on_rows else [])
+    assert rows == (list(range(n)) if on_rows else [0])
+    assert walks == ([] if on_rows else [list(range(1, n))])
+
+
+def test_middle_first_walks_the_deeper_ends(monkeypatch):
+    # the middle vertex 63 of a path of 128 is 64 levels deep, below the
+    # budget of 127, so the other sources walk in one batch, down to the
+    # ends, which are 127 levels deep: 128 levels, within twice the first
+    # row's depth and one. Their gx match one row each
+    graph = sys.modules["geodom.graph"]
+    rows, levels = [], []
+    real_row, real_walk = graph._bfs_row, graph._level_words
+
+    def walk(g, batch):
+        levels.append(0)
+        for pair in real_walk(g, batch):
+            levels[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
+    monkeypatch.setattr(graph, "_level_words", walk)
+    p = path_graph(128)
+    order = [63, *range(63), *range(64, 128)]
+    want = [1 if v in (0, 127) else 2 for v in order]
+    assert graph._gx_of_sources(p, order) == want
+    assert rows == [63] and levels == [128]
+    rows.clear()
+    monkeypatch.setattr(graph, "_word_budget", lambda g: 0)
+    assert graph._gx_of_sources(p, order) == want
+    assert rows == order and levels == [128]
 
 
 def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
-    # after the probe, a batch whose step holds `lists` n-entry lists of
-    # ints takes _WALK_BITS // (lists x n) sources, at least the probe's 64
-    # and at most n: four lists for gx, and for the closure twice the
-    # levels its probe may keep, 2 x 24 on a sparse graph of average
-    # degree 5
+    # a batch whose step holds `lists` n-entry lists of ints takes
+    # _WALK_BITS // (lists x n) sources, at least 64 and at most n: four
+    # lists for gx, and for the closure twice the levels it may walk,
+    # 2 x 24 on a sparse graph of average degree 5
     graph = sys.modules["geodom.graph"]
     assert graph._WALK_BITS == 4 * 10**8
     widths = [graph._batch_width(n, 4) for n in (1, 63, 2000, 10000, 10001, 100000, 10**6, 10**7)]
     assert widths == [1, 63, 2000, 10000, 9999, 1000, 100, 64]
     assert [graph._batch_width(n, 48) for n in (2000, 4000, 100000)] == [2000, 2083, 83]
-    # with a smaller constant, the 86 sources after the probe of a
+    # with a smaller constant, the 149 sources after the first row of a
     # 150-vertex graph go in batches of the constant // (4 x 150), and of
     # 64 when that is fewer
     g = random_connected_graph(150, edge_probability=3 / 150, seed=150)
@@ -565,7 +623,7 @@ def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
     monkeypatch.setattr(
         graph, "_level_words", lambda g, batch: walks.append(len(batch)) or real_walk(g, batch)
     )
-    for width, batches in ((150, [64, 86]), (40, [64, 64, 22]), (80, [64, 80, 6])):
+    for width, batches in ((150, [149]), (40, [64, 64, 21]), (80, [80, 69])):
         monkeypatch.setattr(graph, "_WALK_BITS", 4 * 150 * width)
         walks.clear()
         assert graph._gx_of_sources(g, range(150)) == want
@@ -574,14 +632,14 @@ def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
 
 @given(connected_graphs(), st.data())
 def test_closure_on_rows_matches_direct_computation(g, data):
-    # with no level budget the probe hands the closure's word step no
-    # levels, and every member takes a BFS row and a sweep
+    # at a depth of one level the first row of any graph on two or more
+    # vertices is too deep for the closure to walk, and every member takes
+    # a BFS row and a sweep
     members = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules["geodom.graph"], "_word_budget", lambda g, k: 0)
+        mp.setattr(sys.modules["geodom.graph"], "_kept_levels", lambda g: 1)
         got = set(geodetic_closure(g, members))
     assert got == direct_closure(floyd_warshall(g), members, g.n)
-
 
 DISCONNECTED = {
     "isolated-last": "vertices: z\na b\nb c\n",
