@@ -11,11 +11,13 @@ Both questions need only the distance row of x. The one BFS of graph.py
 (``_bfs_row``) flags the boundary in the pass that makes the row, so
 ``boundary`` reads those flags, and coverage is one geodesic sweep over
 the neighbour tuples (``graph._sweep``): each O(n + m). ``min_gx_vertex``
-and ``geodetic_from_boundary`` visit every source without a matrix:
-graph.py's ``_gx_of_sources`` gives gx of each source: the first from its
-BFS row, the rest from the bit-parallel BFS over Python ints, or from one
-row each when that first row is deep (graph.py's module docstring has the
-schedule). Nothing here loads numpy.
+visits every source without a matrix: graph.py's ``_gx_of_sources`` gives
+gx of each source: the first from its BFS row, the rest from the
+bit-parallel BFS over Python ints, or from one row each when that first
+row is deep (graph.py's module docstring has the schedule).
+``geodetic_from_boundary`` adds the least-gx source to its boundary and
+proves the set geodetic by the sweep of that source's row, running the
+closure only when the sweep fails. Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -99,16 +101,11 @@ def min_gx_vertex(g: Graph) -> tuple[int, int]:
     return x, sizes[x]
 
 
-def geodetic_from_boundary(g: Graph) -> VertexSet:
-    """Geodetic set of size (min over x of gx) + 1: the boundary of a
-    minimizing vertex together with that vertex itself."""
-    x, _ = min_gx_vertex(g)
-    return _boundary_with_source(g, x)[0]
-
-
-def _boundary_with_source(g: Graph, x: int) -> tuple[VertexSet, bool]:
-    """The boundary of x together with x itself, and whether that set is
-    geodetic: it is when the boundary x-geodominates, else the closure says."""
+def geodetic_from_boundary(g: Graph) -> tuple[int, int, VertexSet, bool]:
+    """The least-gx source x (ties broken by index), its gx, the set
+    boundary(x) + x of size gx + 1, and whether that set is geodetic: it
+    is when the boundary x-geodominates, else the closure says."""
+    x, gx = min_gx_vertex(g)
     members, chk = _boundary_and_coverage(g, x)
     s = VertexSet.of([*members, x], g.n)
-    return s, chk.is_geodominating or is_geodetic(g, s)
+    return x, gx, s, chk.is_geodominating or is_geodetic(g, s)

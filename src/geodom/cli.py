@@ -7,6 +7,10 @@ the command's flags as parsed, in flag order. Output is byte-identical
 across runs for identical inputs and seeds. Exit codes: 0 success,
 1 property-check failure, 2 input error.
 
+Each command calls the one library entry that computes its result:
+geodetic-heuristic and oracle-geodetic call ``geodetic_from_boundary``,
+and product-verify calls ``product_reports``.
+
 product-verify checks every input before it makes a report, the factors
 before the base, then takes the reports one base at a time. Its factor
 rows come from graph.py's BFS over each factor's stored neighbour
@@ -38,10 +42,9 @@ from typing import Callable, Iterator, Sequence
 
 from .boundary import (
     _boundary_and_coverage,
-    _boundary_with_source,
     boundary,
+    geodetic_from_boundary,
     is_x_geodominating,
-    min_gx_vertex,
 )
 from .graph import (
     Graph,
@@ -187,15 +190,15 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
-    from .products import ProductReport, _picked, _stream_reports, pair_label
+    from .products import ProductReport, _picked, pair_label, product_reports
 
     g = _load_graph(args.g)
     h = _load_graph(args.h)
-    # the base is parsed lazily, by _stream_reports after its factor
+    # the base is parsed lazily, by product_reports after its factor
     # checks, so a bad factor is reported before a bad base
     bases = None if args.base is None else map(_parse_base, [args.base], [g], [h])
     # every input is checked here, before any report is made
-    stream = _stream_reports(args.kind, g, h, bases)
+    stream = product_reports(args.kind, g, h, bases)
     out = Outcome(
         code=0,
         lines=[],
@@ -292,17 +295,10 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
     return out
 
 
-def _heuristic(g: Graph) -> tuple[int, int, VertexSet, bool, bool]:
-    """The least-gx source x, its gx, the set boundary(x) + x, whether
-    that set is geodetic and whether its size is gx + 1."""
-    x, min_gx = min_gx_vertex(g)
-    s, geodetic = _boundary_with_source(g, x)
-    return x, min_gx, s, geodetic, len(s) == min_gx + 1
-
-
 def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
-    x, min_gx, s, geodetic, size_ok = _heuristic(g)
+    x, min_gx, s, geodetic = geodetic_from_boundary(g)
+    size_ok = len(s) == min_gx + 1
     labels = g.labels_of(s)
     ok = geodetic and size_ok
     return Outcome(
@@ -351,9 +347,9 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
     witness = geodetic_number_bruteforce(g, cap=args.cap)
     number = len(witness)
     if g.n >= 2:
-        _, min_gx, _, geodetic, size_ok = _heuristic(g)
+        _, min_gx, s, geodetic = geodetic_from_boundary(g)
         relation = number <= min_gx + 1
-        heuristic_ok = geodetic and size_ok
+        heuristic_ok = geodetic and len(s) == min_gx + 1
     else:
         min_gx, relation, heuristic_ok = 0, True, True
     ok = relation and heuristic_ok

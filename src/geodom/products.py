@@ -18,11 +18,11 @@ cell set S x T (a in S, b in T) is the product ``spread(S) * T``, where
 ``spread(S)`` puts bit a of S at bit a * n_H; no carries arise, since
 T < 2^n_H. So each report is a few big-int products and ORs over the
 factor masks (``_boundary_masks``), and nothing here loads numpy.
-Its reports come from ``_stream_reports``, which checks every input
-before it returns, then yields one report per requested base, in request
-order: each run of consecutive bases with the same x shares x's row and
-its spread level masks, and a caller that writes each report and drops
-it holds one report's masks, not all.
+``product_reports`` checks every input before it returns, then yields
+one report per requested base, in request order: each run of
+consecutive bases with the same x shares x's row and its spread level
+masks, and a caller that writes each report and drops it holds one
+report's masks, not all.
 With d_G, d_H the factor distances from x and y:
 
 - cartesian (d = d_G + d_H): exactly bg x bh;
@@ -291,20 +291,21 @@ def _gx_bounds(kind: ProductKind, gx_g: int, gx_h: int, ng: int, nh: int) -> tup
     return gx_g * gx_h, gx_g * nh + ng * gx_h
 
 
-def _stream_reports(
+def product_reports(
     kind: "ProductKind | str",
     g: Graph,
     h: Graph,
     bases: "Iterable[tuple[int, int]] | None" = None,
 ) -> Iterator[ProductReport]:
-    """One report per given (x, y) factor index pair, in their order,
+    """Reports for the given (x, y) factor index pairs, in their order,
     repeats included, or for every base in row-major order when ``bases``
     is None.
 
     The kind, the factors and every base are checked before the iterator
     is returned, so an input error comes before the first report. Each
     run of consecutive bases with the same x shares x's BFS row, and the
-    iterator makes one report at a time.
+    iterator makes one report at a time; ``tuple()`` keeps them all. No
+    product graph and no all-pairs matrix is built.
     """
     kind = _as_kind(kind)
     if g.n < 2 or h.n < 2:
@@ -344,7 +345,7 @@ def _spreader(nh: int) -> Callable[[int], int]:
 def _report_layers(
     kind: ProductKind, g: Graph, h: Graph, runs: "list[tuple[int, Sequence[int]]]"
 ) -> Iterator[ProductReport]:
-    """The body of ``_stream_reports``, run on checked inputs."""
+    """The body of ``product_reports``, run on checked inputs."""
     ng, nh = g.n, h.n
     spread = _spreader(nh)
     wanted = {y for _, ys in runs for y in ys}
@@ -374,20 +375,3 @@ def _report_layers(
                 gx_upper=gx_upper,
                 gx_holds=gx_lower <= gx <= gx_upper,
             )
-
-
-def product_reports(
-    kind: "ProductKind | str",
-    g: Graph,
-    h: Graph,
-    bases: "Iterable[tuple[int, int]] | None" = None,
-) -> tuple[ProductReport, ...]:
-    """Reports for the given (x, y) factor index pairs, in their order, or
-    for every base in row-major order when ``bases`` is None.
-
-    Computed from one BFS row of each distinct y in H and of x per run of
-    bases with the same x; no product graph and no all-pairs matrix is
-    built. Each report's masks are a few big-int products and ORs of the
-    factor masks.
-    """
-    return tuple(_stream_reports(kind, g, h, bases))

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 ORACLES = "src/geodom/oracles.py"
 BITMASKS = "src/geodom/bitmasks.py"
 GRAPH = "src/geodom/graph.py"
+BOUNDARY = "src/geodom/boundary.py"
 PRODUCTS = "src/geodom/products.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
 SWEEP_FAILURES = "tests/test_oracles.py::test_sweep_failures_match_the_loop"
@@ -193,6 +194,27 @@ MUTANTS = (
         "return max(_MIN_BATCH, _WALK_BITS // (lists * n))",
         "tests/test_graph.py::test_batch_width_comes_from_n_and_the_memory_constant",
         "_batch_width is not capped at n",
+    ),
+    Mutant(
+        GRAPH,
+        "elif dist[w] == d:",
+        "elif False:",
+        "tests/test_boundary.py::test_boundary_rules_agree_on_every_small_graph",
+        "_bfs_row keeps u flagged when its farther neighbour was reached from another vertex",
+    ),
+    Mutant(
+        GRAPH,
+        "if reach[w] and row[w] == farther:",
+        "if reach[w]:",
+        "tests/test_boundary.py::test_covered_set_matches_direct_computation",
+        "_sweep covers a vertex from any covered neighbour, not only one a level farther",
+    ),
+    Mutant(
+        BOUNDARY,
+        "chk.is_geodominating or is_geodetic(g, s)",
+        "chk.is_geodominating",
+        "tests/test_boundary.py::test_heuristic_verdict_falls_back_to_the_closure",
+        "geodetic_from_boundary takes a failed sweep as the verdict, with no closure",
     ),
     Mutant(
         PRODUCTS,

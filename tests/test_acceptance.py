@@ -318,9 +318,10 @@ def test_criterion_08_geodetic_bound_and_heuristic(exhaustive_by_n, random_graph
         _, best = min_gx_vertex(g)
         gnum = len(geodetic_number_bruteforce(g))
         assert gnum <= best + 1, (list(g.edges()), gnum, best)
-        hull_set = geodetic_from_boundary(g)
+        x, gx, hull_set, geodetic = geodetic_from_boundary(g)
+        assert (x, gx) == min_gx_vertex(g)
         assert len(hull_set) == best + 1
-        assert is_geodetic(g, hull_set), list(g.edges())
+        assert geodetic and is_geodetic(g, hull_set), list(g.edges())
     report(
         f"criterion 8: PASS - geodetic number <= min gx + 1 and the "
         f"boundary-derived geodetic set checks out on {len(corpus)} graphs"

@@ -94,8 +94,8 @@ VERTEX_CALLS = {
     "interval-from": lambda v: interval(P5, v, 4),
     "interval-to": lambda v: interval(P5, 0, v),
     "min_x_geodominating_bruteforce": lambda v: min_x_geodominating_bruteforce(P5, v),
-    "product_reports-x": lambda v: product_reports("strong", P3, P3, [(v, 0)]),
-    "product_reports-y": lambda v: product_reports("strong", P3, P3, [(0, v)]),
+    "product_reports-x": lambda v: tuple(product_reports("strong", P3, P3, [(v, 0)])),
+    "product_reports-y": lambda v: tuple(product_reports("strong", P3, P3, [(0, v)])),
     "index_of_pair-g": lambda v: P3_SQUARE.index_of_pair(v, 0),
     "index_of_pair-h": lambda v: P3_SQUARE.index_of_pair(0, v),
     "pair_of": lambda v: P3_SQUARE.pair_of(v),
@@ -202,7 +202,7 @@ def test_readme_python_blocks_print_what_they_show(capsys):
         exec(compile(block, str(README), "exec"), {})
         assert capsys.readouterr().out.splitlines() == expected, block
         shown += len(expected)
-    assert len(blocks) == 3 and shown == 8
+    assert len(blocks) == 4 and shown == 9
 
 
 def test_readme_product_shell_block_runs_as_printed(capsys, tmp_path, monkeypatch):

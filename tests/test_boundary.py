@@ -22,7 +22,7 @@ from geodom import (
     random_connected_graph,
     star_graph,
 )
-from geodom import bitmasks, cli, graph, oracles
+from geodom import bitmasks, graph, oracles
 from geodom.boundary import GeodominationCheck
 from helpers import (
     direct_boundary,
@@ -201,27 +201,27 @@ def test_min_gx_vertex_is_argmin_with_lowest_index(g):
 
 @given(connected_graphs())
 def test_heuristic_set_is_geodetic_with_pinned_size(g):
-    s = geodetic_from_boundary(g)
-    assert is_geodetic(g, s)
-    assert len(s) == min_gx_vertex(g)[1] + 1
+    x, gx, s, geodetic = geodetic_from_boundary(g)
+    assert (x, gx) == min_gx_vertex(g)
+    assert s == VertexSet.of([*boundary(g, x), x], g.n)
+    assert geodetic and is_geodetic(g, s)
+    assert len(s) == gx + 1
 
 
 @given(connected_graphs())
 def test_heuristic_verdict_needs_no_closure(g):
     # the boundary of x x-geodominates, so boundary(x) + x is geodetic: the
     # sweep of x's own row decides, and the closure never runs
-    want = [(VertexSet.of([*boundary(g, x), x], g.n), True) for x in range(g.n)]
-
     def no_closure(*args):
         raise AssertionError("the sweep proves the set geodetic")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "geodetic_closure", no_closure)
-        got = [boundary_module._boundary_with_source(g, x) for x in range(g.n)]
-        x, _, s, geodetic, size_ok = cli._heuristic(g)
-        assert (s, geodetic) == want[x] and size_ok
-        assert geodetic_from_boundary(g) == s
-    assert got == want
+        for x in range(g.n):
+            assert boundary_module._boundary_and_coverage(g, x)[1].is_geodominating
+        x, gx, s, geodetic = geodetic_from_boundary(g)
+    assert (s, geodetic) == (VertexSet.of([*boundary(g, x), x], g.n), True)
+    assert len(s) == gx + 1
 
 
 def test_heuristic_verdict_falls_back_to_the_closure(monkeypatch):
@@ -230,22 +230,40 @@ def test_heuristic_verdict_falls_back_to_the_closure(monkeypatch):
         boundary_module, "_row_coverage", lambda g, row, s: GeodominationCheck(False, 0)
     )
     c5 = cycle_graph(5)
-    for g in (P4, c5, star_graph(5)):
-        assert all(boundary_module._boundary_with_source(g, x)[1] for x in range(g.n))
-    # a closure that adds nothing leaves {v0, v2, v3} short of C5
+    graphs = (P4, c5, star_graph(5), cycle_graph(6), complete_graph(4))
+    for g in graphs:
+        assert geodetic_from_boundary(g)[3], list(g.edges())
+    # a closure that adds nothing makes a set geodetic only when it is the
+    # whole graph, as in K4, and leaves {v0, v2, v3} short of C5
     monkeypatch.setattr(graph, "geodetic_closure", lambda g, s: VertexSet.of(s, g.n))
-    s, geodetic = boundary_module._boundary_with_source(c5, 0)
-    assert c5.labels_of(s) == ["v0", "v2", "v3"] and not geodetic
+    verdicts = []
+    for g in graphs:
+        _, _, s, geodetic = geodetic_from_boundary(g)
+        assert geodetic == (len(s) == g.n), list(g.edges())
+        verdicts.append(geodetic)
+    assert verdicts == [False, False, False, False, True]
+    _, _, s, geodetic = geodetic_from_boundary(c5)
+    assert c5.labels_of(s) == ["v0", "v2", "v3"]
 
 
 def test_heuristic_examples():
-    assert P4.labels_of(geodetic_from_boundary(P4)) == ["a", "d"]
+    assert geodetic_from_boundary(P4) == (0, 1, VertexSet.of([0, 3], 4), True)
+    assert P4.labels_of(geodetic_from_boundary(P4)[2]) == ["a", "d"]
     c5 = cycle_graph(5)
-    assert c5.labels_of(geodetic_from_boundary(c5)) == [
+    x, gx, s, geodetic = geodetic_from_boundary(c5)
+    assert (x, gx, geodetic) == (0, 2, True)
+    assert c5.labels_of(s) == [
         "v0",
         "v2",
         "v3",
     ]
+
+
+def test_heuristic_refuses_what_min_gx_vertex_refuses():
+    with pytest.raises(ValueError, match="two vertices"):
+        geodetic_from_boundary(Graph(vertices=["s"]))
+    with pytest.raises(graph.DisconnectedError):
+        geodetic_from_boundary(Graph([("a", "b"), ("c", "d")]))
 
 
 # ---------------------------------------------------------------------------

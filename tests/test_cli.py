@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -191,6 +192,19 @@ def test_oracle_commands_refuse_a_cap_over_the_limit(capsys, p4, monkeypatch):
     for argv in (["oracle-gx", "--x", "b"], ["oracle-geodetic"]):
         code, _, _ = run(capsys, *argv, "--graph", p4, "--cap", "20")
         assert code == 0
+
+
+def test_oracle_cap_defaults_are_the_library_defaults():
+    # the parser restates each search's default cap; the two must not drift
+    parser = cli._build_parser()
+    gx_cap = inspect.signature(oracles.min_x_geodominating_bruteforce).parameters["cap"]
+    assert gx_cap.default == oracles._GX_CAP
+    for argv, search in (
+        (["oracle-gx", "--x", "a"], oracles.min_x_geodominating_bruteforce),
+        (["oracle-geodetic"], oracles.geodetic_number_bruteforce),
+    ):
+        default = inspect.signature(search).parameters["cap"].default
+        assert parser.parse_args([*argv, "--graph", "g.txt"]).cap == default, argv
 
 
 def test_oracle_commands_take_their_distances_from_the_oracle_stage(capsys, p4, monkeypatch):

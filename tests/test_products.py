@@ -335,14 +335,22 @@ def test_report_rejects_bad_factors_and_bases():
 
 def test_stream_checks_every_input_before_it_returns():
     # a generator body would defer these checks to the first report, after
-    # a caller has started writing its output
+    # a caller has started writing its output: each error comes from the
+    # call itself, before any next()
     broken = parse_graph("vertices: z\na b\n")
+    solo = Graph(vertices=["s"])
     with pytest.raises(DisconnectedError, match="disconnected factor"):
-        products._stream_reports("cartesian", P3A, broken)
+        product_reports("cartesian", P3A, broken)
+    with pytest.raises(ValueError, match="two vertices"):
+        product_reports("strong", solo, P3A)
     with pytest.raises(ValueError, match="first-factor index 3 out of range"):
-        products._stream_reports("strong", P3A, P3N, [(0, 0), (3, 0)])
+        product_reports("strong", P3A, P3N, [(0, 0), (3, 0)])
     with pytest.raises(ValueError, match="unknown product kind"):
-        products._stream_reports("tensor", P3A, P3N)
+        product_reports("tensor", P3A, P3N)
+    # checked inputs give an iterator of the reports
+    reports = product_reports("strong", P3A, P3N, [(0, 0), (2, 2)])
+    assert iter(reports) is reports
+    assert [rep.base for rep in reports] == [(0, 0), (2, 2)]
 
 
 def test_stream_makes_one_report_at_a_time(monkeypatch):
@@ -353,7 +361,7 @@ def test_stream_makes_one_report_at_a_time(monkeypatch):
     monkeypatch.setattr(
         products, "_boundary_masks", lambda *args: made.append(args[1]) or kernel(*args)
     )
-    for k, rep in enumerate(products._stream_reports("strong", P4N, P3A)):
+    for k, rep in enumerate(product_reports("strong", P4N, P3A)):
         assert len(made) == k + 1 and made[-1] == rep.base[0]
     assert made == [x for x in range(4) for _ in range(3)]
 
@@ -362,7 +370,7 @@ def test_stream_yields_every_base_in_request_order():
     # one report per requested base, repeats included, each equal to the
     # report of the same base made alone
     bases = [(2, 1), (2, 0), (0, 3), (2, 1)]
-    reps = list(products._stream_reports("lexicographic", P3A, P4N, bases))
+    reps = list(product_reports("lexicographic", P3A, P4N, bases))
     assert [rep.base for rep in reps] == bases
     for rep in reps:
         [alone] = product_reports("lexicographic", P3A, P4N, [rep.base])
@@ -388,9 +396,9 @@ def test_reports_build_no_adjacency(monkeypatch, bases):
 
 
 def test_reports_follow_the_given_bases():
-    every = product_reports("lexicographic", P3A, P4N)
+    every = tuple(product_reports("lexicographic", P3A, P4N))
     assert [rep.base for rep in every] == [(x, y) for x in range(3) for y in range(4)]
-    picked = product_reports("lexicographic", P3A, P4N, [(2, 1), (0, 3), (2, 1)])
+    picked = tuple(product_reports("lexicographic", P3A, P4N, [(2, 1), (0, 3), (2, 1)]))
     assert [rep.base for rep in picked] == [(2, 1), (0, 3), (2, 1)]
     for rep in picked:
         twin = every[rep.base[0] * 4 + rep.base[1]]
@@ -508,7 +516,7 @@ def test_reports_match_the_per_base_loop(factors, data):
     repeated = [(g.n - 1, h.n - 1), (0, h.n - 1), (0, 0), (g.n - 1, h.n - 1)]
     for kind in KINDS:
         for bases in (None, picked, repeated):
-            got = product_reports(kind, g, h, bases)
+            got = tuple(product_reports(kind, g, h, bases))
             _assert_same_reports(got, loop_product_reports(kind, g, h, bases))
 
 
