@@ -29,7 +29,7 @@ of ``_batch_width`` at a time in the bits of one Python int per vertex
 (``_level_words``), which only ``_batch_reach`` and ``_gx_of_levels``
 read; else (paths, long cycles, grids) every source takes a row.
 Nothing here builds an all-pairs matrix: the brute-force oracles compute
-theirs with their own BFS (bitmasks.py), and
+theirs with their own BFS (oracles.py), and
 ``products.product_distance`` takes factor rows.
 """
 

@@ -46,8 +46,8 @@ class Mutant(NamedTuple):
 
 
 ORACLES = "src/geodom/oracles.py"
-BITMASKS = "src/geodom/bitmasks.py"
 GRAPH = "src/geodom/graph.py"
+JSONOUT = "src/geodom/jsonout.py"
 BOUNDARY = "src/geodom/boundary.py"
 PRODUCTS = "src/geodom/products.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
@@ -70,7 +70,7 @@ MUTANTS = (
         "_boundary_mask looks one level farther only",
     ),
     Mutant(
-        BITMASKS,
+        ORACLES,
         "dx[:, None, :] + d == dx[:, :, None]",
         "dx[:, None, :] + d <= dx[:, :, None]",
         PERTURBED,
@@ -119,21 +119,21 @@ MUTANTS = (
         "geodetic_number_bruteforce skips each member's next member",
     ),
     Mutant(
-        BITMASKS,
+        ORACLES,
         "sum(1 << w for w in g.neighbors(v))",
         "sum(1 << w for w in g.neighbors(v)[1:])",
         "tests/test_oracles.py::test_stacked_bits_match_the_reference_neighbour_sets",
         "_stacked_bits leaves out each vertex's least neighbour",
     ),
     Mutant(
-        BITMASKS,
+        ORACLES,
         "seen[:, 0] == (1 << n) - 1",
         "seen[:, 0] >= 1 << (n - 1)",
         "tests/test_oracles.py::test_connectivity_from_the_levels_matches_the_loop",
         "_levels takes a graph as connected when vertex 0 reaches the last vertex",
     ),
     Mutant(
-        BITMASKS,
+        ORACLES,
         "(need <= low)",
         "(need < low)",
         "tests/test_oracles.py::test_enumeration_counts_match_recurrence",
@@ -208,6 +208,62 @@ MUTANTS = (
         "if reach[w]:",
         "tests/test_boundary.py::test_covered_set_matches_direct_computation",
         "_sweep covers a vertex from any covered neighbour, not only one a level farther",
+    ),
+    Mutant(
+        GRAPH,
+        "if any(map(operator.eq, flat, islice(flat, 1, None))):",
+        "if False:",
+        "tests/test_graph.py::test_parse_duplicate_edges_collapse",
+        "Graph keeps a repeated edge twice",
+    ),
+    Mutant(
+        GRAPH,
+        "bits if member else bits & reduce(operator.or_, farther(neighbours), 0)",
+        "bits & reduce(operator.or_, farther(neighbours), 0)",
+        "tests/test_graph.py::test_closure_across_words",
+        "_batch_reach leaves a member off unless a neighbour a level farther is reached",
+    ),
+    Mutant(
+        GRAPH,
+        "bits if member else bits & reduce(operator.or_, farther(neighbours), 0)",
+        "bits if member else reduce(operator.or_, farther(neighbours), 0)",
+        "tests/test_graph.py::test_closure_across_words",
+        "_batch_reach takes a reached neighbour's bits for sources whose level v is not in",
+    ),
+    Mutant(
+        GRAPH,
+        "    if not 0 <= v < g.n:\n",
+        "    if not 0 <= v <= g.n:\n",
+        "tests/test_graph.py::test_vertex_methods_reject_out_of_range_indices",
+        "_check_vertex takes n as a vertex index",
+    ),
+    Mutant(
+        GRAPH,
+        "    if np is not None and isinstance(v, np.bool_):\n        v = bool(v)\n",
+        "",
+        "tests/test_api.py::test_every_vertex_argument_is_an_index",
+        "_check_vertex takes a numpy bool as an index",
+    ),
+    Mutant(
+        GRAPH,
+        "        frontier = nxt\n",
+        "",
+        "tests/test_graph.py::test_bfs_rows_match_floyd_warshall",
+        "_bfs_row never leaves the source's level: the loop runs until the timeout",
+    ),
+    Mutant(
+        JSONOUT,
+        "        if size >= _CHUNK:\n",
+        "        if False:\n",
+        "tests/test_cli.py::test_write_json_coalesces_small_pieces",
+        "write_json holds the whole document before its one write",
+    ),
+    Mutant(
+        JSONOUT,
+        "head += _encoder(0)({key: 0})[1:-2]",
+        'head += str(key) + ": "',
+        "tests/test_cli.py::test_write_json_keys_that_compare_equal",
+        "write_json writes a non-string key with str() instead of as json.dumps does",
     ),
     Mutant(
         BOUNDARY,

@@ -127,20 +127,21 @@ def test_only_graph_knows_how_a_distance_row_is_made():
     # BFS and the word walk over them stay inside graph.py; every other
     # module takes its rows from _distance_rows or bfs_distances, and reads
     # the graph through edges() and neighbors(). No module derives a CSR.
-    # graph.py imports numpy only in bfs_distances, which returns an array,
-    # and boundary.py not at all. Importing __main__ would run the command
-    # line.
+    # The oracle stage, one module, imports numpy at its top, graph.py only
+    # in bfs_distances, which returns an array, and no other module at all.
+    # Importing __main__ would run the command line.
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
-    assert {"graph", "boundary", "products", "cli", "oracles", "bitmasks"} <= set(names)
+    # exactly these modules: the oracle stage has no module of its own
+    assert sorted(names) == ["boundary", "cli", "graph", "jsonout", "oracles", "products"]
+    numpy_imports = {"oracles": ["import numpy as np"], "graph": ["    import numpy as np"]}
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
         source = inspect.getsource(module)
         assert hasattr(module, "_bfs_row") == (name == "graph"), name
         assert ("_adjacency" in source) == (name == "graph"), name
         assert "_csr" not in source and "reduceat" not in source, name
-        if name in ("graph", "boundary"):
-            imports = re.findall(r"^\s*(?:import|from) numpy\b.*$", source, re.M)
-            assert imports == (["    import numpy as np"] if name == "graph" else []), name
+        imports = re.findall(r"^ *(?:import|from) numpy\b.*$", source, re.M)
+        assert imports == numpy_imports.get(name, []), name
     numpy_users = {
         f.__name__
         for f in vars(importlib.import_module("geodom.graph")).values()

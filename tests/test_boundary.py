@@ -22,7 +22,7 @@ from geodom import (
     random_connected_graph,
     star_graph,
 )
-from geodom import bitmasks, graph, oracles
+from geodom import graph, oracles
 from geodom.boundary import GeodominationCheck
 from helpers import (
     direct_boundary,
@@ -328,7 +328,7 @@ def test_boundary_rules_agree_on_every_small_graph():
             )
             for g, d in zip(graphs, dist)
         ]
-        adj = bitmasks._unpack(bitmasks._stacked_bits(graphs, n), n).astype(bool)
+        adj = oracles._unpack(oracles._stacked_bits(graphs, n), n).astype(bool)
         assert _oracle_rule(adj, dist) == wants
 
 

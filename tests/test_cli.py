@@ -222,7 +222,6 @@ def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     def no_matrix(g):
         raise AssertionError("these commands must not build all-pairs distances")
 
-    monkeypatch.setattr("geodom.bitmasks._distances", no_matrix)
     monkeypatch.setattr("geodom.oracles._distances", no_matrix)
     test_boundary_plain_golden(capsys, p4)
     test_gx_plain(capsys, p4)
@@ -1075,11 +1074,11 @@ _NUMPY_FREE_COMMANDS = {
 )
 def test_commands_load_only_the_layers_they_run(tmp_path, argv):
     if argv[0].startswith("product"):
-        unloaded = {"oracles", "bitmasks", "numpy"}
+        unloaded = {"oracles", "numpy"}
     elif argv[0] in _ORACLE_COMMANDS:
         unloaded = {"products"}
     else:
-        unloaded = {"oracles", "bitmasks", "products", "numpy"}
+        unloaded = {"oracles", "products", "numpy"}
     path = tmp_path / "p4.txt"
     path.write_text(P4_TEXT)
     proc = subprocess.run(

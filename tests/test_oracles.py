@@ -31,7 +31,7 @@ from geodom import (
     star_graph,
     verify_unique_minimum,
 )
-from geodom import bitmasks, oracles
+from geodom import oracles
 from helpers import (
     close_the_path_in_graph_bfs,
     connected_labeled_graph_counts,
@@ -316,7 +316,7 @@ def test_stacked_bits_match_the_reference_neighbour_sets(n):
         graphs.append(g)
         want.append([sum(1 << w for w in nbrs) for nbrs in sets])
     bits = oracles._stacked_bits(graphs, n)
-    assert bits.dtype == bitmasks._bits_dtype(n) and bits.tolist() == want
+    assert bits.dtype == oracles._bits_dtype(n) and bits.tolist() == want
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -326,11 +326,11 @@ def test_connectivity_from_the_levels_matches_the_loop(n):
     nbrs = np.array(
         [[sum(1 << w for w in nbrs) for nbrs in adjsets] for adjsets in cases], dtype=np.uint16
     )
-    keep, levels = bitmasks._levels(nbrs)
+    keep, levels = oracles._levels(nbrs)
     want = [k for k, adjsets in enumerate(cases) if raw_connected(n, adjsets)]
     assert 0 < len(want) < len(cases) and keep.tolist() == want
     rows = [raw_bfs_rows([sorted(a) for a in cases[k]]) for k in want]
-    assert bitmasks._distances(levels).tolist() == rows
+    assert oracles._distances(levels).tolist() == rows
 
 
 # ---------------------------------------------------------------------------
