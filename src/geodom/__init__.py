@@ -12,8 +12,9 @@ from .graph import __all__ as _graph_all
 # must anyway, since one of its functions shares the submodule's name:
 # importing a submodule binds it as a package attribute, and __getattr__
 # runs only for missing names. The product and oracle layers load on
-# first use; reading their __all__ would load them, so their public names
-# are listed here, in their modules' order.
+# first use, which spares the other commands their compile and import
+# time; reading their __all__ would load them, so their public names are
+# listed here, in their modules' order.
 _LAZY = {
     **dict.fromkeys(
         (

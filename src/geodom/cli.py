@@ -21,11 +21,10 @@ since its summary comes first. If the reader closes stdout early, main
 makes the remaining rows unwritten, so the exit code is a full run's.
 
 The product and oracle handlers import their modules in their own body,
-so a command loads only the layers it runs. Only the oracle layer loads
-numpy; every other command runs without it. The oracle handlers hand the
-graph and --cap to the brute-force searches, which refuse a --cap over
-20 or an over-cap graph before any distance work and compute distances
-with their own BFS.
+so a command compiles and loads only the layers it runs; no command
+loads numpy. The oracle handlers hand the graph and --cap to the
+brute-force searches, which refuse a --cap over 20 or an over-cap graph
+before any distance work and compute distances with their own BFS.
 verify-theorems hands --exhaustive-n and its corpus flags to the library
 as given, --random 0 included, so the library's checks are the only ones.
 """

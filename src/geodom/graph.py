@@ -9,15 +9,15 @@ The adjacency is stored once, as one sorted neighbour tuple per vertex,
 which ``Graph(...)``, ``parse_graph`` and ``products.product`` all build
 through ``Graph._build``; a graph keeps no other form of it. Other modules
 read it only through ``g.edges()``, ``g.neighbors(v)`` and the distance
-rows below. numpy is imported only by ``bfs_distances``, which returns an
-array, so every other function here runs without it.
+rows below. Nothing here loads numpy; ``_check_vertex`` only recognises
+a numpy bool when the caller has loaded numpy.
 
 The metric core works on single distance rows, and every row in the
 package comes from one BFS, ``_bfs_row``, over the stored tuples; in the
 same pass it flags the boundary of the source, the vertices with no
 neighbour one level farther. ``_distance_rows`` hands out the rows of
-many sources and checks connectivity, and ``bfs_distances`` converts one
-row to an array. ``interval`` takes its row from one BFS, O(n + m), and
+many sources and checks connectivity, and ``bfs_distances`` hands out one
+row as a tuple. ``interval`` takes its row from one BFS, O(n + m), and
 ``_sweep`` turns a row into interval membership by one reverse sweep of
 the source's geodesic DAG, level by level over the tuples.
 Every all-source pass (``geodetic_closure`` and ``_gx_of_sources``, which
@@ -403,13 +403,9 @@ def is_connected(g: Graph) -> bool:
     return -1 not in _bfs_row(g._adjacency, 0)[0]
 
 
-def bfs_distances(g: Graph, source: int) -> "numpy.ndarray":
-    """Distance row from source as a read-only integer array."""
-    import numpy as np
-
-    row = np.array(_distance_row(g, source)[0], dtype=np.int32)
-    row.setflags(write=False)
-    return row
+def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
+    """Distance row from source, a tuple of ints indexed by vertex."""
+    return tuple(_distance_row(g, source)[0])
 
 
 def _distance_row(g: Graph, source: int) -> tuple[list[int], bytearray]:

@@ -1,33 +1,25 @@
 """Brute-force ground truth, independent of the closed-form boundary route.
 
-The geodomination oracle unions, by subset doubling, the geodesic covers
-of every candidate set and keeps the full unions of least size, so its
-minima come from raw distance arithmetic and share no logic with
-boundary(). Both brute-force searches take a graph and compute its
-distances themselves, once it is within their cap. Small-graph
-enumeration and seeded random generation supply the verification
-substrate, and the simplicial counterexample search certifies that
-simplicial vertices can fail to geodominate from every source. Each
-input is checked by the function that takes it, before any work: the
-generator checks its size and edge probability, the corpus its count,
-size range, largest size against the sweep's cap and edge probability,
-even when it draws no graph, and the searches refuse any cap over 20.
+Sets here are Python ints, most in *lanes*: one bit per case, so one int
+holds one fact for many cases. Item i of k items is bit k - 1 - i, so
+descending lanes of one popcount run in combinations order.
 
-The brute-force searches, exhaustive enumeration, the counterexample
-search and the theorem sweep share one array stage, the first section
-below. Every edge set on n <= 7 vertices is an integer mask, produced in
-chunks in (edge count, combinations rank) order together with per-vertex
-neighbour bitmasks (``_mask_chunks``); graphs of any size stack into the
-same bitmask rows (``_stacked_bits``, from each graph's ``neighbors``),
-which ``_unpack`` spreads into the stage's own adjacency. One
-bit-frontier BFS per chunk (``_levels``) gives connectivity, distances
-and geodesic sweeps, and ``_interval_bits`` the intervals I[x, y] from
-those distances, so nothing here calls the BFS, geodesic or simplicial
-code of graph.py that the searches certify. The theorem sweep checks the
-minimum against a boundary rule of its own (``_boundary_mask``, the
-definition as one array pass), run once per source index on the
-adjacency of a chunk's bitmask rows; the tests tie that rule to the
-boundary that graph.py's BFS flags.
+The searches of one graph run on candidate-set lanes: lane t of a
+2^k-bit int is the set of candidates that t holds. The sets that leave a
+vertex uncovered are the subsets of the candidates whose interval
+misses it (``_subset_lanes``), the covers are the lanes left over, and
+the least popcount among them is the minimum (``_least``). Intervals come
+from the distances by their definition, sharing no logic with
+boundary(). The exhaustive stages run on graph lanes: bit g of an edge
+int is edge mask g, a slice of 2^16 masks at a time (``_scan``), and
+``_in_key_order`` lists picked masks in (edge count, combinations rank)
+order over all slices. One bit-parallel BFS (``_levels``) serves both,
+its lanes a graph's sources or a slice's graphs, and the theorem sweep
+checks the minimum against a boundary rule of its own
+(``_boundary_lanes``), which the tests tie to graph.py's. Nothing here
+calls the BFS, geodesic or simplicial code of graph.py that the searches
+certify. Each function checks its inputs before any work, even when no
+graph is drawn, and the searches refuse any cap over 20.
 """
 
 from __future__ import annotations
@@ -35,11 +27,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from math import comb
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from functools import cache, partial, reduce
+from itertools import combinations, islice
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
 
@@ -60,151 +51,138 @@ _EXHAUSTIVE_MAX_N = 7
 # the largest graph min_x_geodominating_bruteforce searches by default,
 # and the theorem sweep's cap: it searches 2^(n-1) sets per source
 _GX_CAP = 12
-# the largest cap either search takes. Past the default caps each vertex
-# at least doubles the gx search's memory (its own share about 4, 18 and
-# 72 MB at n = 20, 22 and 24) and multiplies the geodetic search's time by
-# about 2.2 (0.55, 0.91 and 2.0 s on K_n at n = 17, 18 and 19, 2-vCPU
-# host), so a cap of 30 would allow gigabytes or hours
+# the largest cap either search takes; each vertex doubles the width of a
+# search's lane ints (128 KB at n = 20), so a cap of 30 would take gigabytes
 _CAP_LIMIT = 20
-# the theorem sweep holds n x n distances and adjacency per graph, so it
-# takes smaller chunks; these keep its peak memory at about the interpreter's
+# listed graphs read per slice, so that an iterator is never held whole
 _SWEEP_CHUNK = 1 << 9
-# set bits of every byte (np.bitwise_count needs numpy 2)
-_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+# low edge-mask bits per slice of graph lanes: 2^16 lanes, 8 KB per int
+_SLICE_BITS = 16
+
+# an adjacency in lanes: adj[v] lists (w, the lanes where v and w are adjacent)
+Adjacency = Sequence[Sequence[tuple[int, int]]]
 
 
 # ---------------------------------------------------------------------------
-# array stage: edge masks, neighbour bitmasks and their BFS
-
-# edge masks per array pass; larger chunks gain little speed and raise
-# the peak memory of the search
-_CHUNK = 1 << 12
+# lanes
 
 
-def _all_pairs_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@cache
+def _clear_patterns(width: int) -> tuple[int, ...]:
+    """clear[b]: the lanes t < 2^width without bit b."""
+    return tuple(_subset_lanes(((1 << width) - 1) ^ 1 << b) for b in range(width))
 
 
-def _neighbour_bits(
-    n: int, pairs: Sequence[tuple[int, int]], masks: np.ndarray
-) -> np.ndarray:
-    """nbrs[k, v]: the neighbour bitmask of vertex v in edge mask k, where
-    pair p of pairs is bit len(pairs) - 1 - p."""
-    top = len(pairs) - 1
-    nbrs = np.zeros((len(masks), n), dtype=np.uint8)
-    for p, (i, j) in enumerate(pairs):
-        edge = ((masks >> (top - p)) & 1).astype(np.uint8)
-        nbrs[:, i] |= edge << np.uint8(j)
-        nbrs[:, j] |= edge << np.uint8(i)
-    return nbrs
+@cache
+def _size_patterns(width: int) -> tuple[int, ...]:
+    """sizes[k]: the lanes t < 2^width of popcount k; below 2^(b+1), those
+    below 2^b of popcount k and those of k - 1 shifted up by 2^b."""
+    sizes = [1]
+    for b in range(width):
+        sizes = [low | high << (1 << b) for low, high in zip([*sizes, 0], [0, *sizes])]
+    return tuple(sizes)
 
 
-def _mask_chunks(n: int, chunk: int = _CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, nbrs) for every edge set on n vertices, by edge count
-    ascending then combinations rank, at most chunk masks at a time.
-
-    Pair p of _all_pairs_list(n) is bit P - 1 - p of a mask, so the
-    combinations order of each edge count is descending mask order. A mask
-    is a high and a low half: descending order runs the high halves
-    downwards and, under each, the low halves of the remaining popcount
-    downwards. nbrs comes from per-half tables. Starts at n - 1 edges:
-    nothing smaller can span n vertices.
-    """
-    pairs = _all_pairs_list(n)
-    low = len(pairs) // 2
-    high_vals = np.arange((1 << (len(pairs) - low)) - 1, -1, -1)
-    high_pc = np.array([v.bit_count() for v in high_vals.tolist()])
-    # low halves grouped by popcount, descending within a group;
-    # group c is low_sorted[first[c]:first[c + 1]]
-    low_sorted = np.array(sorted(range(1 << low), key=lambda v: (v.bit_count(), -v)))
-    first = np.cumsum([0] + [comb(low, c) for c in range(low + 1)])
-    nb_high = _neighbour_bits(n, pairs, np.arange(1 << (len(pairs) - low)) << low)
-    nb_low = _neighbour_bits(n, pairs, np.arange(1 << low))
-    for count in range(max(0, n - 1), len(pairs) + 1):
-        need = count - high_pc
-        fits = (need >= 0) & (need <= low)
-        highs, need = high_vals[fits], need[fits]
-        # ranks starts[h]:starts[h + 1] pair highs[h] with group need[h]
-        starts = np.concatenate(([0], np.cumsum(first[need + 1] - first[need])))
-        for lead in range(0, starts[-1], chunk):
-            rank = np.arange(lead, min(lead + chunk, starts[-1]))
-            h = np.searchsorted(starts, rank, side="right") - 1
-            hi = highs[h]
-            lo = low_sorted[first[need[h]] + rank - starts[h]]
-            yield (hi << low) | lo, nb_high[hi] | nb_low[lo]
+def _subset_lanes(bits: int) -> int:
+    """The lanes of every subset of bits, by doubling over its set bits:
+    the lanes so far, shifted by the bit's period, are those with it."""
+    lanes, b = 1, 0
+    while bits >> b:
+        if bits >> b & 1:
+            lanes |= lanes << (1 << b)
+        b += 1
+    return lanes
 
 
-def _bits_dtype(n: int) -> np.dtype:
-    """The narrowest unsigned integer dtype with a bit per vertex."""
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if n <= 8 * np.dtype(dtype).itemsize:
-            return np.dtype(dtype)
-    raise ValueError(f"too large: {n} vertices exceed a 64-bit vertex mask")
+def _least(lanes: int, sizes: Sequence[int]) -> tuple[int, int]:
+    """(k, hits): the least popcount k among lanes, and the lanes of it."""
+    return next((k, lanes & size) for k, size in enumerate(sizes) if lanes & size)
 
 
-def _vertex_bits(n: int, dtype: np.dtype) -> np.ndarray:
-    """[1 << v for v < n] in dtype."""
-    return np.array([1 << v for v in range(n)], dtype=dtype)
+def _lanes_of(bits: int) -> Iterator[int]:
+    """The set lanes of bits, highest first."""
+    while bits:
+        top = bits.bit_length() - 1
+        yield top
+        bits ^= 1 << top
 
 
-def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
-    """bits[..., i] spread over a new last axis: out[..., i, v] is bit v."""
-    raw = np.ascontiguousarray(bits, dtype=bits.dtype.newbyteorder("<"))
-    return np.unpackbits(raw[..., None].view(np.uint8), axis=-1, bitorder="little")[..., :n]
+def _members(lane: int, items: Sequence) -> tuple:
+    """The items of lane, where item i is bit len(items) - 1 - i."""
+    top = len(items) - 1
+    return tuple(item for i, item in enumerate(items) if lane >> (top - i) & 1)
 
 
-def _pack(flags: np.ndarray) -> np.ndarray:
-    """The inverse of ``_unpack``: the last axis of flags as bitmasks."""
-    n = flags.shape[-1]
-    dtype = _bits_dtype(n)
-    raw = np.zeros((*flags.shape[:-1], dtype.itemsize), dtype=np.uint8)
-    raw[..., : (n + 7) // 8] = np.packbits(flags, axis=-1, bitorder="little")
-    return raw.view(dtype.newbyteorder("<"))[..., 0]
+# ---------------------------------------------------------------------------
+# BFS and rules in lanes
 
 
-def _stacked_bits(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Neighbour bitmasks of n-vertex graphs, one row per graph, from
-    ``g.neighbors(v)``."""
-    rows = [[sum(1 << w for w in g.neighbors(v)) for v in range(n)] for g in graphs]
-    return np.array(rows, dtype=_bits_dtype(n)).reshape(len(graphs), n)
+def _edge_lanes(g: Graph, lanes: int) -> list[list[tuple[int, int]]]:
+    """g's edges in every one of lanes, from ``g.neighbors(v)``."""
+    return [[(w, lanes) for w in g.neighbors(v)] for v in range(g.n)]
 
 
-def _neighbourhood(nbrs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Union of nbrs[k, v] over the bits v of sets[k, j], per (k, j)."""
-    out = np.zeros_like(sets)
-    for v in range(nbrs.shape[1]):
-        out |= ((sets >> np.uint8(v)) & np.uint8(1)) * nbrs[:, v, None]
-    return out
+def _neighbourhood(adj: Adjacency, sets: Sequence[int]) -> list[int]:
+    """out[v]: the lanes in which v has a neighbour w in sets[w]."""
+    return [reduce(or_, [lanes & sets[w] for w, lanes in nbrs], 0) for nbrs in adj]
 
 
-def _levels(nbrs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Bit-frontier BFS from every source: (keep, levels), where keep indexes
-    the connected rows of nbrs and levels[j][k, z] is the bitmask of the
-    vertices at distance j from z in row keep[k], to the chunk's last level."""
-    rows, n = nbrs.shape
-    seen = np.tile(_vertex_bits(n, nbrs.dtype), (rows, 1))  # [k, z]
-    levels = [seen.copy()]
-    while (frontier := _neighbourhood(nbrs, levels[-1]) & ~seen).any():
-        seen |= frontier
+def _levels(adj: Adjacency, start: list[int]) -> list[list[int]]:
+    """Bit-frontier BFS in every lane at once: start[v] holds the lanes
+    whose source is v, and levels[j][v] the lanes in which v lies at
+    distance j from the source, to the last level of any lane."""
+    levels, seen = [start], start
+    while True:
+        frontier = [reach & ~s for reach, s in zip(_neighbourhood(adj, levels[-1]), seen)]
+        if not any(frontier):
+            return levels
+        seen = [s | f for s, f in zip(seen, frontier)]
         levels.append(frontier)
-    (keep,) = np.nonzero(seen[:, 0] == (1 << n) - 1)
-    return keep, [level[keep] for level in levels]
 
 
-def _distances(levels: list[np.ndarray]) -> np.ndarray:
-    """d[k, z, v]: the distance from z to v in row k of the ``_levels``."""
-    rows, n = levels[0].shape
-    d = np.zeros((rows, n, n), dtype=np.uint8)
-    for depth in range(1, len(levels)):
-        d += np.uint8(depth) * _unpack(levels[depth], n)
-    return d
+def _sourced(n: int, z: int, lanes: int) -> list[int]:
+    """A BFS start with source z in every one of lanes."""
+    return [lanes if v == z else 0 for v in range(n)]
 
 
-def _interval_bits(d: np.ndarray, x: int) -> np.ndarray:
-    """iv[k, y]: the interval I[x, y] in graph k of the distances d[K, n, n]
-    as a bitmask: the vertices v with d(x, v) + d(y, v) = d(x, y)."""
-    dx = d[:, x, :]
-    return _pack(dx[:, None, :] + d == dx[:, :, None])
+def _connected_lanes(adj: Adjacency, lanes: int) -> int:
+    """Those of lanes in which every vertex lies at some distance from 0."""
+    reached = [reduce(or_, column) for column in zip(*_levels(adj, _sourced(len(adj), 0, lanes)))]
+    return reduce(and_, reached)
+
+
+def _boundary_lanes(adj: Adjacency, levels: Sequence[Sequence[int]]) -> list[int]:
+    """inside[v]: the lanes in which v has no neighbour farther from the
+    source than v, the boundary by its definition, from levels[j][v], the
+    lanes in which v lies at distance j (of ``_levels`` or any distances)."""
+    n = len(adj)
+    inside, beyond = [0] * n, [0] * n  # beyond: the lanes past the level
+    for level in reversed(levels):
+        farther = _neighbourhood(adj, beyond)
+        inside = [i | (at & ~f) for i, at, f in zip(inside, level, farther)]
+        beyond = [b | at for b, at in zip(beyond, level)]
+    return inside
+
+
+def _geodesic_cover(adj: Adjacency, levels: list[list[int]], targets: list[int]) -> list[int]:
+    """covered[v]: the lanes in which v lies on a geodesic from the source
+    to a vertex w in targets[w]. Back up the levels, U_j = L_j & (targets |
+    N(U_{j+1})) holds the level-j vertices on such a geodesic."""
+    up = covered = [0] * len(adj)
+    for level in reversed(levels):
+        near = _neighbourhood(adj, up)
+        up = [at & (t | r) for at, t, r in zip(level, targets, near)]
+        covered = [c | u for c, u in zip(covered, up)]
+    return covered
+
+
+def _at_least(sets: Sequence[int], lanes: int, most: int) -> list[int]:
+    """at[k]: those of lanes that lie in at least k of sets, k <= most."""
+    at = [lanes] + [0] * most
+    for s in sets:
+        for k in range(most, 0, -1):
+            at[k] |= at[k - 1] & s
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +194,20 @@ def min_x_geodominating_bruteforce(
 ) -> tuple[VertexSet, ...]:
     """Every minimum x-geodominating set, all of one size, in combinations
     order, by exhaustive search over every candidate set
-    (``_minimum_covers``). The search covers every candidate or refuses
-    the graph, so no smaller set exists.
+    (``_minimum_covers``), whose 2^(n-1) lanes the cap bounds.
 
     The cap is checked before anything else. The distances come from the
-    oracle stage's own bit-frontier BFS, not from the BFS
-    rows of graph.py that boundary() reads.
-
-    Candidates exclude x itself: x is covered by any nonempty set (it is
-    an endpoint of every geodesic from x) and contributes only I[x,x] =
-    {x}, so adding it never shrinks a cover. Time and memory grow as
-    2^(n-1) per source, which the cap bounds.
+    oracle stage's own BFS, not from the rows of graph.py that boundary()
+    reads. Candidates exclude x itself: x is covered by any nonempty set
+    (it ends every geodesic from x) and contributes only I[x,x] = {x}, so
+    adding it never shrinks a cover.
     """
     n = g.n
     _require_cap(n, cap)
     if n < 2:
         raise ValueError("x-geodomination needs at least two vertices")
     x = _check_vertex(g, x)
-    return _min_x_search(_graph_distances(_stacked_bits([g], n))[0], x)
+    return _min_x_search(_graph_distances(g), x)
 
 
 def _require_cap(n: int, cap: int) -> None:
@@ -243,53 +217,51 @@ def _require_cap(n: int, cap: int) -> None:
         raise ValueError(f"too large: {n} vertices exceeds the cap of {cap}")
 
 
-def _graph_distances(nbrs: np.ndarray) -> np.ndarray:
-    """``_distances`` of the rows of nbrs, which must all be connected."""
-    keep, levels = _levels(nbrs)
-    if len(keep) < len(nbrs):
+def _graph_distances(g: Graph) -> list[list[int]]:
+    """d[x][v]: the distance from x to v in g, by ``_levels`` with one
+    lane per source; a disconnected g raises DisconnectedError."""
+    n = g.n
+    levels = _levels(_edge_lanes(g, (1 << n) - 1), [1 << v for v in range(n)])
+    if reduce(or_, (level[0] for level in levels)) != (1 << n) - 1:
         raise DisconnectedError("graph is disconnected")
-    return _distances(levels)
+    d = [[0] * n for _ in range(n)]
+    for depth, level in enumerate(levels):
+        for x, ring in enumerate(level):  # by symmetry, the vertices at depth from x
+            for v in _lanes_of(ring):
+                d[x][v] = depth
+    return d
 
 
-def _min_x_search(d: np.ndarray, x: int) -> tuple[VertexSet, ...]:
+def _interval_masks(d: Sequence[Sequence[int]], x: int) -> list[int]:
+    """iv[y]: the interval I[x, y] of the distances d as a vertex mask,
+    the vertices v with d(x, v) + d(v, y) = d(x, y)."""
+    n = len(d)
+    return [sum(1 << v for v in range(n) if d[x][v] + d[v][y] == d[x][y]) for y in range(n)]
+
+
+def _minimum_covers(d: Sequence[Sequence[int]], x: int) -> tuple[list[int], int, int]:
+    """(candidates, size, hits) for source x of any symmetric matrix d
+    with a zero diagonal: hits holds the candidate-set lanes of least
+    size whose geodesics from x cover every vertex."""
+    n = len(d)
+    candidates = [y for y in range(n) if y != x]
+    iv = _interval_masks(d, x)
+    top = len(candidates) - 1
+    uncovered = 0
+    for v in range(n):
+        # the candidates whose interval misses v, as lane bits
+        missing = sum(1 << (top - i) for i, y in enumerate(candidates) if not iv[y] >> v & 1)
+        uncovered |= _subset_lanes(missing)
+    covers = ((1 << (1 << len(candidates))) - 1) ^ uncovered
+    # the set of every candidate always covers, so there is a hit
+    return candidates, *_least(covers, _size_patterns(top + 1))
+
+
+def _min_x_search(d: Sequence[Sequence[int]], x: int) -> tuple[VertexSet, ...]:
     """The search of ``min_x_geodominating_bruteforce`` for source x on
     any symmetric (n, n) matrix d with a zero diagonal."""
-    _, hits = _minimum_covers(d[None], x)
-    return _minimum_sets(hits[0], x, len(d))
-
-
-def _minimum_covers(d: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(size, hits) for source x in each graph of d[K, n, n]: hits[k, t]
-    marks the candidate sets t of least size size[k] whose geodesics from
-    x cover every vertex, where bit i of t is the i-th vertex other than x.
-
-    cover[k, i] is the interval I[x, y] of candidate y as a bitmask
-    (``_interval_bits``). Subset doubling unions them over every t: the
-    unions of the sets without candidate i, ORed with cover i, are those of
-    the sets with it.
-    """
-    rows, n, _ = d.shape
-    cover = np.delete(_interval_bits(d, x), x, axis=1)
-    union = np.zeros((rows, 1), dtype=cover.dtype)
-    sizes = np.zeros(1, dtype=np.uint8)
-    for i in range(n - 1):
-        union = np.concatenate((union, union | cover[:, i, None]), axis=1)
-        sizes = np.concatenate((sizes, sizes + np.uint8(1)))
-    full = union == (1 << n) - 1
-    # the set of every candidate is always full, so each row has a hit
-    size = np.where(full, sizes, n).min(axis=1)
-    return size, full & (sizes == size[:, None])
-
-
-def _minimum_sets(hits: np.ndarray, x: int, n: int) -> tuple[VertexSet, ...]:
-    """The sets marked in one row of ``_minimum_covers``'s hits, which all
-    have one size, in combinations order: their sorted members ascending."""
-    candidates = [v for v in range(n) if v != x]
-    members = sorted(
-        tuple(v for i, v in enumerate(candidates) if t >> i & 1)
-        for t in np.flatnonzero(hits).tolist()
-    )
-    return tuple(VertexSet(m, n) for m in members)
+    candidates, _, hits = _minimum_covers(d, x)
+    return tuple(VertexSet(_members(t, candidates), len(d)) for t in _lanes_of(hits))
 
 
 def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> VertexSet:
@@ -297,41 +269,84 @@ def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> VertexSet:
     size is the geodetic number.
 
     As in ``min_x_geodominating_bruteforce``, the cap comes first and the
-    distances come from the oracle stage's own BFS."""
+    distances come from the oracle stage's own BFS. The sets that leave v
+    uncovered, with no pair u, w with v in I[u, w], grow by doubling.
+    """
     n = g.n
     _require_cap(n, cap)
     if n == 1:
         return VertexSet.of([0], 1)
 
-    d = _graph_distances(_stacked_bits([g], n))[0]
-    full = (1 << n) - 1
-    pair_mask = [_interval_bits(d[None], u)[0].tolist() for u in range(n)]
-
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i, u in enumerate(combo):
-                row = pair_mask[u]
-                for v in combo[i + 1:]:
-                    mask |= row[v]
-            if mask == full:
-                return VertexSet.of(combo, n)
-    raise AssertionError("unreachable: V itself is geodetic")
+    d = _graph_distances(g)
+    iv = [_interval_masks(d, u) for u in range(n)]
+    clear = _clear_patterns(n)
+    uncovered = 0
+    for v in range(n):
+        free = 1
+        for u in reversed(range(n)):
+            apart = (clear[n - 1 - w] for w in range(u + 1, n) if iv[u][w] >> v & 1)
+            free |= reduce(and_, apart, free) << (1 << (n - 1 - u))
+        uncovered |= free
+    _, hits = _least(((1 << (1 << n)) - 1) ^ uncovered, _size_patterns(n))
+    return VertexSet(_members(hits.bit_length() - 1, range(n)), n)
 
 
 # ---------------------------------------------------------------------------
-# graph generation
+# graph lanes and generation
+
+
+def _all_pairs_list(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _slice_width(n: int) -> int:
+    return min(n * (n - 1) // 2, _SLICE_BITS)
+
+
+def _slices(n: int) -> Iterator[tuple[int, list[list[tuple[int, int]]]]]:
+    """(high, adj) per slice of the edge masks on n vertices, high
+    descending: lane g is mask high << _slice_width(n) | g."""
+    pairs = _all_pairs_list(n)
+    width = _slice_width(n)
+    clear = _clear_patterns(width)
+    lanes = (1 << (1 << width)) - 1
+    for high in reversed(range(1 << (len(pairs) - width))):
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for p, (i, j) in enumerate(pairs):
+            b = len(pairs) - 1 - p
+            edge = lanes ^ clear[b] if b < width else lanes * (high >> (b - width) & 1)
+            if edge:
+                adj[i].append((j, edge))
+                adj[j].append((i, edge))
+        yield high, adj
+
+
+def _scan(n: int, pick: Callable[[Adjacency, int], object]) -> Iterator[tuple[int, object]]:
+    """(high, pick(adj, every lane)) per slice of ``_slices(n)``, each
+    picked before the next is made."""
+    lanes = (1 << (1 << _slice_width(n))) - 1
+    for high, adj in _slices(n):
+        yield high, pick(adj, lanes)
+
+
+def _in_key_order(n: int, picked: dict[int, int]) -> Iterator[int]:
+    """The masks of picked, a lane int per slice's high bits, by edge
+    count, then descending mask, over all the slices."""
+    width = _slice_width(n)
+    sizes = _size_patterns(width)
+    for count in range(n * (n - 1) // 2 + 1):
+        for high in sorted(picked, reverse=True):
+            low = count - high.bit_count()
+            if 0 <= low <= width:
+                for lane in _lanes_of(picked[high] & sizes[low]):
+                    yield high << width | lane
 
 
 def _mask_graph(n: int, mask: int) -> Graph:
     """The graph on labels a, b, ... whose edges are the set bits of mask."""
-    pairs = _all_pairs_list(n)
     labels = _ENUM_LABELS[:n]
-    return Graph(
-        ((labels[i], labels[j]) for p, (i, j) in enumerate(pairs)
-         if mask >> (len(pairs) - 1 - p) & 1),
-        vertices=labels,
-    )
+    edges = _members(mask, _all_pairs_list(n))
+    return Graph(((labels[i], labels[j]) for i, j in edges), vertices=labels)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -339,9 +354,8 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     by edge count ascending then combinations order of the edge list."""
     if not 1 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {_EXHAUSTIVE_MAX_N}")
-    for masks, nbrs in _mask_chunks(n):
-        for mask in masks[_levels(nbrs)[0]].tolist():
-            yield _mask_graph(n, mask)
+    for mask in _in_key_order(n, dict(_scan(n, _connected_lanes))):
+        yield _mask_graph(n, mask)
 
 
 def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -415,54 +429,30 @@ def random_graph_corpus(
 # simplicial counterexample search
 
 
-def _simplicial_bits(nbrs: np.ndarray) -> np.ndarray:
-    """Bitmask of the vertices whose neighbourhood is a clique, per row:
-    v qualifies when its closed neighbourhood N[v] lies inside N[u] for
-    every neighbour u."""
-    n = nbrs.shape[1]
-    closed = nbrs | _vertex_bits(n, nbrs.dtype)
-    inside = np.full_like(nbrs, 0xFF)  # [k, v]: N[u] over the neighbours u of v
-    for u in range(n):
-        # (bit - 1) is 0xFF where u is no neighbour of v, else 0
-        inside &= closed[:, u, None] | (((nbrs >> np.uint8(u)) & np.uint8(1)) - np.uint8(1))
-    return np.packbits((closed & ~inside) == 0, axis=1, bitorder="little")[:, 0]
+def _simplicial_lanes(adj: Adjacency, lanes: int) -> list[int]:
+    """simp[v]: those of lanes in which the neighbourhood of v is a clique:
+    no two neighbours u, w of v are apart."""
+    edge = [dict(nbrs) for nbrs in adj]
+    simp = []
+    for nbrs in adj:
+        apart = 0
+        for (u, with_u), (w, with_w) in combinations(nbrs, 2):
+            apart |= with_u & with_w & ~edge[u].get(w, 0)
+        simp.append(lanes & ~apart)
+    return simp
 
 
-def _fails_everywhere(nbrs: np.ndarray, simp: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
-    """Whether the simplicial bits cover no source, per row of connected
-    graphs: for every z some v lies on no geodesic from z to simp.
-
-    From the BFS level bitmasks L_0..L_e of every source z (``_levels``),
-    going back up, U_j = L_j & (simp | N(U_{j+1})) holds the level-j
-    vertices with a distance-increasing path into simp, which are the
-    vertices on a geodesic from z to simp.
-    """
-    n = nbrs.shape[1]
-    targets = simp[:, None]
-    up = levels[-1] & targets
-    covered = up.copy()
-    for level in reversed(levels[:-1]):
-        up = level & (targets | _neighbourhood(nbrs, up))
-        covered |= up
-    return (covered != (1 << n) - 1).all(axis=1)
-
-
-def _first_counterexample(nbrs: np.ndarray, min_simplicial: int) -> tuple[int, int] | None:
-    """(row, simplicial bits) of the first row that is connected, has at
-    least min_simplicial simplicial vertices and fails from every source."""
-    simp = _simplicial_bits(nbrs)
-    (keep,) = np.nonzero(_POPCOUNT[simp] >= min_simplicial)
-    connected, levels = _levels(nbrs[keep])
-    keep = keep[connected]
-    (hits,) = np.nonzero(_fails_everywhere(nbrs[keep], simp[keep], levels))
-    if len(hits) == 0:
-        return None
-    row = int(keep[hits[0]])
-    return row, int(simp[row])
-
-
-def _vertex_set(bits: int, n: int) -> VertexSet:
-    return VertexSet.of((v for v in range(n) if bits >> v & 1), n)
+def _counterexample_lanes(min_simplicial: int, adj: Adjacency, lanes: int) -> int:
+    """Those of lanes that are connected graphs with at least
+    min_simplicial simplicial vertices, whose simplicial set covers from
+    no source (``_geodesic_cover``)."""
+    simp = _simplicial_lanes(adj, lanes)
+    hits = _at_least(simp, lanes, min_simplicial)[-1] & _connected_lanes(adj, lanes)
+    for z in range(len(adj)):
+        if hits:
+            covered = _geodesic_cover(adj, _levels(adj, _sourced(len(adj), z, lanes)), simp)
+            hits &= ~reduce(and_, covered)
+    return hits
 
 
 def find_simplicial_counterexample(
@@ -473,24 +463,24 @@ def find_simplicial_counterexample(
     fails to x-geodominate from every source vertex.
 
     min_simplicial additionally requires that many simplicial vertices.
-    The search is exhaustive through n = 7, one array pass per chunk of
-    edge masks. max_n = 8 is accepted and searches the same graphs as 7:
-    n = 8 was only ever a seeded sample of 2000 random graphs, and it
+    The search is exhaustive through n = 7, over all slices of an n before
+    it takes the least. max_n = 8 is accepted and searches the same graphs
+    as 7: n = 8 was only ever a seeded sample of 2000 random graphs, which
     never changed a result (every min_simplicial from 1 to 4 hits by
-    n = 7, and the sample had no hit at 5 or above), while full
-    enumeration of n = 8 is out of reach.
+    n = 7, and the sample had no hit at 5 or above).
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
     if min_simplicial < 1:
         raise ValueError("min_simplicial must be at least 1")
 
-    for n in range(4, min(max_n, _EXHAUSTIVE_MAX_N) + 1):
-        for masks, nbrs in _mask_chunks(n):
-            hit = _first_counterexample(nbrs, min_simplicial)
-            if hit is not None:
-                row, simp = hit
-                return _mask_graph(n, int(masks[row])), _vertex_set(simp, n)
+    for n in range(max(4, min_simplicial), min(max_n, _EXHAUSTIVE_MAX_N) + 1):
+        hits = dict(_scan(n, partial(_counterexample_lanes, min_simplicial)))
+        mask = next(_in_key_order(n, hits), None)
+        if mask is not None:
+            g = _mask_graph(n, mask)
+            simp = _simplicial_lanes(_edge_lanes(g, 1), 1)
+            return g, VertexSet.of((v for v, bit in enumerate(simp) if bit), n)
 
     return None
 
@@ -519,15 +509,12 @@ def verify_unique_minimum(
     exactly one minimum x-geodominating set and that it is the boundary.
 
     exhaustive_n puts every connected graph on 2..exhaustive_n vertices
-    ahead of graphs, swept chunk by chunk from ``_mask_chunks`` without
-    building a Graph. graphs take the same chunk check: they are read
-    _SWEEP_CHUNK at a time, so an iterator is never held whole, each
-    slice's graphs of one vertex count are stacked into one chunk, and a
-    slice's caps are all checked before it is swept. They are swept first,
-    so that a graph over the cap of 12 vertices fails before the
-    enumeration. A Graph is built only to report an enumerated failure.
-    Single-vertex graphs are skipped: geodomination needs a non-source
-    vertex to exist.
+    ahead of graphs, swept on graph lanes (``_sweep_lanes``), building a
+    Graph only to report a failure. graphs are read _SWEEP_CHUNK at a
+    time, a slice's caps all checked before its graphs are swept one by
+    one, and go first, so that a graph over the cap of 12 vertices fails
+    before the enumeration. Single-vertex graphs are skipped:
+    geodomination needs a non-source vertex to exist.
     """
     if not 0 <= exhaustive_n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive_n must lie in [0, {_EXHAUSTIVE_MAX_N}]")
@@ -541,28 +528,63 @@ def verify_unique_minimum(
 
 
 def _verify_enumeration(max_n: int) -> VerificationReport:
-    """The sweep over every connected graph on 2..max_n vertices."""
+    """The sweep over every connected graph on 2..max_n vertices; the
+    failures of an n are listed in (edge count, combinations rank) order,
+    then by source."""
     graphs_checked = sources_checked = 0
     failures: list[str] = []
     for n in range(2, max_n + 1):
-        for masks, nbrs in _mask_chunks(n, _SWEEP_CHUNK):
-            keep, levels = _levels(nbrs)
-            masks, nbrs = masks[keep], nbrs[keep]
-            d = _distances(levels)
+        failing: dict[int, list[int]] = {}
+        for high, (connected, fails) in _scan(n, _sweep_lanes):
+            graphs_checked += connected.bit_count()
+            sources_checked += n * connected.bit_count()
+            if any(fails):
+                failing[high] = fails
+        for mask in _in_key_order(n, {high: reduce(or_, f) for high, f in failing.items()}):
+            high, lane = divmod(mask, 1 << _slice_width(n))
+            g = _mask_graph(n, mask)
+            d = _graph_distances(g)
             failures.extend(
-                _failure(_mask_graph(n, int(masks[row])), d[row], x)
-                for row, x in _failing_sources(nbrs, d)
+                _failure(g, d, z) for z, lanes in enumerate(failing[high]) if lanes >> lane & 1
             )
-            graphs_checked += len(nbrs)
-            sources_checked += n * len(nbrs)
     return VerificationReport(graphs_checked, sources_checked, tuple(failures))
+
+
+def _sweep_lanes(adj: Adjacency, lanes: int) -> tuple[int, list[int]]:
+    """(connected, fails): a slice's connected lanes, and per source z
+    those where the boundary B (``_boundary_lanes``) is not the unique
+    minimum: B is no cover, or another set of at most |B| candidates is.
+    The sets grow by doubling over the candidates y, each with its
+    interval I[z, y], and keep the lanes where they are B."""
+    n = len(adj)
+    connected = _connected_lanes(adj, lanes)
+    fails = []
+    for z in range(n):
+        levels = _levels(adj, _sourced(n, z, lanes))
+        inside = _boundary_lanes(adj, levels)
+        at_least = _at_least(inside, lanes, n)
+        # (size, covered per vertex, lanes where the set is B) per set
+        sets = [(0, [0] * n, lanes & ~inside[z])]
+        for y in range(n):
+            if y != z:
+                iv = _geodesic_cover(adj, levels, _sourced(n, y, lanes))
+                sets = [grown for size, covered, same in sets for grown in (
+                    (size, covered, same & ~inside[y]),
+                    (size + 1, [c | i for c, i in zip(covered, iv)], same & inside[y]),
+                )]
+        is_b = other = 0
+        for size, covered, same in sets:
+            covers = reduce(and_, covered)
+            is_b |= covers & same
+            other |= covers & ~same & at_least[size]
+        fails.append(connected & ~(is_b & ~other))
+    return connected, fails
 
 
 def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
     """The sweep over graphs, read _SWEEP_CHUNK at a time so that an
-    iterator is never held whole. A slice's caps are all checked before it
-    is swept, and its graphs of each vertex count are stacked into one
-    chunk; failures keep the order of graphs, then of sources."""
+    iterator is never held whole; failures keep the order of graphs,
+    then of sources."""
     graphs_checked = sources_checked = 0
     failures: list[str] = []
     todo = iter(graphs)
@@ -570,61 +592,40 @@ def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
         chunk = [g for g in chunk if g.n >= 2]
         for g in chunk:
             _require_cap(g.n, _GX_CAP)
-        lines: list[list[str]] = [[] for _ in chunk]  # the failures of each graph
-        for n in {g.n for g in chunk}:
-            where = [i for i, g in enumerate(chunk) if g.n == n]
-            nbrs = _stacked_bits([chunk[i] for i in where], n)
-            d = _graph_distances(nbrs)
-            for row, x in _failing_sources(nbrs, d):
-                i = where[row]
-                lines[i].append(_failure(chunk[i], d[row], x))
-        failures.extend(chain.from_iterable(lines))
+        for g in chunk:
+            d = _graph_distances(g)
+            failures.extend(_failure(g, d, x) for x in _failing_sources(g, d))
         graphs_checked += len(chunk)
         sources_checked += sum(g.n for g in chunk)
     return VerificationReport(graphs_checked, sources_checked, tuple(failures))
 
 
-def _failing_sources(nbrs: np.ndarray, d: np.ndarray) -> list[tuple[int, int]]:
-    """(row, x) of every source x of the connected graphs in nbrs whose
-    minimum x-geodominating set is not unique or is not the boundary, by
-    row then x; d holds their distances (``_distances``).
-
-    The oracle is ``_minimum_covers``; the boundary is ``_boundary_mask``,
-    run once per source index on the adjacency of the rows.
-    """
-    rows, n = nbrs.shape
-    adj = _unpack(nbrs, n).astype(bool)
-    bad = np.zeros((rows, n), dtype=bool)
-    for x in range(n):
-        size, hits = _minimum_covers(d, x)
-        # the vertex mask of a row's first hit: a zero bit goes in at x
-        first = hits.argmax(axis=1)
-        low = (1 << x) - 1
-        found = (first & low) | ((first & ~low) << 1)
-        inside = _boundary_mask(adj, d[:, x, :])
-        bad[:, x] = ~(
-            (hits.sum(axis=1) == 1)
-            & (found == _pack(inside))
-            & (size == inside.sum(axis=1))
-        )
-    return [(row, x) for row, x in np.argwhere(bad).tolist()]
+def _boundaries(g: Graph, d: Sequence[Sequence[int]]) -> list[VertexSet]:
+    """The boundary of every source x of g by ``_boundary_lanes``, one
+    lane per source, on the distances d."""
+    n = g.n
+    levels = [[sum(1 << x for x in range(n) if d[x][v] == j) for v in range(n)]
+              for j in range(max(map(max, d)) + 1)]
+    inside = _boundary_lanes(_edge_lanes(g, (1 << n) - 1), levels)
+    return [VertexSet(tuple(v for v in range(n) if inside[v] >> x & 1), n) for x in range(n)]
 
 
-def _boundary_mask(adj: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """inside[k, v]: whether v has no neighbour farther from the source of
-    dx[k] than v is, in graph k with adjacency adj[k]: the boundary by its
-    definition."""
-    return ~(adj & (dx[:, None, :] > dx[:, :, None])).any(axis=2)
+def _failing_sources(g: Graph, d: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Every source x of g whose minimum x-geodominating set is not unique
+    or is not the boundary, ascending; d holds the distances, which may
+    be any symmetric matrix with a zero diagonal."""
+    for x, inside in enumerate(_boundaries(g, d)):
+        candidates, size, hits = _minimum_covers(d, x)
+        found = VertexSet(_members(hits.bit_length() - 1, candidates), g.n)
+        if not (hits.bit_count() == 1 and found == inside and size == len(inside)):
+            yield x
 
 
-def _failure(g: Graph, d: np.ndarray, x: int) -> str:
+def _failure(g: Graph, d: Sequence[Sequence[int]], x: int) -> str:
     """The report line of a failing source x of g, whose distances are d:
-    the boundary comes from the rule that found x (``_failing_sources``),
-    over the adjacency of g's bitmask row."""
+    the boundary comes from the rule that found x (``_boundaries``)."""
     sets = _min_x_search(d, x)
-    adj = _unpack(_stacked_bits([g], g.n), g.n).astype(bool)
-    inside = _boundary_mask(adj, d[None, x])[0]
-    expected = VertexSet(tuple(np.flatnonzero(inside).tolist()), g.n)
+    expected = _boundaries(g, d)[x]
     oracle_sets = [g.labels_of(s) for s in sets]
     return (
         f"{g!r} edges={list(g.edges())} x={g.labels[x]}: "

@@ -5,9 +5,9 @@ Floyd-Warshall instead of BFS, intervals from explicit simple-path
 enumeration, boundaries and coverage from direct definition scans. The
 graph enumeration, the simplicial counterexample search, the minimum
 x-geodominating search and the theorem sweep are the pure-Python loops
-over `combinations` tuples that the package's array passes replaced; the
+over `combinations` tuples that the package's lane passes replaced; the
 sweep loop reads the boundary through the oracle sweep's own rule, as the
-array sweep does, since that rule is what it checks. The product report
+lane sweep does, since that rule is what it checks. The product report
 loop is the per-base loop on (n_G, n_H) boolean arrays that the big-int
 kernel replaced; it takes the factor rows, boundaries and gx bounds from
 the package, since the cell masks are what it checks (BFS on the built
@@ -121,15 +121,6 @@ def loop_product(
         for hi in range(h.n):
             pairs[pg.index_of(pair_label(gl[gi], hl[hi]))] = (gi, hi)
     return ProductGraph(g, h, pg, tuple(pairs)), sets
-
-
-def reference_adjacency(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
-    """The dense adjacency of the neighbour lists nbrs: adj[v, w] is
-    whether w is a neighbour of v."""
-    adj = np.zeros((len(nbrs), len(nbrs)), dtype=bool)
-    for v, a in enumerate(nbrs):
-        adj[v, list(a)] = True
-    return adj
 
 
 def assert_same_graph(got: Graph, want: Graph, want_sets: Sequence[frozenset[int]]) -> None:
@@ -300,10 +291,10 @@ def _as_mask(cells: np.ndarray) -> int:
 
 
 def _row_and_mask(g: Graph, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distance row of x and the mask of its boundary."""
+    """The distance row of x as an array and the mask of its boundary."""
     mask = np.zeros(g.n, dtype=bool)
     mask[list(boundary(g, x))] = True
-    return bfs_distances(g, x), mask
+    return np.array(bfs_distances(g, x)), mask
 
 
 def loop_product_reports(
@@ -602,11 +593,12 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
             continue
         graphs_checked += 1
         dist = floyd_warshall(g)
+        # the oracle's matrix holds the rows, so no BFS per source
+        boundaries = _oracle_rule_boundary(g, dist)
         for x in range(g.n):
             sources_checked += 1
             sets = loop_min_x_geodominating(g, dist, x)
-            # the oracle's matrix holds the row, so no BFS per source
-            expected = _oracle_rule_boundary(g, np.array(dist[x]))
+            expected = boundaries[x]
             if sets != (expected,):
                 oracle_sets = [g.labels_of(s) for s in sets]
                 failures.append(
@@ -621,12 +613,11 @@ def loop_verify_unique_minimum(graphs: Iterable[Graph]) -> VerificationReport:
     )
 
 
-def _oracle_rule_boundary(g: Graph, row: np.ndarray) -> VertexSet:
-    """The boundary of the source of row by the oracle sweep's own rule,
-    looked up at each call, so that a test's mutant of the rule applies."""
-    rule = importlib.import_module("geodom.oracles")._boundary_mask
-    inside = rule(reference_adjacency([g.neighbors(v) for v in range(g.n)])[None], row[None])
-    return VertexSet.of(np.flatnonzero(inside[0]), g.n)
+def _oracle_rule_boundary(g: Graph, dist: list[list[int]]) -> list[VertexSet]:
+    """The boundary of every source of g by the oracle sweep's own rule on
+    the distances dist, looked up at each call, so that a test's mutant
+    of the rule applies."""
+    return importlib.import_module("geodom.oracles")._boundaries(g, dist)
 
 
 def close_the_path_in_graph_bfs(monkeypatch) -> None:
@@ -647,14 +638,37 @@ def close_the_path_in_graph_bfs(monkeypatch) -> None:
 
 def drop_one_boundary_vertex(monkeypatch) -> None:
     """Make the oracle sweep's boundary rule lose the highest boundary
-    vertex of each row it scans, which is one graph."""
+    vertex in each lane it scans, which is one graph and source."""
     oracles = importlib.import_module("geodom.oracles")
-    mask = oracles._boundary_mask
+    rule = oracles._boundary_lanes
 
-    def mutant(adj, dx):
-        keep = mask(adj, dx).copy()
-        for row in keep:
-            row[np.flatnonzero(row)[-1:]] = False
-        return keep
+    def mutant(adj, levels):
+        inside = rule(adj, levels)
+        higher = 0  # the lanes with a boundary vertex above v
+        for v in reversed(range(len(inside))):
+            inside[v], higher = inside[v] & higher, higher | inside[v]
+        return inside
 
-    monkeypatch.setattr(oracles, "_boundary_mask", mutant)
+    monkeypatch.setattr(oracles, "_boundary_lanes", mutant)
+
+
+def add_one_boundary_vertex(monkeypatch) -> None:
+    """Make the oracle sweep's boundary rule take, in each lane it scans,
+    also the lowest vertex that is neither in the boundary nor the
+    source; the result still covers, but is no minimum."""
+    oracles = importlib.import_module("geodom.oracles")
+    rule = oracles._boundary_lanes
+
+    def mutant(adj, levels):
+        inside = rule(adj, levels)
+        added = 0  # the lanes where a vertex was added
+        for v in range(len(inside)):
+            reached = 0
+            for level in levels:
+                reached |= level[v]
+            extra = reached & ~(inside[v] | levels[0][v] | added)
+            inside[v] |= extra
+            added |= extra
+        return inside
+
+    monkeypatch.setattr(oracles, "_boundary_lanes", mutant)

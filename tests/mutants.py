@@ -57,31 +57,31 @@ EVERY_CLASS = "tests/test_products.py::test_every_factor_class_on_at_most_five_v
 MUTANTS = (
     Mutant(
         ORACLES,
-        "(dx[:, None, :] > dx[:, :, None])",
-        "(dx[:, None, :] >= dx[:, :, None])",
+        "farther = _neighbourhood(adj, beyond)",
+        "farther = _neighbourhood(adj, [b | at for b, at in zip(beyond, level)])",
         "tests/test_boundary.py::test_boundary_rules_agree_on_every_small_graph",
-        "_boundary_mask counts a neighbour at the same distance as farther",
+        "_boundary_lanes counts a neighbour at the same distance as farther",
     ),
     Mutant(
         ORACLES,
-        "(dx[:, None, :] > dx[:, :, None])",
-        "(dx[:, None, :] == dx[:, :, None] + 1)",
+        "beyond = [b | at for b, at in zip(beyond, level)]",
+        "beyond = level",
         PERTURBED,
-        "_boundary_mask looks one level farther only",
+        "_boundary_lanes looks one level farther only",
     ),
     Mutant(
         ORACLES,
-        "dx[:, None, :] + d == dx[:, :, None]",
-        "dx[:, None, :] + d <= dx[:, :, None]",
+        "if d[x][v] + d[v][y] == d[x][y]",
+        "if d[x][v] + d[v][y] <= d[x][y]",
         PERTURBED,
-        "_interval_bits takes every v with d(x, v) + d(y, v) <= d(x, y)",
+        "_interval_masks takes every v with d(x, v) + d(v, y) <= d(x, y)",
     ),
     Mutant(
         ORACLES,
-        "i = where[row]",
-        "i = row",
+        "failures.extend(_failure(g, d, x) for x in _failing_sources(g, d))",
+        "failures.extend(_failure(chunk[0], d, x) for x in _failing_sources(g, d))",
         SWEEP_FAILURES,
-        "_verify_graphs reports a failure on the slice's graph at its row in the size's chunk",
+        "_verify_graphs reports a failure on the first graph of the slice",
     ),
     Mutant(
         ORACLES,
@@ -92,66 +92,115 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
-        "islice(todo, _SWEEP_CHUNK)",
-        "islice(todo, 1)",
-        "tests/test_oracles.py::test_sweep_stacks_each_slice_by_vertex_count",
-        "_verify_graphs sweeps the listed graphs one at a time",
-    ),
-    Mutant(
-        ORACLES,
-        "(hits.sum(axis=1) == 1)\n            & (found",
-        "(found",
+        "hits.bit_count() == 1 and found",
+        "found",
         PERTURBED,
         "_failing_sources accepts tied minimum sets",
     ),
     Mutant(
         ORACLES,
-        "    for i in range(n - 1):\n        union = ",
-        "    for i in range(n - 2):\n        union = ",
-        "tests/test_oracles.py::test_path_minimum_is_far_endpoint",
-        "_minimum_covers leaves out the last candidate",
+        "for i, y in enumerate(candidates) if",
+        "for i, y in enumerate(candidates[:-1]) if",
+        "tests/test_oracles.py::test_search_matches_the_loop_on_every_small_graph",
+        "_minimum_covers takes the last candidate to cover every vertex",
     ),
     Mutant(
         ORACLES,
-        "for v in combo[i + 1:]",
-        "for v in combo[i + 2:]",
-        "tests/test_oracles.py::test_geodetic_numbers_of_families",
-        "geodetic_number_bruteforce skips each member's next member",
+        "for w in range(u + 1, n) if",
+        "for w in range(u + 2, n) if",
+        "tests/test_oracles.py::test_geodetic_search_finds_the_first_least_geodetic_set",
+        "geodetic_number_bruteforce skips each vertex's next vertex",
     ),
     Mutant(
         ORACLES,
-        "sum(1 << w for w in g.neighbors(v))",
-        "sum(1 << w for w in g.neighbors(v)[1:])",
+        "[(w, lanes) for w in g.neighbors(v)]",
+        "[(w, lanes) for w in g.neighbors(v)[1:]]",
         "tests/test_oracles.py::test_stacked_bits_match_the_reference_neighbour_sets",
-        "_stacked_bits leaves out each vertex's least neighbour",
+        "_edge_lanes leaves out each vertex's least neighbour",
     ),
     Mutant(
         ORACLES,
-        "seen[:, 0] == (1 << n) - 1",
-        "seen[:, 0] >= 1 << (n - 1)",
+        "return reduce(and_, reached)",
+        "return reached[-1]",
         "tests/test_oracles.py::test_connectivity_from_the_levels_matches_the_loop",
-        "_levels takes a graph as connected when vertex 0 reaches the last vertex",
+        "_connected_lanes takes a graph as connected when vertex 0 reaches the last vertex",
     ),
     Mutant(
         ORACLES,
-        "(need <= low)",
-        "(need < low)",
+        "if not any(frontier):",
+        "if not all(frontier):",
+        "tests/test_oracles.py::test_connectivity_from_the_levels_matches_the_loop",
+        "_levels stops once any vertex gains no lane",
+    ),
+    Mutant(
+        ORACLES,
+        "if 0 <= low <= width:",
+        "if 0 <= low < width:",
         "tests/test_oracles.py::test_enumeration_counts_match_recurrence",
-        "_mask_chunks skips the masks whose low half is full",
+        "_in_key_order skips the masks whose low bits are all set",
     ),
     Mutant(
         ORACLES,
-        "up = levels[-1] & targets",
-        "up = np.zeros_like(levels[-1])",
+        "    for count in range(n * (n - 1) // 2 + 1):\n        for high in sorted(picked, reverse=True):",
+        "    for high in sorted(picked, reverse=True):\n        for count in range(n * (n - 1) // 2 + 1):",
+        "tests/test_oracles.py::test_search_matches_the_loop_across_slices",
+        "_in_key_order lists each slice in turn, not the least key over all slices",
+    ),
+    Mutant(
+        ORACLES,
+        "lanes |= lanes << (1 << b)",
+        "lanes |= lanes << ((1 << b) + 1)",
+        "tests/test_oracles.py::test_patterns_by_doubling_match_their_definition",
+        "_subset_lanes doubles with a period one lane too long",
+    ),
+    Mutant(
+        ORACLES,
+        "low | high << (1 << b)",
+        "low | high << (2 << b)",
+        "tests/test_oracles.py::test_patterns_by_doubling_match_their_definition",
+        "_size_patterns shifts the next popcount by twice its period",
+    ),
+    Mutant(
+        ORACLES,
+        "for k, size in enumerate(sizes) if",
+        "for k, size in reversed(list(enumerate(sizes))) if",
+        "tests/test_oracles.py::test_path_minimum_is_far_endpoint",
+        "_least picks the greatest popcount",
+    ),
+    Mutant(
+        ORACLES,
+        "for level in reversed(levels):\n        near = ",
+        "for level in reversed(levels[:-1]):\n        near = ",
         "tests/test_oracles.py::test_array_predicate_matches_the_loop_on_small_graphs",
-        "_fails_everywhere leaves out the farthest level",
+        "_geodesic_cover leaves out the farthest level",
     ),
     Mutant(
         ORACLES,
-        "_POPCOUNT[simp] >= min_simplicial",
-        "_POPCOUNT[simp] > min_simplicial",
+        "apart |= with_u & with_w & ~edge[u].get(w, 0)",
+        "apart |= with_u & ~edge[u].get(w, 0)",
+        "tests/test_oracles.py::test_array_predicate_matches_the_loop_on_small_graphs",
+        "_simplicial_lanes takes a neighbour u apart from any w, a neighbour of v or not",
+    ),
+    Mutant(
+        ORACLES,
+        "_at_least(simp, lanes, min_simplicial)[-1]",
+        "_at_least(simp, lanes, min_simplicial + 1)[-1]",
         "tests/test_oracles.py::test_search_matches_the_loop",
-        "_first_counterexample wants more simplicial vertices than asked",
+        "_counterexample_lanes wants more simplicial vertices than asked",
+    ),
+    Mutant(
+        ORACLES,
+        "other |= covers & ~same & at_least[size]",
+        "other |= covers & ~same",
+        "tests/test_oracles.py::test_sweep_report_matches_the_loop",
+        "_sweep_lanes takes any other cover as a rival to the boundary, whatever its size",
+    ),
+    Mutant(
+        ORACLES,
+        "fails.append(connected & ~(is_b & ~other))",
+        "fails.append(connected & ~is_b)",
+        "tests/test_oracles.py::test_sweep_fails_a_boundary_with_a_smaller_cover",
+        "_sweep_lanes passes a boundary that covers, with a smaller cover beside it",
     ),
     Mutant(
         GRAPH,

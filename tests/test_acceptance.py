@@ -304,7 +304,7 @@ def test_criterion_07_closed_form_distances_match_bfs(factor_pairs):
                 # one closed-form row per p, against every q
                 got = product_distance(kind, rows_g[x], rows_h[y])
                 got = [got[a][b] for a, b in pg.factor_pairs]
-                assert got == bfs_distances(pg.graph, p).tolist(), (kind, (x, y))
+                assert tuple(got) == bfs_distances(pg.graph, p), (kind, (x, y))
     report(
         f"criterion 7: PASS - closed-form distances match BFS on "
         f"{products} constructed products"

@@ -126,14 +126,13 @@ def test_only_graph_knows_how_a_distance_row_is_made():
     # the stored neighbour tuples, the only stored form of a graph, and the
     # BFS and the word walk over them stay inside graph.py; every other
     # module takes its rows from _distance_rows or bfs_distances, and reads
-    # the graph through edges() and neighbors(). No module derives a CSR.
-    # The oracle stage, one module, imports numpy at its top, graph.py only
-    # in bfs_distances, which returns an array, and no other module at all.
+    # the graph through edges() and neighbors(). No module derives a CSR,
+    # and no module imports numpy: bfs_distances returns a tuple, and the
+    # oracle stage works on lanes of Python ints.
     # Importing __main__ would run the command line.
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     # exactly these modules: the oracle stage has no module of its own
     assert sorted(names) == ["boundary", "cli", "graph", "jsonout", "oracles", "products"]
-    numpy_imports = {"oracles": ["import numpy as np"], "graph": ["    import numpy as np"]}
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
         source = inspect.getsource(module)
@@ -141,14 +140,17 @@ def test_only_graph_knows_how_a_distance_row_is_made():
         assert ("_adjacency" in source) == (name == "graph"), name
         assert "_csr" not in source and "reduceat" not in source, name
         imports = re.findall(r"^ *(?:import|from) numpy\b.*$", source, re.M)
-        assert imports == numpy_imports.get(name, []), name
-    numpy_users = {
-        f.__name__
-        for f in vars(importlib.import_module("geodom.graph")).values()
-        if inspect.isfunction(f) and f.__module__ == "geodom.graph"
-        and "import numpy" in inspect.getsource(f)
-    }
-    assert numpy_users == {"bfs_distances"}
+        assert imports == [], name
+        numpy_users = {
+            f.__name__
+            for f in vars(module).values()
+            if inspect.isfunction(f) and f.__module__ == module.__name__
+            and "import numpy" in inspect.getsource(f)
+        }
+        assert numpy_users == set(), name
+    # a distance row is a tuple of ints
+    row = geodom.bfs_distances(geodom.path_graph(4), 1)
+    assert row == (1, 0, 1, 2) and all(type(d) is int for d in row)
 
 
 def test_only_graph_schedules_the_word_walk():

@@ -1,9 +1,8 @@
 import sys
 from itertools import compress
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodom import (
@@ -30,7 +29,6 @@ from helpers import (
     floyd_warshall,
     geodesic_vertices_by_paths,
     raw_bfs_rows,
-    reference_adjacency,
     swept_cover,
 )
 from strategies import connected_graphs, graphs_vertex_and_set, graphs_with_vertex, trees
@@ -92,7 +90,7 @@ def test_eccentric_vertices_are_boundary(gv):
     g, x = gv
     row = bfs_distances(g, x)
     b = set(boundary(g, x))
-    assert set(np.flatnonzero(row == row.max())) <= b
+    assert {v for v, d in enumerate(row) if d == max(row)} <= b
 
 
 @given(trees())
@@ -116,6 +114,9 @@ def _assert_check_reads_the_sweep(g, x, members, covered):
 
 
 @given(graphs_vertex_and_set())
+# b lies level with a, which the sweep covers on the way to t, yet b lies
+# on no geodesic from 0 to t
+@example((Graph([("0", "a"), ("0", "b"), ("a", "b"), ("a", "t")]), 0, frozenset({3})))
 def test_covered_set_matches_direct_computation(gvs):
     g, x, members = gvs
     covered = swept_cover(g, x, members)
@@ -281,15 +282,12 @@ def _gx_on_words_and_rows(g):
     return on_words, on_rows
 
 
-def _oracle_rule(adj, dist):
+def _oracle_rule(graphs, dist):
     """The oracle sweep's own boundary rule from every source, run as the
-    sweep runs it, once per source index on the graphs with adjacency
-    adj[k]; dist[k] holds the distances of graph k. Returns the boundary
-    of each source of each graph."""
-    d = np.array(dist)
-    graphs, n, _ = d.shape
-    inside = [oracles._boundary_mask(adj, d[:, x, :]) for x in range(n)]
-    return [[set(np.flatnonzero(inside[x][k]).tolist()) for x in range(n)] for k in range(graphs)]
+    sweep over listed graphs runs it, one lane per source; dist[k] holds
+    the distances of graphs[k]. Returns the boundary of each source of
+    each graph."""
+    return [[set(b) for b in oracles._boundaries(g, d)] for g, d in zip(graphs, dist)]
 
 
 def _assert_rules_agree(g, dist, interval_oracle, targets):
@@ -328,8 +326,7 @@ def test_boundary_rules_agree_on_every_small_graph():
             )
             for g, d in zip(graphs, dist)
         ]
-        adj = oracles._unpack(oracles._stacked_bits(graphs, n), n).astype(bool)
-        assert _oracle_rule(adj, dist) == wants
+        assert _oracle_rule(graphs, dist) == wants
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,8 +339,7 @@ def test_boundary_rules_agree_on_larger_graphs(n, extra, seed):
     want = _assert_rules_agree(
         g, dist, lambda x, y: direct_covered(dist, x, [y], n), range(0, n, max(1, n // 10))
     )
-    adj = reference_adjacency([g.neighbors(v) for v in range(n)])
-    assert _oracle_rule(adj[None], [dist]) == [want]
+    assert _oracle_rule([g], [dist]) == [want]
 
 
 # ---------------------------------------------------------------------------

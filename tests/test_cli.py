@@ -168,7 +168,7 @@ def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
     def no_distances(*args):
         raise AssertionError("an over-cap graph needs no distances")
 
-    for target in ("graph._bfs_row", "oracles._stacked_bits", "oracles._distances"):
+    for target in ("graph._bfs_row", "oracles._graph_distances", "oracles._levels"):
         monkeypatch.setattr(f"geodom.{target}", no_distances)
     path = tmp_path / "p2000.txt"
     path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1999)))
@@ -222,7 +222,7 @@ def test_single_source_commands_build_no_matrix(capsys, p4, monkeypatch):
     def no_matrix(g):
         raise AssertionError("these commands must not build all-pairs distances")
 
-    monkeypatch.setattr("geodom.oracles._distances", no_matrix)
+    monkeypatch.setattr("geodom.oracles._graph_distances", no_matrix)
     test_boundary_plain_golden(capsys, p4)
     test_gx_plain(capsys, p4)
     test_check_yes_and_no(capsys, p4)
@@ -563,7 +563,7 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
     def no_enumeration(*args):
         raise AssertionError("the random corpus must be checked first")
 
-    monkeypatch.setattr("geodom.oracles._mask_chunks", no_enumeration)
+    monkeypatch.setattr("geodom.oracles._slices", no_enumeration)
     code, _, err = run(capsys, "verify-theorems", "--random", "2", "--n", "1")
     assert code == 2 and "n_low" in err
 
@@ -589,7 +589,7 @@ def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, m
     def no_enumeration(*args):
         raise AssertionError("the corpus must be checked against the cap first")
 
-    monkeypatch.setattr("geodom.oracles._mask_chunks", no_enumeration)
+    monkeypatch.setattr("geodom.oracles._slices", no_enumeration)
     argv = ("verify-theorems", "--exhaustive-n", "6", "--random", "2", "--n", "13")
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
@@ -610,25 +610,27 @@ def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypat
 
 
 def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):
-    # each chunk of edge masks is checked before the next one is made
+    # each slice of edge masks is checked before the next one is made;
+    # slices of 2^10 masks give n = 6 its 32
     events = []
-    chunks, check = oracles._mask_chunks, oracles._failing_sources
+    slices, check = oracles._slices, oracles._sweep_lanes
 
-    def logged_chunks(*args):
-        for chunk in chunks(*args):
-            events.append("chunk")
-            yield chunk
+    def logged_slices(*args):
+        for piece in slices(*args):
+            events.append("slice")
+            yield piece
 
     def logged_check(*args):
         events.append("check")
         return check(*args)
 
-    monkeypatch.setattr(oracles, "_mask_chunks", logged_chunks)
-    monkeypatch.setattr(oracles, "_failing_sources", logged_check)
+    monkeypatch.setattr(oracles, "_SLICE_BITS", 10)
+    monkeypatch.setattr(oracles, "_slices", logged_slices)
+    monkeypatch.setattr(oracles, "_sweep_lanes", logged_check)
     code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "6")
     assert code == 0 and "graphs checked: 27475" in out
     assert len(events) > 20
-    assert events == ["chunk", "check"] * (len(events) // 2)
+    assert events == ["slice", "check"] * (len(events) // 2)
 
 
 def test_verify_theorems_builds_no_graph(capsys, monkeypatch):
@@ -1048,10 +1050,11 @@ sys.stderr.write(" ".join(sorted(loaded)))
 
 _ORACLE_COMMANDS = {"oracle-gx", "oracle-geodetic", "verify-theorems", "find-counterexample"}
 # one BFS from x answers the first three, the word walk on Python ints the
-# next two, and big-int products of the factor masks the product reports,
-# with no numpy; only the oracle commands load it
+# next two, big-int products of the factor masks the product reports, and
+# lanes of Python ints the oracles: no command loads numpy
 _NUMPY_FREE_COMMANDS = {
-    "boundary", "gx", "check", "closure", "geodetic-heuristic", "product", "product-verify"
+    "boundary", "gx", "check", "closure", "geodetic-heuristic", "product", "product-verify",
+    *_ORACLE_COMMANDS,
 }
 
 
@@ -1076,7 +1079,7 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
     if argv[0].startswith("product"):
         unloaded = {"oracles", "numpy"}
     elif argv[0] in _ORACLE_COMMANDS:
-        unloaded = {"products"}
+        unloaded = {"products", "numpy"}
     else:
         unloaded = {"oracles", "products", "numpy"}
     path = tmp_path / "p4.txt"
@@ -1098,25 +1101,28 @@ _LIBRARY_LOADS = """
 import sys
 import geodom
 from geodom import (
-    Graph, boundary, emit_graph, geodetic_closure, interval, is_x_geodominating, min_gx_vertex,
-    parse_graph,
+    Graph, bfs_distances, boundary, emit_graph, geodetic_closure, interval, is_x_geodominating,
+    min_gx_vertex, min_x_geodominating_bruteforce, parse_graph,
 )
 g = parse_graph("a b\\nb c\\nc d\\n")
 h = Graph([("a", "b"), ("b", "c")])
 assert parse_graph(emit_graph(g)) == g
 print(g.labels_of(boundary(g, 1)), is_x_geodominating(g, 0, [3]).is_geodominating)
 print(list(interval(h, 0, 2)), list(geodetic_closure(g, [0, 3])), min_gx_vertex(g))
+print(bfs_distances(g, 0), [list(s) for s in min_x_geodominating_bruteforce(g, 0)])
 print("numpy" in sys.modules)
 """
 
 
 def test_single_source_library_calls_load_no_numpy():
-    # the same calls as the numpy-free commands, through the package
+    # the same calls as the commands, through the package, an oracle too
     proc = subprocess.run(
         [sys.executable, "-c", _LIBRARY_LOADS], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['a', 'd'] True\n[0, 1, 2] [0, 1, 2, 3] (0, 1)\nFalse\n"
+    assert proc.stdout == (
+        "['a', 'd'] True\n[0, 1, 2] [0, 1, 2, 3] (0, 1)\n(0, 1, 2, 3) [[3]]\nFalse\n"
+    )
 
 
 def test_find_counterexample_json_round_trips(capsys):

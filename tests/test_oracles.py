@@ -33,6 +33,7 @@ from geodom import (
 )
 from geodom import oracles
 from helpers import (
+    add_one_boundary_vertex,
     close_the_path_in_graph_bfs,
     connected_labeled_graph_counts,
     direct_boundary,
@@ -93,8 +94,8 @@ def test_searches_check_the_cap_first(monkeypatch):
     def no_distances(*args):
         raise AssertionError("an over-cap graph needs no distances")
 
-    monkeypatch.setattr(oracles, "_stacked_bits", no_distances)
-    monkeypatch.setattr(oracles, "_distances", no_distances)
+    monkeypatch.setattr(oracles, "_graph_distances", no_distances)
+    monkeypatch.setattr(oracles, "_levels", no_distances)
     g = path_graph(2000)
     with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 12"):
         min_x_geodominating_bruteforce(g, 0)
@@ -208,6 +209,15 @@ def test_geodetic_numbers_of_families():
     assert len(geodetic_number_bruteforce(star)) == 5
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_geodetic_search_finds_the_first_least_geodetic_set(n):
+    # on every connected graph, against graph.py's closure: the witness is
+    # the first geodetic set of least size in combinations order
+    for g in enumerate_connected_graphs(n):
+        sets = (c for size in range(1, n + 1) for c in combinations(range(n), size))
+        assert tuple(geodetic_number_bruteforce(g)) == next(c for c in sets if is_geodetic(g, c))
+
+
 def test_geodetic_cap():
     g = path_graph(11)
     with pytest.raises(ValueError, match="too large"):
@@ -269,25 +279,67 @@ def test_enumeration_matches_the_loop(n):
     assert list(enumerate_connected_graphs(n)) == list(loop_connected_graphs(n))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumeration_matches_the_loop_across_slices(n, monkeypatch):
+    # slices of eight masks: the order runs over every slice of an edge count
+    monkeypatch.setattr(oracles, "_SLICE_BITS", 3)
+    assert list(enumerate_connected_graphs(n)) == list(loop_connected_graphs(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_mask_chunks_follow_combinations_order(n):
+def test_mask_chunks_follow_combinations_order(n, monkeypatch):
     # pair p is bit P-1-p, so every edge subset appears once, in the
-    # loop's (edge count, combinations rank) order
+    # loop's (edge count, combinations rank) order, whether one slice
+    # holds every mask or each holds eight
     pairs = oracles._all_pairs_list(n)
     top = len(pairs) - 1
     expected = [
         sum(1 << (top - pairs.index(pair)) for pair in subset) for subset in edge_subsets(n)
     ]
-    chunks = list(oracles._mask_chunks(n))
-    assert [int(m) for masks, _ in chunks for m in masks] == expected
-    for masks, nbrs in chunks:
-        for mask, row in zip(masks.tolist(), nbrs.tolist()):
-            want = [0] * n
-            for p, (i, j) in enumerate(pairs):
-                if mask >> (top - p) & 1:
-                    want[i] |= 1 << j
-                    want[j] |= 1 << i
-            assert row == want
+    for slice_bits in (oracles._SLICE_BITS, 3):
+        monkeypatch.setattr(oracles, "_SLICE_BITS", slice_bits)
+        width = oracles._slice_width(n)
+        slices = list(oracles._slices(n))
+        assert [high for high, _ in slices] == list(reversed(range(len(slices))))
+        everything = {high: (1 << (1 << width)) - 1 for high, _ in slices}
+        # the loop starts at n - 1 edges: nothing smaller can span n vertices
+        ordered = list(oracles._in_key_order(n, everything))
+        assert [m for m in ordered if m.bit_count() >= n - 1] == expected
+        assert len(ordered) == 1 << len(pairs)
+        for high, adj in slices:
+            for lane in range(1 << width):
+                mask = high << width | lane
+                want: list[set[int]] = [set() for _ in range(n)]
+                for p, (i, j) in enumerate(pairs):
+                    if mask >> (top - p) & 1:
+                        want[i].add(j)
+                        want[j].add(i)
+                assert [{w for w, lanes in nbrs if lanes >> lane & 1} for nbrs in adj] == want
+
+
+@pytest.mark.parametrize("width", range(11))
+def test_patterns_by_doubling_match_their_definition(width):
+    lanes = range(1 << width)
+    assert oracles._clear_patterns(width) == tuple(
+        sum(1 << t for t in lanes if not t >> b & 1) for b in range(width)
+    )
+    assert oracles._size_patterns(width) == tuple(
+        sum(1 << t for t in lanes if t.bit_count() == k) for k in range(width + 1)
+    )
+    for bits in (0, 1, 5, (1 << width) - 1, 0b1010010):
+        subsets = range(1 << max(width, 7))
+        assert oracles._subset_lanes(bits) == sum(1 << t for t in subsets if t & ~bits == 0)
+
+
+def _graph_lanes(cases: list[list[set[int]]]) -> list[list[tuple[int, int]]]:
+    """The adjacency in lanes of the neighbour sets cases[k], lane k
+    standing for case k as it would for an edge mask in a slice."""
+    n = len(cases[0])
+    adj = []
+    for v in range(n):
+        lanes = [sum(1 << k for k, sets in enumerate(cases) if w in sets[v]) for w in range(n)]
+        adj.append([(w, edge) for w, edge in enumerate(lanes) if edge])
+    return adj
 
 
 def _random_edge_sets(n: int, seed: int) -> list[list[set[int]]]:
@@ -314,23 +366,28 @@ def test_stacked_bits_match_the_reference_neighbour_sets(n):
         edges = [(labels[u], labels[w]) for u in range(n) for w in adjsets[u] if u < w]
         g, sets = reference_graph(edges, labels)
         graphs.append(g)
-        want.append([sum(1 << w for w in nbrs) for nbrs in sets])
-    bits = oracles._stacked_bits(graphs, n)
-    assert bits.dtype == oracles._bits_dtype(n) and bits.tolist() == want
+        want.append([[(w, 5) for w in sorted(nbrs)] for nbrs in sets])
+    assert [oracles._edge_lanes(g, 5) for g in graphs] == want
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_connectivity_from_the_levels_matches_the_loop(n):
-    # uint16 rows: a reach mask of fewer bits than vertices loses some
+    # one lane per edge set, past the exhaustive range; BFS levels from
+    # every source give each connected lane its distances
     cases = _random_edge_sets(n, 100 + n)
-    nbrs = np.array(
-        [[sum(1 << w for w in nbrs) for nbrs in adjsets] for adjsets in cases], dtype=np.uint16
-    )
-    keep, levels = oracles._levels(nbrs)
+    adj, lanes = _graph_lanes(cases), (1 << len(cases)) - 1
+    connected = oracles._connected_lanes(adj, lanes)
     want = [k for k, adjsets in enumerate(cases) if raw_connected(n, adjsets)]
-    assert 0 < len(want) < len(cases) and keep.tolist() == want
-    rows = [raw_bfs_rows([sorted(a) for a in cases[k]]) for k in want]
-    assert oracles._distances(levels).tolist() == rows
+    assert 0 < len(want) < len(cases)
+    assert [k for k in range(len(cases)) if connected >> k & 1] == want
+    rows = {k: [[0] * n for _ in range(n)] for k in want}
+    for z in range(n):
+        for depth, level in enumerate(oracles._levels(adj, oracles._sourced(n, z, lanes))):
+            for v, at in enumerate(level):
+                for k in want:
+                    if at >> k & 1:
+                        rows[k][z][v] = depth
+    assert [rows[k] for k in want] == [raw_bfs_rows([sorted(a) for a in cases[k]]) for k in want]
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +520,28 @@ def test_search_matches_the_loop(max_n, min_simplicial):
     )
 
 
+@pytest.mark.parametrize("min_simplicial", [1, 2, 3])
+def test_search_matches_the_loop_across_slices(min_simplicial, monkeypatch):
+    # slices of sixteen masks: the first hit of an n is the least key over
+    # all of its slices, not the first slice's
+    monkeypatch.setattr(oracles, "_SLICE_BITS", 4)
+    assert _hit_key(find_simplicial_counterexample(6, min_simplicial=min_simplicial)) == (
+        _hit_key(loop_simplicial_counterexample(6, min_simplicial))
+    )
+
+
 def _assert_predicate_matches_loop(graphs, n):
-    nbrs = oracles._stacked_bits(graphs, n)
-    simp = oracles._simplicial_bits(nbrs)
-    keep, levels = oracles._levels(nbrs)
-    assert len(keep) == len(graphs)
-    fails = oracles._fails_everywhere(nbrs, simp, levels)
-    for g, bits, verdict in zip(graphs, simp.tolist(), fails.tolist()):
+    # one lane per graph; at min_simplicial 0 every connected lane is a
+    # candidate, so the hits are the graphs whose simplicial set fails
+    adj = _graph_lanes([[set(g.neighbors(v)) for v in range(n)] for g in graphs])
+    lanes = (1 << len(graphs)) - 1
+    assert oracles._connected_lanes(adj, lanes) == lanes
+    simp = oracles._simplicial_lanes(adj, lanes)
+    hits = oracles._counterexample_lanes(0, adj, lanes)
+    for k, g in enumerate(graphs):
         want_simp, want_fails = loop_simplicial_verdict(g)
-        assert [v for v in range(n) if bits >> v & 1] == want_simp, g.edges()
-        assert verdict == want_fails, list(g.edges())
+        assert [v for v in range(n) if simp[v] >> k & 1] == want_simp, g.edges()
+        assert hits >> k & 1 == want_fails, list(g.edges())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -594,12 +663,29 @@ def test_sweep_failures_match_the_loop(monkeypatch):
     assert verify_unique_minimum(corpus, exhaustive_n=3) == expected
 
 
+def test_sweep_failures_keep_the_order_across_slices(monkeypatch):
+    drop_one_boundary_vertex(monkeypatch)
+    monkeypatch.setattr(oracles, "_SLICE_BITS", 4)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    assert verify_unique_minimum([], exhaustive_n=5) == loop_verify_unique_minimum(graphs)
+
+
+def test_sweep_fails_a_boundary_with_a_smaller_cover(monkeypatch):
+    # the rule's boundary still covers, but the true one is a smaller
+    # cover, so the sweeps fail every source with a vertex added
+    add_one_boundary_vertex(monkeypatch)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    expected = loop_verify_unique_minimum(graphs)
+    assert 0 < len(expected.failures) < expected.sources_checked
+    assert verify_unique_minimum(graphs) == expected
+    assert verify_unique_minimum([], exhaustive_n=5) == expected
+
+
 def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     # a changed distance can tie minimum sets or move the boundary, so
     # every clause of the verdict decides some source
     rng = np.random.default_rng(11)
     graphs = random_graph_corpus(60, 6, 6, 0.4, seed=8)
-    nbrs = oracles._stacked_bits(graphs, 6)
     d = np.array([floyd_warshall(g) for g in graphs], dtype=np.uint8)
     for row in range(0, 60, 2):
         u, v = rng.choice(6, size=2, replace=False)
@@ -613,14 +699,16 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
             if sets != (inside,):
                 expected.append((row, x))
     assert tied > 5 and 20 < len(expected) < 150
-    assert oracles._failing_sources(nbrs, d) == expected
+    got = [(row, x) for row, g in enumerate(graphs)
+           for x in oracles._failing_sources(g, d[row].tolist())]
+    assert got == expected
 
 
 def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("an over-cap graph must fail before any sweep")
 
-    monkeypatch.setattr(oracles, "_mask_chunks", no_sweep)
+    monkeypatch.setattr(oracles, "_slices", no_sweep)
     monkeypatch.setattr(oracles, "_failing_sources", no_sweep)
     # a slice's caps all come first: of later sizes, and up to its last graph
     rest_of_slice = [path_graph(5)] * (oracles._SWEEP_CHUNK - 1)
@@ -644,30 +732,17 @@ def test_sweep_reads_the_graphs_a_slice_at_a_time(monkeypatch):
     sweep = oracles._failing_sources
     drawn_at_sweep = []
 
-    def counting(nbrs, d):
+    def counting(g, d):
         drawn_at_sweep.append(len(drawn))
-        return sweep(nbrs, d)
+        return sweep(g, d)
 
     monkeypatch.setattr(oracles, "_failing_sources", counting)
     report = verify_unique_minimum(graphs())
     assert report.ok and report.graphs_checked == 728
-    # an iterator is never held whole: each sweep follows one slice's draw
-    assert drawn_at_sweep == [oracles._SWEEP_CHUNK, 728]
-
-
-def test_sweep_stacks_each_slice_by_vertex_count(monkeypatch):
-    sweep = oracles._failing_sources
-    shapes = []
-
-    def counting(nbrs, d):
-        shapes.append(nbrs.shape)
-        return sweep(nbrs, d)
-
-    monkeypatch.setattr(oracles, "_failing_sources", counting)
-    corpus = random_graph_corpus(200, 6, 9, 0.35, seed=42)
-    assert verify_unique_minimum(corpus).ok
-    # the sizes cycle 6, 7, 8, 9: one stacked chunk per size, not one per graph
-    assert sorted(shapes) == [(50, 6), (50, 7), (50, 8), (50, 9)]
+    # an iterator is never held whole: each graph is swept after its
+    # slice's draw and before the next one
+    chunk = oracles._SWEEP_CHUNK
+    assert drawn_at_sweep == [chunk] * chunk + [728] * (728 - chunk)
 
 
 def test_sweep_rejects_disconnected_graphs():

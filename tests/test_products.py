@@ -210,7 +210,7 @@ def test_closed_form_matches_bfs_on_product(factors):
             got = product_distance(kind, bfs_distances(g, x), bfs_distances(h, y))
             # entry [a][b] is the distance to the product vertex (a, b)
             row = [got[a][b] for a, b in pg.factor_pairs]
-            assert row == bfs_distances(pg.graph, p).tolist(), (kind, (x, y))
+            assert tuple(row) == bfs_distances(pg.graph, p), (kind, (x, y))
 
 
 # ---------------------------------------------------------------------------
