@@ -14,7 +14,7 @@ the neighbour tuples (``graph._sweep``): each O(n + m). ``min_gx_vertex``
 visits every source without a matrix: graph.py's ``_gx_of_sources`` gives
 gx of each source: the first from its BFS row, the rest from the
 bit-parallel BFS over Python ints, or from one row each when that first
-row is deep (graph.py's module docstring has the schedule).
+row is deep.
 ``geodetic_from_boundary`` adds the least-gx source to its boundary and
 proves the set geodetic by the sweep of that source's row, running the
 closure only when the sweep fails. Nothing here loads numpy.

@@ -17,17 +17,15 @@ package comes from one BFS, ``_bfs_row``, over the stored tuples; in the
 same pass it flags the boundary of the source, the vertices with no
 neighbour one level farther. ``_distance_rows`` hands out the rows of
 many sources and checks connectivity, and ``bfs_distances`` hands out one
-row as a tuple. ``interval`` takes its row from one BFS, O(n + m), and
-``_sweep`` turns a row into interval membership by one reverse sweep of
-the source's geodesic DAG, level by level over the tuples.
-Every all-source pass (``geodetic_closure`` and ``_gx_of_sources``, which
-``min_gx_vertex`` in boundary.py calls) runs one schedule,
-``_source_schedule``. The first source takes a distance row, which
-checks connectivity and gives its eccentricity e; no eccentricity
-exceeds 2e. If e is below the pass's depth, the other sources go a batch
-of ``_batch_width`` at a time in the bits of one Python int per vertex
-(``_level_words``), which only ``_batch_reach`` and ``_gx_of_levels``
-read; else (paths, long cycles, grids) every source takes a row.
+row as a tuple. One reverse sweep of the source's geodesic DAG,
+``_sweep``, turns a row into interval membership, level by level over
+the tuples: ``interval``, the geodomination check in boundary.py and
+``geodetic_closure`` all run on it, the closure one row and one sweep
+per member. Only the gx pass of ``min_gx_vertex`` (``_gx_of_sources``)
+takes one row and then, below a depth, a batch of ``_batch_width``
+sources at a time in the bits of one Python int per vertex
+(``_level_words``, read by ``_gx_of_levels``); deeper graphs (paths,
+long cycles, grids) give every source a row.
 Nothing here builds an all-pairs matrix: the brute-force oracles compute
 theirs with their own BFS (oracles.py), and
 ``products.product_distance`` takes factor rows.
@@ -40,9 +38,8 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import chain, compress, islice, starmap
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, islice
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -431,13 +428,12 @@ _MIN_BATCH = 64
 _WALK_BITS = 4 * 10**8
 
 
-def _batch_width(n: int, lists: int) -> int:
-    """Sources in each batch of the word walk whose step holds ``lists``
-    n-entry lists of ints, at least 64 and at most n: four for gx, fewer
-    than 2 x ``_kept_levels`` for the closure. With n = 100000 and
-    m = 250000, gx batches of 1000 kept ``geodetic-heuristic`` at 133 MB
+def _batch_width(n: int) -> int:
+    """Sources in each batch of the gx pass's word walk, whose step holds
+    four n-entry lists of ints: at least 64 and at most n. With n = 100000
+    and m = 250000, batches of 1000 kept ``geodetic-heuristic`` at 133 MB
     peak RSS in 111 s, and of 1342 at 152 MB in 92 s (2-vCPU host)."""
-    return min(n, max(_MIN_BATCH, _WALK_BITS // (lists * n)))
+    return min(n, max(_MIN_BATCH, _WALK_BITS // (4 * n)))
 
 
 def _word_budget(g: Graph) -> int:
@@ -455,14 +451,6 @@ def _word_budget(g: Graph) -> int:
     return _MIN_BATCH * (g.n + g.edge_count) // g.n
 
 
-def _kept_levels(g: Graph) -> int:
-    """The depth of the closure: 4(n + 2m) / n levels of n entries,
-    4(n + 2m) entries in all, about four times what the graph stores.
-    A batch keeps fewer than twice as many (see ``_source_schedule``),
-    and its ``_batch_width`` allows for that."""
-    return 4 * (g.n + 2 * g.edge_count) // g.n
-
-
 def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
     """BFS levels of distinct sources at once, one int per vertex and one
     bit per source, as pairs ``(level, spread)``: bit i of ``level[v]`` is
@@ -474,8 +462,8 @@ def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], 
     and Then et al. (PVLDB 2014): each vertex of a level pushes its int to
     its neighbours, which lie in level d - 1, d or d + 1, so the next
     level is ``spread`` without the bits of this level and the one before.
-    It does not check connectivity: ``_source_schedule`` takes a row
-    first, which does.
+    It does not check connectivity: ``_gx_of_sources`` takes a row first,
+    which does.
     """
     n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
     level, before = [0] * n, [0] * n
@@ -490,33 +478,6 @@ def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], 
         for w in compress(vertices, spread):
             spread[w] &= ~(level[w] | before[w])
         before, level = level, spread
-
-
-def _source_schedule(
-    g: Graph, sources: Sequence[int], word_step: Callable, row_step: Callable, *,
-    depth: int, width: int,
-) -> Iterator:
-    """``row_step(row, flags)`` on the ``_distance_rows`` of the first
-    source, which checks connectivity; then, if that source's
-    eccentricity (the row's largest entry) is at least ``depth``, the same
-    on the row of every other source, else ``word_step(batch, levels)``
-    on the ``_level_words`` of each batch of ``width`` other sources, in
-    order. Yields each result as it comes, so a caller that has its
-    answer leaves its loop and no further batch or row runs.
-
-    ecc(u) <= d(u, v) + ecc(v) <= 2 ecc(v) for all u and v (Takes and
-    Kosters, CIKM 2011), so a first source of eccentricity e < depth
-    bounds every batch's BFS to at most 2e + 1 levels.
-    """
-    rows = _distance_rows(g, sources)
-    row, flags = next(rows)
-    yield row_step(row, flags)
-    if max(row) >= depth:
-        yield from starmap(row_step, rows)
-        return
-    for lo in range(1, len(sources), width):
-        batch = sources[lo:lo + width]
-        yield word_step(batch, _level_words(g, batch))
 
 
 def _sweep(g: Graph, row: Sequence[int], targets: Iterable[int]) -> bytearray:
@@ -564,67 +525,46 @@ def interval(g: Graph, u: int, v: int) -> VertexSet:
 def geodetic_closure(g: Graph, s: "VertexSet | Iterable[int]") -> VertexSet:
     """Union of intervals over all pairs of vertices in s.
 
-    The members go through ``_source_schedule`` at a depth of
-    ``_kept_levels``: the first takes one BFS row and one ``_sweep``, and
-    the rest either the same or a batch at a time through
-    ``_batch_reach``, each batch keeping fewer than twice that many
-    levels. Stops once every vertex is covered (the union cannot grow
-    after that); the first row always runs, so a disconnected graph is
-    reported.
+    I[u, v] = I[v, u], so member k takes one BFS row and one ``_sweep``
+    toward members k onward, and the last member takes no row of its own
+    unless it is the only one. Stops once every vertex is covered (the
+    union cannot grow after that); the first row always runs, so a
+    disconnected graph is reported.
     """
     vs = _as_vertex_set(s, g.n)
     if not vs:
         raise ValueError("geodetic closure of the empty set is undefined")
-    members = bytearray(g.n)
-    for v in vs:
-        members[v] = 1
-    covered, depth = members, _kept_levels(g)
-    for reach in _source_schedule(
-        g, vs.members,
-        lambda _, levels: _batch_reach(g, members, levels),
-        lambda row, _: _sweep(g, row, vs),
-        depth=depth,
-        width=_batch_width(g.n, 2 * depth),
-    ):
-        covered = bytearray(map(operator.or_, covered, reach))
+    members, covered = vs.members, bytearray(g.n)
+    for k, (row, _) in enumerate(_distance_rows(g, members[:-1] or members)):
+        covered = bytearray(map(operator.or_, covered, _sweep(g, row, members[k:])))
         if all(covered):
             break
     return _flagged(covered)
 
 
-def _batch_reach(g: Graph, members: bytearray, levels: Iterable) -> bytearray:
-    """Flags of the vertices on a geodesic from a source of the level ints
-    ``levels`` to a vertex flagged in ``members``.
-
-    Bit i of ``reach[v]`` marks v as lying on such a geodesic from source
-    i. One sweep over the levels, from the far end back, sets it where v
-    is in level d of source i and is a member or has a neighbour with bit
-    i set in the levels already swept (not in its own, no step farther).
-    """
-    adjacency, vertices, reach = g._adjacency, list(range(g.n)), [0] * g.n
-    farther = partial(map, reach.__getitem__)
-    for level, _ in reversed(list(levels)):
-        gains = [
-            bits if member else bits & reduce(operator.or_, farther(neighbours), 0)
-            for neighbours, bits, member in zip(
-                compress(adjacency, level), filter(None, level), compress(members, level)
-            )
-        ]
-        for v, gain in zip(compress(vertices, level), gains):
-            reach[v] |= gain
-    return bytearray(map(bool, reach))
-
-
 def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
-    """gx of each source, in order, from ``_source_schedule``: a batch at a
-    time through ``_gx_of_levels``, or the boundary flags of one BFS row
-    each."""
-    return list(chain.from_iterable(_source_schedule(
-        g, sources, partial(_gx_of_levels, g),
-        lambda _, flags: (flags.count(1),),
-        depth=_word_budget(g),
-        width=_batch_width(g.n, 4),
-    )))
+    """gx of each source, in order.
+
+    The first source takes a BFS row, which checks connectivity and gives
+    its eccentricity e (the row's largest entry). If e reaches
+    ``_word_budget``, every other source takes a row too, and its gx is
+    the count of its boundary flags. Else the others go through
+    ``_level_words`` and ``_gx_of_levels`` a batch of ``_batch_width`` at
+    a time: ecc(u) <= d(u, v) + ecc(v) <= 2 ecc(v) for all u and v (Takes
+    and Kosters, CIKM 2011), so no batch's BFS has more than 2e + 1
+    levels.
+    """
+    rows = _distance_rows(g, sources)
+    row, flags = next(rows)
+    gx = [flags.count(1)]
+    if max(row) >= _word_budget(g):
+        gx.extend(flags.count(1) for _, flags in rows)
+        return gx
+    width = _batch_width(g.n)
+    for lo in range(1, len(sources), width):
+        batch = sources[lo:lo + width]
+        gx.extend(_gx_of_levels(g, batch, _level_words(g, batch)))
+    return gx
 
 
 def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> list[int]:

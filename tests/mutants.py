@@ -11,6 +11,9 @@ test_api reads the copied README. A row is killed when at least one
 selected test fails or the run exceeds TIMEOUT, since a mutant can make a
 search or a BFS loop forever.
 
+Each verdict line gives the row's wall seconds, and the run ends with its
+total, so a row that is killed only by the timeout shows in the log.
+
 The selected tests must first pass on an unchanged copy, or every row
 would count as killed. The runner exits non-zero when a mutant survives,
 when a row's old text does not occur exactly once (a refactor must not
@@ -27,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -225,22 +229,15 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "max(row) >= depth",
-        "max(row) > depth",
+        "max(row) >= _word_budget(g)",
+        "max(row) > _word_budget(g)",
         "tests/test_graph.py::test_first_row_at_the_budget_puts_every_source_on_rows",
-        "_source_schedule walks when the first row is exactly as deep as the budget",
+        "_gx_of_sources walks when the first row is exactly as deep as the budget",
     ),
     Mutant(
         GRAPH,
-        "covered, depth = members, _kept_levels(g)",
-        "covered, depth = members, _word_budget(g)",
-        "tests/test_graph.py::test_word_budget_picks_words_or_rows",
-        "geodetic_closure walks as deep as the gx pass",
-    ),
-    Mutant(
-        GRAPH,
-        "return min(n, max(_MIN_BATCH, _WALK_BITS // (lists * n)))",
-        "return max(_MIN_BATCH, _WALK_BITS // (lists * n))",
+        "return min(n, max(_MIN_BATCH, _WALK_BITS // (4 * n)))",
+        "return max(_MIN_BATCH, _WALK_BITS // (4 * n))",
         "tests/test_graph.py::test_batch_width_comes_from_n_and_the_memory_constant",
         "_batch_width is not capped at n",
     ),
@@ -267,17 +264,24 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "bits if member else bits & reduce(operator.or_, farther(neighbours), 0)",
-        "bits & reduce(operator.or_, farther(neighbours), 0)",
-        "tests/test_graph.py::test_closure_across_words",
-        "_batch_reach leaves a member off unless a neighbour a level farther is reached",
+        "members[k:]",
+        "members[k + 1:]",
+        "tests/test_graph.py::test_geodetic_families",
+        "geodetic_closure sweeps from each member to the later members only",
     ),
     Mutant(
         GRAPH,
-        "bits if member else bits & reduce(operator.or_, farther(neighbours), 0)",
-        "bits if member else reduce(operator.or_, farther(neighbours), 0)",
-        "tests/test_graph.py::test_closure_across_words",
-        "_batch_reach takes a reached neighbour's bits for sources whose level v is not in",
+        "members[:-1] or members",
+        "members[:-1]",
+        "tests/test_graph.py::test_bit_parallel_paths_reject_disconnected",
+        "geodetic_closure gives the only member no row",
+    ),
+    Mutant(
+        GRAPH,
+        "members[:-1] or members",
+        "members",
+        "tests/test_graph.py::test_closure_on_rows_matches_direct_computation",
+        "geodetic_closure gives the last member a row of its own",
     ),
     Mutant(
         GRAPH,
@@ -297,8 +301,8 @@ MUTANTS = (
         GRAPH,
         "        frontier = nxt\n",
         "",
-        "tests/test_graph.py::test_bfs_rows_match_floyd_warshall",
-        "_bfs_row never leaves the source's level: the loop runs until the timeout",
+        "tests/test_cli.py::test_single_source_library_calls_load_no_numpy",
+        "_bfs_row never leaves the source's level: the child's BFS runs until its timeout",
     ),
     Mutant(
         JSONOUT,
@@ -415,6 +419,7 @@ def _verdict(mutant: Mutant) -> str:
 
 
 def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _copy_tree(root)
@@ -424,10 +429,13 @@ def main() -> int:
         return 1
     failed = 0
     for mutant in MUTANTS:
+        row_start = time.perf_counter()
         verdict = _verdict(mutant)
+        seconds = time.perf_counter() - row_start
         failed += not verdict.startswith("killed")
-        print(f"{verdict:>18}  {mutant.path}: {mutant.what}", flush=True)
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} killed")
+        print(f"{verdict:>18} {seconds:6.1f} s  {mutant.path}: {mutant.what}", flush=True)
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} killed in {total:.1f} s")
     return 1 if failed else 0
 
 

@@ -11,6 +11,7 @@ import pytest
 import geodom
 from geodom import (
     Graph,
+    ParseError,
     VertexSet,
     bfs_distances,
     boundary,
@@ -19,6 +20,7 @@ from geodom import (
     interval,
     is_x_geodominating,
     min_x_geodominating_bruteforce,
+    parse_graph,
     path_graph,
     product,
     product_reports,
@@ -154,30 +156,39 @@ def test_only_graph_knows_how_a_distance_row_is_made():
 
 
 def test_only_graph_schedules_the_word_walk():
-    # words or rows is decided once, in graph._source_schedule; no other
-    # module walks level words, reads their bits or the level budgets
+    # words or rows is decided once, in graph._gx_of_sources, the only
+    # function that walks level words; no other module walks them, reads
+    # their bits or the level budget
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
     scheduling = (
-        "_level_words", "_word_budget", "_kept_levels", "_source_schedule", "_MIN_BATCH",
-        "_WALK_BITS", "_batch_width", "_gx_of_levels", "_batch_reach",
+        "_level_words", "_word_budget", "_MIN_BATCH", "_WALK_BITS", "_batch_width",
+        "_gx_of_levels",
     )
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
         holds = {attr for attr in scheduling if hasattr(module, attr)}
         assert holds == (set(scheduling) if name == "graph" else set()), name
+    graph = importlib.import_module("geodom.graph")
+    walkers = {
+        f.__name__
+        for f in vars(graph).values()
+        if inspect.isfunction(f) and f.__name__ != "_level_words"
+        and "_level_words(" in inspect.getsource(f)
+    }
+    assert walkers == {"_gx_of_sources"}
 
 
 def test_products_and_oracles_never_walk_levels(monkeypatch):
     # product() takes the factor edges from edges(), and the oracle stage
     # fills its bitmasks from neighbors() and reads them as its own
     # adjacency, down to the report line of a failing source: neither runs
-    # the word walk or its schedule
+    # the word walk or the gx pass that schedules it
     def no_walk(*args, **kwargs):
-        raise AssertionError("only the all-source passes walk levels")
+        raise AssertionError("only the gx pass walks levels")
 
     graph = importlib.import_module("geodom.graph")
     monkeypatch.setattr(graph, "_level_words", no_walk)
-    monkeypatch.setattr(graph, "_source_schedule", no_walk)
+    monkeypatch.setattr(importlib.import_module("geodom.boundary"), "_gx_of_sources", no_walk)
     p3, c4 = path_graph(3), cycle_graph(4)
     edge_counts = {"cartesian": 20, "lexicographic": 44, "strong": 36}
     for kind, m in edge_counts.items():
@@ -206,6 +217,22 @@ def test_readme_python_blocks_print_what_they_show(capsys):
         assert capsys.readouterr().out.splitlines() == expected, block
         shown += len(expected)
     assert len(blocks) == 4 and shown == 9
+
+
+def test_readme_graph_file_block_parses_as_printed():
+    # the block under "Graph file format" is a graph file as it stands,
+    # and each rule the paragraph after it states holds
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Graph file format"):]
+    block = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
+    g = parse_graph(block)
+    assert g.labels == ("a", "b", "c", "d")
+    assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+    with pytest.raises(ParseError, match="line 1"):
+        parse_graph("a b  # a comment\n")
+    assert parse_graph("vertices: d c\nvertices: x\nd c\nc b\n").labels == ("b", "c", "d", "x")
+    assert parse_graph("a b\nb a\na b\n").edge_count == 1
+    assert parse_graph("a b\nc d\n").n == 4
 
 
 def test_readme_product_shell_block_runs_as_printed(capsys, tmp_path, monkeypatch):

@@ -1089,6 +1089,7 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
         capture_output=True,
         text=True,
         env=_child_env(),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = {name.removeprefix("geodom.") for name in proc.stderr.split()}
@@ -1117,7 +1118,11 @@ print("numpy" in sys.modules)
 def test_single_source_library_calls_load_no_numpy():
     # the same calls as the commands, through the package, an oracle too
     proc = subprocess.run(
-        [sys.executable, "-c", _LIBRARY_LOADS], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", _LIBRARY_LOADS],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (

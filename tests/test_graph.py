@@ -510,21 +510,22 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     sizes = [len(direct_boundary(g, dist, x)) for x in range(g.n)]
     assert min_gx_vertex(g) == (sizes.index(min(sizes)), min(sizes))
     assert rows == [0] and walks == [list(range(1, g.n))]
-    # a closure of two members walks the second; the first row of the
-    # closure of every vertex covers it, so nothing walks
+    # the closure never walks: a closure of two members takes the first
+    # one's row, and the first row of the closure of every vertex covers
+    # the graph
     rows.clear()
     walks.clear()
     ends = [0, g.n - 1]
     assert set(geodetic_closure(g, ends)) == direct_closure(dist, ends, g.n)
-    assert rows == [0] and walks == [[g.n - 1]]
+    assert rows == [0] and walks == []
     rows.clear()
-    walks.clear()
     assert len(geodetic_closure(g, range(g.n))) == g.n
     assert rows == [0] and builds == walks == []
     # a path of 150 is deeper from its first vertex, 149 levels, than gx
-    # (64 x 299 / 150 = 127 levels) or the closure (4 x 448 / 150 = 11)
-    # may walk, so every source and every member takes its own row, each
-    # from the stored tuples, and nothing walks
+    # (64 x 299 / 150 = 127 levels) may walk, so every source takes its
+    # own row, each from the stored tuples, and nothing walks. The members'
+    # closure misses the path's ends, so each member but the last takes a
+    # row
     p = path_graph(150)
     builds.clear()
     rows.clear()
@@ -533,12 +534,10 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     rows.clear()
     members = list(range(5, 140, 2))
     assert set(geodetic_closure(p, members)) == set(range(5, 140))
-    assert rows == members and builds == walks == []
-    # a 12 x 12 grid is shallow enough for gx (64 x 408 / 144 = 181
-    # levels), but the closure walks at most 4 x 672 / 144 = 18 and the
-    # corner member 0 is 22 levels deep: its members take rows. The first
-    # row, from corner to corner, covers the grid; from the corner to two
-    # members on its sides it does not, and each member takes a row
+    assert rows == members[:-1] and builds == walks == []
+    # on a 12 x 12 grid the first row, from corner to corner, covers the
+    # grid; from the corner to two members on its sides it does not, and
+    # the member after it takes a row too
     grid = Graph(
         (f"g{i:02d}{j:02d}", f"g{i + di:02d}{j + dj:02d}")
         for i in range(12)
@@ -554,7 +553,7 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     rows.clear()
     sides = [0, 5, 60]
     assert set(geodetic_closure(grid, sides)) == direct_closure(floyd_warshall(grid), sides, 144)
-    assert rows == sides and walks == []
+    assert rows == sides[:-1] and walks == []
 
 
 @pytest.mark.parametrize("n, on_rows", [(127, False), (128, True)])
@@ -605,15 +604,12 @@ def test_middle_first_walks_the_deeper_ends(monkeypatch):
 
 
 def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
-    # a batch whose step holds `lists` n-entry lists of ints takes
-    # _WALK_BITS // (lists x n) sources, at least 64 and at most n: four
-    # lists for gx, and for the closure twice the levels it may walk,
-    # 2 x 24 on a sparse graph of average degree 5
+    # a batch of the gx pass, whose step holds four n-entry lists of ints,
+    # takes _WALK_BITS // (4 x n) sources, at least 64 and at most n
     graph = sys.modules["geodom.graph"]
     assert graph._WALK_BITS == 4 * 10**8
-    widths = [graph._batch_width(n, 4) for n in (1, 63, 2000, 10000, 10001, 100000, 10**6, 10**7)]
+    widths = [graph._batch_width(n) for n in (1, 63, 2000, 10000, 10001, 100000, 10**6, 10**7)]
     assert widths == [1, 63, 2000, 10000, 9999, 1000, 100, 64]
-    assert [graph._batch_width(n, 48) for n in (2000, 4000, 100000)] == [2000, 2083, 83]
     # with a smaller constant, the 149 sources after the first row of a
     # 150-vertex graph go in batches of the constant // (4 x 150), and of
     # 64 when that is fewer
@@ -631,16 +627,37 @@ def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
         assert walks == batches, width
 
 
-@given(connected_graphs(), st.data())
-def test_closure_on_rows_matches_direct_computation(g, data):
-    # at a depth of one level the first row of any graph on two or more
-    # vertices is too deep for the closure to walk, and every member takes
-    # a BFS row and a sweep
-    members = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+@given(connected_graphs(), st.lists(st.integers(0, 2**16), min_size=1, max_size=8))
+@example(path_graph(3), [1])
+@example(path_graph(5), [1, 3])
+@example(cycle_graph(6), [0, 1, 3])
+def test_closure_on_rows_matches_direct_computation(g, picks):
+    # I[u, v] = I[v, u], so member k of the ascending members takes one BFS
+    # row and covers the intervals from it to members k onward; the last
+    # member takes no row unless it is the only one, the rows stop once the
+    # union covers every vertex, and nothing walks level words
+    members = sorted({p % g.n for p in picks})
+    dist = floyd_warshall(g)
+    want_rows, covered = [], set()
+    for k, u in enumerate(members[:-1] or members):
+        want_rows.append(u)
+        covered |= {
+            w for w in range(g.n) for v in members[k:] if dist[u][w] + dist[w][v] == dist[u][v]
+        }
+        if len(covered) == g.n:
+            break
+    graph = sys.modules["geodom.graph"]
+    rows, real_row = [], graph._bfs_row
+
+    def no_walk(*args):
+        raise AssertionError("the closure runs on BFS rows")
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules["geodom.graph"], "_kept_levels", lambda g: 1)
+        mp.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
+        mp.setattr(graph, "_level_words", no_walk)
         got = set(geodetic_closure(g, members))
-    assert got == direct_closure(floyd_warshall(g), members, g.n)
+    assert got == covered == direct_closure(dist, members, g.n)
+    assert rows == want_rows
 
 DISCONNECTED = {
     "isolated-last": "vertices: z\na b\nb c\n",
