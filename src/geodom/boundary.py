@@ -22,8 +22,7 @@ closure only when the sweep fails. Nothing here loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import (
     Graph,
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeodominationCheck:
+class GeodominationCheck(NamedTuple):
     """Outcome of testing one candidate set against one source: whether
     its geodesics cover every vertex, and the first one they miss."""
 

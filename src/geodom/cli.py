@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -58,16 +57,18 @@ from .jsonout import Encoded, _write_json
 __all__ = ["main"]
 
 
-@dataclass
 class Outcome:
     """What a command prints. A value in ``result`` may be an iterator,
     written as a list as it is produced; such an iterator updates ``code``
     and ``checks`` as it goes, and ``main`` reads them after writing."""
 
-    code: int
-    lines: list[str]
-    result: dict
-    checks: dict
+    __slots__ = ("code", "lines", "result", "checks")
+
+    def __init__(self, code: int, lines: list[str], result: dict, checks: dict):
+        self.code = code
+        self.lines = lines
+        self.result = result
+        self.checks = checks
 
 
 def _load_graph(path: str) -> Graph:

@@ -37,7 +37,6 @@ import gc
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, compress, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -224,23 +223,49 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """Sorted, deduplicated vertex indices within a host graph of size n."""
+    """Sorted, deduplicated vertex indices within a host graph of size n.
 
+    Immutable, and equal only to a VertexSet with the same members and n.
+    """
+
+    __slots__ = ("members", "n")
+    __match_args__ = ("members", "n")
     members: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
+    def __init__(self, members: tuple[int, ...], n: int):
         prev = -1
-        for m in self.members:
+        for m in members:
             # exact ints only: a bool is an int, but no vertex index
-            if type(m) is not int or not prev < m < self.n:
+            if type(m) is not int or not prev < m < n:
                 raise ValueError(
                     f"vertex set members must be strictly ascending indices in "
-                    f"[0, {self.n}), got {self.members!r}"
+                    f"[0, {n}), got {members!r}"
                 )
             prev = m
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...], int]]:
+        return type(self), (self.members, self.n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.members, self.n) == (other.members, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.n))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(members={self.members!r}, n={self.n!r})"
 
     @classmethod
     def of(cls, items: Iterable[int], n: int) -> "VertexSet":

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import combinations, islice
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
 
@@ -489,8 +488,7 @@ def find_simplicial_counterexample(
 # verification driver
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregate outcome of the oracle-agreement sweep."""
 
     graphs_checked: int

@@ -56,10 +56,9 @@ records.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .graph import (
     DisconnectedError,
@@ -97,8 +96,7 @@ def _as_kind(kind: "ProductKind | str") -> ProductKind:
         raise ValueError(f"unknown product kind {kind!r} (expected one of: {names})") from None
 
 
-@dataclass(frozen=True, eq=False)
-class ProductGraph:
+class ProductGraph(NamedTuple):
     """A constructed product together with its factors and the factor
     pair behind each product vertex; the kind is the caller's own argument
     to ``product`` and is not stored.
@@ -188,8 +186,7 @@ def product_distance(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ProductReport:
+class ProductReport(NamedTuple):
     """Boundary and gx of one base vertex (x, y) of a product, against the
     candidate bounds built from the factor boundaries.
 

@@ -285,6 +285,27 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
+        "not prev < m < n",
+        "not prev <= m < n",
+        "tests/test_graph.py::test_vertex_set_validates",
+        "VertexSet accepts a repeated member",
+    ),
+    Mutant(
+        GRAPH,
+        "return (self.members, self.n) == (other.members, other.n)",
+        "return self.members == other.members",
+        "tests/test_api.py::test_record_semantics",
+        "VertexSet equality ignores n",
+    ),
+    Mutant(
+        GRAPH,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        "tests/test_api.py::test_record_semantics",
+        "VertexSet fields can be assigned",
+    ),
+    Mutant(
+        GRAPH,
         "    if not 0 <= v < g.n:\n",
         "    if not 0 <= v <= g.n:\n",
         "tests/test_graph.py::test_vertex_methods_reject_out_of_range_indices",

@@ -1,5 +1,7 @@
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import re
 import shlex
@@ -10,8 +12,10 @@ import pytest
 
 import geodom
 from geodom import (
+    GeodominationCheck,
     Graph,
     ParseError,
+    VerificationReport,
     VertexSet,
     bfs_distances,
     boundary,
@@ -204,6 +208,80 @@ def test_products_and_oracles_never_walk_levels(monkeypatch):
         "Graph(n=3, m=2) edges=[(0, 1), (1, 2)] x=v0: "
         "oracle size 1 sets [['v2']] vs boundary []"
     )
+
+
+P2 = path_graph(2)
+
+# each public record: an instance, a record that differs from it in one
+# field (only n, for the VertexSet), its field names in order, and its repr
+RECORDS = {
+    "VertexSet": (
+        lambda: VertexSet((0, 2), 3),
+        VertexSet((0, 2), 4),
+        ("members", "n"),
+        "VertexSet(members=(0, 2), n=3)",
+    ),
+    "GeodominationCheck": (
+        lambda: GeodominationCheck(is_geodominating=False, witness_uncovered=1),
+        GeodominationCheck(is_geodominating=False, witness_uncovered=2),
+        ("is_geodominating", "witness_uncovered"),
+        "GeodominationCheck(is_geodominating=False, witness_uncovered=1)",
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport(graphs_checked=2, sources_checked=5, failures=("x",)),
+        VerificationReport(graphs_checked=2, sources_checked=5, failures=()),
+        ("graphs_checked", "sources_checked", "failures"),
+        "VerificationReport(graphs_checked=2, sources_checked=5, failures=('x',))",
+    ),
+    "ProductGraph": (
+        lambda: product("cartesian", P2, P2),
+        product("strong", P2, P2),
+        ("factor_g", "factor_h", "graph", "factor_pairs"),
+        "ProductGraph(factor_g=Graph(n=2, m=1), factor_h=Graph(n=2, m=1), "
+        "graph=Graph(n=4, m=4), factor_pairs=((0, 0), (0, 1), (1, 0), (1, 1)))",
+    ),
+    "ProductReport": (
+        lambda: next(product_reports("lexicographic", P3, P3, [(0, 1)])),
+        next(product_reports("lexicographic", P3, P3, [(0, 0)])),
+        (
+            "base", "actual", "lower", "upper", "containments_hold", "witnesses",
+            "upper_strict", "gx", "gx_g", "gx_h", "gx_lower", "gx_upper", "gx_holds",
+        ),
+        "ProductReport(base=(0, 1), actual=453, lower=5, upper=453, "
+        "containments_hold=True, witnesses=None, upper_strict=False, gx=5, gx_g=1, "
+        "gx_h=2, gx_lower=2, gx_upper=5, gx_holds=True)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, other, names, text", RECORDS.values(), ids=RECORDS.keys())
+def test_record_semantics(make, other, names, text):
+    # fields in order, repr, value equality and hash, immutability, copy
+    # and pickle: NamedTuples (VertexSet a slotted class), since importing
+    # dataclasses costs each command about 10 ms of start-up
+    rec = make()
+    assert (VertexSet.__slots__ if isinstance(rec, VertexSet) else rec._fields) == names
+    assert repr(rec) == text
+    assert rec == make() and hash(rec) == hash(make())
+    assert rec != other and not rec == other
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert rec == make() and repr(rec) == text
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is type(rec) and twin == rec and hash(twin) == hash(rec)
+
+
+def test_vertex_set_equals_only_a_vertex_set():
+    # not a NamedTuple: equal to no tuple of its fields, and still checked
+    vs = VertexSet((0, 2), 3)
+    assert vs != (0, 2) and vs != ((0, 2), 3) and vs != VertexSet((0, 1), 3)
+    assert len({vs, VertexSet((0, 2), 3), VertexSet((0, 2), 4)}) == 2
+    for members in ((2, 0), (0, 3)):
+        with pytest.raises(ValueError, match="strictly ascending indices"):
+            VertexSet(members, 3)
 
 
 def test_readme_python_blocks_print_what_they_show(capsys):

@@ -1043,7 +1043,8 @@ import sys
 from geodom import cli
 from geodom.cli import main
 main(sys.argv[1:])
-loaded = (m for m in sys.modules if m.startswith("geodom.") or m == "numpy")
+watched = {"numpy", "dataclasses", "inspect"}
+loaded = (m for m in sys.modules if m.startswith("geodom.") or m in watched)
 sys.stderr.write(" ".join(sorted(loaded)))
 """
 
@@ -1096,6 +1097,9 @@ def test_commands_load_only_the_layers_they_run(tmp_path, argv):
     assert {"graph", "boundary", "cli"} <= loaded, proc.stderr
     assert not loaded & unloaded
     assert ("numpy" in loaded) == (argv[0] not in _NUMPY_FREE_COMMANDS)
+    # dataclasses alone pulls in inspect, ast, dis and tokenize: milliseconds
+    # of start-up that no command needs
+    assert not loaded & {"dataclasses", "inspect"}, proc.stderr
 
 
 _LIBRARY_LOADS = """
@@ -1111,12 +1115,13 @@ assert parse_graph(emit_graph(g)) == g
 print(g.labels_of(boundary(g, 1)), is_x_geodominating(g, 0, [3]).is_geodominating)
 print(list(interval(h, 0, 2)), list(geodetic_closure(g, [0, 3])), min_gx_vertex(g))
 print(bfs_distances(g, 0), [list(s) for s in min_x_geodominating_bruteforce(g, 0)])
-print("numpy" in sys.modules)
+print(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 """
 
 
 def test_single_source_library_calls_load_no_numpy():
-    # the same calls as the commands, through the package, an oracle too
+    # the same calls as the commands, through the package, an oracle too:
+    # none loads numpy, dataclasses or inspect
     proc = subprocess.run(
         [sys.executable, "-c", _LIBRARY_LOADS],
         capture_output=True,
@@ -1126,7 +1131,7 @@ def test_single_source_library_calls_load_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "['a', 'd'] True\n[0, 1, 2] [0, 1, 2, 3] (0, 1)\n(0, 1, 2, 3) [[3]]\nFalse\n"
+        "['a', 'd'] True\n[0, 1, 2] [0, 1, 2, 3] (0, 1)\n(0, 1, 2, 3) [[3]]\n[]\n"
     )
 
 
