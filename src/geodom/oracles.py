@@ -13,7 +13,10 @@ from the distances by their definition, sharing no logic with
 boundary(). The exhaustive stages run on graph lanes: bit g of an edge
 int is edge mask g, a slice of 2^16 masks at a time (``_scan``), and
 ``_in_key_order`` lists picked masks in (edge count, combinations rank)
-order over all slices. One bit-parallel BFS (``_levels``) serves both,
+order over all slices. The counterexample search scans only the slices
+where a's pairs run ones, then zeros (``_hub_leads``): its test is the
+same for every relabelling of a graph, and a relabelling class's first
+key lies in such a slice. One bit-parallel BFS (``_levels``) serves both,
 its lanes a graph's sources or a slice's graphs, and the theorem sweep
 checks the minimum against a boundary rule of its own
 (``_boundary_lanes``), which the tests tie to graph.py's. Nothing here
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import combinations, islice
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -320,6 +323,19 @@ def _slices(n: int) -> Iterator[tuple[int, list[list[tuple[int, int]]]]]:
         yield high, adj
 
 
+def _hub_leads(n: int, high: int) -> bool:
+    """Whether the slice high on n vertices can hold the first key of a
+    relabelling class. Its first mask, the greatest of its edge count, has
+    N(a) = {b, ..., the Δth vertex}, Δ the maximum degree, and the pairs
+    a-b, a-c, ... are the top bits of a mask: those of them among high's
+    bits must run ones, then zeros, so 2^hub less their value is a power
+    of two."""
+    spare = n * (n - 1) // 2 - _slice_width(n)
+    hub = min(n - 1, spare)
+    gap = (1 << hub) - (high >> (spare - hub))
+    return gap & (gap - 1) == 0
+
+
 def _scan(n: int, pick: Callable[[Adjacency, int], object]) -> Iterator[tuple[int, object]]:
     """(high, pick(adj, every lane)) per slice of ``_slices(n)``, each
     picked before the next is made."""
@@ -462,11 +478,14 @@ def find_simplicial_counterexample(
     fails to x-geodominate from every source vertex.
 
     min_simplicial additionally requires that many simplicial vertices.
-    The search is exhaustive through n = 7, over all slices of an n before
-    it takes the least. max_n = 8 is accepted and searches the same graphs
-    as 7: n = 8 was only ever a seeded sample of 2000 random graphs, which
-    never changed a result (every min_simplicial from 1 to 4 hits by
-    n = 7, and the sample had no hit at 5 or above).
+    The search is exhaustive through n = 7 up to relabelling, which changes
+    neither connectivity nor the simplicial set nor its failure: a class's
+    first key has N(a) = {b, ..., the Δth}, so only the slices of an n
+    where a's pairs run ones, then zeros (``_hub_leads``) are scanned, 6 of
+    32 at n = 7, before the least key is taken. max_n = 8 is accepted and
+    searches the same graphs as 7: n = 8 was only ever a seeded sample of
+    2000 random graphs, which never changed a result (every min_simplicial
+    from 1 to 4 hits by n = 7, and the sample had no hit at 5 or above).
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
@@ -474,7 +493,9 @@ def find_simplicial_counterexample(
         raise ValueError("min_simplicial must be at least 1")
 
     for n in range(max(4, min_simplicial), min(max_n, _EXHAUSTIVE_MAX_N) + 1):
-        hits = dict(_scan(n, partial(_counterexample_lanes, min_simplicial)))
+        lanes = (1 << (1 << _slice_width(n))) - 1
+        hits = {high: _counterexample_lanes(min_simplicial, adj, lanes)
+                for high, adj in _slices(n) if _hub_leads(n, high)}
         mask = next(_in_key_order(n, hits), None)
         if mask is not None:
             g = _mask_graph(n, mask)

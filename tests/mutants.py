@@ -57,6 +57,7 @@ PRODUCTS = "src/geodom/products.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
 SWEEP_FAILURES = "tests/test_oracles.py::test_sweep_failures_match_the_loop"
 EVERY_CLASS = "tests/test_products.py::test_every_factor_class_on_at_most_five_vertices"
+ACROSS_SLICES = "tests/test_oracles.py::test_search_matches_the_loop_across_slices"
 
 MUTANTS = (
     Mutant(
@@ -147,7 +148,7 @@ MUTANTS = (
         ORACLES,
         "    for count in range(n * (n - 1) // 2 + 1):\n        for high in sorted(picked, reverse=True):",
         "    for high in sorted(picked, reverse=True):\n        for count in range(n * (n - 1) // 2 + 1):",
-        "tests/test_oracles.py::test_search_matches_the_loop_across_slices",
+        ACROSS_SLICES,
         "_in_key_order lists each slice in turn, not the least key over all slices",
     ),
     Mutant(
@@ -191,6 +192,27 @@ MUTANTS = (
         "_at_least(simp, lanes, min_simplicial + 1)[-1]",
         "tests/test_oracles.py::test_search_matches_the_loop",
         "_counterexample_lanes wants more simplicial vertices than asked",
+    ),
+    Mutant(
+        ORACLES,
+        "return gap & (gap - 1) == 0",
+        "return True",
+        "tests/test_oracles.py::test_search_scans_only_the_slices_where_a_leads",
+        "_hub_leads keeps every slice of the counterexample search",
+    ),
+    Mutant(
+        ORACLES,
+        "gap = (1 << hub) - (high >> (spare - hub))",
+        "gap = (high >> (spare - hub)) + 1",
+        ACROSS_SLICES,
+        "_hub_leads keeps the slices where a's pairs run zeros, then ones",
+    ),
+    Mutant(
+        ORACLES,
+        "hub = min(n - 1, spare)",
+        "hub = min(n, spare)",
+        ACROSS_SLICES,
+        "_hub_leads reads the pair b-c as one of a's",
     ),
     Mutant(
         ORACLES,

@@ -1,7 +1,8 @@
 import hashlib
 import random
 import sys
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -520,14 +521,105 @@ def test_search_matches_the_loop(max_n, min_simplicial):
     )
 
 
+@pytest.mark.parametrize("slice_bits", [4, 8, 12])
 @pytest.mark.parametrize("min_simplicial", [1, 2, 3])
-def test_search_matches_the_loop_across_slices(min_simplicial, monkeypatch):
-    # slices of sixteen masks: the first hit of an n is the least key over
-    # all of its slices, not the first slice's
-    monkeypatch.setattr(oracles, "_SLICE_BITS", 4)
+def test_search_matches_the_loop_across_slices(min_simplicial, slice_bits, monkeypatch):
+    # small slices: the first hit of an n is the least key over all of its
+    # slices, not the first slice's; and a's pairs fall across the split of
+    # the mask bits in different ways, so that the slices kept by
+    # _hub_leads read them wherever they lie
+    monkeypatch.setattr(oracles, "_SLICE_BITS", slice_bits)
     assert _hit_key(find_simplicial_counterexample(6, min_simplicial=min_simplicial)) == (
         _hit_key(loop_simplicial_counterexample(6, min_simplicial))
     )
+
+
+@cache
+def _full_scan(min_simplicial):
+    """(n, mask) of the first hit on up to seven vertices of the lane scan
+    over every slice, with no slice skipped."""
+    for n in range(max(4, min_simplicial), 8):
+        hits = dict(oracles._scan(n, partial(oracles._counterexample_lanes, min_simplicial)))
+        mask = next(oracles._in_key_order(n, hits), None)
+        if mask is not None:
+            return n, mask
+    return None
+
+
+@pytest.mark.parametrize("min_simplicial", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("max_n", [7, 8])
+def test_search_matches_the_scan_of_every_slice(max_n, min_simplicial):
+    # the only check of the n = 7 stage against a search that keeps every
+    # slice: the loop in helpers.py takes minutes there
+    hit = find_simplicial_counterexample(max_n, min_simplicial=min_simplicial)
+    if hit is None:
+        assert _full_scan(min_simplicial) is None
+    else:
+        g, simp = hit
+        pairs = list(combinations(range(g.n), 2))
+        mask = sum(1 << (len(pairs) - 1 - p) for p, pair in enumerate(pairs) if g.has_edge(*pair))
+        assert _full_scan(min_simplicial) == (g.n, mask)
+        assert list(simp) == loop_simplicial_verdict(g)[0]
+
+
+def test_search_scans_only_the_slices_where_a_leads(monkeypatch):
+    # at n = 7 the slice bits are the pairs a-b ... a-f, highest first, and
+    # a pair's edge int is every lane or none; below n = 7 there is one slice
+    scanned = []
+    scan = oracles._counterexample_lanes
+
+    def spy(min_simplicial, adj, lanes):
+        n = len(adj)
+        high = sum(1 << (5 - j) for j, edge in adj[0] if j <= 5) if n == 7 else 0
+        scanned.append((n, high))
+        return scan(min_simplicial, adj, lanes)
+
+    monkeypatch.setattr(oracles, "_counterexample_lanes", spy)
+    assert find_simplicial_counterexample(8, min_simplicial=4) is not None
+    assert scanned == [(4, 0), (5, 0), (6, 0)] + [(7, h) for h in (31, 30, 28, 24, 16, 0)]
+
+
+def _greatest_relabelling(n, edges):
+    """The greatest edge mask over all n! relabellings of edges, bit
+    len(pairs) - 1 - p for the pth pair in combinations order."""
+    pairs = list(combinations(range(n), 2))
+    bit = {}
+    for p, (i, j) in enumerate(pairs):
+        bit[i, j] = bit[j, i] = 1 << (len(pairs) - 1 - p)
+    return max(
+        sum(bit[order[u], order[v]] for u, v in edges) for order in permutations(range(n))
+    )
+
+
+def _assert_first_mask_leads_with_a_hub(n, edges):
+    pairs = list(combinations(range(n), 2))
+    best = _greatest_relabelling(n, edges)
+    first = [pair for p, pair in enumerate(pairs) if best >> (len(pairs) - 1 - p) & 1]
+    degree = [sum(v in pair for pair in first) for v in range(n)]
+    hub = max(degree)
+    assert degree[0] == hub, edges
+    assert {j for i, j in first if i == 0} == set(range(1, hub + 1)), edges
+
+
+def test_a_relabelling_class_first_mask_leads_with_a_hub():
+    # the claim _hub_leads rests on: of the relabellings of a graph, which
+    # share its edge count, the first key, the greatest mask, has
+    # N(0) = {1, ..., Δ}
+    checked = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            _assert_first_mask_leads_with_a_hub(
+                n, [pair for p, pair in enumerate(pairs) if mask >> p & 1]
+            )
+            checked += 1
+    assert checked == 1094
+    rng = random.Random(7)
+    for n in (6, 7):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(15):
+            edges = [pair for pair in pairs if rng.random() < 0.4] or pairs[:1]
+            _assert_first_mask_leads_with_a_hub(n, edges)
 
 
 def _assert_predicate_matches_loop(graphs, n):
