@@ -541,8 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "json":
             _write_json(doc, sys.stdout.write)
         else:
-            for line in out.lines:
-                print(line)
+            sys.stdout.write("\n".join([*out.lines, ""]))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`geodom ... | head`). Point stdout

@@ -23,9 +23,9 @@ the tuples: ``interval``, the geodomination check in boundary.py and
 ``geodetic_closure`` all run on it, the closure one row and one sweep
 per member. Only the gx pass of ``min_gx_vertex`` (``_gx_of_sources``)
 takes one row and then, below a depth, a batch of ``_batch_width``
-sources at a time in the bits of one Python int per vertex
-(``_level_words``, read by ``_gx_of_levels``); deeper graphs (paths,
-long cycles, grids) give every source a row.
+sources at a time in the bits of one Python int per vertex, one
+function walking the levels and counting as it walks (``_gx_of_batch``);
+deeper graphs (paths, long cycles, grids) give every source a row.
 Nothing here builds an all-pairs matrix: the brute-force oracles compute
 theirs with their own BFS (oracles.py), and
 ``products.product_distance`` takes factor rows.
@@ -476,35 +476,6 @@ def _word_budget(g: Graph) -> int:
     return _MIN_BATCH * (g.n + g.edge_count) // g.n
 
 
-def _level_words(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """BFS levels of distinct sources at once, one int per vertex and one
-    bit per source, as pairs ``(level, spread)``: bit i of ``level[v]`` is
-    set iff d(sources[i], v) = d for the d-th pair, and ``spread[v]`` is
-    the OR of ``level`` over the neighbours of v, read before the next
-    pair is drawn: the walk then masks it, in place, into the next level.
-
-    This is the multi-source BFS of Akiba, Iwata and Yoshida (SIGMOD 2013)
-    and Then et al. (PVLDB 2014): each vertex of a level pushes its int to
-    its neighbours, which lie in level d - 1, d or d + 1, so the next
-    level is ``spread`` without the bits of this level and the one before.
-    It does not check connectivity: ``_gx_of_sources`` takes a row first,
-    which does.
-    """
-    n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
-    level, before = [0] * n, [0] * n
-    for i, source in enumerate(sources):
-        level[source] = 1 << i
-    while any(level):
-        spread = [0] * n
-        for neighbours, bits in zip(compress(adjacency, level), filter(None, level)):
-            for w in neighbours:
-                spread[w] |= bits
-        yield level, spread
-        for w in compress(vertices, spread):
-            spread[w] &= ~(level[w] | before[w])
-        before, level = level, spread
-
-
 def _sweep(g: Graph, row: Sequence[int], targets: Iterable[int]) -> bytearray:
     """Flags of the vertices on some geodesic from the source of the
     distance row ``row`` to a vertex of ``targets``.
@@ -574,10 +545,9 @@ def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
     its eccentricity e (the row's largest entry). If e reaches
     ``_word_budget``, every other source takes a row too, and its gx is
     the count of its boundary flags. Else the others go through
-    ``_level_words`` and ``_gx_of_levels`` a batch of ``_batch_width`` at
-    a time: ecc(u) <= d(u, v) + ecc(v) <= 2 ecc(v) for all u and v (Takes
-    and Kosters, CIKM 2011), so no batch's BFS has more than 2e + 1
-    levels.
+    ``_gx_of_batch`` a batch of ``_batch_width`` at a time:
+    ecc(u) <= d(u, v) + ecc(v) <= 2 ecc(v) for all u and v (Takes and
+    Kosters, CIKM 2011), so no batch's BFS has more than 2e + 1 levels.
     """
     rows = _distance_rows(g, sources)
     row, flags = next(rows)
@@ -587,27 +557,42 @@ def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
         return gx
     width = _batch_width(g.n)
     for lo in range(1, len(sources), width):
-        batch = sources[lo:lo + width]
-        gx.extend(_gx_of_levels(g, batch, _level_words(g, batch)))
+        gx.extend(_gx_of_batch(g, sources[lo:lo + width]))
     return gx
 
 
-def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> list[int]:
-    """gx of each source of ``batch`` from its level ints ``levels``.
+def _gx_of_batch(g: Graph, batch: Sequence[int]) -> list[int]:
+    """gx of each distinct source of ``batch``, from one BFS of them all
+    at once, one int per vertex and one bit per source: bit i of
+    ``level[v]`` is set iff d(batch[i], v) is the current level.
 
-    A vertex is in the boundary of a source unless a neighbour lies one
-    level farther. The spread of level d, masked by level d - 1, marks
-    exactly the vertices of level d - 1 with such a neighbour, so the OR
-    of those masks over all levels is the interior int. A bit-sliced
-    counter adds up the interior ints: bit i of ``counts[j]`` is bit j of
-    the number of interior vertices of source i, and gx of source i is n
-    minus that number.
+    This is the multi-source BFS of Akiba, Iwata and Yoshida (SIGMOD 2013)
+    and Then et al. (PVLDB 2014): each vertex of a level pushes its int to
+    its neighbours, which lie in the level before, this one or the next,
+    so the next level is ``spread`` without the bits of this level and the
+    one before. A vertex is in the boundary of a source unless a neighbour
+    lies one level farther, so the spread masked by the level before marks
+    exactly its interior vertices; the walk ORs that into ``interior``
+    before it masks the spread. A bit-sliced counter then adds up the
+    interior ints: bit i of ``counts[j]`` is bit j of the number of
+    interior vertices of source i, and gx of source i is n minus that
+    number. It does not check connectivity: ``_gx_of_sources`` takes a row
+    first, which does.
     """
-    vertices, interior, previous = list(range(g.n)), [0] * g.n, [0] * g.n
-    for level, spread in levels:
-        for v, bits in zip(compress(vertices, previous), filter(None, previous)):
-            interior[v] |= spread[v] & bits
-        previous = level
+    n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
+    level, before, interior = [0] * n, [0] * n, [0] * n
+    for i, source in enumerate(batch):
+        level[source] = 1 << i
+    while any(level):
+        spread = [0] * n
+        for neighbours, bits in zip(compress(adjacency, level), filter(None, level)):
+            for w in neighbours:
+                spread[w] |= bits
+        for w in compress(vertices, spread):
+            bits = spread[w]
+            interior[w] |= bits & before[w]
+            spread[w] = bits & ~(level[w] | before[w])
+        before, level = level, spread
     counts: list[int] = []
     for carry in interior:
         for j, count in enumerate(counts):
@@ -617,7 +602,7 @@ def _gx_of_levels(g: Graph, batch: Sequence[int], levels: Iterable) -> list[int]
         else:
             if carry:
                 counts.append(carry)
-    gx = [g.n] * len(batch)
+    gx = [n] * len(batch)
     for j, count in enumerate(counts):
         bits = map(int, reversed(f"{count:0{len(batch)}b}"))
         gx = [size - (bit << j) for size, bit in zip(gx, bits)]

@@ -11,14 +11,15 @@ misses it (``_subset_lanes``), the covers are the lanes left over, and
 the least popcount among them is the minimum (``_least``). Intervals come
 from the distances by their definition, sharing no logic with
 boundary(). The exhaustive stages run on graph lanes: bit g of an edge
-int is edge mask g, a slice of 2^16 masks at a time (``_scan``), and
+int is edge mask g, a slice of 2^16 masks at a time, each built
+(``_slice``) only when the scan (``_scan``) reaches it, and
 ``_in_key_order`` lists picked masks in (edge count, combinations rank)
 order over all slices. The counterexample search scans only the slices
-where a's pairs run ones, then zeros (``_hub_leads``): its test is the
-same for every relabelling of a graph, and a relabelling class's first
-key lies in such a slice. One bit-parallel BFS (``_levels``) serves both,
-its lanes a graph's sources or a slice's graphs, and the theorem sweep
-checks the minimum against a boundary rule of its own
+where a's pairs run ones, then zeros, listed by ``_hub_highs``: its test
+is the same for every relabelling of a graph, and a relabelling class's
+first key lies in such a slice. One bit-parallel BFS (``_levels``)
+serves both, its lanes a graph's sources or a slice's graphs, and the
+theorem sweep checks the minimum against a boundary rule of its own
 (``_boundary_lanes``), which the tests tie to graph.py's. Nothing here
 calls the BFS, geodesic or simplicial code of graph.py that the searches
 certify. Each function checks its inputs before any work, even when no
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import combinations, islice
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -305,43 +306,48 @@ def _slice_width(n: int) -> int:
     return min(n * (n - 1) // 2, _SLICE_BITS)
 
 
-def _slices(n: int) -> Iterator[tuple[int, list[list[tuple[int, int]]]]]:
-    """(high, adj) per slice of the edge masks on n vertices, high
-    descending: lane g is mask high << _slice_width(n) | g."""
+def _slice(n: int, high: int) -> list[list[tuple[int, int]]]:
+    """The adjacency of slice high of the edge masks on n vertices: lane
+    g is mask high << _slice_width(n) | g."""
     pairs = _all_pairs_list(n)
     width = _slice_width(n)
     clear = _clear_patterns(width)
     lanes = (1 << (1 << width)) - 1
-    for high in reversed(range(1 << (len(pairs) - width))):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for p, (i, j) in enumerate(pairs):
-            b = len(pairs) - 1 - p
-            edge = lanes ^ clear[b] if b < width else lanes * (high >> (b - width) & 1)
-            if edge:
-                adj[i].append((j, edge))
-                adj[j].append((i, edge))
-        yield high, adj
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        b = len(pairs) - 1 - p
+        edge = lanes ^ clear[b] if b < width else lanes * (high >> (b - width) & 1)
+        if edge:
+            adj[i].append((j, edge))
+            adj[j].append((i, edge))
+    return adj
 
 
-def _hub_leads(n: int, high: int) -> bool:
-    """Whether the slice high on n vertices can hold the first key of a
-    relabelling class. Its first mask, the greatest of its edge count, has
-    N(a) = {b, ..., the Δth vertex}, Δ the maximum degree, and the pairs
-    a-b, a-c, ... are the top bits of a mask: those of them among high's
-    bits must run ones, then zeros, so 2^hub less their value is a power
-    of two."""
+def _hub_highs(n: int) -> list[int]:
+    """The highs, descending, of the slices on n vertices that can hold a
+    relabelling class's first key, its greatest mask. That mask has
+    N(a) = {b, ..., the Δth vertex}, Δ the maximum degree, and a's pairs
+    are the top mask bits: those among high's bits are a prefix
+    (1 << hub) - (1 << k), over every pattern of the bits below them."""
     spare = n * (n - 1) // 2 - _slice_width(n)
     hub = min(n - 1, spare)
-    gap = (1 << hub) - (high >> (spare - hub))
-    return gap & (gap - 1) == 0
+    rest = spare - hub
+    return [((1 << hub) - (1 << k)) << rest | low
+            for k in range(hub + 1) for low in reversed(range(1 << rest))]
 
 
-def _scan(n: int, pick: Callable[[Adjacency, int], object]) -> Iterator[tuple[int, object]]:
-    """(high, pick(adj, every lane)) per slice of ``_slices(n)``, each
+def _scan(
+    n: int, pick: Callable[[Adjacency, int], object], highs: Iterable[int] | None = None
+) -> Iterator[tuple[int, object]]:
+    """(high, pick(adj, every lane)) per slice of highs, by default every
+    slice of n, high descending; each slice is built (``_slice``) and
     picked before the next is made."""
-    lanes = (1 << (1 << _slice_width(n))) - 1
-    for high, adj in _slices(n):
-        yield high, pick(adj, lanes)
+    width = _slice_width(n)
+    if highs is None:
+        highs = reversed(range(1 << (n * (n - 1) // 2 - width)))
+    lanes = (1 << (1 << width)) - 1
+    for high in highs:
+        yield high, pick(_slice(n, high), lanes)
 
 
 def _in_key_order(n: int, picked: dict[int, int]) -> Iterator[int]:
@@ -481,11 +487,12 @@ def find_simplicial_counterexample(
     The search is exhaustive through n = 7 up to relabelling, which changes
     neither connectivity nor the simplicial set nor its failure: a class's
     first key has N(a) = {b, ..., the Δth}, so only the slices of an n
-    where a's pairs run ones, then zeros (``_hub_leads``) are scanned, 6 of
-    32 at n = 7, before the least key is taken. max_n = 8 is accepted and
-    searches the same graphs as 7: n = 8 was only ever a seeded sample of
-    2000 random graphs, which never changed a result (every min_simplicial
-    from 1 to 4 hits by n = 7, and the sample had no hit at 5 or above).
+    where a's pairs run ones, then zeros (``_hub_highs``) are built and
+    scanned, 6 of 32 at n = 7, before the least key is taken. max_n = 8 is
+    accepted and searches the same graphs as 7: n = 8 was only ever a
+    seeded sample of 2000 random graphs, which never changed a result
+    (every min_simplicial from 1 to 4 hits by n = 7, and the sample had no
+    hit at 5 or above).
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
@@ -493,9 +500,7 @@ def find_simplicial_counterexample(
         raise ValueError("min_simplicial must be at least 1")
 
     for n in range(max(4, min_simplicial), min(max_n, _EXHAUSTIVE_MAX_N) + 1):
-        lanes = (1 << (1 << _slice_width(n))) - 1
-        hits = {high: _counterexample_lanes(min_simplicial, adj, lanes)
-                for high, adj in _slices(n) if _hub_leads(n, high)}
+        hits = dict(_scan(n, partial(_counterexample_lanes, min_simplicial), _hub_highs(n)))
         mask = next(_in_key_order(n, hits), None)
         if mask is not None:
             g = _mask_graph(n, mask)

@@ -195,24 +195,31 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
-        "return gap & (gap - 1) == 0",
-        "return True",
+        "hub = min(n - 1, spare)",
+        "hub = 0",
         "tests/test_oracles.py::test_search_scans_only_the_slices_where_a_leads",
-        "_hub_leads keeps every slice of the counterexample search",
+        "_hub_highs lists every slice of the counterexample search",
     ),
     Mutant(
         ORACLES,
-        "gap = (1 << hub) - (high >> (spare - hub))",
-        "gap = (high >> (spare - hub)) + 1",
+        "((1 << hub) - (1 << k)) << rest",
+        "((1 << k) - 1) << rest",
         ACROSS_SLICES,
-        "_hub_leads keeps the slices where a's pairs run zeros, then ones",
+        "_hub_highs lists the slices where a's pairs run zeros, then ones",
     ),
     Mutant(
         ORACLES,
         "hub = min(n - 1, spare)",
         "hub = min(n, spare)",
         ACROSS_SLICES,
-        "_hub_leads reads the pair b-c as one of a's",
+        "_hub_highs reads the pair b-c as one of a's",
+    ),
+    Mutant(
+        ORACLES,
+        "partial(_counterexample_lanes, min_simplicial), _hub_highs(n))",
+        "partial(_counterexample_lanes, min_simplicial))",
+        "tests/test_oracles.py::test_search_scans_only_the_slices_where_a_leads",
+        "the counterexample search scans every slice, not those of _hub_highs",
     ),
     Mutant(
         ORACLES,
@@ -230,24 +237,34 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "spread[w] &= ~(level[w] | before[w])",
-        "spread[w] &= ~level[w]",
-        "tests/test_graph.py::test_level_words_are_the_levels_of_the_rows",
-        "_level_words keeps the bits of the level before in the next level",
+        # the walk never ends; the selected test's child times out
+        "spread[w] = bits & ~(level[w] | before[w])",
+        "spread[w] = bits & ~level[w]",
+        "tests/test_cli.py::test_single_source_library_calls_load_no_numpy",
+        "_gx_of_batch keeps the bits of the level before in the next level",
     ),
     Mutant(
         GRAPH,
-        "interior[v] |= spread[v] & bits",
-        "interior[v] |= spread[v]",
+        "interior[w] |= bits & before[w]",
+        "interior[w] |= bits",
         "tests/test_graph.py::test_schedule_gives_each_source_its_gx_on_words_and_rows",
-        "_gx_of_levels counts a vertex as interior with a neighbour in any level",
+        "_gx_of_batch counts a vertex as interior with a neighbour in any level",
+    ),
+    Mutant(
+        GRAPH,
+        "interior[w] |= bits & before[w]\n"
+        "            spread[w] = bits & ~(level[w] | before[w])",
+        "spread[w] = bits & ~(level[w] | before[w])\n"
+        "            interior[w] |= spread[w] & before[w]",
+        "tests/test_graph.py::test_gx_of_batch_counts_the_boundary_flags_of_the_rows",
+        "_gx_of_batch reads the interior bits after it masks the spread",
     ),
     Mutant(
         GRAPH,
         "counts[j], carry = count ^ carry, count & carry",
         "counts[j], carry = count ^ carry, 0",
         "tests/test_graph.py::test_min_gx_vertex_across_words",
-        "_gx_of_levels drops the counter's carries",
+        "_gx_of_batch drops the counter's carries",
     ),
     Mutant(
         GRAPH,

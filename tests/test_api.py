@@ -164,10 +164,7 @@ def test_only_graph_schedules_the_word_walk():
     # function that walks level words; no other module walks them, reads
     # their bits or the level budget
     names = [m.name for m in pkgutil.iter_modules(geodom.__path__) if m.name != "__main__"]
-    scheduling = (
-        "_level_words", "_word_budget", "_MIN_BATCH", "_WALK_BITS", "_batch_width",
-        "_gx_of_levels",
-    )
+    scheduling = ("_gx_of_batch", "_word_budget", "_MIN_BATCH", "_WALK_BITS", "_batch_width")
     for name in names:
         module = importlib.import_module(f"geodom.{name}")
         holds = {attr for attr in scheduling if hasattr(module, attr)}
@@ -176,8 +173,8 @@ def test_only_graph_schedules_the_word_walk():
     walkers = {
         f.__name__
         for f in vars(graph).values()
-        if inspect.isfunction(f) and f.__name__ != "_level_words"
-        and "_level_words(" in inspect.getsource(f)
+        if inspect.isfunction(f) and f.__name__ != "_gx_of_batch"
+        and "_gx_of_batch(" in inspect.getsource(f)
     }
     assert walkers == {"_gx_of_sources"}
 
@@ -191,7 +188,7 @@ def test_products_and_oracles_never_walk_levels(monkeypatch):
         raise AssertionError("only the gx pass walks levels")
 
     graph = importlib.import_module("geodom.graph")
-    monkeypatch.setattr(graph, "_level_words", no_walk)
+    monkeypatch.setattr(graph, "_gx_of_batch", no_walk)
     monkeypatch.setattr(importlib.import_module("geodom.boundary"), "_gx_of_sources", no_walk)
     p3, c4 = path_graph(3), cycle_graph(4)
     edge_counts = {"cartesian": 20, "lexicographic": 44, "strong": 36}

@@ -250,6 +250,29 @@ def test_product_summary_and_emit_round_trip(capsys, factors):
     assert emitted.labels[0] == "(a,1)"
 
 
+def test_product_emit_plain_is_one_write(capsys, factors, monkeypatch):
+    # unbuffered stdout makes a system call per write, so the plain edge
+    # list goes out in one, the JSON document's result.document
+    g, h = factors
+    argv = ["product", "--kind", "lexicographic", "--g", g, "--h", h, "--emit"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    document = json.loads(out)["result"]["document"]
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(argv) == 0
+    assert writes == [document]
+
+
 def test_product_formats_the_edge_list_only_under_emit(capsys, factors, monkeypatch):
     def no_emit(*args):
         raise AssertionError("the summary needs no edge-list document")
@@ -563,7 +586,7 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
     def no_enumeration(*args):
         raise AssertionError("the random corpus must be checked first")
 
-    monkeypatch.setattr("geodom.oracles._slices", no_enumeration)
+    monkeypatch.setattr("geodom.oracles._slice", no_enumeration)
     code, _, err = run(capsys, "verify-theorems", "--random", "2", "--n", "1")
     assert code == 2 and "n_low" in err
 
@@ -589,7 +612,7 @@ def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, m
     def no_enumeration(*args):
         raise AssertionError("the corpus must be checked against the cap first")
 
-    monkeypatch.setattr("geodom.oracles._slices", no_enumeration)
+    monkeypatch.setattr("geodom.oracles._slice", no_enumeration)
     argv = ("verify-theorems", "--exhaustive-n", "6", "--random", "2", "--n", "13")
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
@@ -610,22 +633,21 @@ def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypat
 
 
 def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):
-    # each slice of edge masks is checked before the next one is made;
+    # each slice of edge masks is checked before the next one is built;
     # slices of 2^10 masks give n = 6 its 32
     events = []
-    slices, check = oracles._slices, oracles._sweep_lanes
+    build, check = oracles._slice, oracles._sweep_lanes
 
-    def logged_slices(*args):
-        for piece in slices(*args):
-            events.append("slice")
-            yield piece
+    def logged_slice(*args):
+        events.append("slice")
+        return build(*args)
 
     def logged_check(*args):
         events.append("check")
         return check(*args)
 
     monkeypatch.setattr(oracles, "_SLICE_BITS", 10)
-    monkeypatch.setattr(oracles, "_slices", logged_slices)
+    monkeypatch.setattr(oracles, "_slice", logged_slice)
     monkeypatch.setattr(oracles, "_sweep_lanes", logged_check)
     code, out, _ = run(capsys, "verify-theorems", "--exhaustive-n", "6")
     assert code == 0 and "graphs checked: 27475" in out

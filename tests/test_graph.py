@@ -1,6 +1,5 @@
 import random
 import sys
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -412,19 +411,19 @@ def _swapped(g, a, b):
     return Graph(edges, vertices=lab)
 
 
-def test_level_words_are_the_levels_of_the_rows(word_graph):
-    # bit i of the d-th level int is set at exactly the vertices d hops
-    # from the i-th source, and the walk ends after the deepest level
-    g, dist = word_graph
-    batch = list(range(1, g.n, 2))
+def test_gx_of_batch_counts_the_boundary_flags_of_the_rows(word_graph):
+    # each source of one walk gets the count of its own row's boundary
+    # flags, whether the batch runs ascending, reversed or middle first
+    g, _ = word_graph
     graph = sys.modules["geodom.graph"]
-    levels = [level.copy() for level, _ in islice(graph._level_words(g, batch), g.n + 1)]
-    depth = max(dist[s][v] for s in batch for v in range(g.n))
-    want = [
-        [sum(1 << i for i, s in enumerate(batch) if dist[s][v] == d) for v in range(g.n)]
-        for d in range(depth + 1)
-    ]
-    assert levels == want
+    middle = g.n // 2
+    for batch in (
+        list(range(g.n)),
+        list(reversed(range(g.n))),
+        [middle, *range(middle), *range(middle + 1, g.n)],
+    ):
+        want = [graph._bfs_row(g._adjacency, s)[1].count(1) for s in batch]
+        assert graph._gx_of_batch(g, batch) == want
 
 
 def test_min_gx_vertex_across_words(word_graph):
@@ -498,11 +497,11 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     # built, no call builds an adjacency again
     rows, builds, walks = [], [], []
     graph = sys.modules["geodom.graph"]
-    real_row, real_build, real_walk = graph._bfs_row, Graph._build, graph._level_words
+    real_row, real_build, real_walk = graph._bfs_row, Graph._build, graph._gx_of_batch
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(Graph, "_build", lambda g, *a: builds.append(g) or real_build(g, *a))
     monkeypatch.setattr(
-        graph, "_level_words", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
     )
     # on a shallow graph the first source takes a row and the rest walk in
     # one batch, since n x n bits are far below the memory constant
@@ -563,10 +562,10 @@ def test_first_row_at_the_budget_puts_every_source_on_rows(n, on_rows, monkeypat
     # other sources walk, and on a path of 128 every source takes a row
     rows, walks = [], []
     graph = sys.modules["geodom.graph"]
-    real_row, real_walk = graph._bfs_row, graph._level_words
+    real_row, real_walk = graph._bfs_row, graph._gx_of_batch
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(
-        graph, "_level_words", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
     )
     p = path_graph(n)
     assert graph._word_budget(p) == 127
@@ -579,28 +578,24 @@ def test_middle_first_walks_the_deeper_ends(monkeypatch):
     # the middle vertex 63 of a path of 128 is 64 levels deep, below the
     # budget of 127, so the other sources walk in one batch, down to the
     # ends, which are 127 levels deep: 128 levels, within twice the first
-    # row's depth and one. Their gx match one row each
+    # row's depth and one. Their gx match one row each, and the ends' gx
+    # of 1 needs the walk's last level, where only the far end lies
     graph = sys.modules["geodom.graph"]
-    rows, levels = [], []
-    real_row, real_walk = graph._bfs_row, graph._level_words
-
-    def walk(g, batch):
-        levels.append(0)
-        for pair in real_walk(g, batch):
-            levels[-1] += 1
-            yield pair
-
+    rows, walks = [], []
+    real_row, real_walk = graph._bfs_row, graph._gx_of_batch
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
-    monkeypatch.setattr(graph, "_level_words", walk)
+    monkeypatch.setattr(
+        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+    )
     p = path_graph(128)
     order = [63, *range(63), *range(64, 128)]
     want = [1 if v in (0, 127) else 2 for v in order]
     assert graph._gx_of_sources(p, order) == want
-    assert rows == [63] and levels == [128]
+    assert rows == [63] and walks == [order[1:]]
     rows.clear()
     monkeypatch.setattr(graph, "_word_budget", lambda g: 0)
     assert graph._gx_of_sources(p, order) == want
-    assert rows == order and levels == [128]
+    assert rows == order and walks == [order[1:]]
 
 
 def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
@@ -616,9 +611,9 @@ def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
     g = random_connected_graph(150, edge_probability=3 / 150, seed=150)
     want = graph._gx_of_sources(g, range(150))
     walks = []
-    real_walk = graph._level_words
+    real_walk = graph._gx_of_batch
     monkeypatch.setattr(
-        graph, "_level_words", lambda g, batch: walks.append(len(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch", lambda g, batch: walks.append(len(batch)) or real_walk(g, batch)
     )
     for width, batches in ((150, [149]), (40, [64, 64, 21]), (80, [80, 69])):
         monkeypatch.setattr(graph, "_WALK_BITS", 4 * 150 * width)
@@ -654,7 +649,7 @@ def test_closure_on_rows_matches_direct_computation(g, picks):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
-        mp.setattr(graph, "_level_words", no_walk)
+        mp.setattr(graph, "_gx_of_batch", no_walk)
         got = set(geodetic_closure(g, members))
     assert got == covered == direct_closure(dist, members, g.n)
     assert rows == want_rows

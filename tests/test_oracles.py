@@ -300,7 +300,7 @@ def test_mask_chunks_follow_combinations_order(n, monkeypatch):
     for slice_bits in (oracles._SLICE_BITS, 3):
         monkeypatch.setattr(oracles, "_SLICE_BITS", slice_bits)
         width = oracles._slice_width(n)
-        slices = list(oracles._slices(n))
+        slices = list(oracles._scan(n, lambda adj, lanes: adj))
         assert [high for high, _ in slices] == list(reversed(range(len(slices))))
         everything = {high: (1 << (1 << width)) - 1 for high, _ in slices}
         # the loop starts at n - 1 edges: nothing smaller can span n vertices
@@ -526,8 +526,8 @@ def test_search_matches_the_loop(max_n, min_simplicial):
 def test_search_matches_the_loop_across_slices(min_simplicial, slice_bits, monkeypatch):
     # small slices: the first hit of an n is the least key over all of its
     # slices, not the first slice's; and a's pairs fall across the split of
-    # the mask bits in different ways, so that the slices kept by
-    # _hub_leads read them wherever they lie
+    # the mask bits in different ways, so that the slices listed by
+    # _hub_highs hold them wherever they lie
     monkeypatch.setattr(oracles, "_SLICE_BITS", slice_bits)
     assert _hit_key(find_simplicial_counterexample(6, min_simplicial=min_simplicial)) == (
         _hit_key(loop_simplicial_counterexample(6, min_simplicial))
@@ -564,9 +564,10 @@ def test_search_matches_the_scan_of_every_slice(max_n, min_simplicial):
 
 def test_search_scans_only_the_slices_where_a_leads(monkeypatch):
     # at n = 7 the slice bits are the pairs a-b ... a-f, highest first, and
-    # a pair's edge int is every lane or none; below n = 7 there is one slice
-    scanned = []
-    scan = oracles._counterexample_lanes
+    # a pair's edge int is every lane or none; below n = 7 there is one
+    # slice. Only the slices scanned are built: 6 of the 32 at n = 7
+    scanned, built = [], []
+    scan, build = oracles._counterexample_lanes, oracles._slice
 
     def spy(min_simplicial, adj, lanes):
         n = len(adj)
@@ -575,8 +576,30 @@ def test_search_scans_only_the_slices_where_a_leads(monkeypatch):
         return scan(min_simplicial, adj, lanes)
 
     monkeypatch.setattr(oracles, "_counterexample_lanes", spy)
+    monkeypatch.setattr(
+        oracles, "_slice", lambda n, high: built.append((n, high)) or build(n, high)
+    )
     assert find_simplicial_counterexample(8, min_simplicial=4) is not None
-    assert scanned == [(4, 0), (5, 0), (6, 0)] + [(7, h) for h in (31, 30, 28, 24, 16, 0)]
+    assert scanned == built == [(4, 0), (5, 0), (6, 0)] + [(7, h) for h in (31, 30, 28, 24, 16, 0)]
+
+
+def _hub_leads(n):
+    """Every slice on n vertices, high descending, that the prefix rule
+    keeps: those of a's pairs among high's bits run ones, then zeros, so
+    2^hub less their value is a power of two."""
+    spare = n * (n - 1) // 2 - oracles._slice_width(n)
+    hub = min(n - 1, spare)
+    return [high for high in reversed(range(1 << spare))
+            if not (gap := (1 << hub) - (high >> (spare - hub))) & (gap - 1)]
+
+
+@pytest.mark.parametrize("slice_bits", [4, 8, 12, 16])
+def test_hub_highs_are_the_slices_the_prefix_rule_keeps(slice_bits, monkeypatch):
+    # the highs are listed, not filtered, so the list is checked against
+    # the rule read off every slice, up to 2^24 of them at n = 8
+    monkeypatch.setattr(oracles, "_SLICE_BITS", slice_bits)
+    for n in range(2, 9):
+        assert oracles._hub_highs(n) == _hub_leads(n), n
 
 
 def _greatest_relabelling(n, edges):
@@ -602,7 +625,7 @@ def _assert_first_mask_leads_with_a_hub(n, edges):
 
 
 def test_a_relabelling_class_first_mask_leads_with_a_hub():
-    # the claim _hub_leads rests on: of the relabellings of a graph, which
+    # the claim _hub_highs rests on: of the relabellings of a graph, which
     # share its edge count, the first key, the greatest mask, has
     # N(0) = {1, ..., Δ}
     checked = 0
@@ -659,7 +682,7 @@ def test_counterexample_search_is_independent(monkeypatch):
         raise AssertionError("the counterexample search must not call graph.py")
 
     names = (
-        "bfs_distances", "_bfs_row", "_sweep", "_level_words", "simplicial_vertices",
+        "bfs_distances", "_bfs_row", "_sweep", "_gx_of_batch", "simplicial_vertices",
     )
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "geodom":
@@ -800,7 +823,7 @@ def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("an over-cap graph must fail before any sweep")
 
-    monkeypatch.setattr(oracles, "_slices", no_sweep)
+    monkeypatch.setattr(oracles, "_slice", no_sweep)
     monkeypatch.setattr(oracles, "_failing_sources", no_sweep)
     # a slice's caps all come first: of later sizes, and up to its last graph
     rest_of_slice = [path_graph(5)] * (oracles._SWEEP_CHUNK - 1)

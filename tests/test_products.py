@@ -387,7 +387,7 @@ def test_reports_build_no_adjacency(monkeypatch, bases):
         raise AssertionError("product reports must read the stored neighbour tuples")
 
     monkeypatch.setattr(Graph, "_build", no_build)
-    monkeypatch.setattr(sys.modules["geodom.graph"], "_level_words", no_build)
+    monkeypatch.setattr(sys.modules["geodom.graph"], "_gx_of_batch", no_build)
     for kind in KINDS:
         assert [rep.base for rep in product_reports(kind, g, h, bases)] == (
             bases or [(x, y) for x in range(3) for y in range(4)]
