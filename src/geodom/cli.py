@@ -173,7 +173,7 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
     }
     if args.emit:
         document = emit_graph(pg.graph)
-        lines = document.splitlines()
+        lines = [document[:-1]]
         result["document"] = document
     else:
         lines = [
@@ -219,37 +219,26 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
 
     reports = tallied(stream)
     gl, hl = g.labels, h.labels
-    # the factor label pair of each cell, in mask bit order
-    pairs = [(a, b) for a in gl for b in hl]
+    escape = encode_basestring_ascii if args.format == "json" else str
+    # the label of each cell, in mask bit order, as the output writes it
+    cells = [escape(pair_label(a, b)) for a in gl for b in hl]
 
     def base_label(rep: ProductReport) -> str:
         return pair_label(gl[rep.base[0]], hl[rep.base[1]])
 
-    # labels are formatted only for the cells the output names: all of them
-    # in JSON, the sets of the one base, or the witnesses of FAIL lines
-    if args.base is not None:
-        reports = list(reports)
-        (rep,) = reports
-        shown = rep.actual | rep.lower | rep.upper
-    else:
-        shown = (1 << len(pairs)) - 1 if args.format == "json" else 0
-    escape = encode_basestring_ascii if args.format == "json" else str
-    grid: list = [None] * len(pairs)
-    for p in _picked(range(len(pairs)), shown):
-        grid[p] = escape(pair_label(*pairs[p]))
     # only the output format asked for is built
     if args.format == "json":
         out.result["bases"] = (
             {
                 "base": base_label(rep),
-                "actual": Encoded(_picked(grid, rep.actual)),
-                "lower": Encoded(_picked(grid, rep.lower)),
-                "upper": Encoded(_picked(grid, rep.upper)),
+                "actual": Encoded(_picked(cells, rep.actual)),
+                "lower": Encoded(_picked(cells, rep.lower)),
+                "upper": Encoded(_picked(cells, rep.upper)),
                 "containments_hold": rep.containments_hold,
                 "upper_strict": rep.upper_strict,
                 "witnesses": None
                 if rep.witnesses is None
-                else Encoded(_picked(grid, rep.witnesses)),
+                else Encoded(_picked(cells, rep.witnesses)),
                 "gx": rep.gx,
                 "gx_lower": rep.gx_lower,
                 "gx_upper": rep.gx_upper,
@@ -258,18 +247,19 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             for rep in reports
         )
     elif args.base is not None:
+        (rep,) = reports
         out.lines = [
             f"base: {base_label(rep)}",
-            "actual boundary: " + " ".join(_picked(grid, rep.actual)),
-            "lower bound: " + " ".join(_picked(grid, rep.lower)),
-            "upper bound: " + " ".join(_picked(grid, rep.upper)),
+            "actual boundary: " + " ".join(_picked(cells, rep.actual)),
+            "lower bound: " + " ".join(_picked(cells, rep.lower)),
+            "upper bound: " + " ".join(_picked(cells, rep.upper)),
             f"containments hold: {_yesno(rep.containments_hold)}",
             f"upper bound strict: {_yesno(rep.upper_strict)}",
             f"gx: {rep.gx} {'within' if rep.gx_holds else 'outside'} "
             f"[{rep.gx_lower}, {rep.gx_upper}]",
         ]
         if rep.witnesses is not None:
-            out.lines.insert(5, "witnesses: " + " ".join(_picked(grid, rep.witnesses)))
+            out.lines.insert(5, "witnesses: " + " ".join(_picked(cells, rep.witnesses)))
     else:
         # the summary comes first but needs every report: keep the FAIL lines
         fails = []
@@ -280,7 +270,7 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
                 continue
             base = base_label(rep)
             if not rep.containments_hold:
-                witnesses = " ".join(pair_label(*p) for p in _picked(pairs, rep.witnesses))
+                witnesses = " ".join(_picked(cells, rep.witnesses))
                 fails.append(f"FAIL base {base}: witnesses {witnesses}")
             if not rep.gx_holds:
                 fails.append(
@@ -398,28 +388,27 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
-    from .oracles import _EXHAUSTIVE_MAX_N, find_simplicial_counterexample
+    from .oracles import find_simplicial_counterexample
 
     hit = find_simplicial_counterexample(args.max_n, min_simplicial=args.min_simplicial)
     if hit is None:
         return Outcome(
             code=1,
-            lines=[f"no counterexample found up to n = {min(args.max_n, _EXHAUSTIVE_MAX_N)}"],
+            lines=[f"no counterexample found up to n = {args.max_n}"],
             result={"found": False},
             checks={},
         )
     g, simp = hit
     verified = all(not is_x_geodominating(g, z, simp).is_geodominating for z in range(g.n))
     document = emit_graph(g)
-    lines = [
-        f"found: n={g.n} m={g.edge_count}",
-        "simplicial: " + " ".join(g.labels_of(simp)),
-        f"fails from every source: {_yesno(verified)}",
-    ]
-    lines.extend(document.splitlines())
     return Outcome(
         code=0 if verified else 1,
-        lines=lines,
+        lines=[
+            f"found: n={g.n} m={g.edge_count}",
+            "simplicial: " + " ".join(g.labels_of(simp)),
+            f"fails from every source: {_yesno(verified)}",
+            document[:-1],
+        ],
         result={
             "found": True,
             "n": g.n,
@@ -513,8 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         dest="max_n",
-        help="largest vertex count, 4 to 8; the search is exhaustive through "
-        "n = 7, and 8 searches the same graphs as 7",
+        help="largest vertex count, 4 to 8",
     )
     p.add_argument("--min-simplicial", type=int, default=1, dest="min_simplicial")
 

@@ -399,14 +399,16 @@ def _bfs_row(adjacency: Sequence[Sequence[int]], source: int) -> tuple[list[int]
     one not reached yet, which u reaches, or one reached earlier in the
     same level. Either way u has a neighbour farther than itself, so the
     pass that makes the row gives the flags too, for one comparison per
-    edge that reaches no vertex."""
+    edge that reaches no vertex. No vertex lies more than n - 1 levels
+    from the source, so the pass stops there at the latest: a level n - 1
+    holds the far end of a path, which has no farther neighbour."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
     flags = bytearray(b"\x01") * len(adjacency)
     frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
+    for d in range(1, len(adjacency)):
+        if not frontier:
+            break
         nxt = []
         for u in frontier:
             for w in adjacency[u]:
@@ -552,16 +554,17 @@ def _gx_of_sources(g: Graph, sources: Sequence[int]) -> list[int]:
     rows = _distance_rows(g, sources)
     row, flags = next(rows)
     gx = [flags.count(1)]
-    if max(row) >= _word_budget(g):
+    ecc = max(row)
+    if ecc >= _word_budget(g):
         gx.extend(flags.count(1) for _, flags in rows)
         return gx
     width = _batch_width(g.n)
     for lo in range(1, len(sources), width):
-        gx.extend(_gx_of_batch(g, sources[lo:lo + width]))
+        gx.extend(_gx_of_batch(g, sources[lo:lo + width], ecc))
     return gx
 
 
-def _gx_of_batch(g: Graph, batch: Sequence[int]) -> list[int]:
+def _gx_of_batch(g: Graph, batch: Sequence[int], ecc: int) -> list[int]:
     """gx of each distinct source of ``batch``, from one BFS of them all
     at once, one int per vertex and one bit per source: bit i of
     ``level[v]`` is set iff d(batch[i], v) is the current level.
@@ -577,13 +580,16 @@ def _gx_of_batch(g: Graph, batch: Sequence[int]) -> list[int]:
     interior ints: bit i of ``counts[j]`` is bit j of the number of
     interior vertices of source i, and gx of source i is n minus that
     number. It does not check connectivity: ``_gx_of_sources`` takes a row
-    first, which does.
+    first, which does and gives ecc, the eccentricity of some vertex, so
+    the walk stops after 2 ecc + 1 levels at the latest.
     """
     n, adjacency, vertices = g.n, g._adjacency, list(range(g.n))
     level, before, interior = [0] * n, [0] * n, [0] * n
     for i, source in enumerate(batch):
         level[source] = 1 << i
-    while any(level):
+    for _ in range(2 * ecc + 1):
+        if not any(level):
+            break
         spread = [0] * n
         for neighbours, bits in zip(compress(adjacency, level), filter(None, level)):
             for w in neighbours:

@@ -23,7 +23,8 @@ theorem sweep checks the minimum against a boundary rule of its own
 (``_boundary_lanes``), which the tests tie to graph.py's. Nothing here
 calls the BFS, geodesic or simplicial code of graph.py that the searches
 certify. Each function checks its inputs before any work, even when no
-graph is drawn, and the searches refuse any cap over 20.
+graph is drawn. The searches refuse any cap over 20, which is the theorem
+sweep's cap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import random
 from functools import cache, partial, reduce
-from itertools import combinations, islice
+from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -49,16 +50,16 @@ __all__ = [
 ]
 
 _ENUM_LABELS = "abcdefgh"
-# the most vertices that enumeration, sweep and counterexample search cover
+# the most vertices that the enumeration and the theorem sweep's
+# exhaustive stage cover
 _EXHAUSTIVE_MAX_N = 7
-# the largest graph min_x_geodominating_bruteforce searches by default,
-# and the theorem sweep's cap: it searches 2^(n-1) sets per source
+# the largest graph min_x_geodominating_bruteforce searches by default:
+# it searches 2^(n-1) sets per source
 _GX_CAP = 12
-# the largest cap either search takes; each vertex doubles the width of a
-# search's lane ints (128 KB at n = 20), so a cap of 30 would take gigabytes
+# the largest cap either search takes, and the theorem sweep's cap; each
+# vertex doubles the width of a search's lane ints (128 KB at n = 20), so
+# a cap of 30 would take gigabytes
 _CAP_LIMIT = 20
-# listed graphs read per slice, so that an iterator is never held whole
-_SWEEP_CHUNK = 1 << 9
 # low edge-mask bits per slice of graph lanes: 2^16 lanes, 8 KB per int
 _SLICE_BITS = 16
 
@@ -133,14 +134,16 @@ def _neighbourhood(adj: Adjacency, sets: Sequence[int]) -> list[int]:
 def _levels(adj: Adjacency, start: list[int]) -> list[list[int]]:
     """Bit-frontier BFS in every lane at once: start[v] holds the lanes
     whose source is v, and levels[j][v] the lanes in which v lies at
-    distance j from the source, to the last level of any lane."""
+    distance j from the source, to the last level of any lane: at most
+    the n levels of a path from its end."""
     levels, seen = [start], start
-    while True:
+    for _ in range(len(adj) - 1):
         frontier = [reach & ~s for reach, s in zip(_neighbourhood(adj, levels[-1]), seen)]
         if not any(frontier):
-            return levels
+            break
         seen = [s | f for s, f in zip(seen, frontier)]
         levels.append(frontier)
+    return levels
 
 
 def _sourced(n: int, z: int, lanes: int) -> list[int]:
@@ -429,14 +432,14 @@ def random_graph_corpus(
 ) -> list[Graph]:
     """count seeded graphs with sizes cycling through [n_low, n_high].
 
-    count, the sizes, n_high against the theorem sweep's cap of 12 and the
+    count, the sizes, n_high against the theorem sweep's cap of 20 and the
     edge probability are checked even when count is 0, so an over-cap
     size fails before any graph is drawn."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= n_low <= n_high:
         raise ValueError("need 2 <= n_low <= n_high")
-    _require_cap(n_high, _GX_CAP)
+    _require_cap(n_high, _CAP_LIMIT)
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     sizes = range(n_low, n_high + 1)
@@ -484,22 +487,19 @@ def find_simplicial_counterexample(
     fails to x-geodominate from every source vertex.
 
     min_simplicial additionally requires that many simplicial vertices.
-    The search is exhaustive through n = 7 up to relabelling, which changes
+    The search is exhaustive through max_n up to relabelling, which changes
     neither connectivity nor the simplicial set nor its failure: a class's
     first key has N(a) = {b, ..., the Δth}, so only the slices of an n
     where a's pairs run ones, then zeros (``_hub_highs``) are built and
-    scanned, 6 of 32 at n = 7, before the least key is taken. max_n = 8 is
-    accepted and searches the same graphs as 7: n = 8 was only ever a
-    seeded sample of 2000 random graphs, which never changed a result
-    (every min_simplicial from 1 to 4 hits by n = 7, and the sample had no
-    hit at 5 or above).
+    scanned, 6 of 32 at n = 7 and 256 of 4096 at n = 8, before the least
+    key is taken.
     """
     if not 4 <= max_n <= 8:
         raise ValueError("search supports 4 <= max_n <= 8")
     if min_simplicial < 1:
         raise ValueError("min_simplicial must be at least 1")
 
-    for n in range(max(4, min_simplicial), min(max_n, _EXHAUSTIVE_MAX_N) + 1):
+    for n in range(max(4, min_simplicial), max_n + 1):
         hits = dict(_scan(n, partial(_counterexample_lanes, min_simplicial), _hub_highs(n)))
         mask = next(_in_key_order(n, hits), None)
         if mask is not None:
@@ -534,11 +534,10 @@ def verify_unique_minimum(
 
     exhaustive_n puts every connected graph on 2..exhaustive_n vertices
     ahead of graphs, swept on graph lanes (``_sweep_lanes``), building a
-    Graph only to report a failure. graphs are read _SWEEP_CHUNK at a
-    time, a slice's caps all checked before its graphs are swept one by
-    one, and go first, so that a graph over the cap of 12 vertices fails
-    before the enumeration. Single-vertex graphs are skipped:
-    geodomination needs a non-source vertex to exist.
+    Graph only to report a failure. graphs are read and swept one at a
+    time, each checked against the cap of 20 vertices first, and go first,
+    so that an over-cap graph fails before the enumeration. Single-vertex
+    graphs are skipped: geodomination needs a non-source vertex to exist.
     """
     if not 0 <= exhaustive_n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive_n must lie in [0, {_EXHAUSTIVE_MAX_N}]")
@@ -606,21 +605,18 @@ def _sweep_lanes(adj: Adjacency, lanes: int) -> tuple[int, list[int]]:
 
 
 def _verify_graphs(graphs: Iterable[Graph]) -> VerificationReport:
-    """The sweep over graphs, read _SWEEP_CHUNK at a time so that an
-    iterator is never held whole; failures keep the order of graphs,
-    then of sources."""
+    """The sweep over graphs, one at a time, so that an iterator is never
+    held whole; failures keep the order of graphs, then of sources."""
     graphs_checked = sources_checked = 0
     failures: list[str] = []
-    todo = iter(graphs)
-    while chunk := list(islice(todo, _SWEEP_CHUNK)):
-        chunk = [g for g in chunk if g.n >= 2]
-        for g in chunk:
-            _require_cap(g.n, _GX_CAP)
-        for g in chunk:
-            d = _graph_distances(g)
-            failures.extend(_failure(g, d, x) for x in _failing_sources(g, d))
-        graphs_checked += len(chunk)
-        sources_checked += sum(g.n for g in chunk)
+    for g in graphs:
+        if g.n < 2:
+            continue
+        _require_cap(g.n, _CAP_LIMIT)
+        d = _graph_distances(g)
+        failures.extend(_failure(g, d, x) for x in _failing_sources(g, d))
+        graphs_checked += 1
+        sources_checked += g.n
     return VerificationReport(graphs_checked, sources_checked, tuple(failures))
 
 

@@ -243,8 +243,7 @@ usage: geodom find-counterexample [-h] [--format {plain,json}] [--max-n MAX_N]
 options:
   -h, --help            show this help message and exit
   --format {plain,json}
-  --max-n MAX_N         largest vertex count, 4 to 8; the search is exhaustive
-                        through n = 7, and 8 searches the same graphs as 7
+  --max-n MAX_N         largest vertex count, 4 to 8
   --min-simplicial MIN_SIMPLICIAL
 """,
 }

@@ -83,17 +83,24 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
-        "failures.extend(_failure(g, d, x) for x in _failing_sources(g, d))",
-        "failures.extend(_failure(chunk[0], d, x) for x in _failing_sources(g, d))",
+        "for x in _failing_sources(g, d))",
+        "for x in sorted(_failing_sources(g, d), reverse=True))",
         SWEEP_FAILURES,
-        "_verify_graphs reports a failure on the first graph of the slice",
+        "_verify_graphs reports a graph's failing sources in descending order",
     ),
     Mutant(
         ORACLES,
-        "islice(todo, _SWEEP_CHUNK)",
-        "islice(todo, None)",
-        "tests/test_oracles.py::test_sweep_reads_the_graphs_a_slice_at_a_time",
+        "    for g in graphs:\n",
+        "    for g in list(graphs):\n",
+        "tests/test_oracles.py::test_sweep_reads_the_graphs_one_at_a_time",
         "_verify_graphs holds the whole iterator",
+    ),
+    Mutant(
+        ORACLES,
+        "_require_cap(g.n, _CAP_LIMIT)",
+        "_require_cap(g.n, _GX_CAP)",
+        "tests/test_oracles.py::test_sweep_reaches_the_cap_of_twenty",
+        "_verify_graphs refuses a listed graph over the bruteforce default of 12 vertices",
     ),
     Mutant(
         ORACLES,
@@ -136,6 +143,13 @@ MUTANTS = (
         "if not all(frontier):",
         "tests/test_oracles.py::test_connectivity_from_the_levels_matches_the_loop",
         "_levels stops once any vertex gains no lane",
+    ),
+    Mutant(
+        ORACLES,
+        "for _ in range(len(adj) - 1):",
+        "for _ in range(len(adj) - 2):",
+        "tests/test_oracles.py::test_path_minimum_is_far_endpoint",
+        "_levels stops a level short of a path's far end",
     ),
     Mutant(
         ORACLES,
@@ -216,6 +230,13 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
+        "range(max(4, min_simplicial), max_n + 1)",
+        "range(max(4, min_simplicial), min(max_n, _EXHAUSTIVE_MAX_N) + 1)",
+        "tests/test_cli.py::test_find_counterexample_not_found_at_eight",
+        "the counterexample search stops at n = 7 when asked for 8",
+    ),
+    Mutant(
+        ORACLES,
         "partial(_counterexample_lanes, min_simplicial), _hub_highs(n))",
         "partial(_counterexample_lanes, min_simplicial))",
         "tests/test_oracles.py::test_search_scans_only_the_slices_where_a_leads",
@@ -237,11 +258,18 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        # the walk never ends; the selected test's child times out
+        # the walk runs to its bound of 2 ecc + 1 levels, with wrong interiors
         "spread[w] = bits & ~(level[w] | before[w])",
         "spread[w] = bits & ~level[w]",
-        "tests/test_cli.py::test_single_source_library_calls_load_no_numpy",
+        "tests/test_graph.py::test_gx_of_batch_counts_the_boundary_flags_of_the_rows",
         "_gx_of_batch keeps the bits of the level before in the next level",
+    ),
+    Mutant(
+        GRAPH,
+        "for _ in range(2 * ecc + 1):",
+        "for _ in range(ecc + 1):",
+        "tests/test_graph.py::test_middle_first_walks_the_deeper_ends",
+        "_gx_of_batch walks only as deep as the first row",
     ),
     Mutant(
         GRAPH,
@@ -268,8 +296,8 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "max(row) >= _word_budget(g)",
-        "max(row) > _word_budget(g)",
+        "ecc >= _word_budget(g)",
+        "ecc > _word_budget(g)",
         "tests/test_graph.py::test_first_row_at_the_budget_puts_every_source_on_rows",
         "_gx_of_sources walks when the first row is exactly as deep as the budget",
     ),
@@ -361,8 +389,15 @@ MUTANTS = (
         GRAPH,
         "        frontier = nxt\n",
         "",
-        "tests/test_cli.py::test_single_source_library_calls_load_no_numpy",
-        "_bfs_row never leaves the source's level: the child's BFS runs until its timeout",
+        "tests/test_graph.py::test_bfs_distances_row",
+        "_bfs_row never leaves the source's level, so it reaches only its neighbours",
+    ),
+    Mutant(
+        GRAPH,
+        "for d in range(1, len(adjacency)):",
+        "for d in range(1, len(adjacency) - 1):",
+        "tests/test_graph.py::test_bfs_distances_row",
+        "_bfs_row stops a level short of a path's far end",
     ),
     Mutant(
         JSONOUT,

@@ -26,7 +26,6 @@ from geodom import cli
 from geodom.cli import main
 from geodom.jsonout import Encoded, _write_json
 from helpers import (
-    cells,
     close_the_path_in_graph_bfs,
     drop_one_boundary_vertex,
     loop_verify_unique_minimum,
@@ -397,46 +396,6 @@ def test_product_verify_builds_no_product(capsys, factors, monkeypatch):
             assert code == 0 and len(built) == 2
 
 
-def test_product_verify_formats_only_printed_labels(capsys, factors, tmp_path, monkeypatch):
-    from geodom import products
-
-    formatted = []
-    real = products.pair_label
-    monkeypatch.setattr(
-        products, "pair_label", lambda a, b: formatted.append((a, b)) or real(a, b)
-    )
-    # P3 x P3 fails nowhere; P2 lex the tree a-b, a-c, b-d fails at (A,c)
-    p2 = tmp_path / "p2.txt"
-    p2.write_text("A B\n")
-    tree = tmp_path / "tree.txt"
-    tree.write_text("a b\na c\nb d\n")
-    fails = 0
-    for g_path, h_path in (factors, (str(p2), str(tree))):
-        g, h = (parse_graph(Path(p).read_text()) for p in (g_path, h_path))
-        argv = ["product-verify", "--g", g_path, "--h", h_path]
-        for kind in ("cartesian", "lexicographic", "strong"):
-            # plain, every base: the base and witnesses of each FAIL line only
-            formatted.clear()
-            run(capsys, *argv, "--kind", kind)
-            failing = [
-                rep
-                for rep in products.product_reports(kind, g, h)
-                if not (rep.containments_hold and rep.gx_holds)
-            ]
-            assert len(formatted) == sum(
-                1 + (0 if rep.witnesses is None else len(cells(rep.witnesses, h.n)))
-                for rep in failing
-            )
-            fails += len(failing)
-            # plain, one base: the base and the cells of its printed sets
-            formatted.clear()
-            run(capsys, *argv, "--kind", kind, "--base", f"({g.labels[0]},{h.labels[-1]})")
-            [rep] = products.product_reports(kind, g, h, [(0, h.n - 1)])
-            assert len(formatted) == 1 + len(cells(rep.actual | rep.lower | rep.upper, h.n))
-            assert len(formatted) < g.n * h.n
-    assert fails
-
-
 def _expected_verify_document(kind, g_path, h_path, base=None):
     """The product-verify JSON document by BFS on the built product: the
     boundary of every base from the product graph, the candidate bounds from
@@ -597,7 +556,7 @@ def test_verify_theorems_rejects_bad_corpus_before_enumerating(capsys, monkeypat
         (("--random", "-3"), "count must be non-negative"),
         (("--exhaustive-n", "3", "--n", "1"), "need 2 <= n_low <= n_high"),
         (("--random", "0", "--p", "1.5"), "edge probability must lie in [0, 1]"),
-        (("--random", "0", "--n", "13"), "too large: 13 vertices exceeds the cap of 12"),
+        (("--random", "0", "--n", "21"), "too large: 21 vertices exceeds the cap of 20"),
     ],
 )
 def test_verify_theorems_checks_the_corpus_flags_at_any_count(capsys, argv, message):
@@ -613,10 +572,10 @@ def test_verify_theorems_rejects_an_over_cap_corpus_before_enumerating(capsys, m
         raise AssertionError("the corpus must be checked against the cap first")
 
     monkeypatch.setattr("geodom.oracles._slice", no_enumeration)
-    argv = ("verify-theorems", "--exhaustive-n", "6", "--random", "2", "--n", "13")
+    argv = ("verify-theorems", "--exhaustive-n", "6", "--random", "2", "--n", "21")
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
-        assert (code, out, err) == (2, "", "error: too large: 13 vertices exceeds the cap of 12\n")
+        assert (code, out, err) == (2, "", "error: too large: 21 vertices exceeds the cap of 20\n")
 
 
 def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypatch):
@@ -629,7 +588,7 @@ def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypat
     argv = ("verify-theorems", "--exhaustive-n", "0", "--random", "1", "--n", "3000")
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
-        assert (code, out, err) == (2, "", "error: too large: 3000 vertices exceeds the cap of 12\n")
+        assert (code, out, err) == (2, "", "error: too large: 3000 vertices exceeds the cap of 20\n")
 
 
 def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):
@@ -769,12 +728,22 @@ def test_find_counterexample_four_simplicial_json_golden(capsys):
 
 
 def test_find_counterexample_not_found_at_eight(capsys):
-    # n = 8 is not searched, so the line names the largest n that is
-    argv = ("find-counterexample", "--max-n", "8", "--min-simplicial", "5")
-    code, out, _ = run(capsys, *argv)
+    # n = 8 is searched: six simplicial vertices fail nowhere up to it,
+    # and five first fail there
+    argv = ("find-counterexample", "--max-n", "8", "--min-simplicial")
+    code, out, _ = run(capsys, *argv, "5")
+    assert code == 0
+    assert out == (
+        "found: n=8 m=11\n"
+        "simplicial: c d f g h\n"
+        "fails from every source: yes\n"
+        "vertices: a b c d e f g h\n"
+        "a b\na c\na d\na e\na f\na g\na h\nb c\nb d\ne f\ne g\n"
+    )
+    code, out, _ = run(capsys, *argv, "6")
     assert code == 1
-    assert out == "no counterexample found up to n = 7\n"
-    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == "no counterexample found up to n = 8\n"
+    code, out, _ = run(capsys, *argv, "6", "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["result"] == {"found": False} and doc["checks"] == {}

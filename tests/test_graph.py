@@ -413,7 +413,8 @@ def _swapped(g, a, b):
 
 def test_gx_of_batch_counts_the_boundary_flags_of_the_rows(word_graph):
     # each source of one walk gets the count of its own row's boundary
-    # flags, whether the batch runs ascending, reversed or middle first
+    # flags, whether the batch runs ascending, reversed or middle first,
+    # with the walk bounded by the first source's eccentricity
     g, _ = word_graph
     graph = sys.modules["geodom.graph"]
     middle = g.n // 2
@@ -423,7 +424,8 @@ def test_gx_of_batch_counts_the_boundary_flags_of_the_rows(word_graph):
         [middle, *range(middle), *range(middle + 1, g.n)],
     ):
         want = [graph._bfs_row(g._adjacency, s)[1].count(1) for s in batch]
-        assert graph._gx_of_batch(g, batch) == want
+        ecc = max(graph._bfs_row(g._adjacency, batch[0])[0])
+        assert graph._gx_of_batch(g, batch, ecc) == want
 
 
 def test_min_gx_vertex_across_words(word_graph):
@@ -501,7 +503,8 @@ def test_word_budget_picks_words_or_rows(word_graph, monkeypatch):
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(Graph, "_build", lambda g, *a: builds.append(g) or real_build(g, *a))
     monkeypatch.setattr(
-        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch",
+        lambda g, batch, ecc: walks.append(list(batch)) or real_walk(g, batch, ecc),
     )
     # on a shallow graph the first source takes a row and the rest walk in
     # one batch, since n x n bits are far below the memory constant
@@ -565,7 +568,8 @@ def test_first_row_at_the_budget_puts_every_source_on_rows(n, on_rows, monkeypat
     real_row, real_walk = graph._bfs_row, graph._gx_of_batch
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(
-        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch",
+        lambda g, batch, ecc: walks.append(list(batch)) or real_walk(g, batch, ecc),
     )
     p = path_graph(n)
     assert graph._word_budget(p) == 127
@@ -585,7 +589,8 @@ def test_middle_first_walks_the_deeper_ends(monkeypatch):
     real_row, real_walk = graph._bfs_row, graph._gx_of_batch
     monkeypatch.setattr(graph, "_bfs_row", lambda adj, u: rows.append(u) or real_row(adj, u))
     monkeypatch.setattr(
-        graph, "_gx_of_batch", lambda g, batch: walks.append(list(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch",
+        lambda g, batch, ecc: walks.append(list(batch)) or real_walk(g, batch, ecc),
     )
     p = path_graph(128)
     order = [63, *range(63), *range(64, 128)]
@@ -613,7 +618,8 @@ def test_batch_width_comes_from_n_and_the_memory_constant(monkeypatch):
     walks = []
     real_walk = graph._gx_of_batch
     monkeypatch.setattr(
-        graph, "_gx_of_batch", lambda g, batch: walks.append(len(batch)) or real_walk(g, batch)
+        graph, "_gx_of_batch",
+        lambda g, batch, ecc: walks.append(len(batch)) or real_walk(g, batch, ecc),
     )
     for width, batches in ((150, [149]), (40, [64, 64, 21]), (80, [80, 69])):
         monkeypatch.setattr(graph, "_WALK_BITS", 4 * 150 * width)

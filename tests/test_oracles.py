@@ -466,10 +466,10 @@ def test_corpus_checks_the_cap_before_drawing_a_graph(monkeypatch):
         raise AssertionError("an over-cap size needs no graph")
 
     monkeypatch.setattr(oracles, "random_connected_graph", no_drawing)
-    with pytest.raises(ValueError, match="too large: 3000 vertices exceeds the cap of 12"):
+    with pytest.raises(ValueError, match="too large: 3000 vertices exceeds the cap of 20"):
         random_graph_corpus(1, 3000, 3000, 0.1, 0)
-    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
-        random_graph_corpus(0, 4, 13, 0.1, 0)
+    with pytest.raises(ValueError, match="too large: 21 vertices exceeds the cap of 20"):
+        random_graph_corpus(0, 4, 21, 0.1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +550,26 @@ def _full_scan(min_simplicial):
 @pytest.mark.parametrize("max_n", [7, 8])
 def test_search_matches_the_scan_of_every_slice(max_n, min_simplicial):
     # the only check of the n = 7 stage against a search that keeps every
-    # slice: the loop in helpers.py takes minutes there
+    # slice: the loop in helpers.py takes minutes there. Five and six
+    # simplicial vertices fail nowhere up to n = 7; the scan of every n = 8
+    # slice takes about 20 s, so it runs in CI, and here the n = 8 hit is
+    # checked to be its relabelling class's first key, with the loop's verdict
     hit = find_simplicial_counterexample(max_n, min_simplicial=min_simplicial)
     if hit is None:
         assert _full_scan(min_simplicial) is None
-    else:
-        g, simp = hit
-        pairs = list(combinations(range(g.n), 2))
-        mask = sum(1 << (len(pairs) - 1 - p) for p, pair in enumerate(pairs) if g.has_edge(*pair))
+        assert (max_n, min_simplicial) != (8, 5)
+        return
+    g, simp = hit
+    pairs = list(combinations(range(g.n), 2))
+    mask = sum(1 << (len(pairs) - 1 - p) for p, pair in enumerate(pairs) if g.has_edge(*pair))
+    assert list(simp) == loop_simplicial_verdict(g)[0]
+    if g.n < 8:
         assert _full_scan(min_simplicial) == (g.n, mask)
-        assert list(simp) == loop_simplicial_verdict(g)[0]
+        return
+    assert (max_n, min_simplicial, mask) == (8, 5, 267911216)
+    assert _full_scan(min_simplicial) is None
+    assert _greatest_relabelling(g.n, list(g.edges())) == mask
+    assert loop_simplicial_verdict(g)[1]
 
 
 def test_search_scans_only_the_slices_where_a_leads(monkeypatch):
@@ -690,7 +700,8 @@ def test_counterexample_search_is_independent(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     assert find_simplicial_counterexample(6, min_simplicial=2) is not None
-    assert find_simplicial_counterexample(8, min_simplicial=5) is None
+    hit = find_simplicial_counterexample(8, min_simplicial=5)
+    assert hit is not None and hit[0].n == 8
     assert sum(1 for _ in enumerate_connected_graphs(5)) == 728
 
 
@@ -764,8 +775,6 @@ def test_sweep_report_matches_the_loop():
 def test_sweep_failures_match_the_loop(monkeypatch):
     drop_one_boundary_vertex(monkeypatch)
     graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
-    # the 728 graphs on five vertices are one run that a slice boundary splits
-    assert 728 > oracles._SWEEP_CHUNK
     expected = loop_verify_unique_minimum(graphs)
     # a boundary is never empty, so the mutant fails every source
     assert len(expected.failures) == expected.sources_checked == 2 + 4 * 3 + 38 * 4 + 728 * 5
@@ -820,23 +829,28 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
 
 
 def test_sweep_checks_the_cap_before_sweeping(monkeypatch):
-    def no_sweep(*args):
-        raise AssertionError("an over-cap graph must fail before any sweep")
+    def no_enumeration(*args):
+        raise AssertionError("an over-cap graph must fail before the enumeration")
 
-    monkeypatch.setattr(oracles, "_slice", no_sweep)
-    monkeypatch.setattr(oracles, "_failing_sources", no_sweep)
-    # a slice's caps all come first: of later sizes, and up to its last graph
-    rest_of_slice = [path_graph(5)] * (oracles._SWEEP_CHUNK - 1)
-    for graphs in ([path_graph(13)], [path_graph(5), path_graph(6), path_graph(13)],
-                   rest_of_slice + [path_graph(13)]):
-        with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+    swept = []
+    sweep = oracles._failing_sources
+    monkeypatch.setattr(oracles, "_slice", no_enumeration)
+    monkeypatch.setattr(oracles, "_failing_sources", lambda g, d: swept.append(g.n) or sweep(g, d))
+    # each graph's cap comes before its own sweep: a lone over-cap graph
+    # sweeps nothing, and the graphs before one are swept, but the
+    # enumeration never starts
+    for graphs, before in (([path_graph(21)], []),
+                           ([path_graph(5), path_graph(6), path_graph(21)], [5, 6])):
+        swept.clear()
+        with pytest.raises(ValueError, match="too large: 21 vertices exceeds the cap of 20"):
             verify_unique_minimum(graphs, exhaustive_n=6)
+        assert swept == before
     for bad in (-1, 8):
         with pytest.raises(ValueError, match=r"exhaustive_n must lie in \[0, 7\]"):
             verify_unique_minimum([], exhaustive_n=bad)
 
 
-def test_sweep_reads_the_graphs_a_slice_at_a_time(monkeypatch):
+def test_sweep_reads_the_graphs_one_at_a_time(monkeypatch):
     drawn = []
 
     def graphs():
@@ -854,10 +868,30 @@ def test_sweep_reads_the_graphs_a_slice_at_a_time(monkeypatch):
     monkeypatch.setattr(oracles, "_failing_sources", counting)
     report = verify_unique_minimum(graphs())
     assert report.ok and report.graphs_checked == 728
-    # an iterator is never held whole: each graph is swept after its
-    # slice's draw and before the next one
-    chunk = oracles._SWEEP_CHUNK
-    assert drawn_at_sweep == [chunk] * chunk + [728] * (728 - chunk)
+    # an iterator is never held whole: each graph is swept before the
+    # next one is drawn
+    assert drawn_at_sweep == list(range(1, 729))
+
+
+@cache
+def _twenty_vertices():
+    return random_connected_graph(20, 0.2, seed=20)
+
+
+def test_sweep_reaches_the_cap_of_twenty():
+    # listed graphs above the bruteforce default of 12 vertices, up to the
+    # sweep's cap of 20
+    corpus = random_graph_corpus(4, 13, 16, 0.2, seed=3)
+    assert [g.n for g in corpus] == [13, 14, 15, 16]
+    report = verify_unique_minimum([*corpus, _twenty_vertices()])
+    assert report.ok
+    assert (report.graphs_checked, report.sources_checked) == (5, 13 + 14 + 15 + 16 + 20)
+
+
+def test_bruteforce_minimum_is_the_boundary_at_the_cap_of_twenty():
+    g = _twenty_vertices()
+    for x in range(g.n):
+        assert min_x_geodominating_bruteforce(g, x, cap=20) == (boundary(g, x),), x
 
 
 def test_sweep_rejects_disconnected_graphs():
