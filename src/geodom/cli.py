@@ -83,12 +83,12 @@ def _parse_base(base: str, g: Graph, h: Graph) -> tuple[int, int]:
     s = base.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    for k in (i for i, ch in enumerate(s) if ch == ","):
-        try:
-            return g.index_of(s[:k]), h.index_of(s[k + 1:])
-        except ValueError:
-            continue
-    raise ValueError(f"base {base!r} does not name a vertex pair of the factors")
+    # factor labels are checked comma-free before a base is read: one comma
+    a, _, b = s.partition(",")
+    try:
+        return g.index_of(a), h.index_of(b)
+    except ValueError:
+        raise ValueError(f"base {base!r} does not name a vertex pair of the factors") from None
 
 
 def _yesno(flag: bool) -> str:
@@ -363,8 +363,8 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
 def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
     from .oracles import random_graph_corpus, verify_unique_minimum
 
-    # the corpus is built, and swept, ahead of the enumeration, so a bad
-    # --random, --n or --p fails before the long part
+    # the corpus flags are checked, and the corpus drawn and swept, ahead
+    # of the enumeration, so a bad --random, --n or --p fails before it
     corpus = random_graph_corpus(args.random, args.n, args.n, args.p, args.seed)
     report = verify_unique_minimum(corpus, exhaustive_n=args.exhaustive_n)
     lines = [
@@ -477,11 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("oracle-gx", "brute-force minimum x-geodominating sets", _cmd_oracle_gx)
     graph_flag(p)
     p.add_argument("--x", required=True)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=20)
 
     p = cmd("oracle-geodetic", "brute-force geodetic number", _cmd_oracle_geodetic)
     graph_flag(p)
-    p.add_argument("--cap", type=int, default=10)
+    p.add_argument("--cap", type=int, default=20)
 
     p = cmd(
         "verify-theorems", "oracle-agreement sweep over graph corpora", _cmd_verify_theorems

@@ -23,8 +23,8 @@ theorem sweep checks the minimum against a boundary rule of its own
 (``_boundary_lanes``), which the tests tie to graph.py's. Nothing here
 calls the BFS, geodesic or simplicial code of graph.py that the searches
 certify. Each function checks its inputs before any work, even when no
-graph is drawn. The searches refuse any cap over 20, which is the theorem
-sweep's cap.
+graph is drawn. The searches take a cap of 20 by default and refuse any
+cap over it, which is also the theorem sweep's cap.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import DisconnectedError, Graph, VertexSet, _check_vertex
+from .graph import DisconnectedError, Graph, VertexSet, _check_vertex, _family_labels
 
 __all__ = [
     "VerificationReport",
@@ -53,12 +53,9 @@ _ENUM_LABELS = "abcdefgh"
 # the most vertices that the enumeration and the theorem sweep's
 # exhaustive stage cover
 _EXHAUSTIVE_MAX_N = 7
-# the largest graph min_x_geodominating_bruteforce searches by default:
-# it searches 2^(n-1) sets per source
-_GX_CAP = 12
-# the largest cap either search takes, and the theorem sweep's cap; each
-# vertex doubles the width of a search's lane ints (128 KB at n = 20), so
-# a cap of 30 would take gigabytes
+# the largest cap either search takes, and its default, and the theorem
+# sweep's cap; each vertex doubles the width of a search's lane ints
+# (128 KB at n = 20), so a cap of 30 would take gigabytes
 _CAP_LIMIT = 20
 # low edge-mask bits per slice of graph lanes: 2^16 lanes, 8 KB per int
 _SLICE_BITS = 16
@@ -196,11 +193,12 @@ def _at_least(sets: Sequence[int], lanes: int, most: int) -> list[int]:
 
 
 def min_x_geodominating_bruteforce(
-    g: Graph, x: int, *, cap: int = _GX_CAP
+    g: Graph, x: int, *, cap: int = _CAP_LIMIT
 ) -> tuple[VertexSet, ...]:
     """Every minimum x-geodominating set, all of one size, in combinations
     order, by exhaustive search over every candidate set
-    (``_minimum_covers``), whose 2^(n-1) lanes the cap bounds.
+    (``_minimum_covers``), whose 2^(n-1) lanes the cap bounds; the cap
+    is 20 by default, the most it takes.
 
     The cap is checked before anything else. The distances come from the
     oracle stage's own BFS, not from the rows of graph.py that boundary()
@@ -270,13 +268,14 @@ def _min_x_search(d: Sequence[Sequence[int]], x: int) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(_members(t, candidates), len(d)) for t in _lanes_of(hits))
 
 
-def geodetic_number_bruteforce(g: Graph, *, cap: int = 10) -> VertexSet:
+def geodetic_number_bruteforce(g: Graph, *, cap: int = _CAP_LIMIT) -> VertexSet:
     """The first geodetic set of least size, in combinations order: its
     size is the geodetic number.
 
-    As in ``min_x_geodominating_bruteforce``, the cap comes first and the
-    distances come from the oracle stage's own BFS. The sets that leave v
-    uncovered, with no pair u, w with v in I[u, w], grow by doubling.
+    As in ``min_x_geodominating_bruteforce``, the cap, 20 by default and
+    at most, comes first and the distances come from the oracle stage's
+    own BFS. The sets that leave v uncovered, with no pair u, w with v in
+    I[u, w], grow by doubling.
     """
     n = g.n
     _require_cap(n, cap)
@@ -420,8 +419,7 @@ def random_connected_graph(n: int, edge_probability: float = 0.0, seed: int = 0)
         for pair in _all_pairs_list(n):
             if pair not in tree and rng.random() < edge_probability:
                 edges.add(pair)
-    width = len(str(n - 1))
-    labels = [f"v{i:0{width}d}" for i in range(n)]
+    labels = _family_labels(n)
     return Graph(
         ((labels[i], labels[j]) for i, j in sorted(edges)), vertices=labels
     )
@@ -429,12 +427,13 @@ def random_connected_graph(n: int, edge_probability: float = 0.0, seed: int = 0)
 
 def random_graph_corpus(
     count: int, n_low: int, n_high: int, edge_probability: float, seed: int
-) -> list[Graph]:
-    """count seeded graphs with sizes cycling through [n_low, n_high].
+) -> Iterator[Graph]:
+    """count seeded graphs with sizes cycling through [n_low, n_high],
+    each drawn only when the iterator reaches it.
 
     count, the sizes, n_high against the theorem sweep's cap of 20 and the
-    edge probability are checked even when count is 0, so an over-cap
-    size fails before any graph is drawn."""
+    edge probability are checked when the iterator is made, even when
+    count is 0, so an over-cap size fails before any graph is drawn."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= n_low <= n_high:
@@ -443,10 +442,10 @@ def random_graph_corpus(
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     sizes = range(n_low, n_high + 1)
-    return [
+    return (
         random_connected_graph(sizes[i % len(sizes)], edge_probability, seed * 100003 + i)
         for i in range(count)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

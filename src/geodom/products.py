@@ -152,8 +152,6 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     pg = Graph.__new__(Graph)
     labels = [pair_label(a, b) for a in g.labels for b in h.labels]
     order = pg._build(labels, tails, heads)
-    if len(pg._index) != pg.n:
-        raise AssertionError("pair labels collided; factor labels are unusable")
     return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 

@@ -70,13 +70,13 @@ INPUTS = {
   "inputs": {
     "graph": "g.txt",
     "x": "b",
-    "cap": 12
+    "cap": 20
   },
 """,
     "oracle-geodetic": """\
   "inputs": {
     "graph": "g.txt",
-    "cap": 10
+    "cap": 20
   },
 """,
     "verify-theorems": """\

@@ -98,9 +98,37 @@ MUTANTS = (
     Mutant(
         ORACLES,
         "_require_cap(g.n, _CAP_LIMIT)",
-        "_require_cap(g.n, _GX_CAP)",
+        "_require_cap(g.n, 12)",
         "tests/test_oracles.py::test_sweep_reaches_the_cap_of_twenty",
-        "_verify_graphs refuses a listed graph over the bruteforce default of 12 vertices",
+        "_verify_graphs refuses a listed graph over 12 vertices",
+    ),
+    Mutant(
+        ORACLES,
+        "g: Graph, x: int, *, cap: int = _CAP_LIMIT",
+        "g: Graph, x: int, *, cap: int = 12",
+        "tests/test_oracles.py::test_searches_answer_twenty_vertices_by_default",
+        "min_x_geodominating_bruteforce defaults to a cap of 12, below the limit",
+    ),
+    Mutant(
+        ORACLES,
+        "def geodetic_number_bruteforce(g: Graph, *, cap: int = _CAP_LIMIT)",
+        "def geodetic_number_bruteforce(g: Graph, *, cap: int = 10)",
+        "tests/test_oracles.py::test_searches_answer_twenty_vertices_by_default",
+        "geodetic_number_bruteforce defaults to a cap of 10, below the limit",
+    ),
+    Mutant(
+        ORACLES,
+        "    return (\n        random_connected_graph(",
+        "    return tuple(\n        random_connected_graph(",
+        "tests/test_cli.py::test_verify_theorems_draws_each_graph_after_the_last_is_swept",
+        "random_graph_corpus draws every graph before the sweep reads one",
+    ),
+    Mutant(
+        ORACLES,
+        "    labels = _family_labels(n)\n",
+        "    labels = _family_labels(n)[::-1]\n",
+        "tests/test_oracles.py::test_random_graphs_are_pinned",
+        "random_connected_graph labels its vertices in reverse",
     ),
     Mutant(
         ORACLES,

@@ -74,12 +74,12 @@ def exhaustive_by_n():
 
 @pytest.fixture(scope="module")
 def random_graphs():
-    return random_graph_corpus(200, 6, 9, 0.35, seed=42)
+    return tuple(random_graph_corpus(200, 6, 9, 0.35, seed=42))
 
 
 @pytest.fixture(scope="module")
 def factor_pairs():
-    graphs = random_graph_corpus(200, 2, 6, 0.4, seed=7)
+    graphs = tuple(random_graph_corpus(200, 2, 6, 0.4, seed=7))
     return [(graphs[2 * i], graphs[2 * i + 1]) for i in range(100)]
 
 

@@ -132,7 +132,8 @@ def test_only_graph_knows_how_a_distance_row_is_made():
     # the stored neighbour tuples, the only stored form of a graph, and the
     # BFS and the word walk over them stay inside graph.py; every other
     # module takes its rows from _distance_rows or bfs_distances, and reads
-    # the graph through edges() and neighbors(). No module derives a CSR,
+    # the graph through edges(), neighbors() and index_of(), never its
+    # private fields such as ._index. No module derives a CSR,
     # and no module imports numpy: bfs_distances returns a tuple, and the
     # oracle stage works on lanes of Python ints.
     # Importing __main__ would run the command line.
@@ -144,6 +145,7 @@ def test_only_graph_knows_how_a_distance_row_is_made():
         source = inspect.getsource(module)
         assert hasattr(module, "_bfs_row") == (name == "graph"), name
         assert ("_adjacency" in source) == (name == "graph"), name
+        assert ("._index" in source) == (name == "graph"), name
         assert "_csr" not in source and "reduceat" not in source, name
         imports = re.findall(r"^ *(?:import|from) numpy\b.*$", source, re.M)
         assert imports == [], name

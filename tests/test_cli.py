@@ -171,11 +171,22 @@ def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
         monkeypatch.setattr(f"geodom.{target}", no_distances)
     path = tmp_path / "p2000.txt"
     path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(1999)))
-    for argv, cap in ((["oracle-gx", "--x", "v0"], 12), (["oracle-geodetic"], 10)):
+    for argv in (["oracle-gx", "--x", "v0"], ["oracle-geodetic"]):
         for fmt in ("plain", "json"):
             code, out, err = run(capsys, *argv, "--graph", str(path), "--format", fmt)
-            message = f"error: too large: 2000 vertices exceeds the cap of {cap}\n"
+            message = "error: too large: 2000 vertices exceeds the cap of 20\n"
             assert (code, out, err) == (2, "", message)
+
+
+def test_oracle_commands_answer_twenty_vertices_by_default(capsys, tmp_path):
+    # the default cap is the searches' limit, so a 20-vertex graph needs no --cap
+    path = tmp_path / "p20.txt"
+    path.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(19)))
+    for argv in (["oracle-gx", "--x", "v00"], ["oracle-geodetic"]):
+        code, out, _ = run(capsys, *argv, "--graph", str(path), "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["inputs"]["cap"] == 20, argv
+        assert doc["checks"] and all(doc["checks"].values()), argv
 
 
 def test_oracle_commands_refuse_a_cap_over_the_limit(capsys, p4, monkeypatch):
@@ -194,15 +205,15 @@ def test_oracle_commands_refuse_a_cap_over_the_limit(capsys, p4, monkeypatch):
 
 
 def test_oracle_cap_defaults_are_the_library_defaults():
-    # the parser restates each search's default cap; the two must not drift
+    # the parser restates each search's default cap, the limit; the two must
+    # not drift
     parser = cli._build_parser()
-    gx_cap = inspect.signature(oracles.min_x_geodominating_bruteforce).parameters["cap"]
-    assert gx_cap.default == oracles._GX_CAP
     for argv, search in (
         (["oracle-gx", "--x", "a"], oracles.min_x_geodominating_bruteforce),
         (["oracle-geodetic"], oracles.geodetic_number_bruteforce),
     ):
         default = inspect.signature(search).parameters["cap"].default
+        assert default == oracles._CAP_LIMIT == 20, argv
         assert parser.parse_args([*argv, "--graph", "g.txt"]).cap == default, argv
 
 
@@ -589,6 +600,28 @@ def test_verify_theorems_checks_the_cap_before_drawing_a_graph(capsys, monkeypat
     for fmt in ("plain", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, out, err) == (2, "", "error: too large: 3000 vertices exceeds the cap of 20\n")
+
+
+def test_verify_theorems_draws_each_graph_after_the_last_is_swept(capsys, monkeypatch):
+    # the corpus is never held whole: graph k is drawn only once graph
+    # k - 1 has been swept
+    events = []
+    draw, sweep = oracles.random_connected_graph, oracles._failing_sources
+
+    def logged_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    def logged_sweep(*args):
+        events.append("sweep")
+        return sweep(*args)
+
+    monkeypatch.setattr(oracles, "random_connected_graph", logged_draw)
+    monkeypatch.setattr(oracles, "_failing_sources", logged_sweep)
+    argv = ("verify-theorems", "--exhaustive-n", "0", "--random", "5", "--n", "6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "graphs checked: 5" in out
+    assert events == ["draw", "sweep"] * 5
 
 
 def test_verify_theorems_streams_the_mask_chunks(capsys, monkeypatch):

@@ -79,9 +79,11 @@ def test_every_minimum_set_geodominates():
 
 
 def test_cap_is_enforced_and_overridable():
+    with pytest.raises(ValueError, match="too large: 21 vertices exceeds the cap of 20"):
+        min_x_geodominating_bruteforce(path_graph(21), 0)
     g = path_graph(13)
-    with pytest.raises(ValueError, match="too large"):
-        min_x_geodominating_bruteforce(g, 0)
+    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+        min_x_geodominating_bruteforce(g, 0, cap=12)
     assert len(min_x_geodominating_bruteforce(g, 0, cap=13)[0]) == 1
 
 
@@ -98,9 +100,9 @@ def test_searches_check_the_cap_first(monkeypatch):
     monkeypatch.setattr(oracles, "_graph_distances", no_distances)
     monkeypatch.setattr(oracles, "_levels", no_distances)
     g = path_graph(2000)
-    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 12"):
+    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 20"):
         min_x_geodominating_bruteforce(g, 0)
-    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 10"):
+    with pytest.raises(ValueError, match="too large: 2000 vertices exceeds the cap of 20"):
         geodetic_number_bruteforce(g)
     # ahead of the single-vertex and index checks too
     single = Graph(vertices=["a"])
@@ -220,10 +222,12 @@ def test_geodetic_search_finds_the_first_least_geodetic_set(n):
 
 
 def test_geodetic_cap():
-    g = path_graph(11)
-    with pytest.raises(ValueError, match="too large"):
-        geodetic_number_bruteforce(g)
-    assert len(geodetic_number_bruteforce(g, cap=11)) == 2
+    with pytest.raises(ValueError, match="too large: 21 vertices exceeds the cap of 20"):
+        geodetic_number_bruteforce(path_graph(21))
+    g = path_graph(13)
+    with pytest.raises(ValueError, match="too large: 13 vertices exceeds the cap of 12"):
+        geodetic_number_bruteforce(g, cap=12)
+    assert len(geodetic_number_bruteforce(g, cap=13)) == 2
 
 
 def test_geodetic_single_vertex():
@@ -447,9 +451,9 @@ def test_random_graphs_are_pinned():
 
 
 def test_corpus_cycles_sizes_and_is_deterministic():
-    corpus = random_graph_corpus(7, 4, 6, 0.3, seed=2)
+    corpus = list(random_graph_corpus(7, 4, 6, 0.3, seed=2))
     assert [g.n for g in corpus] == [4, 5, 6, 4, 5, 6, 4]
-    again = random_graph_corpus(7, 4, 6, 0.3, seed=2)
+    again = list(random_graph_corpus(7, 4, 6, 0.3, seed=2))
     assert corpus == again
     with pytest.raises(ValueError):
         random_graph_corpus(3, 6, 4, 0.3, seed=2)
@@ -764,7 +768,7 @@ def test_verify_skips_single_vertex_graphs():
 
 def test_sweep_report_matches_the_loop():
     enumerated = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
-    corpus = random_graph_corpus(12, 7, 12, 0.3, seed=2)
+    corpus = list(random_graph_corpus(12, 7, 12, 0.3, seed=2))
     expected = loop_verify_unique_minimum(enumerated + corpus)
     assert expected.ok and expected.graphs_checked == 771 + 12
     assert verify_unique_minimum(enumerated + corpus) == expected
@@ -781,7 +785,7 @@ def test_sweep_failures_match_the_loop(monkeypatch):
     assert verify_unique_minimum(graphs) == expected
     assert verify_unique_minimum([], exhaustive_n=5) == expected
     up_to_three = graphs[:5]
-    corpus = random_graph_corpus(9, 7, 9, 0.3, seed=4)
+    corpus = list(random_graph_corpus(9, 7, 9, 0.3, seed=4))
     expected = loop_verify_unique_minimum(up_to_three + corpus)
     assert len(expected.failures) == expected.sources_checked
     assert verify_unique_minimum(corpus, exhaustive_n=3) == expected
@@ -809,7 +813,7 @@ def test_sweep_verdict_matches_the_loop_on_perturbed_matrices():
     # a changed distance can tie minimum sets or move the boundary, so
     # every clause of the verdict decides some source
     rng = np.random.default_rng(11)
-    graphs = random_graph_corpus(60, 6, 6, 0.4, seed=8)
+    graphs = list(random_graph_corpus(60, 6, 6, 0.4, seed=8))
     d = np.array([floyd_warshall(g) for g in graphs], dtype=np.uint8)
     for row in range(0, 60, 2):
         u, v = rng.choice(6, size=2, replace=False)
@@ -879,9 +883,8 @@ def _twenty_vertices():
 
 
 def test_sweep_reaches_the_cap_of_twenty():
-    # listed graphs above the bruteforce default of 12 vertices, up to the
-    # sweep's cap of 20
-    corpus = random_graph_corpus(4, 13, 16, 0.2, seed=3)
+    # listed graphs of 13 to 20 vertices, up to the sweep's cap of 20
+    corpus = list(random_graph_corpus(4, 13, 16, 0.2, seed=3))
     assert [g.n for g in corpus] == [13, 14, 15, 16]
     report = verify_unique_minimum([*corpus, _twenty_vertices()])
     assert report.ok
@@ -892,6 +895,14 @@ def test_bruteforce_minimum_is_the_boundary_at_the_cap_of_twenty():
     g = _twenty_vertices()
     for x in range(g.n):
         assert min_x_geodominating_bruteforce(g, x, cap=20) == (boundary(g, x),), x
+
+
+def test_searches_answer_twenty_vertices_by_default():
+    # the default cap is the limit of 20, so neither search needs a cap
+    for g in (path_graph(20), random_connected_graph(20, 0.3, seed=6)):
+        for x in range(g.n):
+            assert min_x_geodominating_bruteforce(g, x) == (boundary(g, x),), x
+    assert len(geodetic_number_bruteforce(path_graph(20))) == 2
 
 
 def test_sweep_rejects_disconnected_graphs():

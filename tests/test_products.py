@@ -19,7 +19,7 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from geodom import products
+from geodom import cli, products
 from helpers import (
     assert_same_graph,
     cells,
@@ -106,10 +106,19 @@ def test_pair_label_order_differs_from_index_order(kind):
     assert pg.factor_pairs[:3] == ((1, 1), (1, 0), (0, 1))
 
 
-def test_colliding_pair_labels_rejected(monkeypatch):
-    monkeypatch.setattr(products, "pair_label", lambda a, b: f"({a})")
-    with pytest.raises(AssertionError, match="collided"):
-        product("cartesian", P3A, P3N)
+def test_bracket_labels_make_distinct_pairs():
+    # comma-free factor labels name each pair once, even with brackets in them
+    g = Graph([("(a", "a)"), ("a)", "(b")])
+    h = Graph([("x(", "y"), ("y", ")z")])
+    for kind in KINDS:
+        pg = product(kind, g, h)
+        assert pg.graph.n == g.n * h.n
+        for v, (a, b) in enumerate(pg.factor_pairs):
+            assert pg.index_of_pair(a, b) == v
+    for a in range(g.n):
+        for b in range(h.n):
+            label = products.pair_label(g.labels[a], h.labels[b])
+            assert cli._parse_base(label, g, h) == (a, b)
 
 
 def test_kind_normalization():
