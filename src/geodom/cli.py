@@ -79,18 +79,6 @@ def _parse_set(g: Graph, spec: str) -> VertexSet:
     return VertexSet.of((g.index_of(lab) for lab in spec.split()), g.n)
 
 
-def _parse_base(base: str, g: Graph, h: Graph) -> tuple[int, int]:
-    s = base.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    # factor labels are checked comma-free before a base is read: one comma
-    a, _, b = s.partition(",")
-    try:
-        return g.index_of(a), h.index_of(b)
-    except ValueError:
-        raise ValueError(f"base {base!r} does not name a vertex pair of the factors") from None
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -190,7 +178,7 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
-    from .products import ProductReport, _picked, pair_label, product_reports
+    from .products import ProductReport, _cell_labels, _parse_base, _picked, product_reports
 
     g = _load_graph(args.g)
     h = _load_graph(args.h)
@@ -218,13 +206,13 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             yield rep
 
     reports = tallied(stream)
-    gl, hl = g.labels, h.labels
     escape = encode_basestring_ascii if args.format == "json" else str
-    # the label of each cell, in mask bit order, as the output writes it
-    cells = [escape(pair_label(a, b)) for a in gl for b in hl]
+    # the label of each cell, in mask bit order, and as the output writes it
+    labels = _cell_labels(g, h)
+    cells = list(map(escape, labels))
 
     def base_label(rep: ProductReport) -> str:
-        return pair_label(gl[rep.base[0]], hl[rep.base[1]])
+        return labels[rep.base[0] * h.n + rep.base[1]]
 
     # only the output format asked for is built
     if args.format == "json":

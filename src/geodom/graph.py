@@ -37,7 +37,7 @@ import gc
 import operator
 import sys
 from contextlib import contextmanager
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -102,19 +102,17 @@ def _neighbour_tuples(
     """The ascending neighbour tuple of each of n vertices, given the edges
     as index pairs. Both ends of each edge append to a per-vertex list,
     and each list is sorted. A repeated edge leaves two equal neighbours
-    side by side; only then do sets drop the repeats, since a set per
-    vertex costs nearly as much as the rest of the build."""
+    side by side in the rows of both its ends; only such a row drops its
+    repeats, since dropping them from every row costs nearly as much as
+    the rest of the build."""
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(tails, heads):
         adjacency[u].append(v)
         adjacency[v].append(u)
     for row in adjacency:
         row.sort()
-    # every row followed by -1 - v, so that no two rows meet
-    ends = zip(range(-1, -n - 1, -1))
-    flat = list(chain.from_iterable(chain.from_iterable(zip(adjacency, ends))))
-    if any(map(operator.eq, flat, islice(flat, 1, None))):
-        adjacency = [sorted(set(row)) for row in adjacency]
+        if any(map(operator.eq, row, islice(row, 1, None))):
+            row[:] = dict.fromkeys(row)
     return tuple(map(tuple, adjacency))
 
 

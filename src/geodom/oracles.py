@@ -197,7 +197,7 @@ def min_x_geodominating_bruteforce(
 ) -> tuple[VertexSet, ...]:
     """Every minimum x-geodominating set, all of one size, in combinations
     order, by exhaustive search over every candidate set
-    (``_minimum_covers``), whose 2^(n-1) lanes the cap bounds; the cap
+    (``_min_x_search``), whose 2^(n-1) lanes the cap bounds; the cap
     is 20 by default, the most it takes.
 
     The cap is checked before anything else. The distances come from the
@@ -243,10 +243,10 @@ def _interval_masks(d: Sequence[Sequence[int]], x: int) -> list[int]:
     return [sum(1 << v for v in range(n) if d[x][v] + d[v][y] == d[x][y]) for y in range(n)]
 
 
-def _minimum_covers(d: Sequence[Sequence[int]], x: int) -> tuple[list[int], int, int]:
-    """(candidates, size, hits) for source x of any symmetric matrix d
-    with a zero diagonal: hits holds the candidate-set lanes of least
-    size whose geodesics from x cover every vertex."""
+def _min_x_search(d: Sequence[Sequence[int]], x: int) -> tuple[VertexSet, ...]:
+    """The search of ``min_x_geodominating_bruteforce`` for source x on
+    any symmetric (n, n) matrix d with a zero diagonal: the candidate sets
+    of least size whose geodesics from x cover every vertex."""
     n = len(d)
     candidates = [y for y in range(n) if y != x]
     iv = _interval_masks(d, x)
@@ -258,14 +258,8 @@ def _minimum_covers(d: Sequence[Sequence[int]], x: int) -> tuple[list[int], int,
         uncovered |= _subset_lanes(missing)
     covers = ((1 << (1 << len(candidates))) - 1) ^ uncovered
     # the set of every candidate always covers, so there is a hit
-    return candidates, *_least(covers, _size_patterns(top + 1))
-
-
-def _min_x_search(d: Sequence[Sequence[int]], x: int) -> tuple[VertexSet, ...]:
-    """The search of ``min_x_geodominating_bruteforce`` for source x on
-    any symmetric (n, n) matrix d with a zero diagonal."""
-    candidates, _, hits = _minimum_covers(d, x)
-    return tuple(VertexSet(_members(t, candidates), len(d)) for t in _lanes_of(hits))
+    _, hits = _least(covers, _size_patterns(top + 1))
+    return tuple(VertexSet(_members(t, candidates), n) for t in _lanes_of(hits))
 
 
 def geodetic_number_bruteforce(g: Graph, *, cap: int = _CAP_LIMIT) -> VertexSet:
@@ -634,9 +628,7 @@ def _failing_sources(g: Graph, d: Sequence[Sequence[int]]) -> Iterator[int]:
     or is not the boundary, ascending; d holds the distances, which may
     be any symmetric matrix with a zero diagonal."""
     for x, inside in enumerate(_boundaries(g, d)):
-        candidates, size, hits = _minimum_covers(d, x)
-        found = VertexSet(_members(hits.bit_length() - 1, candidates), g.n)
-        if not (hits.bit_count() == 1 and found == inside and size == len(inside)):
+        if _min_x_search(d, x) != (inside,):
             yield x
 
 

@@ -122,6 +122,26 @@ def pair_label(g_label: str, h_label: str) -> str:
     return f"({g_label},{h_label})"
 
 
+def _cell_labels(g: Graph, h: Graph) -> list[str]:
+    """The pair label of each product cell (a, b) in row-major order: item
+    a * n_H + b, the bit order of a report's masks."""
+    return [pair_label(a, b) for a in g.labels for b in h.labels]
+
+
+def _parse_base(base: str, g: Graph, h: Graph) -> tuple[int, int]:
+    """The factor index pair that base, "(a,b)" or "a,b", names."""
+    s = base.strip()
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    # factor labels are checked comma-free (``_require_product_factors``)
+    # before a base is read: one comma
+    a, _, b = s.partition(",")
+    try:
+        return g.index_of(a), h.index_of(b)
+    except ValueError:
+        raise ValueError(f"base {base!r} does not name a vertex pair of the factors") from None
+
+
 def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     """Construct the product of two connected graphs under the given kind.
 
@@ -150,8 +170,7 @@ def product(kind: "ProductKind | str", g: Graph, h: Graph) -> ProductGraph:
     tails += [a * nh + c for a, _ in g_edges for c in rel_c]
     heads += [b * nh + d for _, b in g_edges for d in rel_d]
     pg = Graph.__new__(Graph)
-    labels = [pair_label(a, b) for a in g.labels for b in h.labels]
-    order = pg._build(labels, tails, heads)
+    order = pg._build(_cell_labels(g, h), tails, heads)
     return ProductGraph(g, h, pg, factor_pairs=tuple(divmod(p, nh) for p in order))
 
 

@@ -132,8 +132,8 @@ MUTANTS = (
     ),
     Mutant(
         ORACLES,
-        "hits.bit_count() == 1 and found",
-        "found",
+        "if _min_x_search(d, x) != (inside,):",
+        "if inside not in _min_x_search(d, x):",
         PERTURBED,
         "_failing_sources accepts tied minimum sets",
     ),
@@ -142,7 +142,7 @@ MUTANTS = (
         "for i, y in enumerate(candidates) if",
         "for i, y in enumerate(candidates[:-1]) if",
         "tests/test_oracles.py::test_search_matches_the_loop_on_every_small_graph",
-        "_minimum_covers takes the last candidate to cover every vertex",
+        "_min_x_search takes the last candidate to cover every vertex",
     ),
     Mutant(
         ORACLES,
@@ -352,10 +352,17 @@ MUTANTS = (
     ),
     Mutant(
         GRAPH,
-        "if any(map(operator.eq, flat, islice(flat, 1, None))):",
+        "if any(map(operator.eq, row, islice(row, 1, None))):",
         "if False:",
         "tests/test_graph.py::test_parse_duplicate_edges_collapse",
         "Graph keeps a repeated edge twice",
+    ),
+    Mutant(
+        GRAPH,
+        "if any(map(operator.eq, row, islice(row, 1, None))):",
+        "if any(map(operator.eq, row, islice(row, 2, None))):",
+        "tests/test_graph.py::test_repeated_edges_collapse",
+        "_neighbour_tuples drops repeats only from rows that hold a neighbour three times",
     ),
     Mutant(
         GRAPH,

@@ -75,6 +75,24 @@ def test_parse_duplicate_edges_collapse():
     assert g.edge_count == 1
 
 
+@given(edge_lists())
+# exactly one edge repeats, reversed, and not at the first vertex
+@example(([("a", "b"), ("b", "c"), ("c", "b")], []))
+def test_repeated_edges_collapse(case):
+    edges, vertices = case
+    unique = list(dict.fromkeys(tuple(sorted(e)) for e in edges))
+    expected = Graph(unique, vertices)
+    assert expected.edge_count == len(unique)
+    assert Graph(edges, vertices) == expected
+
+    def document(pairs):
+        return "".join(f"vertices: {v}\n" for v in vertices) + "".join(
+            f"{u} {v}\n" for u, v in pairs
+        )
+
+    assert parse_graph(document(edges)) == parse_graph(document(unique)) == expected
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

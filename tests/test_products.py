@@ -19,7 +19,7 @@ from geodom import (
     product_distance,
     product_reports,
 )
-from geodom import cli, products
+from geodom import products
 from helpers import (
     assert_same_graph,
     cells,
@@ -118,7 +118,7 @@ def test_bracket_labels_make_distinct_pairs():
     for a in range(g.n):
         for b in range(h.n):
             label = products.pair_label(g.labels[a], h.labels[b])
-            assert cli._parse_base(label, g, h) == (a, b)
+            assert products._parse_base(label, g, h) == (a, b)
 
 
 def test_kind_normalization():
