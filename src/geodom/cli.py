@@ -4,8 +4,10 @@ Every subcommand reads edge-list files, validates inputs before
 computing, and writes either plain text or a single JSON document
 {command, inputs, result, checks} with fixed field order; inputs holds
 the command's flags as parsed, in flag order. Output is byte-identical
-across runs for identical inputs and seeds. Exit codes: 0 success,
-1 property-check failure, 2 input error.
+across runs for identical inputs and seeds. The exit status is 2 for an
+input error, and otherwise read from the checks block after the output
+is written: 1 if any check is false, 0 if none is. The one exception is
+find-counterexample finding nothing: exit 1, with an empty checks block.
 
 Each command calls the one library entry that computes its result:
 geodetic-heuristic and oracle-geodetic call ``geodetic_from_boundary``,
@@ -36,7 +38,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boundary import (
     _boundary_and_coverage,
@@ -57,18 +59,17 @@ from .jsonout import Encoded, _write_json
 __all__ = ["main"]
 
 
-class Outcome:
+class Outcome(NamedTuple):
     """What a command prints. A value in ``result`` may be an iterator,
-    written as a list as it is produced; such an iterator updates ``code``
-    and ``checks`` as it goes, and ``main`` reads them after writing."""
+    written as a list as it is produced; such an iterator updates
+    ``checks`` as it goes. ``main`` reads the exit status after writing:
+    ``code`` if the command gives one, else 1 if any check is false and 0
+    if none is."""
 
-    __slots__ = ("code", "lines", "result", "checks")
-
-    def __init__(self, code: int, lines: list[str], result: dict, checks: dict):
-        self.code = code
-        self.lines = lines
-        self.result = result
-        self.checks = checks
+    lines: list[str]
+    result: dict
+    checks: dict
+    code: int | None = None
 
 
 def _load_graph(path: str) -> Graph:
@@ -94,7 +95,6 @@ def _cmd_boundary(args: argparse.Namespace) -> Outcome:
     covers = chk.is_geodominating
     labels = g.labels_of(members)
     return Outcome(
-        code=0 if covers else 1,
         lines=[" ".join(labels), f"gx = {len(members)}"],
         result={"boundary": labels, "gx": len(members)},
         checks={"geodominates": covers},
@@ -105,7 +105,6 @@ def _cmd_gx(args: argparse.Namespace) -> Outcome:
     g = _load_graph(args.graph)
     gx = len(boundary(g, g.index_of(args.x)))
     return Outcome(
-        code=0,
         lines=[f"gx = {gx}"],
         result={"gx": gx},
         checks={},
@@ -122,7 +121,6 @@ def _cmd_check(args: argparse.Namespace) -> Outcome:
     if chk.witness_uncovered is not None:
         lines.append(f"uncovered: {g.labels[chk.witness_uncovered]}")
     return Outcome(
-        code=0 if agrees else 1,
         lines=lines,
         result={
             "is_geodominating": chk.is_geodominating,
@@ -141,7 +139,6 @@ def _cmd_closure(args: argparse.Namespace) -> Outcome:
     geodetic = len(closure) == g.n
     labels = g.labels_of(closure)
     return Outcome(
-        code=0,
         lines=[" ".join(labels), f"geodetic: {_yesno(geodetic)}"],
         result={"closure": labels, "geodetic": geodetic},
         checks={},
@@ -170,7 +167,6 @@ def _cmd_product(args: argparse.Namespace) -> Outcome:
             f"edges: {pg.graph.edge_count}",
         ]
     return Outcome(
-        code=0,
         lines=lines,
         result=result,
         checks={},
@@ -187,22 +183,15 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
     bases = None if args.base is None else map(_parse_base, [args.base], [g], [h])
     # every input is checked here, before any report is made
     stream = product_reports(args.kind, g, h, bases)
-    out = Outcome(
-        code=0,
-        lines=[],
-        result={},
-        checks={"containments_hold": True, "gx_bounds_hold": True},
-    )
+    checks = {"containments_hold": True, "gx_bounds_hold": True}
 
     def tallied(reports: Iterator[ProductReport]) -> Iterator[ProductReport]:
-        # the checks and the exit code cover every report passed on so far
+        # the checks cover every report passed on so far
         for rep in reports:
             if not rep.containments_hold:
-                out.checks["containments_hold"] = False
-                out.code = 1
+                checks["containments_hold"] = False
             if not rep.gx_holds:
-                out.checks["gx_bounds_hold"] = False
-                out.code = 1
+                checks["gx_bounds_hold"] = False
             yield rep
 
     reports = tallied(stream)
@@ -216,7 +205,7 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
 
     # only the output format asked for is built
     if args.format == "json":
-        out.result["bases"] = (
+        rows = (
             {
                 "base": base_label(rep),
                 "actual": Encoded(_picked(cells, rep.actual)),
@@ -234,9 +223,10 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             }
             for rep in reports
         )
-    elif args.base is not None:
+        return Outcome(lines=[], result={"bases": rows}, checks=checks)
+    if args.base is not None:
         (rep,) = reports
-        out.lines = [
+        lines = [
             f"base: {base_label(rep)}",
             "actual boundary: " + " ".join(_picked(cells, rep.actual)),
             "lower bound: " + " ".join(_picked(cells, rep.lower)),
@@ -247,30 +237,30 @@ def _cmd_product_verify(args: argparse.Namespace) -> Outcome:
             f"[{rep.gx_lower}, {rep.gx_upper}]",
         ]
         if rep.witnesses is not None:
-            out.lines.insert(5, "witnesses: " + " ".join(_picked(cells, rep.witnesses)))
-    else:
-        # the summary comes first but needs every report: keep the FAIL lines
-        fails = []
-        count = 0
-        for rep in reports:
-            count += 1
-            if rep.containments_hold and rep.gx_holds:
-                continue
-            base = base_label(rep)
-            if not rep.containments_hold:
-                witnesses = " ".join(_picked(cells, rep.witnesses))
-                fails.append(f"FAIL base {base}: witnesses {witnesses}")
-            if not rep.gx_holds:
-                fails.append(
-                    f"FAIL base {base}: gx {rep.gx} outside [{rep.gx_lower}, {rep.gx_upper}]"
-                )
-        out.lines = [
-            f"bases checked: {count}",
-            f"containments hold: {_yesno(out.checks['containments_hold'])}",
-            f"gx bounds hold: {_yesno(out.checks['gx_bounds_hold'])}",
-            *fails,
-        ]
-    return out
+            lines.insert(5, "witnesses: " + " ".join(_picked(cells, rep.witnesses)))
+        return Outcome(lines=lines, result={}, checks=checks)
+    # the summary comes first but needs every report: keep the FAIL lines
+    fails = []
+    count = 0
+    for rep in reports:
+        count += 1
+        if rep.containments_hold and rep.gx_holds:
+            continue
+        base = base_label(rep)
+        if not rep.containments_hold:
+            witnesses = " ".join(_picked(cells, rep.witnesses))
+            fails.append(f"FAIL base {base}: witnesses {witnesses}")
+        if not rep.gx_holds:
+            fails.append(
+                f"FAIL base {base}: gx {rep.gx} outside [{rep.gx_lower}, {rep.gx_upper}]"
+            )
+    lines = [
+        f"bases checked: {count}",
+        f"containments hold: {_yesno(checks['containments_hold'])}",
+        f"gx bounds hold: {_yesno(checks['gx_bounds_hold'])}",
+        *fails,
+    ]
+    return Outcome(lines=lines, result={}, checks=checks)
 
 
 def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
@@ -278,9 +268,7 @@ def _cmd_geodetic_heuristic(args: argparse.Namespace) -> Outcome:
     x, min_gx, s, geodetic = geodetic_from_boundary(g)
     size_ok = len(s) == min_gx + 1
     labels = g.labels_of(s)
-    ok = geodetic and size_ok
     return Outcome(
-        code=0 if ok else 1,
         lines=[" ".join(labels), f"size = {len(s)}", f"geodetic: {_yesno(geodetic)}"],
         result={
             "set": labels,
@@ -302,7 +290,6 @@ def _cmd_oracle_gx(args: argparse.Namespace) -> Outcome:
     matches = unique and sets[0] == boundary(g, x)
     sets_labels = [g.labels_of(s) for s in sets]
     return Outcome(
-        code=0 if matches else 1,
         lines=[
             f"minimum size = {len(sets[0])}",
             "minimum sets: " + ", ".join("{" + " ".join(s) + "}" for s in sets_labels),
@@ -330,9 +317,7 @@ def _cmd_oracle_geodetic(args: argparse.Namespace) -> Outcome:
         heuristic_ok = geodetic and len(s) == min_gx + 1
     else:
         min_gx, relation, heuristic_ok = 0, True, True
-    ok = relation and heuristic_ok
     return Outcome(
-        code=0 if ok else 1,
         lines=[
             f"geodetic number = {number}",
             "witness: " + " ".join(g.labels_of(witness)),
@@ -364,7 +349,6 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> Outcome:
     else:
         lines.extend(f"FAIL: {f}" for f in report.failures[:5])
     return Outcome(
-        code=0 if report.ok else 1,
         lines=lines,
         result={
             "graphs_checked": report.graphs_checked,
@@ -390,7 +374,6 @@ def _cmd_find_counterexample(args: argparse.Namespace) -> Outcome:
     verified = all(not is_x_geodominating(g, z, simp).is_geodominating for z in range(g.n))
     document = emit_graph(g)
     return Outcome(
-        code=0 if verified else 1,
         lines=[
             f"found: n={g.n} m={g.edge_count}",
             "simplicial: " + " ".join(g.labels_of(simp)),
@@ -529,7 +512,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         if args.format == "json":
             _write_json(doc, lambda text: None)
-    return out.code
+    if out.code is not None:
+        return out.code
+    return 0 if all(out.checks.values()) else 1
 
 
 if __name__ == "__main__":

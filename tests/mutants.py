@@ -54,10 +54,12 @@ GRAPH = "src/geodom/graph.py"
 JSONOUT = "src/geodom/jsonout.py"
 BOUNDARY = "src/geodom/boundary.py"
 PRODUCTS = "src/geodom/products.py"
+CLI = "src/geodom/cli.py"
 PERTURBED = "tests/test_oracles.py::test_sweep_verdict_matches_the_loop_on_perturbed_matrices"
 SWEEP_FAILURES = "tests/test_oracles.py::test_sweep_failures_match_the_loop"
 EVERY_CLASS = "tests/test_products.py::test_every_factor_class_on_at_most_five_vertices"
 ACROSS_SLICES = "tests/test_oracles.py::test_search_matches_the_loop_across_slices"
+EXIT_STATUS = "tests/test_cli.py::test_exit_status_is_read_from_the_checks"
 
 MUTANTS = (
     Mutant(
@@ -503,6 +505,34 @@ MUTANTS = (
         'format(mask, "b").encode()',
         "tests/test_cli.py::test_product_verify_json_golden",
         "_picked reads a mask's bits highest first",
+    ),
+    Mutant(
+        CLI,
+        "return 0 if all(out.checks.values()) else 1",
+        "return 0 if any(out.checks.values()) else 1",
+        EXIT_STATUS,
+        "main exits 0 when any check holds, not only when all do",
+    ),
+    Mutant(
+        CLI,
+        "            code=1,\n",
+        "",
+        "tests/test_cli.py::test_find_counterexample_not_found_at_eight",
+        "find-counterexample exits 0 when it finds nothing",
+    ),
+    Mutant(
+        CLI,
+        'checks["containments_hold"] = False',
+        "pass",
+        EXIT_STATUS,
+        "product-verify's tally never clears containments_hold",
+    ),
+    Mutant(
+        CLI,
+        'fails.append(f"FAIL base {base}: witnesses {witnesses}")',
+        "pass",
+        "tests/test_cli.py::test_product_verify_plain_fail_lines",
+        "plain product-verify drops its witness FAIL lines",
     ),
 )
 

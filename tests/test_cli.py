@@ -35,6 +35,8 @@ from strategies import json_documents, labelled_documents
 P4_TEXT = "vertices: a b c d\na b\nb c\nc d\n"
 P3_TEXT = "vertices: a b c\na b\nb c\n"
 P3N_TEXT = "vertices: 1 2 3\n1 2\n2 3\n"
+Q4_TEXT = "1 2\n2 3\n3 4\n"
+P2_TEXT = "A B\n"
 
 
 @pytest.fixture
@@ -159,6 +161,21 @@ def test_oracle_geodetic_plain(capsys, p4):
     lines = out.splitlines()
     assert lines[0] == "geodetic number = 2"
     assert lines[-1] == "relation holds: yes"
+
+
+def test_oracle_geodetic_one_vertex(capsys, tmp_path):
+    # one vertex has no source with a boundary: min gx reads 0 and both
+    # checks hold
+    path = tmp_path / "k1.txt"
+    path.write_text("vertices: a\n")
+    code, out, err = run(capsys, "oracle-geodetic", "--graph", str(path))
+    assert (code, err) == (0, "")
+    assert out == "geodetic number = 1\nwitness: a\nmin gx + 1 = 1\nrelation holds: yes\n"
+    code, out, _ = run(capsys, "oracle-geodetic", "--graph", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["result"] == {"geodetic_number": 1, "witness": ["a"], "min_gx": 0}
+    assert doc["checks"] == {"relation_holds": True, "heuristic_is_geodetic": True}
 
 
 def test_oracle_commands_refuse_an_over_cap_graph_before_any_distance_work(
@@ -351,6 +368,56 @@ def test_product_verify_single_base_violation(capsys, factors, tmp_path):
     assert "containments hold: no" in lines
     assert "witnesses: (a,3)" in lines
     assert "gx: 6 outside [1, 5]" in lines
+
+
+@pytest.mark.parametrize(
+    "g_text, expected",
+    [
+        # README's example: both checks fail, the FAIL lines in base order
+        (
+            P3_TEXT,
+            [
+                "bases checked: 12",
+                "containments hold: no",
+                "gx bounds hold: no",
+                "FAIL base (a,1): witnesses (a,3)",
+                "FAIL base (a,1): gx 6 outside [1, 5]",
+                "FAIL base (a,4): witnesses (a,2)",
+                "FAIL base (a,4): gx 6 outside [1, 5]",
+                "FAIL base (b,1): witnesses (b,3)",
+                "FAIL base (b,4): witnesses (b,2)",
+                "FAIL base (c,1): witnesses (c,3)",
+                "FAIL base (c,1): gx 6 outside [1, 5]",
+                "FAIL base (c,4): witnesses (c,2)",
+                "FAIL base (c,4): gx 6 outside [1, 5]",
+            ],
+        ),
+        # the containments fail and the gx bounds hold
+        (
+            P2_TEXT,
+            [
+                "bases checked: 8",
+                "containments hold: no",
+                "gx bounds hold: yes",
+                "FAIL base (A,1): witnesses (A,3)",
+                "FAIL base (A,4): witnesses (A,2)",
+                "FAIL base (B,1): witnesses (B,3)",
+                "FAIL base (B,4): witnesses (B,2)",
+            ],
+        ),
+    ],
+    ids=["p3", "p2"],
+)
+def test_product_verify_plain_fail_lines(capsys, tmp_path, g_text, expected):
+    g = tmp_path / "g.txt"
+    h = tmp_path / "q4.txt"
+    g.write_text(g_text)
+    h.write_text(Q4_TEXT)
+    code, out, err = run(
+        capsys, "product-verify", "--kind", "lexicographic", "--g", str(g), "--h", str(h)
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines() == expected
 
 
 def test_product_verify_base_without_parens(capsys, factors):
@@ -826,6 +893,46 @@ def test_product_verify_json(capsys, factors):
     assert row["witnesses"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["boundary", "--graph", "P4", "--x", "b"], 0),
+        (["gx", "--graph", "P4", "--x", "b"], 0),
+        (["check", "--graph", "P4", "--x", "b", "--set", "d"], 0),
+        (["closure", "--graph", "P4", "--set", "a c"], 0),
+        (["product", "--kind", "lexicographic", "--g", "P3", "--h", "Q4"], 0),
+        (["product-verify", "--kind", "strong", "--g", "P3", "--h", "Q4"], 0),
+        (["product-verify", "--kind", "lexicographic", "--g", "P2", "--h", "Q4"], 1),
+        (["product-verify", "--kind", "lexicographic", "--g", "P3", "--h", "Q4"], 1),
+        (["product-verify", "--kind", "lexicographic", "--g", "P3", "--h", "Q4",
+          "--base", "(b,1)"], 1),
+        (["geodetic-heuristic", "--graph", "P4"], 0),
+        (["oracle-gx", "--graph", "P4", "--x", "b"], 0),
+        (["oracle-geodetic", "--graph", "P4"], 0),
+        (["verify-theorems", "--exhaustive-n", "4"], 0),
+        (["find-counterexample", "--max-n", "8", "--min-simplicial", "5"], 0),
+        (["find-counterexample", "--max-n", "8", "--min-simplicial", "6"], 1),
+    ],
+    ids=[
+        "boundary", "gx", "check", "closure", "product", "product-verify-holds",
+        "product-verify-mixed", "product-verify-both-fail", "product-verify-base",
+        "geodetic-heuristic", "oracle-gx", "oracle-geodetic", "verify-theorems",
+        "find-counterexample-found", "find-counterexample-not-found",
+    ],
+)
+def test_exit_status_is_read_from_the_checks(capsys, tmp_path, argv, code):
+    # 1 exactly when a check is false or nothing is found, 0 otherwise
+    texts = {"P4": P4_TEXT, "P3": P3_TEXT, "P2": P2_TEXT, "Q4": Q4_TEXT}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in texts else a for a in argv]
+    got, out, err = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    failed = not all(doc["checks"].values()) or doc["result"] == {"found": False}
+    assert (got, err) == (int(failed), "")
+    assert got == code
+
+
 @given(json_documents)
 def test_write_json_equals_indented_dumps(doc):
     pieces = []
@@ -1036,7 +1143,8 @@ def test_closed_stdout_is_not_an_error(tmp_path, big_factors, fmt):
         # vertex at distance 2 lie outside the boundary (k01 from p, k00
         # from q), so P2 lex it breaks the upper bound only at the bases
         # (., p) and (., q), the first of them 0.3 MB into 0.66 MB of JSON.
-        # Those rows come after the pipe closes and must still set the code.
+        # Those rows come after the pipe closes and must still clear the checks
+        # that the exit code is read from.
         ks = [f"k{i:02d}" for i in range(60)]
         edges = [f"{a} {b}\n" for i, a in enumerate(ks) for b in ks[i + 1:]]
         h_path = tmp_path / "k60.txt"
